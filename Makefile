@@ -18,13 +18,15 @@ test:
 # The per-PR gate: build, vet (the concurrency code leans on it), tests.
 check: build vet test
 
-# Race-detector pass over the whole module; the pool runtime tests in
-# internal/core are written to stress the barrier and band handoff paths.
+# Race-detector pass over the whole module; the executor tests in
+# internal/core are written to stress the pool's epoch barrier and the
+# tile engine's counter and ready-queue hand-offs.
 race:
 	$(GO) test -race ./...
 
-# Native pool runtime benchmarks vs the spawn baseline, archived as
-# BENCH_native.json (real wall-clock numbers — machine-dependent).
+# Native executor benchmarks — the tile engine vs the level-synchronous
+# pool over all 15 masks — archived as BENCH_native.json (real wall-clock
+# numbers — machine-dependent).
 bench:
 	$(GO) test -run '^$$' -bench=NativePool -benchmem -cpu 4 -benchtime 3x . | tee bench_output.txt
 	$(GO) run ./cmd/benchjson < bench_output.txt > BENCH_native.json
@@ -51,7 +53,7 @@ cover:
 	$(GO) test -coverprofile=cover.out ./...
 	$(GO) tool cover -func=cover.out | tail -1
 
-# Record a runtime trace of the pool on the 2048x2048 anti-diagonal
+# Record a runtime trace of the tile engine on the 2048x2048 anti-diagonal
 # case study and print its analysis. trace.json loads in ui.perfetto.dev.
 trace:
 	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver parallel -workers 4 -traceout trace.json
@@ -64,16 +66,16 @@ sched-smoke:
 	$(GO) run ./cmd/lddpserve -mode compare -solves 16 -size 512
 	$(GO) run ./cmd/lddpserve -mix -solves 32 -size 400 -timeout 50ms
 
-# Async-executor smoke: the dependency-counter engine's conformance,
-# metamorphic and unit batteries under the race detector, then the
+# Tile-engine smoke: the dependency-driven tile engine's unit, fuzz-seed,
+# tiled and metamorphic batteries under the race detector, then the
 # stall proof — trace the same seeded 2048x2048 solve through the
-# epoch-barrier pool and the barrier-free async executor and require
-# the async trace's total barrier stall to be strictly below the
-# pool's (it is structurally zero: async emits no barrier spans).
+# level-synchronous pool and the tile engine and require the tile
+# trace's total barrier stall to be strictly below the pool's (it is
+# structurally zero: the tile engine emits no barrier spans).
 async-smoke:
-	$(GO) test -race -count=1 -run 'Async' ./internal/core/ ./lddp/
-	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver parallel -workers 4 -seed 7 -traceout pool_trace.json
-	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver async -workers 4 -seed 7 -traceout async_trace.json
+	$(GO) test -race -count=1 -run 'Async|Tiled|BandLookahead' ./internal/core/ ./lddp/
+	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver pool -workers 4 -seed 7 -traceout pool_trace.json
+	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver parallel -workers 4 -seed 7 -traceout async_trace.json
 	$(GO) run ./cmd/lddptrace -barrier-under pool_trace.json async_trace.json
 
 # Network service smoke: boot lddpd on an ephemeral local port, fire a
@@ -182,7 +184,9 @@ soak-sim:
 	$(GO) test -race -tags soak -run TestScenarioSweepSoak -timeout 30m ./internal/sim/
 
 # Cross-executor differential conformance suite: all 15 masks x every
-# public executor path x adversarial shapes, under the race detector.
+# public executor path (tile engine, level-synchronous pool, scheduler
+# fronts and async workload) x adversarial shapes, under the race
+# detector.
 conformance:
 	$(GO) test -race -run 'Conformance|Metamorphic' -timeout 10m ./internal/core/ ./internal/sched/
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/hetsim"
 	"repro/internal/problems"
 	"repro/internal/sched"
+	"repro/internal/server"
 	"repro/internal/table"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -254,23 +255,12 @@ func BenchmarkExtModern(b *testing.B) { benchExperiment(b, "ext-modern") }
 // Extension: critical-path attribution.
 func BenchmarkExtBottleneck(b *testing.B) { benchExperiment(b, "ext-bottleneck") }
 
-// Native pool runtime family (-bench=NativePool): the persistent
-// worker-pool wavefront executor against the seed spawn-per-front
-// baseline. Run with -benchmem: the Sim alloc counts are part of the
-// recorded evidence (BENCH_native.json).
+// Native executor family (-bench=NativePool): the dependency-driven tile
+// engine behind SolveParallel against the level-synchronous pool. Run with
+// -benchmem: the Sim alloc counts are part of the recorded evidence
+// (BENCH_native.json).
 
-// Seed baseline: fresh goroutines + WaitGroup barrier per front.
-func BenchmarkNativePoolSpawnLevenshtein4k(b *testing.B) {
-	p := experiments.Fig10Problem(1, 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.SolveParallelSpawn(p, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Pool runtime at the default configuration on the same workload.
+// The tile engine at its default shape on the 4k anti-diagonal case study.
 func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 	p := experiments.Fig10Problem(1, 4096)
 	b.ResetTimer()
@@ -281,23 +271,30 @@ func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 	}
 }
 
-// Horizontal pattern: global epoch barrier vs row-band lookahead handoff.
-func BenchmarkNativePoolCheckerboard2k(b *testing.B) {
-	p := experiments.Fig13Problem(1, 2048)
-	for _, mode := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"barrier", core.Options{NativeNoLookahead: true}},
-		{"lookahead", core.Options{}},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.SolveParallelOpt(p, mode.opts); err != nil {
-					b.Fatal(err)
+// All 15 masks at 256x256 and 1024x1024 through the level-synchronous
+// pool (SolvePool) and the tile engine (SolveParallel), on lddpserve's
+// kernel, which does the same work per cell under every mask. The
+// tiles/pool ratio per mask is the sweep behind the tile-shape rule
+// (DESIGN.md §15); run it with -cpu 2 for the two-worker figures.
+func BenchmarkNativePoolMasks(b *testing.B) {
+	for _, n := range []int{256, 1024} {
+		for _, m := range core.AllDepMasks() {
+			p := server.ServeProblem(m, n, n)
+			b.Run(fmt.Sprintf("%d/%s/pool", n, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.SolvePool(context.Background(), p, core.Options{}); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+			b.Run(fmt.Sprintf("%d/%s/tiles", n, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := core.SolveParallel(p, 0); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -315,9 +312,9 @@ func BenchmarkNativePoolSimPath4k(b *testing.B) {
 	}
 }
 
-// Tracing overhead: the same pool workload untraced (the one-nil-check
-// fast path the ±2% acceptance bound guards) vs recording into the
-// per-worker rings. Compare the off case against
+// Tracing overhead: the same tile-engine workload untraced (the
+// one-nil-check fast path the ±2% acceptance bound guards) vs recording
+// into the per-worker rings. Compare the off case against
 // BenchmarkNativePoolLevenshtein4k for the disabled-tracer cost.
 func BenchmarkNativePoolTraceLevenshtein4k(b *testing.B) {
 	p := experiments.Fig10Problem(1, 4096)
@@ -340,8 +337,8 @@ func BenchmarkNativePoolTraceLevenshtein4k(b *testing.B) {
 
 // Shared-scheduler multi-solve throughput: one batch iteration is 16
 // concurrent 1024x1024 anti-diagonal solves submitted to one shared
-// scheduler, versus the same 16 solves as back-to-back per-solve pool
-// runs (what a service without the scheduler would do). Run both at the
+// scheduler, versus the same 16 solves as back-to-back level-synchronous
+// pool runs (what a service without the scheduler would do). Run both at the
 // same GOMAXPROCS (use -cpu) to compare aggregate throughput; the
 // recorded numbers live in EXPERIMENTS.md. Worker counts and chunks are
 // pinned equal on both sides so the comparison isolates the scheduling
@@ -396,7 +393,7 @@ func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < batch; k++ {
-				if _, err := core.SolveParallelOpt(problem(k), opts); err != nil {
+				if _, err := core.SolvePool(context.Background(), problem(k), opts); err != nil {
 					b.Fatal(err)
 				}
 			}

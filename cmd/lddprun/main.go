@@ -9,7 +9,7 @@
 //	lddprun -problem checkerboard -size 4096 -solver multi -accels k20,phi
 //	lddprun -problem lcs -size 2048 -solver hetero -metrics
 //	lddprun -problem levenshtein -size 2048 -solver parallel -traceout t.json
-//	lddprun -problem levenshtein -size 2048 -solver async -traceout a.json
+//	lddprun -problem levenshtein -size 2048 -solver pool -traceout p.json
 package main
 
 import (
@@ -30,8 +30,8 @@ import (
 func main() {
 	problem := flag.String("problem", "levenshtein", fmt.Sprintf("one of %v", cli.ProblemNames()))
 	size := flag.Int("size", 1024, "table side length")
-	solver := flag.String("solver", "hetero", "seq, parallel, async, tiled, resilient, cpu, gpu, hetero or multi")
-	workers := flag.Int("workers", 0, "workers for -solver parallel/async/tiled (0 = min(GOMAXPROCS, NumCPU))")
+	solver := flag.String("solver", "hetero", "seq, parallel, pool (level-synchronous baseline), tiled, resilient, cpu, gpu, hetero or multi")
+	workers := flag.Int("workers", 0, "workers for -solver parallel/pool/tiled (0 = min(GOMAXPROCS, NumCPU))")
 	platform := flag.String("platform", "Hetero-High", "simulated platform (Hetero-High, Hetero-Low, Hetero-Phi, Hetero-Modern)")
 	platformFile := flag.String("platform-file", "", "load a custom platform calibration from a JSON file (overrides -platform)")
 	tswitch := flag.Int("tswitch", -1, "t_switch (-1 = auto)")
@@ -97,8 +97,8 @@ func main() {
 			fatal(err)
 		}
 		fmt.Println(ans)
-	case "async":
-		ans, err := inst.SolveAsync(core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
+	case "pool":
+		ans, err := inst.SolvePool(core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
 		if err != nil {
 			fatal(err)
 		}

@@ -73,7 +73,7 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", 0, "scheduler workers (0 = min(GOMAXPROCS, NumCPU))")
 	flag.IntVar(&opts.queue, "queue", 0, "admission queue bound (0 = default)")
 	flag.IntVar(&opts.active, "active", 0, "max concurrently active solves (0 = default)")
-	flag.IntVar(&opts.chunk, "chunk", 0, "cells per claim chunk (0 = default)")
+	flag.IntVar(&opts.chunk, "chunk", 0, "scheduler cells per claim chunk (0 = default)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "per-submission deadline (0 = none)")
 	flag.StringVar(&opts.mode, "mode", "sched", "sched | seq | compare")
 	flag.StringVar(&opts.metrics, "metrics", "", "write the metrics JSON snapshot to this file")
@@ -486,8 +486,9 @@ func runFleet(opts options, items []workItem, out io.Writer) error {
 }
 
 // runSequential is the baseline: the same batch as back-to-back
-// lddp.Solve calls, each with its own per-solve pool — what a service
-// without the scheduler would do.
+// lddp.Solve calls, each starting its own tile-engine workers — what a
+// service without the scheduler would do. Solve has no chunks, so -chunk
+// reaches only the scheduler side.
 func runSequential(opts options, items []workItem) outcome {
 	var res outcome
 	start := time.Now()
@@ -498,11 +499,7 @@ func runSequential(opts options, items []workItem) outcome {
 			ctx, cancel = context.WithTimeout(ctx, opts.timeout)
 			defer cancel()
 		}
-		solveOpts := []lddp.Option{lddp.WithWorkers(opts.workers)}
-		if opts.chunk > 0 {
-			solveOpts = append(solveOpts, lddp.WithChunk(opts.chunk))
-		}
-		_, err := lddp.Solve(ctx, it.problem, solveOpts...)
+		_, err := lddp.Solve(ctx, it.problem, lddp.WithWorkers(opts.workers))
 		var can *lddp.Canceled
 		switch {
 		case err == nil:

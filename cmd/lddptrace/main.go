@@ -9,12 +9,13 @@
 //	lddptrace t.json
 //	lddptrace -json t.json | jq .stall
 //	lddptrace -buckets 120 t.json
-//	lddptrace -barrier-under pool.json async.json
+//	lddptrace -barrier-under pool.json tiles.json
 //
 // With -barrier-under the tool analyzes both traces and exits non-zero
 // unless the main trace's total barrier stall is strictly below the
 // reference trace's — the assertion the async-smoke CI gate runs to
-// prove the barrier-free executor actually removes epoch stalls.
+// prove the tile engine actually removes the level-synchronous pool's
+// epoch stalls.
 //
 // The input is Chrome trace-event JSON; "-" reads stdin. With -json the
 // full analyzed report is emitted as JSON instead of the text summary.

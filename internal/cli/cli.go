@@ -35,19 +35,19 @@ type Instance struct {
 
 	// SolveSeq runs the sequential reference and returns the answer.
 	SolveSeq func() (string, error)
-	// SolveParallel runs the native goroutine solver; opts carries the
-	// runtime knobs (workers, chunk, lookahead) and an optional Collector.
+	// SolveParallel runs the native tile engine; opts carries the worker
+	// count and the optional Collector/Tracer.
 	SolveParallel func(opts core.Options) (string, error)
-	// SolveAsync runs the barrier-free dependency-counter executor; opts
-	// carries workers and the optional Collector/Tracer.
-	SolveAsync func(opts core.Options) (string, error)
+	// SolvePool runs the level-synchronous pool baseline; opts carries
+	// workers, chunk and the optional Collector/Tracer.
+	SolvePool func(opts core.Options) (string, error)
 	// SolveSim runs a simulated solver: mode is "cpu", "gpu" or "hetero".
 	SolveSim func(mode string, opts core.Options) (SimInfo, error)
 	// SolveMulti runs the multi-accelerator extension (horizontal-pattern
 	// problems only) with the named accelerators.
 	SolveMulti func(accelNames []string, opts core.Options) (SimInfo, error)
-	// SolveTiled runs the cache-efficient tiled multicore baseline; worker
-	// count and Collector ride in opts.
+	// SolveTiled runs the tile engine on square tiles; worker count and
+	// Collector/Tracer ride in opts.
 	SolveTiled func(tile int, opts core.Options) (string, error)
 	// SolveResilient runs the unreliable-memory solver with seeded faults
 	// at ratePercent per replica write, and reports the answer plus the
@@ -93,8 +93,8 @@ func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) 
 		}
 		return answer(g), nil
 	}
-	inst.SolveAsync = func(opts core.Options) (string, error) {
-		g, err := core.SolveAsyncOpt(p, opts)
+	inst.SolvePool = func(opts core.Options) (string, error) {
+		g, err := core.SolvePool(context.Background(), p, opts)
 		if err != nil {
 			return "", err
 		}

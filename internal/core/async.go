@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/pprof"
 	"sync"
 	"sync/atomic"
@@ -14,219 +13,213 @@ import (
 	"repro/internal/trace"
 )
 
-// Asynchronous work-efficient executor: dependency counters instead of
-// front barriers.
+// Dependency-driven tile executor: the engine behind SolveParallel,
+// SolveTiled and the scheduler's async workload.
 //
-// The pool runtime (pool.go) is level-synchronous — every wavefront ends
-// in an epoch barrier, and the trace analyzer quantifies what those
-// barriers cost (stall.barrier_ns). Following the dependency-counter
-// scheme of "Parallel and (Nearly) Work-Efficient Dynamic Programming"
-// (arXiv 2404.16314) and Shen et al. (arXiv 2205.13077), this executor
-// drops the barrier entirely:
+// The table is cut into a grid of th x tw tiles and run as a DAG of
+// tiles, following the frontier scheme of "Parallel and (Nearly)
+// Work-Efficient Dynamic Programming" (arXiv 2404.16314) at tile rather
+// than cell granularity:
 //
-//   - every cell carries an atomic in-degree counter initialized to its
-//     number of in-bounds dependencies under the raw mask;
-//   - a worker that computes a cell decrements the counter of each
-//     dependent; the decrement that reaches zero makes the dependent
-//     ready — it is either kept as the worker's own continuation
-//     (depth-first, so serial chains never touch the queue) or pushed on
-//     a lock-free MPMC ready queue;
-//   - workers loop: take a ready cell, compute it, publish. No fronts are
-//     ever materialized and no worker waits for stragglers of a front it
-//     has no dependency on.
+//   - every tile carries an atomic in-degree counter: the number of its
+//     W/NW/N/NE neighbour tiles that some cell edge of the mask crosses
+//     into (deps, lifted from the cell mask by deriveBlockMask);
+//   - a worker that finishes a tile decrements each dependent; the
+//     decrement that reaches zero makes the dependent ready. The worker
+//     keeps the first ready dependent as its next tile, checking the tile
+//     below first so it stays on its column band, and sends the rest on
+//     the ready queue;
+//   - cells inside a tile run row-major on the flat kernel, which is safe
+//     for every mask (every cell offset points to an earlier row, or left
+//     in the same row).
 //
-// No canonicalization is needed: all four neighbour offsets of every
-// valid mask point to an earlier row or left in the same row, so the raw
-// dependency graph is acyclic for each of the 15 masks, and topological
-// progress is guaranteed no matter the completion order.
-//
-// The ready queue is a fixed array of one slot per cell. Each cell is
-// enqueued at most once (only the decrement that hits zero enqueues), so
-// producers reserve a slot with one atomic tail bump and publish with one
-// atomic slot store; consumers claim with a CAS on head, bounded by tail.
-// Go atomics are sequentially consistent, which gives the happens-before
-// chain a dependent needs: each dependency's grid write precedes its
-// counter decrement, the decrements form a total order on the counter,
-// and the zero-observing decrementer's enqueue (or continuation) precedes
-// the dependent's neighbour reads. DESIGN.md §15 states this as a
-// lattice-linear-predicate argument.
-//
-// Cost: two O(cells) int32 arrays (counters + queue slots), the same
-// order as the table itself. The trade is explicit — barrier-free
-// scheduling needs per-cell state where the pool needs per-front state.
+// No canonicalization is needed. Every neighbour tile lies in an earlier
+// tile row or to the left in the same tile row, so the raw-mask tile graph
+// is acyclic for all 15 masks — provided NE never crosses into the tile to
+// the east, which is why masks containing NE get 1-row tiles (DESIGN.md
+// §15). Each tile is sent at most once, so a buffered channel with one
+// slot per tile never blocks a sender. Go atomics and channel operations
+// give the happens-before chain a tile needs: each neighbour's grid
+// writes precede its decrement, and the zero-observing decrementer's send
+// (or continuation) precedes the tile's reads.
 
-const (
-	// asyncCancelEvery is how many computed cells a worker goes between
-	// polls of the context's done channel (same granularity class as the
-	// pool's per-chunk poll).
-	asyncCancelEvery = 256
-	// asyncSampleEvery is how many computed cells a worker goes between
-	// KindReady queue-depth samples when tracing.
-	asyncSampleEvery = 1024
-	// asyncFlushCells caps one KindTask span so long-running workers
-	// still produce a timeline with visible structure.
-	asyncFlushCells = 8192
-)
+// tileShape is the tile extent SolveParallel and the async workload run a
+// rows x cols table with under mask m on the given worker count. One
+// worker sweeps the whole table as one row-major tile. Otherwise tiles
+// are row segments: without W a row splits into one segment per worker,
+// the column-band partition; with W a segment is a quarter of a worker's
+// share, so a row pipelines across the workers. Either way a segment is
+// no narrower than 256 cells, below which the per-tile hand-off costs
+// more than it overlaps (DESIGN.md §15 gives the sweep).
+func tileShape(m DepMask, rows, cols, workers int) (th, tw int) {
+	if workers <= 1 {
+		return rows, cols
+	}
+	if m.Has(DepW) {
+		workers *= 4
+	}
+	return 1, max(256, ceilDiv(cols, workers))
+}
 
-// asyncEngine is the shared state of one async solve. It is built once
-// (counters initialized, initially-ready cells enqueued) and then driven
-// by worker loops — either the engine's own goroutines (SolveAsync*) or
-// scheduler workers running NewAsyncWorkload chunks.
-type asyncEngine[T any] struct {
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// tileEngine is the shared state of one tile-graph solve. It is built
+// once (counters set, source tiles queued) and then driven by worker loops:
+// the engine's own goroutines (solveTiles) or scheduler workers running
+// NewAsyncWorkload units.
+type tileEngine[T any] struct {
 	k          *flatKernel[T]
+	mask       DepMask
 	rows, cols int
-	total      int64
+	th, tw     int // tile extent in cells
+	tr, tc     int // tile grid extent in tiles
 
-	hasW, hasNW, hasN, hasNE bool
-
-	// counters[c] is the number of not-yet-published dependencies of cell
-	// c (row-major index). The decrement to zero transfers ownership of
-	// the cell to exactly one worker.
+	// counters[t] counts the unfinished neighbour tiles tile t (row-major
+	// tile index) waits for; the decrement to zero hands the tile to
+	// exactly one worker. A finished tile stores -1.
 	counters []atomic.Int32
-	// slots is the MPMC ready ring: one slot per cell, each written at
-	// most once, holding cell+1 so zero means "not yet published".
-	slots []atomic.Int32
-	head  atomic.Int64 // next slot to claim
-	tail  atomic.Int64 // next slot to reserve
-
-	completed atomic.Int64
-	// rowLeft[i] counts the cells of row i not yet computed; the first
-	// row with a nonzero count is Canceled.Front on cancellation.
-	rowLeft  []atomic.Int32
-	finished atomic.Bool
-	canceled atomic.Bool
+	ready    chan int32
+	left     atomic.Int64  // tiles not yet finished
+	finished chan struct{} // closed by the worker that finishes the last tile
 	done     <-chan struct{}
 
 	stats []poolWorkerStat
 	lanes []*trace.Lane
 }
 
-// newAsyncEngine validates the problem, allocates the grid and the
-// per-cell scheduling state, and seeds the ready queue with every cell
-// whose in-degree is zero under the mask. It returns the engine, the
-// grid it fills, and the resolved worker count.
-func newAsyncEngine[T any](ctx context.Context, p *Problem[T], opts Options) (*asyncEngine[T], *table.Grid[T], int, error) {
+// tileEngineFor validates the problem and the options and builds the
+// engine with the worker count and the tile extent they select: square
+// tiles of side tile (1-row under NE), or tileShape's when tile == 0.
+func tileEngineFor[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*tileEngine[T], *table.Grid[T], int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, 0, err
 	}
 	if err := opts.Validate(); err != nil {
 		return nil, nil, 0, err
 	}
-	total := int64(p.Rows) * int64(p.Cols)
-	if total > math.MaxInt32 {
-		// Cell indices live in the int32 queue slots and counters.
-		return nil, nil, 0, fmt.Errorf("core: async executor supports at most %d cells, got %d", math.MaxInt32, total)
-	}
 	workers := opts.NativeWorkers
 	if workers <= 0 {
 		workers = defaultPoolWorkers()
 	}
-	if int64(workers) > total {
-		workers = int(total)
+	th, tw := tile, tile
+	if tile == 0 {
+		th, tw = tileShape(p.Deps, p.Rows, p.Cols, workers)
+	} else if p.Deps.Has(DepNE) {
+		th = 1
 	}
+	return newTileEngine(ctx, p, workers, th, tw)
+}
+
+// newTileEngine cuts a valid problem into th x tw tiles (clamped to the
+// table; th must be 1 under NE unless one tile spans the table), allocates
+// the grid, and queues every tile that waits for nothing. It returns the
+// engine, the grid it fills, and the worker count capped at the tile
+// count.
+func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw int) (*tileEngine[T], *table.Grid[T], int, error) {
+	th, tw = min(th, p.Rows), min(tw, p.Cols)
+	tr, tc := ceilDiv(p.Rows, th), ceilDiv(p.Cols, tw)
+	tiles := int64(tr) * int64(tc)
+	if tiles > math.MaxInt32 {
+		// Tile indices travel as int32 on the ready queue.
+		return nil, nil, 0, fmt.Errorf("core: tile engine supports at most %d tiles, got %d (%dx%d tiles of %dx%d cells)",
+			math.MaxInt32, tiles, tr, tc, th, tw)
+	}
+	workers = min(workers, int(tiles))
+
 	g := table.NewGrid[T](p.Rows, p.Cols, nil) // nil layout = row-major
-	e := &asyncEngine[T]{
+	e := &tileEngine[T]{
 		k:    newFlatKernel(p, g.RowMajorData(), p.Rows, p.Cols),
-		rows: p.Rows, cols: p.Cols, total: total,
-		hasW:  p.Deps.Has(DepW),
-		hasNW: p.Deps.Has(DepNW),
-		hasN:  p.Deps.Has(DepN),
-		hasNE: p.Deps.Has(DepNE),
-		counters: make([]atomic.Int32, total),
-		slots:    make([]atomic.Int32, total),
-		rowLeft:  make([]atomic.Int32, p.Rows),
+		mask: p.Deps,
+		rows: p.Rows, cols: p.Cols,
+		th: th, tw: tw, tr: tr, tc: tc,
+		counters: make([]atomic.Int32, tiles),
+		ready:    make(chan int32, tiles),
+		finished: make(chan struct{}),
 		done:     ctxDone(ctx),
 	}
-	// Single-threaded init: plain stores into the atomics are fine, the
-	// worker spawn publishes them.
-	ready := int64(0)
-	idx := int32(0)
-	for i := 0; i < e.rows; i++ {
-		e.rowLeft[i].Store(int32(e.cols))
-		for j := 0; j < e.cols; j++ {
-			c := int32(0)
-			if e.hasW && j > 0 {
-				c++
-			}
-			if i > 0 {
-				if e.hasNW && j > 0 {
-					c++
-				}
-				if e.hasN {
-					c++
-				}
-				if e.hasNE && j+1 < e.cols {
-					c++
-				}
-			}
-			e.counters[idx].Store(c)
-			if c == 0 {
-				e.slots[ready].Store(idx + 1)
-				ready++
-			}
-			idx++
+	e.left.Store(tiles)
+	for t := range e.counters {
+		n := e.deps(t/tc, t%tc).Count()
+		e.counters[t].Store(int32(n))
+		if n == 0 {
+			e.ready <- int32(t)
 		}
 	}
-	e.tail.Store(ready)
 	return e, g, workers, nil
 }
 
-// enqueue publishes a ready cell. Called by at most one worker per cell
-// (the zero-observing decrementer), so every slot is written exactly once
-// and tail never outruns the slot array.
-func (e *asyncEngine[T]) enqueue(cell int32) {
-	s := e.tail.Add(1) - 1
-	e.slots[s].Store(cell + 1)
+// deps returns the neighbour tiles tile (bi, bj) waits for: the block
+// offsets deriveBlockMask lifts the mask to at the tile's own extent
+// (edge tiles may be smaller), less those outside the tile grid. A tile
+// pair is in the result exactly when some cell edge crosses it.
+func (e *tileEngine[T]) deps(bi, bj int) DepMask {
+	if bi == 0 && bj == 0 {
+		// The first tile waits for nothing; it may also be the whole
+		// table, a tile taller than deriveBlockMask accepts under NE.
+		return 0
+	}
+	m := deriveBlockMask(e.mask, min(e.th, e.rows-bi*e.th), min(e.tw, e.cols-bj*e.tw))
+	if bi == 0 {
+		m &^= DepNW | DepN | DepNE
+	}
+	if bj == 0 {
+		m &^= DepW | DepNW
+	}
+	if bj == e.tc-1 {
+		m &^= DepNE
+	}
+	return m
 }
 
-// dequeue claims the next ready cell, spinning through the transient
-// empty-queue states where all remaining work is in flight on other
-// workers. Returns -1 when the solve is finished or canceled. Progress
-// argument: if every worker sits in dequeue, no cell is in flight, so
-// every computed cell has fully published; the topologically next
-// uncomputed cell then has in-degree zero and is in the queue — the
-// queue cannot be empty unless the solve is complete.
-func (e *asyncEngine[T]) dequeue() int32 {
-	spins := 0
-	for {
-		if e.finished.Load() || e.canceled.Load() {
-			return -1
+// publish decrements the tiles that wait for the finished tile (bi, bj)
+// and returns the first one that became ready, or -1; the others go on
+// the ready queue. The tile below is checked first, so a worker keeps to
+// its column band.
+func (e *tileEngine[T]) publish(bi, bj int) int32 {
+	next := int32(-1)
+	release := func(ti, tj int, from DepMask) {
+		if ti >= e.tr || tj < 0 || tj >= e.tc || !e.deps(ti, tj).Has(from) {
+			return
 		}
-		h := e.head.Load()
-		if h < e.tail.Load() {
-			if !e.head.CompareAndSwap(h, h+1) {
-				continue
-			}
-			// The producer bumps tail before storing the slot; the store
-			// is at most a few instructions behind.
-			for {
-				if v := e.slots[h].Load(); v != 0 {
-					return v - 1
-				}
-				runtime.Gosched()
-			}
+		t := int32(ti*e.tc + tj)
+		if e.counters[t].Add(-1) != 0 {
+			return
 		}
-		spins++
-		if spins&63 == 0 {
-			if isDone(e.done) {
-				e.canceled.Store(true)
-				return -1
-			}
-			runtime.Gosched()
-		}
-		if spins > 1<<16 {
-			// Long drought: another worker is deep in a serial chain.
-			// Back off the CPU instead of burning it.
-			time.Sleep(20 * time.Microsecond)
+		if next < 0 {
+			next = t
+		} else {
+			e.ready <- t
 		}
 	}
+	release(bi+1, bj, DepN)
+	release(bi, bj+1, DepW)
+	release(bi+1, bj+1, DepNW)
+	release(bi+1, bj-1, DepNE)
+	return next
 }
 
-// work is the async worker loop: claim a ready cell, compute it, publish
-// to its dependents, repeat. One newly-ready dependent is kept as the
-// local continuation — depth-first execution that keeps serial chains
-// (e.g. Nx1 knight tables) off the shared queue entirely.
-func (e *asyncEngine[T]) work(w int) {
+// runTile fills tile (bi, bj) row-major and returns its cell count, or
+// false if the context ended first. The context is polled once per tile
+// row, so even a whole-table tile stays cancellable.
+func (e *tileEngine[T]) runTile(bi, bj int) (int, bool) {
+	iLo, jLo := bi*e.th, bj*e.tw
+	iHi, jHi := min(iLo+e.th, e.rows), min(jLo+e.tw, e.cols)
+	for i := iLo; i < iHi; i++ {
+		if isDone(e.done) {
+			return 0, false
+		}
+		for j := jLo; j < jHi; j++ {
+			e.k.cell(i, j)
+		}
+	}
+	return (iHi - iLo) * (jHi - jLo), true
+}
+
+// work is the worker loop: take a ready tile (the kept dependent, or one
+// off the queue), fill it, publish it, repeat until the last tile is done
+// or the context ends. Any one loop can finish the solve alone, so a loop
+// started after the others are gone never waits forever.
+func (e *tileEngine[T]) work(w int) {
 	var st *poolWorkerStat
 	if e.stats != nil {
 		st = &e.stats[w]
@@ -235,171 +228,97 @@ func (e *asyncEngine[T]) work(w int) {
 	if e.lanes != nil {
 		ln = e.lanes[w]
 	}
-	instrumented := st != nil || ln != nil
-
-	var batchT0 time.Time
-	batchCells := 0
-	lastRow := 0
-	flush := func() {
-		if batchCells == 0 {
+	next := int32(-1)
+	for {
+		t := next
+		if t < 0 {
+			select {
+			case t = <-e.ready:
+			case <-e.finished:
+				return
+			case <-e.done:
+				return
+			}
+			if ln != nil {
+				ln.Instant(trace.KindReady, int(t)/e.tc*e.th, int64(len(e.ready)), int64(len(e.counters))-e.left.Load())
+			}
+		}
+		bi, bj := int(t)/e.tc, int(t)%e.tc
+		var t0 time.Time
+		if st != nil || ln != nil {
+			t0 = time.Now()
+		}
+		cells, ok := e.runTile(bi, bj)
+		if !ok {
 			return
 		}
 		if st != nil {
-			st.busy += time.Since(batchT0)
+			st.busy += time.Since(t0)
 			st.chunks++
-			st.cells += batchCells
+			st.cells += cells
 		}
 		if ln != nil {
-			ln.SpanFrom(trace.KindTask, lastRow, 0, int64(batchCells), batchT0)
+			ln.SpanFrom(trace.KindTask, bi*e.th, 0, int64(cells), t0)
 		}
-		batchCells = 0
-	}
-
-	local := int32(-1)
-	ready := func(d int32) {
-		if local < 0 {
-			local = d
-		} else {
-			e.enqueue(d)
-		}
-	}
-	sincePoll, sinceSample := 0, 0
-	for {
-		cell := local
-		local = -1
-		if cell < 0 {
-			flush()
-			cell = e.dequeue()
-			if cell < 0 {
-				return
-			}
-		}
-		if instrumented && batchCells == 0 {
-			batchT0 = time.Now()
-		}
-		i := int(cell) / e.cols
-		j := int(cell) - i*e.cols
-		e.k.cell(i, j)
-		batchCells++
-		lastRow = i
-
-		// Publish: decrement the in-degree of each in-bounds dependent.
-		// The reverse edges of (i, j) are the mask's offsets mirrored:
-		// W feeds (i, j+1), NW feeds (i+1, j+1), N feeds (i+1, j),
-		// NE feeds (i+1, j-1).
-		if e.hasW && j+1 < e.cols {
-			if e.counters[cell+1].Add(-1) == 0 {
-				ready(cell + 1)
-			}
-		}
-		if i+1 < e.rows {
-			down := cell + int32(e.cols)
-			if e.hasN {
-				if e.counters[down].Add(-1) == 0 {
-					ready(down)
-				}
-			}
-			if e.hasNW && j+1 < e.cols {
-				if e.counters[down+1].Add(-1) == 0 {
-					ready(down + 1)
-				}
-			}
-			if e.hasNE && j > 0 {
-				if e.counters[down-1].Add(-1) == 0 {
-					ready(down - 1)
-				}
-			}
-		}
-
-		e.rowLeft[i].Add(-1)
-		if e.completed.Add(1) == e.total {
-			e.finished.Store(true)
-			flush()
+		e.counters[t].Store(-1)
+		next = e.publish(bi, bj)
+		if e.left.Add(-1) == 0 {
+			close(e.finished)
 			return
-		}
-
-		sincePoll++
-		if sincePoll >= asyncCancelEvery {
-			sincePoll = 0
-			if isDone(e.done) {
-				e.canceled.Store(true)
-				flush()
-				return
-			}
-		}
-		if ln != nil {
-			sinceSample++
-			if sinceSample >= asyncSampleEvery {
-				sinceSample = 0
-				ln.Instant(trace.KindReady, i, e.tail.Load()-e.head.Load(), e.completed.Load())
-			}
-		}
-		if batchCells >= asyncFlushCells {
-			flush()
 		}
 	}
 }
 
-// firstIncompleteRow is Canceled.Front for the async executor: the async
-// schedule has no fronts, so progress is reported in row terms — the
-// index of the first row not known to be fully computed. Only called
-// after the worker join, when all rowLeft decrements are visible.
-func (e *asyncEngine[T]) firstIncompleteRow() int {
-	for i := range e.rowLeft {
-		if e.rowLeft[i].Load() > 0 {
-			return i
+// firstUnfinishedRow is Canceled.Front for the tile engine: the first row
+// that holds an unfinished tile. Only called after the worker join.
+func (e *tileEngine[T]) firstUnfinishedRow() int {
+	for t := range e.counters {
+		if e.counters[t].Load() >= 0 {
+			return t / e.tc * e.th
 		}
 	}
 	return e.rows
 }
 
-// SolveAsync fills the DP table with the asynchronous dependency-counter
-// executor: no wavefronts, no barriers — cells are scheduled the moment
-// their last dependency publishes. workers <= 0 selects the documented
-// default min(GOMAXPROCS, NumCPU).
-func SolveAsync[T any](p *Problem[T], workers int) (*table.Grid[T], error) {
-	return SolveAsyncOpt(p, Options{NativeWorkers: workers})
-}
-
-// SolveAsyncOpt is SolveAsync with the full native-runtime knobs of
-// Options (NativeWorkers, Collector, Tracer; NativeChunk has no meaning
-// here — the async schedule has no chunks).
-func SolveAsyncOpt[T any](p *Problem[T], opts Options) (*table.Grid[T], error) {
-	return SolveAsyncContext(context.Background(), p, opts)
-}
-
-// SolveAsyncContext is SolveAsyncOpt honoring a context: workers poll the
-// done channel at cell granularity and the interrupted solve returns
-// *Canceled with Front naming the first incomplete row (the async
-// schedule's progress unit — it has no wavefronts).
-func SolveAsyncContext[T any](ctx context.Context, p *Problem[T], opts Options) (grid *table.Grid[T], err error) {
-	e, g, workers, err := newAsyncEngine(ctx, p, opts)
+// solveTiles is the shared entry of SolveParallel* and SolveTiled*: it
+// builds the engine, runs one worker loop per worker (the caller is worker
+// 0), and wires the Collector and the Tracer. solver names the executor in
+// the observability events and in *Canceled.
+func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile int, opts Options) (grid *table.Grid[T], err error) {
+	e, g, workers, err := tileEngineFor(ctx, p, tile, opts)
 	if err != nil {
 		return nil, err
 	}
 	if isDone(e.done) {
-		return nil, canceledErr(ctx, "async", 0)
+		return nil, canceledErr(ctx, solver, 0)
 	}
 
-	coll := opts.Collector
-	if coll != nil {
+	executed := fmt.Sprintf("tiles %dx%d", e.th, e.tw)
+	if coll := opts.Collector; coll != nil {
 		e.stats = make([]poolWorkerStat, workers)
 		coll.SolveStart(SolveInfo{
-			Solver: "async", Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: "async",
+			Solver: solver, Problem: p.Name,
+			Pattern: Classify(p.Deps).String(), Executed: executed,
 			Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows, Workers: workers,
 		})
 		start := time.Now()
 		defer func() {
-			coll.Phase("async", time.Since(start))
+			wall := time.Since(start)
+			for w := range e.stats {
+				st := &e.stats[w]
+				coll.WorkerStats(WorkerStats{
+					Worker: w, Chunks: st.chunks, Cells: st.cells,
+					Busy: st.busy, Wall: wall,
+				})
+			}
+			coll.Phase(solver, wall)
 			coll.SolveEnd(err)
 		}()
 	}
-	tr := opts.Tracer
-	if tr != nil {
+	if tr := opts.Tracer; tr != nil {
 		tr.BeginSolve(trace.Meta{
-			Solver: "async", Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: "async",
+			Solver: solver, Problem: p.Name,
+			Pattern: Classify(p.Deps).String(), Executed: executed,
 			Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows, Workers: workers,
 		})
 		defer tr.EndSolve()
@@ -409,49 +328,37 @@ func SolveAsyncContext[T any](ctx context.Context, p *Problem[T], opts Options) 
 		}
 	}
 
-	cfg := poolConfig{solver: "async", phase: "async", workers: workers}
-	start := time.Now()
+	cfg := poolConfig{solver: solver, phase: executed, workers: workers}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
-	for i := 1; i < workers; i++ {
+	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
 			pprof.Do(ctx, cfg.poolLabels(w), func(context.Context) { e.work(w) })
-		}(i)
+		}(w)
 	}
 	pprof.Do(ctx, cfg.poolLabels(0), func(context.Context) { e.work(0) })
 	wg.Wait()
 
-	if coll != nil {
-		wall := time.Since(start)
-		for w := range e.stats {
-			st := &e.stats[w]
-			coll.WorkerStats(WorkerStats{
-				Worker: w, Chunks: st.chunks, Cells: st.cells,
-				Busy: st.busy, Wall: wall,
-			})
-		}
-	}
-	if e.canceled.Load() {
-		return nil, canceledErr(ctx, "async", e.firstIncompleteRow())
+	if e.left.Load() > 0 {
+		return nil, canceledErr(ctx, solver, e.firstUnfinishedRow())
 	}
 	return g, nil
 }
 
-// NewAsyncWorkload adapts an async solve to the scheduler's Workload
-// contract. The async schedule has no fronts, so the workload is a single
-// front of `workers` independent units, each of which runs one async
-// worker loop to completion on the shared engine — the Workload contract
-// (cells of one front are concurrency-safe and order-free) holds exactly.
-// Submit it with SubmitOptions.Chunk = 1 so scheduler workers claim one
-// loop each; a loop claimed after the solve finishes observes the
-// finished flag and returns immediately, so stragglers cost nothing.
+// NewAsyncWorkload adapts a tile-engine solve to the scheduler's Workload
+// contract. The tile graph has no fronts, so the workload is a single
+// front of `workers` independent units, each of which runs one worker
+// loop to completion on the shared engine — the Workload contract (cells
+// of one front are concurrency-safe and order-free) holds exactly. Submit
+// it with SubmitOptions.Chunk = 1 so scheduler workers claim one loop
+// each; a loop claimed after the solve finishes returns at once.
 //
-// ctx is captured by the engine for in-loop cancellation: scheduler
-// workers running the loops poll it at cell granularity, exactly like
-// SolveAsyncContext.
+// The tile extent is tileShape's for opts.NativeWorkers, and ctx is
+// captured by the engine: the loops poll it once per tile row, exactly
+// like SolveParallelContext.
 func NewAsyncWorkload[T any](ctx context.Context, p *Problem[T], opts Options) (*Workload, func() *table.Grid[T], error) {
-	e, g, workers, err := newAsyncEngine(ctx, p, opts)
+	e, g, workers, err := tileEngineFor(ctx, p, 0, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -462,7 +369,7 @@ func NewAsyncWorkload[T any](ctx context.Context, p *Problem[T], opts Options) (
 			Rows: p.Rows, Cols: p.Cols, Fronts: 1,
 		},
 		Fronts:     1,
-		TotalCells: e.total,
+		TotalCells: int64(p.Rows) * int64(p.Cols),
 		Size:       func(int) int { return workers },
 		Run: func(_, lo, hi int) {
 			for w := lo; w < hi; w++ {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -10,10 +9,11 @@ import (
 	"time"
 
 	"repro/internal/table"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
-// asyncSink records the full Collector stream of one async solve.
+// asyncSink records the full Collector stream of one tile-engine solve.
 type asyncSink struct {
 	starts  []SolveInfo
 	workers []WorkerStats
@@ -21,19 +21,19 @@ type asyncSink struct {
 	ends    []error
 }
 
-func (s *asyncSink) SolveStart(info SolveInfo)         { s.starts = append(s.starts, info) }
-func (s *asyncSink) FrontSize(int)                     {}
-func (s *asyncSink) WorkerStats(ws WorkerStats)        { s.workers = append(s.workers, ws) }
-func (s *asyncSink) Transfer(TransferStats)            {}
+func (s *asyncSink) SolveStart(info SolveInfo)          { s.starts = append(s.starts, info) }
+func (s *asyncSink) FrontSize(int)                      {}
+func (s *asyncSink) WorkerStats(ws WorkerStats)         { s.workers = append(s.workers, ws) }
+func (s *asyncSink) Transfer(TransferStats)             {}
 func (s *asyncSink) Phase(name string, _ time.Duration) { s.phases = append(s.phases, name) }
-func (s *asyncSink) SolveEnd(err error)                { s.ends = append(s.ends, err) }
+func (s *asyncSink) SolveEnd(err error)                 { s.ends = append(s.ends, err) }
 
-// TestAsyncExpiredContext checks the async entry point returns promptly
-// with a *Canceled when handed an already-expired context.
+// TestAsyncExpiredContext checks the tile engine returns promptly with a
+// *Canceled when handed an already-expired context.
 func TestAsyncExpiredContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	g, err := SolveAsyncContext(ctx, testProblem(DepW|DepN, 64, 64), Options{NativeWorkers: 4})
+	g, err := SolveParallelContext(ctx, testProblem(DepW|DepN, 64, 64), Options{NativeWorkers: 4})
 	c := wantCanceled(t, err, nil)
 	if g != nil {
 		t.Error("canceled solve returned a non-nil grid")
@@ -44,7 +44,8 @@ func TestAsyncExpiredContext(t *testing.T) {
 }
 
 // TestMidSolveCancelAsync cancels from inside the recurrence and checks
-// the async workers abort mid-table with a row-based Front.
+// the tile-engine workers abort mid-table with Front at the first row
+// that holds an unfinished tile.
 func TestMidSolveCancelAsync(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -58,7 +59,7 @@ func TestMidSolveCancelAsync(t *testing.T) {
 		}
 		return inner(i, j, nb)
 	}
-	g, err := SolveAsyncContext(ctx, p, Options{NativeWorkers: 4})
+	g, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4})
 	c := wantCanceled(t, err, nil)
 	if g != nil {
 		t.Error("canceled solve returned a non-nil grid")
@@ -66,8 +67,11 @@ func TestMidSolveCancelAsync(t *testing.T) {
 	if c.Solver != "async" {
 		t.Errorf("Canceled.Solver = %q, want async", c.Solver)
 	}
-	if c.Front < 0 || c.Front > 256 {
-		t.Errorf("Canceled.Front = %d, want a row index in [0, 256]", c.Front)
+	// The 256-cell segments are whole rows, which run one after another.
+	// The row holding the 1000th cell completes (the context is polled
+	// between tile rows), so the first unfinished row is the next one.
+	if want := 1000/256 + 1; c.Front != want {
+		t.Errorf("Canceled.Front = %d, want row %d", c.Front, want)
 	}
 	if total := cells.Load(); total >= 256*256 {
 		t.Errorf("solve computed all %d cells despite cancellation", total)
@@ -75,10 +79,12 @@ func TestMidSolveCancelAsync(t *testing.T) {
 }
 
 // TestAsyncCanceledSolvesLeakNoGoroutines runs repeated mid-solve
-// cancellations and checks the goroutine count returns to baseline: a
-// worker spinning in dequeue must observe the canceled flag and exit.
+// cancellations, on whole-row segments (one worker runs the chain, the
+// others wait on the ready queue) and on 8x8 tiles, and checks the
+// goroutine count returns to baseline: a worker blocked on the ready
+// queue must observe the cancel and exit.
 func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
+	leak := testutil.StartLeakCheck()
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var cells atomic.Int64
@@ -90,28 +96,25 @@ func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
 			}
 			return inner(i, j, nb)
 		}
-		if _, err := SolveAsyncContext(ctx, p, Options{NativeWorkers: 4}); err == nil {
+		var err error
+		if iter%2 == 0 {
+			_, err = SolveParallelContext(ctx, p, Options{NativeWorkers: 4})
+		} else {
+			_, err = SolveTiledContext(ctx, p, 8, Options{NativeWorkers: 4})
+		}
+		if err == nil {
 			t.Fatalf("iter %d: expected cancellation error", iter)
 		}
 		cancel()
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after canceled solves", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := leak.Err(2 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestAsyncCollectorEvents checks the Collector wiring: one SolveStart
-// naming the async executor, per-worker stats whose cells sum to the
-// table, the async phase, and a nil SolveEnd.
+// naming the async executor and its tile shape, per-worker stats whose
+// cells sum to the table, the async phase, and a nil SolveEnd.
 func TestAsyncCollectorEvents(t *testing.T) {
 	sink := &asyncSink{}
 	p := testProblem(DepW|DepN, 96, 83)
@@ -119,7 +122,7 @@ func TestAsyncCollectorEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveAsyncOpt(p, Options{NativeWorkers: 4, Collector: sink})
+	got, err := SolveParallelOpt(p, Options{NativeWorkers: 4, Collector: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +133,8 @@ func TestAsyncCollectorEvents(t *testing.T) {
 		t.Fatalf("SolveStart count = %d, want 1", len(sink.starts))
 	}
 	info := sink.starts[0]
-	if info.Solver != "async" || info.Executed != "async" || info.Workers != 4 {
-		t.Errorf("SolveInfo = %+v, want solver/executed async with 4 workers", info)
+	if info.Solver != "async" || info.Executed != "tiles 1x83" || info.Workers != 4 {
+		t.Errorf("SolveInfo = %+v, want async on whole-row 1x83 tiles with 4 workers", info)
 	}
 	if len(sink.workers) != 4 {
 		t.Fatalf("WorkerStats count = %d, want 4", len(sink.workers))
@@ -151,9 +154,10 @@ func TestAsyncCollectorEvents(t *testing.T) {
 	}
 }
 
-// TestAsyncTraceEvents checks the Recorder wiring: KindTask spans account
-// for every cell exactly once, KindReady queue-depth samples appear, and
-// — the point of the executor — not a single barrier or front event.
+// TestAsyncTraceEvents checks the Recorder wiring: one KindTask span per
+// tile accounts for every cell exactly once, KindReady queue-depth samples
+// appear, and — the point of the executor — not a single barrier or front
+// event.
 func TestAsyncTraceEvents(t *testing.T) {
 	p := testProblem(DepW|DepNW|DepN, 256, 256)
 	want, err := Solve(p)
@@ -161,7 +165,7 @@ func TestAsyncTraceEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(1 << 14)
-	got, err := SolveAsyncOpt(p, Options{NativeWorkers: 4, Tracer: rec})
+	got, err := SolveParallelOpt(p, Options{NativeWorkers: 4, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +180,8 @@ func TestAsyncTraceEvents(t *testing.T) {
 	if kinds[trace.KindBarrier] != 0 || kinds[trace.KindFront] != 0 {
 		t.Errorf("async trace kinds = %v, want zero barrier and front events", kinds)
 	}
-	if kinds[trace.KindTask] == 0 {
-		t.Errorf("async trace kinds = %v, want task spans", kinds)
+	if kinds[trace.KindTask] != 256 {
+		t.Errorf("async trace kinds = %v, want one task span per 1x256 tile", kinds)
 	}
 	if kinds[trace.KindReady] == 0 {
 		t.Errorf("async trace kinds = %v, want ready-queue samples on a %d-cell solve", kinds, 256*256)
@@ -289,17 +293,17 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	}
 }
 
-// TestAsyncRejectsOversizedTables pins the int32 cell-index ceiling: the
-// engine must refuse, with a clear error, tables whose cell count does
-// not fit the queue's int32 slots — before allocating anything.
+// TestAsyncRejectsOversizedTables pins the int32 tile-index ceiling: the
+// engine must refuse, with a clear error, tile grids whose tile count does
+// not fit the ready queue's int32 indices — before allocating anything.
 func TestAsyncRejectsOversizedTables(t *testing.T) {
 	p := testProblem(DepW|DepN, 1, 1)
-	p.Rows, p.Cols = 1<<16, 1<<16 // 2^32 cells
-	_, err := SolveAsync(p, 2)
+	p.Rows, p.Cols = 1<<16, 1<<16 // 2^32 cells, 2^32 tiles of one cell
+	_, err := SolveTiled(p, 1, 2)
 	if err == nil {
-		t.Fatal("expected an error for a 2^32-cell table")
+		t.Fatal("expected an error for a 2^32-tile grid")
 	}
-	if !strings.Contains(err.Error(), "async executor supports at most") {
-		t.Errorf("error = %v, want the documented cell-count ceiling", err)
+	if !strings.Contains(err.Error(), "tile engine supports at most") {
+		t.Errorf("error = %v, want the documented tile-count ceiling", err)
 	}
 }

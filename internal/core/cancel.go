@@ -17,8 +17,8 @@ import (
 // fully computed — which callers can use for progress accounting or
 // checkpoint-restart policies.
 type Canceled struct {
-	// Solver names the executor that was interrupted ("pool", "bands",
-	// "hetero", "tiled", ...).
+	// Solver names the executor that was interrupted ("async", "tiled",
+	// "pool", "hetero", ...).
 	Solver string
 	// Front is the index of the first front not known to be fully computed.
 	Front int

@@ -54,8 +54,10 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		run  func() error
 	}{
 		{"sequential", func() error { _, err := SolveContext(ctx, p); return err }},
-		{"pool", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4}); return err }},
-		{"pool-1worker", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 1}); return err }},
+		{"pool", func() error { _, err := SolvePool(ctx, p, Options{NativeWorkers: 4}); return err }},
+		{"pool-1worker", func() error { _, err := SolvePool(ctx, p, Options{NativeWorkers: 1}); return err }},
+		{"tiles", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4}); return err }},
+		{"tiles-1worker", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 1}); return err }},
 		{"bands", func() error { _, err := SolveParallelContext(ctx, ph, Options{NativeWorkers: 4}); return err }},
 		{"hetero-antidiag", func() error { _, err := SolveHeteroContext(ctx, p, opts); return err }},
 		{"hetero-horizontal", func() error { _, err := SolveHeteroContext(ctx, ph, opts); return err }},
@@ -75,7 +77,10 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		{"resilient", func() error { _, _, err := SolveResilientContext(ctx, p, 3, nil); return err }},
 		{"lastrow", func() error { _, err := SolveLastRowContext(ctx, p); return err }},
 		{"seq3", func() error { _, err := Solve3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12)); return err }},
-		{"pool3", func() error { _, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), 4); return err }},
+		{"pool3", func() error {
+			_, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), 4)
+			return err
+		}},
 		{"hetero3", func() error {
 			_, err := SolveHetero3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
 			return err
@@ -88,7 +93,6 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 			_, err := SolveGPUOnly3Context(ctx, testProblem3(Dep3X, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
 			return err
 		}},
-		{"tiled3", func() error { _, err := SolveTiled3Context(ctx, testProblem3(Dep3X|Dep3Y, 12, 12, 12), 4, 2); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -98,7 +102,8 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 }
 
 // TestMidSolveCancelPool cancels from inside the recurrence on an
-// anti-diagonal problem and checks the pool aborts mid-table.
+// anti-diagonal problem and checks the level-synchronous pool aborts
+// mid-table.
 func TestMidSolveCancelPool(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -112,7 +117,7 @@ func TestMidSolveCancelPool(t *testing.T) {
 		}
 		return inner(i, j, nb)
 	}
-	g, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4, NativeChunk: 16})
+	g, err := SolvePool(ctx, p, Options{NativeWorkers: 4, NativeChunk: 16})
 	c := wantCanceled(t, err, nil)
 	if g != nil {
 		t.Error("canceled solve returned a non-nil grid")
@@ -125,9 +130,10 @@ func TestMidSolveCancelPool(t *testing.T) {
 	}
 }
 
-// TestMidSolveCancelBands cancels inside a horizontal-pattern solve, which
-// runs the lookahead band runtime with point-to-point token handoff; the
-// blocked token waits must observe the cancel rather than deadlock.
+// TestMidSolveCancelBands cancels inside a horizontal-pattern solve, whose
+// tiles are column bands one row high: workers blocked on the ready queue
+// waiting for a neighbour band must observe the cancel rather than
+// deadlock, and Front must name a row the solve did not finish.
 func TestMidSolveCancelBands(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -142,7 +148,10 @@ func TestMidSolveCancelBands(t *testing.T) {
 		return inner(i, j, nb)
 	}
 	_, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4})
-	wantCanceled(t, err, nil)
+	c := wantCanceled(t, err, nil)
+	if c.Front*512 > int(cells.Load()) {
+		t.Errorf("Canceled.Front = %d, but only %d cells were computed", c.Front, cells.Load())
+	}
 	if total := cells.Load(); total >= 512*512 {
 		t.Errorf("solve computed all %d cells despite cancellation", total)
 	}
@@ -194,9 +203,10 @@ func TestDeadlineExpiryIsCanceled(t *testing.T) {
 	wantCanceled(t, err, context.DeadlineExceeded)
 }
 
-// TestCanceledSolvesLeakNoGoroutines runs many mid-solve cancellations and
-// checks the goroutine count returns to its baseline: canceled workers
-// must ride the barrier protocol down, not park forever.
+// TestCanceledSolvesLeakNoGoroutines runs many mid-solve cancellations
+// through the level-synchronous pool and checks the goroutine count
+// returns to its baseline: canceled workers must ride the barrier protocol
+// down, not park forever.
 func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
@@ -205,7 +215,7 @@ func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
 		var cells atomic.Int64
 		deps := DepW | DepNW | DepN
 		if iter%2 == 1 {
-			deps = DepNW | DepN | DepNE // band runtime
+			deps = DepNW | DepN | DepNE
 		}
 		p := testProblem(deps, 128, 128)
 		inner := p.F
@@ -215,7 +225,7 @@ func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
 			}
 			return inner(i, j, nb)
 		}
-		if _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4, NativeChunk: 8}); err == nil {
+		if _, err := SolvePool(ctx, p, Options{NativeWorkers: 4, NativeChunk: 8}); err == nil {
 			t.Fatalf("iter %d: expected cancellation error", iter)
 		}
 		cancel()

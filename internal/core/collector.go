@@ -43,8 +43,8 @@ type Collector interface {
 
 // SolveInfo describes a starting solve.
 type SolveInfo struct {
-	// Solver is the executor name: "sequential", "pool", "bands", "tiled",
-	// "hetero", "cpu-only", "gpu-only", "multi", "sched", ...
+	// Solver is the executor name: "async", "tiled", "pool", "hetero",
+	// "cpu-only", "gpu-only", "multi", "sched", ...
 	Solver string
 	// ID is the per-solve identifier assigned by the shared scheduler
 	// (internal/sched); 0 for solves run directly through an executor.
@@ -55,7 +55,8 @@ type SolveInfo struct {
 	Problem string
 	// Pattern is the problem's Table-I dependency pattern; Executed is the
 	// pattern actually run after symmetry reduction and the inverted-L
-	// preference. Empty for solvers that do not classify (sequential).
+	// preference, or the tile extent ("tiles 1x256") for the tile engine.
+	// Empty for solvers that do not classify (sequential).
 	Pattern, Executed string
 	// Rows and Cols are the DP-table dimensions (canonical orientation).
 	Rows, Cols int

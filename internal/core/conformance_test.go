@@ -1,8 +1,9 @@
 // Differential conformance suite: every public executor path must produce
 // the byte-identical table for every dependency mask on every adversarial
-// shape. The sequential solver is the oracle; SolveParallel (pool),
-// SolveParallelSpawn, SolveTiled, and scheduler-submitted solves are the
-// candidates. Instances are drawn from a seeded wraparound-mixing
+// shape. The sequential solver is the oracle; the tile engine (SolveParallel
+// on its derived row segments, SolveTiled on square tiles), the
+// level-synchronous SolvePool, and scheduler-submitted solves (front chunks
+// and the async workload) are the candidates. Instances are drawn from a seeded wraparound-mixing
 // generator, so a failure report (mask, shape, executor, seed, first
 // mismatching cell) reproduces the instance exactly.
 //
@@ -74,6 +75,7 @@ var conformanceShapes = [][2]int{
 	{101, 3}, // cols << rows
 	{31, 37}, // primes
 	{48, 48},
+	{7, 600}, // several derived row segments per row, with and without W
 }
 
 // executorCase is one candidate executor path under test.
@@ -86,27 +88,18 @@ type executorCase struct {
 // machine's core count and tiny chunks/tiles are deliberate: they force
 // multi-chunk fronts and cross-front handoff even on small tables.
 func conformanceExecutors(s *sched.Scheduler) []executorCase {
-	return []executorCase{
+	cases := []executorCase{
 		{"SolveParallel", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveParallel(p, 4)
 		}},
-		{"SolveParallelOpt/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveParallelOpt(p, core.Options{NativeWorkers: 3, NativeChunk: 7})
+		{"SolveParallel/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveParallel(p, 1)
 		}},
-		{"SolveParallelSpawn", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveParallelSpawn(p, 4)
-		}},
-		{"SolveTiled", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveTiled(p, 8, 4)
+		{"SolvePool/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolvePool(context.Background(), p, core.Options{NativeWorkers: 3, NativeChunk: 7})
 		}},
 		{"Scheduler", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return sched.Solve(context.Background(), s, p, sched.SubmitOptions{Chunk: 8})
-		}},
-		{"SolveAsync", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveAsync(p, 4)
-		}},
-		{"SolveAsync/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolveAsync(p, 1)
 		}},
 		{"SchedulerAsync", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			wl, finish, err := core.NewAsyncWorkload(context.Background(), p, core.Options{NativeWorkers: 3})
@@ -123,6 +116,13 @@ func conformanceExecutors(s *sched.Scheduler) []executorCase {
 			return finish(), nil
 		}},
 	}
+	// Tile 1 is the per-cell dependency graph.
+	for _, tile := range []int{1, 3, 8} {
+		cases = append(cases, executorCase{fmt.Sprintf("SolveTiled/tile%d", tile), func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveTiled(p, tile, 4)
+		}})
+	}
+	return cases
 }
 
 // reportMismatch renders a reproducible failure: the instance coordinates
@@ -143,7 +143,7 @@ func reportMismatch(t *testing.T, exec string, seed int64, m core.DepMask, rows,
 }
 
 // TestConformanceAllMasksAllExecutors is the full differential matrix:
-// 15 masks x 9 shapes x every executor path, exact table equality.
+// 15 masks x 10 shapes x every executor path, exact table equality.
 func TestConformanceAllMasksAllExecutors(t *testing.T) {
 	s, err := sched.New(sched.Config{Workers: 4, Chunk: 8})
 	if err != nil {
@@ -185,13 +185,13 @@ func TestConformanceSeedSweep(t *testing.T) {
 	defer s.Close()
 	execs := conformanceExecutors(s)
 	masks := []core.DepMask{
-		core.DepW | core.DepN,                            // anti-diagonal
-		core.DepN,                                        // horizontal
-		core.DepW,                                        // vertical (transposed)
-		core.DepNW,                                       // inverted-L
-		core.DepNE,                                       // mirrored inverted-L
-		core.DepW | core.DepNE,                           // knight-move
-		core.DepW | core.DepNW | core.DepN | core.DepNE,  // full mask
+		core.DepW | core.DepN,  // anti-diagonal
+		core.DepN,              // horizontal
+		core.DepW,              // vertical (transposed)
+		core.DepNW,             // inverted-L
+		core.DepNE,             // mirrored inverted-L
+		core.DepW | core.DepNE, // knight-move
+		core.DepW | core.DepNW | core.DepN | core.DepNE, // full mask
 	}
 	for seed := int64(1); seed <= 5; seed++ {
 		for _, m := range masks {

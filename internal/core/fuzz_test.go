@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/table"
@@ -55,91 +56,106 @@ func FuzzHeteroEquivalence(f *testing.F) {
 	})
 }
 
-// FuzzAsyncDeps fuzzes the async executor's dependency-counter
-// initialization over arbitrary (mask, rows, cols): construction must
-// never panic, the counter totals must equal the brute-force edge count
-// of the mask's dependency graph (and the seeded ready queue must hold
-// exactly the zero-in-degree cells), and a full solve on the same
-// small table must match the sequential oracle cell for cell.
+// FuzzAsyncDeps fuzzes the tile engine's dependency counters over
+// arbitrary (mask, rows, cols, tile extent, workers): construction must
+// never panic, the counters must sum to a brute-force count of the
+// distinct (tile, neighbour tile) pairs some cell edge of the mask
+// crosses, the queued tiles must be exactly the tiles no such edge
+// enters, and a full solve on the same engine must match the sequential
+// oracle cell for cell.
 func FuzzAsyncDeps(f *testing.F) {
-	f.Add(uint8(3), uint8(9), uint8(9), uint8(4))
-	f.Add(uint8(6), uint8(1), uint8(64), uint8(1))  // 1xN row
-	f.Add(uint8(12), uint8(64), uint8(1), uint8(3)) // Nx1 column
-	f.Add(uint8(9), uint8(2), uint8(2), uint8(7))   // 2x2 minimal
-	f.Add(uint8(14), uint8(33), uint8(17), uint8(0))
-	f.Fuzz(func(t *testing.T, mi, r, c, workers uint8) {
+	f.Add(uint8(3), uint8(9), uint8(9), uint8(2), uint8(3), uint8(4))
+	f.Add(uint8(6), uint8(1), uint8(64), uint8(1), uint8(5), uint8(1))  // 1xN row
+	f.Add(uint8(12), uint8(64), uint8(1), uint8(4), uint8(1), uint8(3)) // Nx1 column
+	f.Add(uint8(9), uint8(2), uint8(2), uint8(1), uint8(1), uint8(7))   // 2x2, one-cell tiles
+	f.Add(uint8(14), uint8(33), uint8(17), uint8(5), uint8(4), uint8(0))
+	f.Fuzz(func(t *testing.T, mi, r, c, h, w, workers uint8) {
 		masks := AllDepMasks()
 		m := masks[int(mi)%len(masks)]
 		rows := int(r%64) + 1
 		cols := int(c%64) + 1
+		th, tw := int(h%9)+1, int(w%9)+1
+		if m.Has(DepNE) {
+			th = 1
+		}
 		p := testProblem(m, rows, cols)
-
-		e, _, _, err := newAsyncEngine(context.Background(), p, Options{NativeWorkers: int(workers % 9)})
+		e, g, nw, err := newTileEngine(context.Background(), p, int(workers%9)+1, th, tw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Brute-force edge count: each cell contributes one edge per
-		// in-bounds dependency under the mask.
-		edges, sources := int64(0), int64(0)
+
+		// Brute force: every in-bounds cell edge whose ends lie in
+		// different tiles names one (neighbour tile, tile) pair.
+		tileOf := func(i, j int) int { return i/e.th*e.tc + j/e.tw }
+		pairs := map[[2]int]bool{}
+		entered := make([]bool, len(e.counters))
+		offsets := []struct {
+			dep    DepMask
+			di, dj int
+		}{{DepW, 0, -1}, {DepNW, -1, -1}, {DepN, -1, 0}, {DepNE, -1, 1}}
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
-				d := int64(0)
-				if m.Has(DepW) && j > 0 {
-					d++
-				}
-				if i > 0 {
-					if m.Has(DepNW) && j > 0 {
-						d++
+				for _, o := range offsets {
+					ni, nj := i+o.di, j+o.dj
+					if !m.Has(o.dep) || ni < 0 || nj < 0 || nj >= cols {
+						continue
 					}
-					if m.Has(DepN) {
-						d++
+					if from, to := tileOf(ni, nj), tileOf(i, j); from != to {
+						pairs[[2]int{from, to}] = true
+						entered[to] = true
 					}
-					if m.Has(DepNE) && j+1 < cols {
-						d++
-					}
-				}
-				edges += d
-				if d == 0 {
-					sources++
 				}
 			}
 		}
-		var got int64
-		for idx := range e.counters {
-			got += int64(e.counters[idx].Load())
+		var sum int
+		for k := range e.counters {
+			sum += int(e.counters[k].Load())
 		}
-		if got != edges {
-			t.Fatalf("mask %s %dx%d: counter total %d, want edge count %d", m, rows, cols, got, edges)
+		if sum != len(pairs) {
+			t.Fatalf("mask %s %dx%d tiles %dx%d: counters sum to %d, want %d tile pairs", m, rows, cols, e.th, e.tw, sum, len(pairs))
 		}
-		if q := e.tail.Load(); q != sources {
-			t.Fatalf("mask %s %dx%d: %d cells seeded ready, want %d zero-in-degree cells", m, rows, cols, q, sources)
+		queued := make([]bool, len(e.counters))
+		for n := len(e.ready); n > 0; n-- {
+			tile := <-e.ready
+			queued[tile] = true
+			e.ready <- tile
+		}
+		for k := range queued {
+			if queued[k] == entered[k] {
+				t.Fatalf("mask %s %dx%d tiles %dx%d: tile %d queued=%v but entered by an edge=%v", m, rows, cols, e.th, e.tw, k, queued[k], entered[k])
+			}
 		}
 
 		want, err := Solve(p)
 		if err != nil {
 			t.Skip()
 		}
-		gotGrid, err := SolveAsync(p, int(workers%9))
-		if err != nil {
-			t.Fatal(err)
+		var wg sync.WaitGroup
+		wg.Add(nw)
+		for k := 0; k < nw; k++ {
+			go func(k int) {
+				defer wg.Done()
+				e.work(k)
+			}(k)
 		}
-		if !table.EqualComparable(want, gotGrid) {
-			t.Fatalf("mask %s %dx%d workers=%d: async differs from oracle", m, rows, cols, workers%9)
+		wg.Wait()
+		if !table.EqualComparable(want, g) {
+			t.Fatalf("mask %s %dx%d tiles %dx%d workers=%d: tile engine differs from oracle", m, rows, cols, e.th, e.tw, nw)
 		}
 	})
 }
 
-// FuzzPoolEquivalence drives the pool runtime — flat kernels, dynamic
-// chunking, epoch barrier, band lookahead, symmetry adapters — with
+// FuzzPoolEquivalence drives the level-synchronous pool — flat kernels,
+// dynamic chunking, epoch barrier, symmetry adapters — with
 // arbitrary masks, grid shapes (including the 1xN, Nx1 and 2x2
 // degenerates), worker counts and chunk sizes, and checks cell-for-cell
 // equality with the sequential reference.
 func FuzzPoolEquivalence(f *testing.F) {
-	f.Add(uint8(3), uint8(9), uint8(9), uint8(4), uint8(8), false)
-	f.Add(uint8(6), uint8(1), uint8(64), uint8(3), uint8(1), true)   // 1xN row
-	f.Add(uint8(12), uint8(64), uint8(1), uint8(2), uint8(0), false) // Nx1 column
-	f.Add(uint8(9), uint8(2), uint8(2), uint8(7), uint8(255), false) // 2x2 minimal
-	f.Fuzz(func(t *testing.T, mi, r, c, workers, chunk uint8, noLookahead bool) {
+	f.Add(uint8(3), uint8(9), uint8(9), uint8(4), uint8(8))
+	f.Add(uint8(6), uint8(1), uint8(64), uint8(3), uint8(1))  // 1xN row
+	f.Add(uint8(12), uint8(64), uint8(1), uint8(2), uint8(0)) // Nx1 column
+	f.Add(uint8(9), uint8(2), uint8(2), uint8(7), uint8(255)) // 2x2 minimal
+	f.Fuzz(func(t *testing.T, mi, r, c, workers, chunk uint8) {
 		masks := AllDepMasks()
 		m := masks[int(mi)%len(masks)]
 		rows := int(r%64) + 1
@@ -149,17 +165,16 @@ func FuzzPoolEquivalence(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
-		got, err := SolveParallelOpt(p, Options{
-			NativeWorkers:     int(workers % 9),
-			NativeChunk:       int(chunk),
-			NativeNoLookahead: noLookahead,
+		got, err := SolvePool(context.Background(), p, Options{
+			NativeWorkers: int(workers % 9),
+			NativeChunk:   int(chunk),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !table.EqualComparable(want, got) {
-			t.Fatalf("mask %s %dx%d workers=%d chunk=%d nolook=%v: pool differs",
-				m, rows, cols, workers%9, chunk, noLookahead)
+			t.Fatalf("mask %s %dx%d workers=%d chunk=%d: pool differs",
+				m, rows, cols, workers%9, chunk)
 		}
 	})
 }

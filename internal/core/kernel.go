@@ -4,13 +4,10 @@ import (
 	"repro/internal/table"
 )
 
-// Chunk kernels shared by the native runtimes. Historically this code
-// lived inside pool.go, the per-solve worker pool; the process-wide
-// scheduler (internal/sched) runs chunks of many solves on one worker set,
-// so the kernel construction — flat-slice cell evaluation and the
-// front-indexed run(t, lo, hi) closures — is extracted here where both
-// runtimes (and Workload, the untyped handle the scheduler consumes) can
-// build on it without going through a *Problem-typed executor.
+// Cell kernels shared by the native runtimes: flat-slice cell evaluation
+// (the tile engine, the pool) and the front-indexed run(t, lo, hi)
+// closures (the pool, and Workload, the untyped handle the process-wide
+// scheduler consumes).
 
 // flatKernel evaluates cells straight on a row-major backing slice. The
 // generic gatherNeighbors path costs four non-inlined shape-generic calls
@@ -94,77 +91,55 @@ func (k *flatKernel[T]) edgeCell(i, j, base int) {
 	k.data[base] = k.p.F(i, j, nb)
 }
 
-// fillRowMajor sweeps the whole table in row-major order, the cache-optimal
-// serial schedule (dependency-safe for every contributing set, as in
-// Solve). The single-worker degenerate case of the pool uses it: wavefront
-// order buys nothing without concurrency and walks the row-major slice with
-// a cols-sized stride. Cancellation is polled once per row.
-func (k *flatKernel[T]) fillRowMajor(done <-chan struct{}) (int, bool) {
-	for i := 0; i < k.rows; i++ {
-		if isDone(done) {
-			return i, false
-		}
-		for j := 0; j < k.cols; j++ {
-			k.cell(i, j)
-		}
-	}
-	return k.rows, true
-}
-
 // frontRunner builds the run(t, lo, hi) kernel for a canonical wavefront
-// space over a grid. When the grid is row-major the kernel walks the front
-// with an incremental (i, j) cursor over the flat kernel — the per-cell
-// Wavefronts.Cell call of the generic path recomputes the front span for
-// every cell, which dominates the per-cell budget for cheap recurrences.
+// space over a row-major grid. The kernel walks the front with an
+// incremental (i, j) cursor over the flat kernel — Wavefronts.Cell would
+// recompute the front span for every cell, which dominates the per-cell
+// budget for cheap recurrences.
 //
 // The returned closure is safe for concurrent calls on disjoint ranges of
 // one front, which is what lets the pool and the scheduler run chunks of
 // the same front on different workers.
 func frontRunner[T any](p *Problem[T], w Wavefronts, g *table.Grid[T]) func(t, lo, hi int) {
-	if flat := g.RowMajorData(); flat != nil {
-		k := newFlatKernel(p, flat, g.Rows(), g.Cols())
-		switch w.Pattern {
-		case AntiDiagonal:
-			return func(t, lo, hi int) {
-				first, _ := table.AntiDiagSpan(w.Rows, w.Cols, t)
-				i, j := first+lo, t-first-lo
-				for n := hi - lo; n > 0; n-- {
-					k.cell(i, j)
-					i++
-					j--
-				}
+	k := newFlatKernel(p, g.RowMajorData(), g.Rows(), g.Cols())
+	switch w.Pattern {
+	case AntiDiagonal:
+		return func(t, lo, hi int) {
+			first, _ := table.AntiDiagSpan(w.Rows, w.Cols, t)
+			i, j := first+lo, t-first-lo
+			for n := hi - lo; n > 0; n-- {
+				k.cell(i, j)
+				i++
+				j--
 			}
-		case Horizontal:
-			return func(t, lo, hi int) {
-				for j := lo; j < hi; j++ {
-					k.cell(t, j)
-				}
+		}
+	case Horizontal:
+		return func(t, lo, hi int) {
+			for j := lo; j < hi; j++ {
+				k.cell(t, j)
 			}
-		case InvertedL:
-			return func(t, lo, hi int) {
-				rowLen := w.Cols - t
-				for n := lo; n < hi; n++ {
-					if n < rowLen {
-						k.cell(t, t+n)
-					} else {
-						k.cell(t+1+(n-rowLen), t)
-					}
-				}
-			}
-		case KnightMove:
-			return func(t, lo, hi int) {
-				first, _ := table.KnightSpan(w.Rows, w.Cols, t)
-				i, j := first+lo, t-2*(first+lo)
-				for n := hi - lo; n > 0; n-- {
-					k.cell(i, j)
-					i++
-					j -= 2
+		}
+	case InvertedL:
+		return func(t, lo, hi int) {
+			rowLen := w.Cols - t
+			for n := lo; n < hi; n++ {
+				if n < rowLen {
+					k.cell(t, t+n)
+				} else {
+					k.cell(t+1+(n-rowLen), t)
 				}
 			}
 		}
+	case KnightMove:
+		return func(t, lo, hi int) {
+			first, _ := table.KnightSpan(w.Rows, w.Cols, t)
+			i, j := first+lo, t-2*(first+lo)
+			for n := hi - lo; n > 0; n-- {
+				k.cell(i, j)
+				i++
+				j -= 2
+			}
+		}
 	}
-	rd := gridReader[T]{g}
-	return func(t, lo, hi int) {
-		computeFrontRange(p, rd, g, w, t, lo, hi)
-	}
+	panic("core: frontRunner needs a canonical pattern, got " + w.Pattern.String())
 }

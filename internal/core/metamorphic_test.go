@@ -98,52 +98,61 @@ func TestMetamorphicMInvertedLIsMirroredInvertedL(t *testing.T) {
 }
 
 // TestMetamorphicAsyncSymmetry runs both Table-I symmetry relations
-// through the async dependency-counter executor: solving the transposed
-// (or column-mirrored) problem asynchronously and mapping the grid back
-// must reproduce the direct sequential solve. The async executor performs
-// no canonicalization of its own, so this catches any disagreement
-// between its raw-mask dependency graph and the reduction machinery.
+// through the dependency-driven tile engine, on its derived row segments
+// and on square tiles: solving the transposed (or column-mirrored) problem
+// and mapping the grid back must reproduce the direct sequential solve.
+// The tile engine performs no canonicalization of its own, so this
+// catches any disagreement between its raw-mask tile graph and the
+// reduction machinery.
 func TestMetamorphicAsyncSymmetry(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	solvers := []struct {
+		name  string
+		solve func(*core.Problem[int64]) (*table.Grid[int64], error)
+	}{
+		{"segments", func(p *core.Problem[int64]) (*table.Grid[int64], error) { return core.SolveParallel(p, 4) }},
+		{"tile3", func(p *core.Problem[int64]) (*table.Grid[int64], error) { return core.SolveTiled(p, 3, 4) }},
+	}
 	for iter := 0; iter < 12; iter++ {
 		rows, cols := metaDims(rng)
 		seed := rng.Int63()
+		for _, sv := range solvers {
+			// Vertical {W} vs its transposed Horizontal.
+			p := confProblem(seed, core.DepW, rows, cols)
+			direct, err := core.Solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tilesDirect, err := sv.solve(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !table.EqualComparable(direct, tilesDirect) {
+				t.Errorf("%s shape=%dx%d seed=%d: tile engine Vertical differs from sequential", sv.name, rows, cols, seed)
+			}
+			tp, undo := core.Transposed(p)
+			viaT, err := sv.solve(tp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !table.EqualComparable(direct, undo(viaT)) {
+				t.Errorf("%s shape=%dx%d seed=%d: tile engine transposed Horizontal differs from direct Vertical", sv.name, rows, cols, seed)
+			}
 
-		// Vertical {W} vs its transposed Horizontal, both async.
-		p := confProblem(seed, core.DepW, rows, cols)
-		direct, err := core.Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		asyncDirect, err := core.SolveAsync(p, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(direct, asyncDirect) {
-			t.Errorf("shape=%dx%d seed=%d: async Vertical differs from sequential", rows, cols, seed)
-		}
-		tp, undo := core.Transposed(p)
-		viaT, err := core.SolveAsync(tp, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(direct, undo(viaT)) {
-			t.Errorf("shape=%dx%d seed=%d: async transposed Horizontal differs from direct Vertical", rows, cols, seed)
-		}
-
-		// Mirrored-Inverted-L {NE} vs its column-mirrored Inverted-L.
-		pm := confProblem(seed, core.DepNE, rows, cols)
-		mdirect, err := core.Solve(pm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mp, mundo := core.MirroredColumns(pm)
-		viaM, err := core.SolveAsync(mp, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(mdirect, mundo(viaM)) {
-			t.Errorf("shape=%dx%d seed=%d: async mirrored Inverted-L differs from direct mInverted-L", rows, cols, seed)
+			// Mirrored-Inverted-L {NE} vs its column-mirrored Inverted-L.
+			pm := confProblem(seed, core.DepNE, rows, cols)
+			mdirect, err := core.Solve(pm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mp, mundo := core.MirroredColumns(pm)
+			viaM, err := sv.solve(mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !table.EqualComparable(mdirect, mundo(viaM)) {
+				t.Errorf("%s shape=%dx%d seed=%d: tile engine mirrored Inverted-L differs from direct mInverted-L", sv.name, rows, cols, seed)
+			}
 		}
 	}
 }
@@ -168,11 +177,12 @@ func gridDigest(g *table.Grid[int64]) uint64 {
 	return h
 }
 
-// TestMetamorphicAsyncDeterminism: the async completion order is
-// nondeterministic (whichever worker's decrement lands last wins the
-// cell), but the computed table must not be — repeated solves of the same
+// TestMetamorphicAsyncDeterminism: the tile engine's completion order is
+// nondeterministic (whichever worker's decrement lands last takes the
+// tile), but the computed table must not be — repeated solves of the same
 // instance must produce bit-identical digests. Run across several masks
-// including the full mask, whose cells race on four counters at once.
+// including the full mask, whose one-cell tiles race on four counters at
+// once.
 func TestMetamorphicAsyncDeterminism(t *testing.T) {
 	masks := []core.DepMask{
 		core.DepW | core.DepN,
@@ -188,12 +198,18 @@ func TestMetamorphicAsyncDeterminism(t *testing.T) {
 		}
 		wantDigest := gridDigest(want)
 		for rep := 0; rep < 8; rep++ {
-			g, err := core.SolveAsync(p, 4)
+			solve := core.SolveParallel[int64]
+			if rep%2 == 1 {
+				solve = func(p *core.Problem[int64], workers int) (*table.Grid[int64], error) {
+					return core.SolveTiled(p, 1, workers)
+				}
+			}
+			g, err := solve(p, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if d := gridDigest(g); d != wantDigest {
-				t.Fatalf("mask=%s rep=%d: async digest %#x differs from oracle %#x", m, rep, d, wantDigest)
+				t.Fatalf("mask=%s rep=%d: tile engine digest %#x differs from oracle %#x", m, rep, d, wantDigest)
 			}
 		}
 	}

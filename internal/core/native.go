@@ -2,113 +2,41 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"repro/internal/table"
 )
 
-// SolveParallel fills the DP table using real goroutines on the host: the
-// problem is symmetry-reduced to its canonical pattern and each wavefront
-// is split across workers. This is the framework's native multicore
-// executor — it produces the same values as Solve and is what the examples
-// use to solve problems for real.
+// SolveParallel fills the DP table using real goroutines on the host. This
+// is the framework's native multicore executor — it produces the same
+// values as Solve and is what the examples use to solve problems for real.
 //
-// Execution runs on the persistent worker-pool runtime of pool.go:
-// workers start once per solve, pull dynamic chunks off each front, and
-// cross fronts through a reusable epoch barrier (or, for
-// Horizontal-pattern problems, per-row neighbour handoff). See
-// SolveParallelOpt for the tuning knobs.
+// Execution runs on the dependency-driven tile engine (async.go): the
+// table is cut into row segments whose width follows from the mask, the
+// column count and the worker count (tileShape), and each segment runs as
+// soon as the neighbour segments it reads are done — no wavefront
+// barriers and no symmetry reduction. See SolvePool for the
+// level-synchronous baseline.
 //
 // workers <= 0 selects min(runtime.GOMAXPROCS(0), runtime.NumCPU()), the
 // documented NativeWorkers default.
 func SolveParallel[T any](p *Problem[T], workers int) (*table.Grid[T], error) {
-	return solveParallelPool(context.Background(), p, Options{NativeWorkers: workers})
+	return SolveParallelContext(context.Background(), p, Options{NativeWorkers: workers})
 }
 
-// SolveParallelOpt is SolveParallel with the native-runtime knobs of
-// Options exposed: NativeWorkers, NativeChunk, NativeNoLookahead, and
-// Collector. All other Options fields are ignored — the native executor
-// computes real values on the host and involves no simulated platform.
+// SolveParallelOpt is SolveParallel with the native-runtime fields of
+// Options honored: NativeWorkers, Collector and Tracer. All other Options
+// fields are ignored — the native executor computes real values on the
+// host and involves no simulated platform.
 func SolveParallelOpt[T any](p *Problem[T], opts Options) (*table.Grid[T], error) {
-	return solveParallelPool(context.Background(), p, opts)
+	return SolveParallelContext(context.Background(), p, opts)
 }
 
-// SolveParallelContext is SolveParallelOpt honoring a context: the pool
-// polls ctx at chunk granularity and a cancel or deadline expiry shuts the
-// workers down promptly. The interrupted solve returns a nil grid and a
-// *Canceled error (unwrapping to the context's cause); the partially
-// filled table is discarded. An uncancellable context costs nothing on the
-// hot path.
+// SolveParallelContext is SolveParallelOpt honoring a context: workers
+// poll it once per tile row, and a cancel or deadline expiry stops them
+// promptly. The interrupted solve returns a nil grid and a *Canceled error
+// (unwrapping to the context's cause) whose Front is the first row that
+// holds an unfinished tile; the partially filled table is discarded. An
+// uncancellable context costs nothing on the hot path.
 func SolveParallelContext[T any](ctx context.Context, p *Problem[T], opts Options) (*table.Grid[T], error) {
-	return solveParallelPool(ctx, p, opts)
-}
-
-// SolveParallelSpawn is the pre-pool native executor, kept as the
-// measurement baseline for the pool runtime (ablation-native-pool): it
-// spawns fresh goroutines for every front and joins them with a WaitGroup
-// barrier, paying one spawn/barrier cycle per wavefront.
-//
-// workers <= 0 selects runtime.GOMAXPROCS(0).
-func SolveParallelSpawn[T any](p *Problem[T], workers int) (*table.Grid[T], error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	cp, canonical, _, undo := canonicalize(p)
-	w := NewWavefronts(canonical, cp.Rows, cp.Cols)
-	g := table.NewGrid[T](cp.Rows, cp.Cols, nil)
-	rd := gridReader[T]{g}
-
-	// minChunk keeps tiny fronts on the calling goroutine: below this size
-	// the barrier cost exceeds any parallel gain (the same observation that
-	// motivates the paper's t_switch low-work regions).
-	const minChunk = 256
-
-	var wg sync.WaitGroup
-	for t := 0; t < w.Fronts; t++ {
-		size := w.Size(t)
-		if size <= minChunk || workers == 1 {
-			computeFrontRange(cp, rd, g, w, t, 0, size)
-			continue
-		}
-		chunks := workers
-		if chunks > size/minChunk {
-			chunks = size / minChunk
-		}
-		if chunks < 2 {
-			computeFrontRange(cp, rd, g, w, t, 0, size)
-			continue
-		}
-		per := (size + chunks - 1) / chunks
-		for c := 0; c < chunks; c++ {
-			lo := c * per
-			hi := lo + per
-			if hi > size {
-				hi = size
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				computeFrontRange(cp, rd, g, w, t, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-	}
-	return undo(g), nil
-}
-
-// computeFrontRange evaluates cells [lo, hi) of front t. Within a front all
-// cells are independent, and all contributing neighbours lie on earlier
-// fronts, so concurrent writers never touch a cell another worker reads.
-func computeFrontRange[T any](p *Problem[T], rd gridReader[T], g *table.Grid[T], w Wavefronts, t, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		i, j := w.Cell(t, k)
-		g.Set(i, j, p.F(i, j, gatherNeighbors(p, rd, i, j)))
-	}
+	return solveTiles(ctx, "async", p, 0, opts)
 }

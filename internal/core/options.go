@@ -57,24 +57,20 @@ type Options struct {
 	// parameters quickly.
 	SkipCompute bool
 
-	// NativeWorkers is the worker count of the native pool runtime
-	// (SolveParallel / SolveParallelOpt). Zero or negative selects the
-	// default min(runtime.GOMAXPROCS(0), runtime.NumCPU()): the pool is
-	// compute-bound, so workers beyond the physical cores only lengthen
-	// the per-front barrier.
+	// NativeWorkers is the worker count of the native executors
+	// (SolveParallel, SolveTiled, SolvePool). Zero or negative selects the
+	// default min(runtime.GOMAXPROCS(0), runtime.NumCPU()): the executors
+	// are compute-bound, so workers beyond the physical cores add no
+	// throughput.
 	NativeWorkers int
 
-	// NativeChunk is the number of cells a pool worker claims per atomic
-	// cursor bump; it doubles as the serial cutoff below which a front runs
-	// inline on the advancing worker. Zero or negative selects the default
-	// (512). Smaller chunks balance ragged fronts better; larger chunks
-	// amortize the cursor traffic.
+	// NativeChunk is the number of cells a level-synchronous pool worker
+	// (SolvePool, SolveParallel3, scheduler submissions) claims per atomic
+	// cursor bump; it doubles as the serial cutoff below which a front
+	// runs inline on the advancing worker. Zero or negative selects the
+	// default (512). Smaller chunks balance ragged fronts better; larger
+	// chunks amortize the cursor traffic. The tile engine has no chunks.
 	NativeChunk int
-
-	// NativeNoLookahead disables the row-band lookahead mode for
-	// Horizontal-pattern problems, forcing the global epoch barrier between
-	// rows. The ablation knob for the barrier-vs-handoff comparison.
-	NativeNoLookahead bool
 
 	// Collector receives runtime observability events (phase wall times,
 	// front-size histogram, pool worker utilization and chunk claims,
@@ -83,7 +79,7 @@ type Options struct {
 	Collector Collector
 
 	// Tracer records per-event runtime traces (front begin/end, chunk
-	// claims, barrier waits, band handoffs, simulated transfers) into
+	// claims, barrier waits, tile tasks, simulated transfers) into
 	// per-worker ring buffers for Perfetto export and stall analysis.
 	// Nil — the default — disables tracing; the hot paths guard every
 	// emission behind one nil test, like Collector.

@@ -21,8 +21,8 @@ var patternMasks = map[string]DepMask{
 	"knight-move":   DepW | DepNE,
 }
 
-// checkPoolMatchesSolve cross-checks the pool runtime against the
-// sequential reference cell-for-cell under the given options.
+// checkPoolMatchesSolve cross-checks the level-synchronous pool against
+// the sequential reference cell-for-cell under the given options.
 func checkPoolMatchesSolve(t *testing.T, m DepMask, rows, cols int, opts Options) {
 	t.Helper()
 	p := testProblem(m, rows, cols)
@@ -30,7 +30,7 @@ func checkPoolMatchesSolve(t *testing.T, m DepMask, rows, cols int, opts Options
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveParallelOpt(p, opts)
+	got, err := SolvePool(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +42,8 @@ func checkPoolMatchesSolve(t *testing.T, m DepMask, rows, cols int, opts Options
 // TestPoolMatchesSolveAllPatterns stress-tests the pool runtime across all
 // six dependency patterns with worker counts and chunk sizes chosen to
 // force every execution shape: serial cutoff only, dynamic chunk claiming,
-// barrier reuse across many fronts, and the horizontal band handoff. Run
-// under -race this doubles as the synchronization soundness test.
+// and barrier reuse across many fronts. Run under -race this doubles as
+// the synchronization soundness test.
 func TestPoolMatchesSolveAllPatterns(t *testing.T) {
 	for name, m := range patternMasks {
 		t.Run(name, func(t *testing.T) {
@@ -61,18 +61,33 @@ func TestPoolMatchesSolveAllPatterns(t *testing.T) {
 	}
 }
 
-// TestPoolBandLookahead exercises the point-to-point handoff mode on every
-// horizontal-class contributing set: left-only (NW), right-only (NE),
-// both, and none ({N}, where bands run fully independently). Vertical
-// masks reach the band runtime through the transpose adapter.
+// TestPoolBandLookahead checks every horizontal-class contributing set —
+// left-only (NW), right-only (NE), both, and none ({N}, where bands run
+// fully independently) — on both schedules a horizontal table can take:
+// the tile engine, whose tiles for a W-free mask are one-row column bands
+// that wait only on their neighbours' previous row (1100 columns give 2,
+// 4 and 5 bands at 2, 4 and 9 workers), and the pool's global barrier
+// between rows. Vertical masks reach the pool through the transpose
+// adapter; the tile engine runs them as they are.
 func TestPoolBandLookahead(t *testing.T) {
+	const rows, cols = 40, 1100
 	masks := []DepMask{DepN, DepNW | DepN, DepN | DepNE, DepNW | DepN | DepNE, DepNW | DepNE,
-		DepW, DepW | DepNW} // last two are Vertical: transposed onto the band runtime
+		DepW, DepW | DepNW}
 	for _, m := range masks {
+		p := testProblem(m, rows, cols)
+		want, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for _, workers := range []int{2, 4, 9} {
-			checkPoolMatchesSolve(t, m, 95, 83, Options{NativeWorkers: workers})
-			// And the ablation path: same masks through the global barrier.
-			checkPoolMatchesSolve(t, m, 95, 83, Options{NativeWorkers: workers, NativeNoLookahead: true})
+			got, err := SolveParallel(p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !table.EqualComparable(want, got) {
+				t.Fatalf("mask %s workers=%d: band tiles differ from Solve", m, workers)
+			}
+			checkPoolMatchesSolve(t, m, rows, cols, Options{NativeWorkers: workers})
 		}
 	}
 }
@@ -117,25 +132,6 @@ func TestPoolOddShapes(t *testing.T) {
 func TestPoolAllMasks(t *testing.T) {
 	for _, m := range AllDepMasks() {
 		checkPoolMatchesSolve(t, m, 33, 45, Options{NativeWorkers: 3})
-	}
-}
-
-// TestSolveParallelSpawnStillMatches keeps the legacy spawn executor
-// honest while it serves as the ablation baseline.
-func TestSolveParallelSpawnStillMatches(t *testing.T) {
-	for _, m := range patternMasks {
-		p := testProblem(m, 70, 59)
-		want, err := Solve(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := SolveParallelSpawn(p, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(want, got) {
-			t.Fatalf("mask %s: spawn executor differs from Solve", m)
-		}
 	}
 }
 

@@ -27,7 +27,7 @@ func TestPoolTraceCoversAllCells(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(1 << 12)
-	got, err := SolveParallelContext(context.Background(), p,
+	got, err := SolvePool(context.Background(), p,
 		Options{NativeWorkers: 4, NativeChunk: 16, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
@@ -73,28 +73,8 @@ func TestPoolTraceCoversAllCells(t *testing.T) {
 	}
 }
 
-// TestBandsTraceEmitsRowsAndHandoffs checks the lookahead executor's
-// trace carries row spans for every (row, band) and handoff waits.
-func TestBandsTraceEmitsRowsAndHandoffs(t *testing.T) {
-	p := testProblem(DepNW|DepN|DepNE, 48, 96)
-	rec := trace.NewRecorder(1 << 12)
-	if _, err := SolveParallelContext(context.Background(), p,
-		Options{NativeWorkers: 3, Tracer: rec}); err != nil {
-		t.Fatal(err)
-	}
-	kinds := traceKinds(rec.Events())
-	if got, want := kinds[trace.KindRow], 48*3; got != want {
-		t.Errorf("KindRow count = %d, want %d (rows x bands)", got, want)
-	}
-	if kinds[trace.KindHandoff] == 0 {
-		t.Errorf("bands trace kinds = %v, want handoff waits", kinds)
-	}
-	if meta := rec.Meta(); meta.Solver != "bands" {
-		t.Errorf("meta.Solver = %q, want bands", meta.Solver)
-	}
-}
-
-// TestTiledTraceSolves checks the tiled executor wires the tracer.
+// TestTiledTraceSolves checks the tiled executor wires the tracer: one
+// task span per 16x16 tile, covering every cell.
 func TestTiledTraceSolves(t *testing.T) {
 	p := testProblem(DepW|DepNW|DepN, 64, 64)
 	rec := trace.NewRecorder(1 << 12)
@@ -102,12 +82,18 @@ func TestTiledTraceSolves(t *testing.T) {
 		Options{NativeWorkers: 2, Tracer: rec}); err != nil {
 		t.Fatal(err)
 	}
-	kinds := traceKinds(rec.Events())
-	if kinds[trace.KindChunk]+kinds[trace.KindInline] == 0 {
-		t.Errorf("tiled trace kinds = %v, want chunk or inline block spans", kinds)
+	var tasks, cells int64
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindTask {
+			tasks++
+			cells += e.B - e.A
+		}
 	}
-	if meta := rec.Meta(); meta.Solver != "tiled" {
-		t.Errorf("meta.Solver = %q, want tiled", meta.Solver)
+	if tasks != 16 || cells != 64*64 {
+		t.Errorf("tiled trace has %d task spans over %d cells, want 16 over %d", tasks, cells, 64*64)
+	}
+	if meta := rec.Meta(); meta.Solver != "tiled" || meta.Executed != "tiles 16x16" {
+		t.Errorf("meta = %+v, want tiled on 16x16 tiles", meta)
 	}
 }
 

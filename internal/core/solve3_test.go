@@ -227,56 +227,6 @@ func TestSolveHetero3BeatsGPUOnly(t *testing.T) {
 	}
 }
 
-func TestSolveTiled3MatchesSequential(t *testing.T) {
-	for _, m := range []Dep3Mask{Dep3X | Dep3Y | Dep3Z, dep3All, Dep3XYZ, Dep3YZ | Dep3X} {
-		for _, tile := range []int{1, 3, 8} {
-			p := testProblem3(m, 9, 7, 11)
-			want, err := Solve3(p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := SolveTiled3(p, tile, 3)
-			if err != nil {
-				t.Fatalf("%s tile=%d: %v", m, tile, err)
-			}
-			if !table.Equal3(want, got) {
-				t.Errorf("%s tile=%d: tiled differs from sequential", m, tile)
-			}
-		}
-	}
-}
-
-func TestSolveTiled3Errors(t *testing.T) {
-	p := testProblem3(Dep3X, 3, 3, 3)
-	if _, err := SolveTiled3(p, 0, 2); err == nil {
-		t.Error("tile 0 should error")
-	}
-	if _, err := SolveTiled3(&Problem3[int64]{NX: 0, NY: 1, NZ: 1, Deps: Dep3X}, 2, 2); err == nil {
-		t.Error("invalid problem should error")
-	}
-}
-
-// Property: 3-D tiled and sequential agree for random masks, dims and tiles.
-func TestSolveTiled3Property(t *testing.T) {
-	masks := all3Masks()
-	f := func(mi, a, b, c, tl uint8) bool {
-		m := masks[int(mi)%len(masks)]
-		p := testProblem3(m, int(a%7)+1, int(b%7)+1, int(c%7)+1)
-		want, err := Solve3(p)
-		if err != nil {
-			return false
-		}
-		got, err := SolveTiled3(p, int(tl%5)+1, 2)
-		if err != nil {
-			return false
-		}
-		return table.Equal3(want, got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestSolveParallel3LargePlanesChunked(t *testing.T) {
 	// Planes large enough to exceed the internal chunk threshold so real
 	// goroutine fan-out happens.

@@ -114,22 +114,27 @@ func TestDefaultTile(t *testing.T) {
 
 func TestDeriveBlockMask(t *testing.T) {
 	cases := []struct {
-		in       DepMask
-		tileRows int
-		want     DepMask
+		in                 DepMask
+		tileRows, tileCols int
+		want               DepMask
 	}{
-		{DepN, 8, DepN},
-		{DepW | DepN, 8, DepW | DepN},
-		{DepNW, 8, DepW | DepNW | DepN},
-		{DepNW | DepN, 8, DepW | DepNW | DepN},
-		{DepNW, 1, DepNW | DepN},
-		{DepN | DepNE, 1, DepN | DepNE},
-		{DepW | DepNE, 1, DepW | DepN | DepNE},
-		{DepW | DepNW | DepN | DepNE, 1, DepW | DepNW | DepN | DepNE},
+		{DepN, 8, 8, DepN},
+		{DepW | DepN, 8, 8, DepW | DepN},
+		{DepNW, 8, 8, DepW | DepNW | DepN},
+		{DepNW | DepN, 8, 8, DepW | DepNW | DepN},
+		{DepNW, 1, 8, DepNW | DepN},
+		{DepN | DepNE, 1, 8, DepN | DepNE},
+		{DepW | DepNE, 1, 8, DepW | DepN | DepNE},
+		{DepW | DepNW | DepN | DepNE, 1, 8, DepW | DepNW | DepN | DepNE},
+		// One-column tiles: every NW and NE read leaves through a corner.
+		{DepNW, 8, 1, DepW | DepNW},
+		{DepNW, 1, 1, DepNW},
+		{DepNE, 1, 1, DepNE},
+		{DepW | DepNE, 1, 1, DepW | DepNE},
 	}
 	for _, c := range cases {
-		if got := deriveBlockMask(c.in, c.tileRows); got != c.want {
-			t.Errorf("deriveBlockMask(%s, %d) = %s, want %s", c.in, c.tileRows, got, c.want)
+		if got := deriveBlockMask(c.in, c.tileRows, c.tileCols); got != c.want {
+			t.Errorf("deriveBlockMask(%s, %d, %d) = %s, want %s", c.in, c.tileRows, c.tileCols, got, c.want)
 		}
 	}
 }
@@ -140,5 +145,5 @@ func TestDeriveBlockMaskPanicsOnTallNETiles(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	deriveBlockMask(DepNE, 4)
+	deriveBlockMask(DepNE, 4, 4)
 }

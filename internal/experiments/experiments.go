@@ -127,8 +127,8 @@ func Registry() []Experiment {
 			"The makespan of GPU-only vs framework runs decomposed into launch, dispatch, compute and transfer time.", RunExtBottleneck, false},
 		{"ext-energy", "Extension: modeled energy",
 			"Energy of CPU-only, GPU-only and framework runs under TDP-class power draws.", RunExtEnergy, false},
-		{"ablation-native-pool", "Ablation A7: persistent pool vs spawn-per-front native executor",
-			"Real wall-clock times of the pool wavefront runtime (dynamic chunking, epoch barrier, row-band lookahead) against the spawn baseline.", RunNativePool, true},
+		{"ablation-native-pool", "Ablation A7: level-synchronous pool vs dependency-driven tile engine",
+			"Real wall-clock times of the tile engine behind SolveParallel against the level-synchronous pool (dynamic chunking, epoch barrier), plus the pool's chunk sweep.", RunNativePool, true},
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -8,12 +9,13 @@ import (
 	"repro/internal/table"
 )
 
-// Ablation: the persistent worker-pool wavefront runtime of the native
-// executor (internal/core/pool.go) against the seed spawn-per-front
-// executor. Unlike every other experiment, these are *real* wall-clock
-// measurements of host goroutines, not simulated timelines — the numbers
-// depend on the machine running them, so the experiment is registered as
-// Live and excluded from the golden-artifact freshness test.
+// Ablation: the dependency-driven tile engine behind SolveParallel
+// (internal/core/async.go) against the level-synchronous worker pool
+// (internal/core/pool.go), the paper's front-by-front schedule. Unlike
+// every other experiment, these are *real* wall-clock measurements of host
+// goroutines, not simulated timelines — the numbers depend on the machine
+// running them, so the experiment is registered as Live and excluded from
+// the golden-artifact freshness test.
 
 // measureBest runs f reps times and returns the fastest wall-clock run:
 // minimum, not mean, is the standard estimator for the noise-free runtime
@@ -33,11 +35,10 @@ func measureBest(reps int, f func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// RunNativePool measures the pool runtime against the spawn baseline on an
-// anti-diagonal workload (Levenshtein, barrier-synchronized fronts) and a
-// horizontal one (checkerboard, where the pool's row-band lookahead mode
-// replaces the barrier with point-to-point neighbour handoff), plus a
-// chunk-size sweep of the dynamic chunking.
+// RunNativePool measures the tile engine against the level-synchronous
+// pool on an anti-diagonal workload (Levenshtein, whose pool fronts grow
+// and shrink) and a horizontal one (checkerboard, whose tiles are the
+// pool's rows cut into column bands), plus the pool's chunk-size sweep.
 func RunNativePool(cfg Config) ([]Table, error) {
 	sizes := []int{1024, 2048, 4096}
 	reps := 3
@@ -45,89 +46,74 @@ func RunNativePool(cfg Config) ([]Table, error) {
 		sizes = []int{256}
 		reps = 1
 	}
-
-	// Correctness gate: the pool must agree with the sequential reference
-	// on both workloads before any timing is reported.
-	checkSize := sizes[0]
-	lev := Fig10Problem(cfg.Seed, checkSize)
-	wantLev, err := core.Solve(lev)
-	if err != nil {
-		return nil, err
+	pool := func(p *core.Problem[int32], chunk int) error {
+		_, err := core.SolvePool(context.Background(), p, core.Options{NativeChunk: chunk})
+		return err
 	}
-	gotLev, err := core.SolveParallel(lev, 0)
-	if err != nil {
-		return nil, err
-	}
-	if !table.EqualComparable(wantLev, gotLev) {
-		return nil, fmt.Errorf("nativepool: pool disagrees with Solve on Levenshtein %d", checkSize)
-	}
-	chk := Fig13Problem(cfg.Seed, checkSize)
-	wantChk, err := core.Solve(chk)
-	if err != nil {
-		return nil, err
-	}
-	gotChk, err := core.SolveParallel(chk, 0)
-	if err != nil {
-		return nil, err
-	}
-	if !table.EqualComparable(wantChk, gotChk) {
-		return nil, fmt.Errorf("nativepool: pool disagrees with Solve on checkerboard %d", checkSize)
+	tiles := func(p *core.Problem[int32]) error {
+		_, err := core.SolveParallel(p, 0)
+		return err
 	}
 
-	antiDiag := Table{
-		Title:  "Anti-diagonal (Levenshtein): spawn-per-front vs persistent pool",
-		Header: []string{"n", "spawn", "pool", "speedup"},
-	}
-	for _, n := range sizes {
-		p := Fig10Problem(cfg.Seed, n)
-		spawn, err := measureBest(reps, func() error { _, err := core.SolveParallelSpawn(p, 0); return err })
+	// Correctness gate: both executors must agree with the sequential
+	// reference on both workloads before any timing is reported.
+	for _, w := range []struct {
+		name string
+		p    *core.Problem[int32]
+	}{
+		{"Levenshtein", Fig10Problem(cfg.Seed, sizes[0])},
+		{"checkerboard", Fig13Problem(cfg.Seed, sizes[0])},
+	} {
+		want, err := core.Solve(w.p)
 		if err != nil {
 			return nil, err
 		}
-		pool, err := measureBest(reps, func() error { _, err := core.SolveParallel(p, 0); return err })
+		gotPool, err := core.SolvePool(context.Background(), w.p, core.Options{})
 		if err != nil {
 			return nil, err
 		}
-		antiDiag.Rows = append(antiDiag.Rows, []string{
-			fmt.Sprint(n), fd(spawn), fd(pool), ratio(spawn, pool)})
+		gotTiles, err := core.SolveParallel(w.p, 0)
+		if err != nil {
+			return nil, err
+		}
+		if !table.EqualComparable(want, gotPool) || !table.EqualComparable(want, gotTiles) {
+			return nil, fmt.Errorf("nativepool: pool or tile engine disagrees with Solve on %s %d", w.name, sizes[0])
+		}
 	}
 
-	horiz := Table{
-		Title:  "Horizontal (checkerboard): barrier vs row-band lookahead",
-		Header: []string{"n", "spawn", "pool barrier", "pool lookahead", "speedup vs spawn"},
+	compare := func(title string, build func(seed uint64, n int) *core.Problem[int32]) (Table, error) {
+		t := Table{Title: title, Header: []string{"n", "pool", "tiles", "speedup"}}
+		for _, n := range sizes {
+			p := build(cfg.Seed, n)
+			dPool, err := measureBest(reps, func() error { return pool(p, 0) })
+			if err != nil {
+				return t, err
+			}
+			dTiles, err := measureBest(reps, func() error { return tiles(p) })
+			if err != nil {
+				return t, err
+			}
+			t.Rows = append(t.Rows, []string{fmt.Sprint(n), fd(dPool), fd(dTiles), ratio(dPool, dTiles)})
+		}
+		return t, nil
 	}
-	for _, n := range sizes {
-		p := Fig13Problem(cfg.Seed, n)
-		spawn, err := measureBest(reps, func() error { _, err := core.SolveParallelSpawn(p, 0); return err })
-		if err != nil {
-			return nil, err
-		}
-		barrier, err := measureBest(reps, func() error {
-			_, err := core.SolveParallelOpt(p, core.Options{NativeNoLookahead: true})
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		look, err := measureBest(reps, func() error { _, err := core.SolveParallelOpt(p, core.Options{}); return err })
-		if err != nil {
-			return nil, err
-		}
-		horiz.Rows = append(horiz.Rows, []string{
-			fmt.Sprint(n), fd(spawn), fd(barrier), fd(look), ratio(spawn, look)})
+	antiDiag, err := compare("Anti-diagonal (Levenshtein): level-synchronous pool vs tile engine", Fig10Problem)
+	if err != nil {
+		return nil, err
+	}
+	horiz, err := compare("Horizontal (checkerboard): level-synchronous pool vs tile engine", Fig13Problem)
+	if err != nil {
+		return nil, err
 	}
 
 	chunkN := sizes[len(sizes)-1]
 	chunkP := Fig10Problem(cfg.Seed, chunkN)
 	chunks := Table{
-		Title:  fmt.Sprintf("Dynamic chunk-size sweep (Levenshtein %d, pool)", chunkN),
+		Title:  fmt.Sprintf("Dynamic chunk-size sweep (Levenshtein %d, level-synchronous pool)", chunkN),
 		Header: []string{"chunk", "pool"},
 	}
 	for _, c := range []int{64, 128, 256, 512, 1024, 2048} {
-		d, err := measureBest(reps, func() error {
-			_, err := core.SolveParallelOpt(chunkP, core.Options{NativeChunk: c})
-			return err
-		})
+		d, err := measureBest(reps, func() error { return pool(chunkP, c) })
 		if err != nil {
 			return nil, err
 		}

@@ -184,7 +184,7 @@ func TestE2EDifferentialAllMasks(t *testing.T) {
 // TestE2EDifferentialAsyncStrategy runs the wire boundary with the
 // "async" strategy knob: every mask on a couple of adversarial shapes
 // must come back digest- and cell-identical to the sequential oracle
-// when solved by the barrier-free dependency-counter executor.
+// when solved by the dependency-driven tile engine's scheduler workload.
 func TestE2EDifferentialAsyncStrategy(t *testing.T) {
 	_, _, c := newTestService(t, server.Config{Workers: 4})
 	const seed = int64(0xa51c)

@@ -32,19 +32,19 @@ type Report struct {
 
 // LaneReport aggregates one lane's work.
 type LaneReport struct {
-	Worker int    `json:"worker"`
-	Name   string `json:"name"`
-	BusyNS int64  `json:"busy_ns"`
+	Worker int     `json:"worker"`
+	Name   string  `json:"name"`
+	BusyNS int64   `json:"busy_ns"`
 	Util   float64 `json:"util"`
-	Chunks int    `json:"chunks"`
-	Cells  int64  `json:"cells"`
+	Chunks int     `json:"chunks"`
+	Cells  int64   `json:"cells"`
 }
 
 // StallReport breaks synchronization waits down.
 type StallReport struct {
 	// BarrierNS is the total time workers spent parked at the epoch
-	// barrier; HandoffNS the total time band workers waited for
-	// neighbour tokens.
+	// barrier; HandoffNS the total time spent waiting for a neighbour's
+	// data (KindHandoff spans).
 	BarrierNS int64 `json:"barrier_ns"`
 	HandoffNS int64 `json:"handoff_ns"`
 	// FrontsWithStall counts fronts with at least one barrier wait.
@@ -53,9 +53,9 @@ type StallReport struct {
 	Top []FrontStall `json:"top,omitempty"`
 }
 
-// QueueReport aggregates the async executor's KindReady queue-depth
-// samples. Zero Samples means the trace carries none (every
-// level-synchronous executor).
+// QueueReport aggregates the tile engine's KindReady queue-depth samples.
+// Zero Samples means the trace carries none (every level-synchronous
+// executor).
 type QueueReport struct {
 	Samples   int     `json:"samples"`
 	PeakDepth int64   `json:"peak_depth"`
@@ -78,11 +78,10 @@ type FrontStall struct {
 // the rest of the front's wall (overhead: imbalance + barrier). Fronts
 // run inline by the advancing worker contribute their serial time.
 //
-// For band (lookahead) traces the DAG is (row, band) with edges from a
-// row to its neighbours' previous row; the path walks actual timestamps
-// backwards from the last-finishing row span.
+// Tile-engine traces have no fronts to walk: the busiest lane's task
+// time bounds the path from below.
 type CriticalReport struct {
-	Kind      string `json:"kind"` // "front-chain", "band-path" or "none"
+	Kind      string `json:"kind"` // "front-chain", "async", "serial" or "none"
 	Steps     int    `json:"steps"`
 	ComputeNS int64  `json:"compute_ns"`
 	StallNS   int64  `json:"stall_ns"`
@@ -103,7 +102,7 @@ const topN = 5
 // busyKind reports whether spans of this kind occupy their lane.
 func busyKind(k Kind) bool {
 	switch k {
-	case KindChunk, KindInline, KindRow, KindTask, KindPhase, KindXferH2D, KindXferD2H:
+	case KindChunk, KindInline, KindTask, KindPhase, KindXferH2D, KindXferD2H:
 		return true
 	}
 	return false
@@ -156,7 +155,7 @@ func Analyze(meta Meta, events []Event, buckets int) *Report {
 		}
 		lr := &lanes[e.Worker]
 		lr.BusyNS += e.Dur
-		if e.Kind == KindChunk || e.Kind == KindInline || e.Kind == KindRow || e.Kind == KindTask {
+		if e.Kind == KindChunk || e.Kind == KindInline || e.Kind == KindTask {
 			lr.Chunks++
 			lr.Cells += e.B - e.A
 		}
@@ -173,7 +172,7 @@ func Analyze(meta Meta, events []Event, buckets int) *Report {
 	return rep
 }
 
-// analyzeQueue folds the async executor's ready-queue samples.
+// analyzeQueue folds the tile engine's ready-queue samples.
 func analyzeQueue(events []Event) QueueReport {
 	var rep QueueReport
 	var sum int64
@@ -254,17 +253,14 @@ func analyzeStall(events []Event) StallReport {
 }
 
 func analyzeCritical(events []Event) CriticalReport {
-	// Band traces carry KindRow spans; pool traces KindFront spans;
-	// async traces KindTask spans (no front DAG to walk — the chain
-	// below reports the busiest lane as a lower bound on the path).
-	var rows, fronts, inline []Event
+	// Pool traces carry KindFront spans; tile-engine traces KindTask
+	// spans (no front DAG to walk — the busiest lane bounds the path).
+	var fronts, inline []Event
 	longestChunk := map[int32]int64{}
 	taskNS := map[int32]int64{}
 	taskSteps := map[int32]int{}
 	for _, e := range events {
 		switch e.Kind {
-		case KindRow:
-			rows = append(rows, e)
 		case KindFront:
 			fronts = append(fronts, e)
 		case KindInline:
@@ -283,8 +279,6 @@ func analyzeCritical(events []Event) CriticalReport {
 		rep.InlineNS += e.Dur
 	}
 	switch {
-	case len(rows) > 0:
-		rep = bandCritical(rows, rep)
 	case len(fronts) > 0:
 		rep.Kind = "front-chain"
 		sort.Slice(fronts, func(i, j int) bool { return fronts[i].Front < fronts[j].Front })
@@ -309,8 +303,8 @@ func analyzeCritical(events []Event) CriticalReport {
 			rep.Top = rep.Top[:topN]
 		}
 	case len(taskNS) > 0:
-		// Async dependency-counter traces: no materialized fronts. The
-		// busiest lane's task time bounds the path from below.
+		// Tile-engine traces: no materialized fronts. The busiest lane's
+		// task time bounds the path from below.
 		rep.Kind = "async"
 		for w, ns := range taskNS {
 			if ns > rep.ComputeNS {
@@ -322,54 +316,6 @@ func analyzeCritical(events []Event) CriticalReport {
 		rep.Kind = "serial"
 	default:
 		rep.Kind = "none"
-	}
-	return rep
-}
-
-// bandCritical walks the (row, band) DAG backwards from the
-// last-finishing row span: each step's predecessor is the dependency
-// (previous row, same or neighbouring band) that finished last, the gap
-// between that finish and the step's start is attributed to stall.
-func bandCritical(rows []Event, rep CriticalReport) CriticalReport {
-	rep.Kind = "band-path"
-	type key struct {
-		front  int32
-		worker int32
-	}
-	byKey := make(map[key]Event, len(rows))
-	last := rows[0]
-	for _, e := range rows {
-		byKey[key{e.Front, e.Worker}] = e
-		if e.End() > last.End() {
-			last = e
-		}
-	}
-	cur := last
-	for {
-		rep.Steps++
-		rep.ComputeNS += cur.Dur
-		if cur.Front == 0 {
-			break
-		}
-		var pred Event
-		found := false
-		for _, dw := range []int32{cur.Worker - 1, cur.Worker, cur.Worker + 1} {
-			if p, ok := byKey[key{cur.Front - 1, dw}]; ok && (!found || p.End() > pred.End()) {
-				pred, found = p, true
-			}
-		}
-		if !found {
-			break
-		}
-		if gap := cur.TS - pred.End(); gap > 0 {
-			rep.StallNS += gap
-			rep.Top = append(rep.Top, CriticalStep{Front: cur.Front, ComputeNS: cur.Dur, StallNS: gap})
-		}
-		cur = pred
-	}
-	sort.Slice(rep.Top, func(i, j int) bool { return rep.Top[i].StallNS > rep.Top[j].StallNS })
-	if len(rep.Top) > topN {
-		rep.Top = rep.Top[:topN]
 	}
 	return rep
 }

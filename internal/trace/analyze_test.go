@@ -85,28 +85,31 @@ func TestAnalyzeFrontChainCritical(t *testing.T) {
 	}
 }
 
-func TestAnalyzeBandPathCritical(t *testing.T) {
-	// Two bands x three rows. Band 1's row 1 starts 20 after band 0's row 0
-	// ends (a handoff stall); everything else is back-to-back.
+func TestAnalyzeTaskCritical(t *testing.T) {
+	// A tile-engine trace: two lanes of task spans (one per tile), a
+	// ready-queue sample, and no fronts or barriers. Lane 1 is the
+	// busier one, so it bounds the critical path.
 	events := []Event{
-		{TS: 0, Dur: 10, Kind: KindRow, Worker: 0, Front: 0},
-		{TS: 10, Dur: 10, Kind: KindRow, Worker: 0, Front: 1},
-		{TS: 20, Dur: 10, Kind: KindRow, Worker: 0, Front: 2},
-		{TS: 5, Dur: 10, Kind: KindRow, Worker: 1, Front: 0},
-		{TS: 30, Dur: 10, Kind: KindRow, Worker: 1, Front: 1},
-		{TS: 40, Dur: 20, Kind: KindRow, Worker: 1, Front: 2},
+		{TS: 0, Dur: 10, Kind: KindTask, Worker: 0, Front: 0, B: 256},
+		{TS: 10, Dur: 10, Kind: KindTask, Worker: 0, Front: 1, B: 256},
+		{TS: 5, Dur: 15, Kind: KindTask, Worker: 1, Front: 0, B: 256},
+		{TS: 20, Dur: 15, Kind: KindTask, Worker: 1, Front: 1, B: 256},
+		{TS: 35, Dur: 5, Kind: KindTask, Worker: 1, Front: 2, B: 256},
+		{TS: 20, Kind: KindReady, Worker: 1, Front: 1, A: 2, B: 3},
 	}
-	rep := Analyze(Meta{}, events, 0)
+	rep := Analyze(Meta{Solver: "async"}, events, 0)
 	cr := rep.Critical
-	if cr.Kind != "band-path" {
-		t.Fatalf("critical kind = %q, want band-path", cr.Kind)
+	if cr.Kind != "async" {
+		t.Fatalf("critical kind = %q, want async", cr.Kind)
 	}
-	// Path walks back from worker 1's row 2 (last finisher at 60).
-	if cr.Steps != 3 {
-		t.Errorf("steps = %d, want 3", cr.Steps)
+	if cr.Steps != 3 || cr.ComputeNS != 35 {
+		t.Errorf("critical steps=%d compute=%d, want lane 1's 3 tasks over 35ns", cr.Steps, cr.ComputeNS)
 	}
-	if cr.StallNS == 0 {
-		t.Errorf("band path found no stall; report = %+v", cr)
+	if rep.Stall.BarrierNS != 0 || rep.Workers[1].Cells != 3*256 {
+		t.Errorf("stall = %+v, lane 1 = %+v; want no barrier and 768 cells", rep.Stall, rep.Workers[1])
+	}
+	if rep.Queue.Samples != 1 || rep.Queue.PeakDepth != 2 {
+		t.Errorf("queue = %+v, want one sample of depth 2", rep.Queue)
 	}
 }
 

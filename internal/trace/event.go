@@ -27,13 +27,10 @@ const (
 	// KindBarrier spans one worker's wait at the epoch barrier, from
 	// arrival to gate release. Front is the front the worker arrived from.
 	KindBarrier
-	// KindHandoff spans a band worker's wait for a neighbour's epoch
-	// token in lookahead mode; A is 0 for the left neighbour, 1 for the
-	// right.
+	// KindHandoff spans a wait for a neighbour's data: a fleet band
+	// waiting for its north neighbour's phase (label halo-wait, A the
+	// neighbour band).
 	KindHandoff
-	// KindRow spans one row of one worker's column band in lookahead
-	// mode; A and B carry the [lo, hi) column range.
-	KindRow
 	// KindPhase spans a named execution phase; Label carries the name.
 	// Simulated compute ops import as KindPhase with their device:phase
 	// label.
@@ -50,15 +47,14 @@ const (
 	// different one (a cross-solve steal); emitted as an instant on the
 	// stealing worker's lane. A carries the solve ID.
 	KindSteal
-	// KindTask spans one async worker's run of consecutive
-	// dependency-scheduled cells (the async executor has no fronts, so a
-	// "task" batch is its busy unit). A and B carry a [0, cells) count so
-	// Cells accounting matches the chunk convention; Front is the row of
-	// the last cell in the batch (display only).
+	// KindTask spans one tile run by the dependency-driven tile engine
+	// (it has no fronts, so the tile is its busy unit). A and B carry a
+	// [0, cells) count so Cells accounting matches the chunk convention;
+	// Front is the tile's first row (display only).
 	KindTask
-	// KindReady is an instant sampling the async ready queue: A carries
-	// the queue depth (published minus claimed), B the completed-cell
-	// count at the sample.
+	// KindReady is an instant sampling the tile engine's ready queue when
+	// a worker takes a tile off it: A carries the queue depth, B the
+	// finished-tile count at the sample.
 	KindReady
 )
 
@@ -69,7 +65,6 @@ var kindNames = [...]string{
 	KindInline:  "inline",
 	KindBarrier: "barrier",
 	KindHandoff: "handoff",
-	KindRow:     "row",
 	KindPhase:   "phase",
 	KindXferH2D: "h2d",
 	KindXferD2H: "d2h",

@@ -15,11 +15,12 @@ const DefaultLaneCap = 1 << 15
 // Meta describes the solve a trace belongs to; it is embedded in the
 // Chrome export and round-tripped by ReadChrome.
 type Meta struct {
-	// Solver is the executor name ("pool", "bands", "tiled", "hetero", ...).
+	// Solver is the executor name ("pool", "async", "tiled", "hetero", ...).
 	Solver string `json:"solver"`
 	// Problem is the Problem.Name, may be empty.
 	Problem string `json:"problem,omitempty"`
-	// Pattern is the Table-I pattern; Executed the pattern actually run.
+	// Pattern is the Table-I pattern; Executed the pattern (or, for the
+	// tile engine, the tile extent) actually run.
 	Pattern  string `json:"pattern,omitempty"`
 	Executed string `json:"executed,omitempty"`
 	// Rows/Cols/Fronts/Workers describe the executed iteration space.

@@ -24,8 +24,8 @@ type SolveRequest struct {
 	Mask string `json:"mask,omitempty"`
 
 	// Strategy selects the executor: "auto" (default), "parallel", or
-	// "async" (the barrier-free dependency-counter executor) — the
-	// strategies the shared scheduler can run.
+	// "async" (the dependency-driven tile schedule, run as one front of
+	// worker loops) — the strategies the shared scheduler can run.
 	Strategy string `json:"strategy,omitempty"`
 
 	// Workload selects the problem generator; the zero value is the

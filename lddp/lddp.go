@@ -1,7 +1,7 @@
 // Package lddp is the public facade of the LDDP-Plus framework: one entry
 // point, Solve, that runs any local-dependency dynamic-programming problem
 // through the framework's executors — sequential reference, native
-// worker-pool runtime, cache-tiled multicore baseline, the paper's
+// dependency-driven tile engine (row segments or square tiles), the paper's
 // heterogeneous CPU+GPU strategies on a simulated platform, and the
 // multi-accelerator extension — selected and configured with functional
 // options.
@@ -17,8 +17,9 @@
 //	res, err := lddp.Solve(context.Background(), p,
 //		lddp.WithStrategy(lddp.Hetero), lddp.WithPlatform("Hetero-High"))
 //
-// Solves honor the context: cancellation is observed at wavefront
-// granularity on every executor and surfaces as a *Canceled error wrapping
+// Solves honor the context: cancellation is observed per tile row by the
+// native strategies and per wavefront by the simulated ones, and surfaces
+// as a *Canceled error wrapping
 // context.Cause. Passing WithCollector (e.g. a *Metrics) instruments the
 // solve with phase wall times, front-size and worker-utilization counters,
 // and simulated transfer volumes; without it instrumentation costs nothing.
@@ -116,7 +117,7 @@ type TransferStats = core.TransferStats
 
 // Tracer is the per-worker ring-buffer event recorder; attach one with
 // WithTracer to capture timestamped runtime events (front begin/end,
-// chunk claims, barrier waits, lookahead handoffs, simulated transfers).
+// chunk claims, barrier waits, tile tasks, simulated transfers).
 // Like Collector, a nil Tracer disables tracing at zero overhead. Export
 // a finished trace with WriteTrace (Chrome/Perfetto JSON) or
 // WriteTraceSummary (plain text); the lddptrace command analyzes the

@@ -115,6 +115,19 @@ func TestSolveOptionErrors(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsTooManyWorkers checks every native strategy validates
+// the worker count before starting anything: a count past
+// core.MaxNativeWorkers is a configuration error, not 1025 goroutines.
+func TestSolveRejectsTooManyWorkers(t *testing.T) {
+	p := testProblem(lddp.DepW|lddp.DepN, 8, 8)
+	for _, s := range []lddp.Strategy{lddp.Auto, lddp.Parallel, lddp.Tiled, lddp.Async} {
+		res, err := lddp.Solve(context.Background(), p, lddp.WithStrategy(s), lddp.WithWorkers(core.MaxNativeWorkers+1))
+		if err == nil || res != nil {
+			t.Errorf("strategy %s: WithWorkers(%d) returned (%v, %v), want a limit error", s, core.MaxNativeWorkers+1, res, err)
+		}
+	}
+}
+
 // TestSolveCancellation checks the facade propagates *Canceled from every
 // strategy.
 func TestSolveCancellation(t *testing.T) {

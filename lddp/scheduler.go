@@ -151,9 +151,10 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 // Only the Auto, Parallel and Async strategies can run on the scheduler.
 //
 // An Async submission is a single front of independent worker loops over
-// the shared dependency-counter engine (core.NewAsyncWorkload), claimed
-// one loop at a time, so scheduler workers join and leave the solve like
-// any other chunked submission.
+// the dependency-driven tile engine (core.NewAsyncWorkload), claimed one
+// loop at a time, so scheduler workers join and leave the solve like any
+// other chunked submission. Auto and Parallel submissions run the
+// scheduler's own front chunks.
 //
 // A nil error means the submission was accepted; its outcome arrives via
 // the Submission. A *Rejected error means it was refused synchronously

@@ -57,8 +57,8 @@ func TestSchedulerFacadeMatchesSolve(t *testing.T) {
 }
 
 // TestSchedulerFacadeAsyncStrategy submits an async-strategy solve to the
-// shared scheduler and checks the dependency-counter engine's grid
-// matches the sequential reference when assembled by scheduler workers.
+// shared scheduler and checks the tile engine's grid matches the
+// sequential reference when assembled by scheduler workers.
 func TestSchedulerFacadeAsyncStrategy(t *testing.T) {
 	s, err := lddp.NewScheduler(lddp.WithSchedulerWorkers(3))
 	if err != nil {

@@ -12,14 +12,18 @@ import (
 type Strategy int
 
 const (
-	// Auto selects the native parallel pool, the fastest way to actually
-	// compute a table on the host.
+	// Auto selects Parallel, the fastest way to actually compute a table
+	// on the host.
 	Auto Strategy = iota
 	// Sequential runs the row-major reference solver.
 	Sequential
-	// Parallel runs the native worker-pool wavefront runtime.
+	// Parallel runs the native dependency-driven tile engine on row
+	// segments derived from the mask, the column count and the worker
+	// count: a segment starts as soon as the neighbour segments it reads
+	// are done, with no wavefront barriers.
 	Parallel
-	// Tiled runs the cache-efficient tiled multicore baseline.
+	// Tiled runs the same tile engine on square tiles (WithTile), the
+	// cache-efficient tiled multicore scheme.
 	Tiled
 	// Hetero runs the paper's heterogeneous CPU+GPU framework on the
 	// simulated platform (real cell values, simulated timing).
@@ -31,9 +35,10 @@ const (
 	// Multi runs the multi-accelerator extension (horizontal-pattern
 	// problems; requires WithAccelerators).
 	Multi
-	// Async runs the asynchronous dependency-counter executor: no
-	// wavefronts, no barriers — cells are scheduled the moment their last
-	// dependency publishes.
+	// Async is the dependency-driven tile schedule under its own name: in
+	// Solve it runs exactly as Parallel does; on the shared scheduler it
+	// runs the tile engine as one front of worker loops instead of the
+	// scheduler's front chunks (see Submit).
 	Async
 )
 
@@ -87,22 +92,18 @@ func WithStrategy(s Strategy) Option {
 	}
 }
 
-// WithWorkers sets the worker count of the native pool and tiled executors.
-// Zero or negative selects the default min(GOMAXPROCS, NumCPU).
+// WithWorkers sets the worker count of the native strategies (Parallel,
+// Tiled, Async). Zero or negative selects the default min(GOMAXPROCS,
+// NumCPU).
 func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.NativeWorkers = n }
 }
 
-// WithChunk sets the native pool's cells-per-claim chunk (and serial
-// cutoff). Zero or negative selects the default (512).
+// WithChunk sets the cells-per-claim chunk (and serial cutoff) of
+// scheduler submissions (Submit). Zero or negative selects the default
+// (512). Solve's strategies have no chunks and ignore it.
 func WithChunk(n int) Option {
 	return func(c *config) { c.opts.NativeChunk = n }
-}
-
-// WithoutLookahead forces the global per-front barrier on
-// horizontal-pattern problems instead of the row-band lookahead handoff.
-func WithoutLookahead() Option {
-	return func(c *config) { c.opts.NativeNoLookahead = true }
 }
 
 // WithTile sets the block size of the Tiled strategy. Unset or
@@ -214,9 +215,10 @@ type Result[T any] struct {
 }
 
 // Solve runs the problem through the selected executor. The context is
-// polled at wavefront granularity by every executor; cancellation returns
-// a nil result and a *Canceled error. The zero option set solves natively
-// on the worker pool with auto-sized workers.
+// polled by every executor — once per tile row by the native strategies,
+// once per wavefront by the simulated ones; cancellation returns a nil
+// result and a *Canceled error. The zero option set solves natively on the
+// tile engine with auto-sized workers.
 func Solve[T any](ctx context.Context, p *Problem[T], options ...Option) (*Result[T], error) {
 	cfg := config{
 		strategy: Auto,
@@ -249,14 +251,8 @@ func Solve[T any](ctx context.Context, p *Problem[T], options ...Option) (*Resul
 			return nil, err
 		}
 		res.Grid = g
-	case Parallel:
+	case Parallel, Async:
 		g, err := core.SolveParallelContext(ctx, p, cfg.opts)
-		if err != nil {
-			return nil, err
-		}
-		res.Grid = g
-	case Async:
-		g, err := core.SolveAsyncContext(ctx, p, cfg.opts)
 		if err != nil {
 			return nil, err
 		}

@@ -34,15 +34,15 @@ func TestWithTracerRecordsParallelSolve(t *testing.T) {
 	if rep.Events != len(events) {
 		t.Errorf("report covers %d events, tracer holds %d", rep.Events, len(events))
 	}
-	if rep.Meta.Solver != "pool" {
-		t.Errorf("report solver = %q, want pool", rep.Meta.Solver)
+	if rep.Meta.Solver != "async" {
+		t.Errorf("report solver = %q, want async (the tile engine)", rep.Meta.Solver)
 	}
 
 	buf.Reset()
 	if err := lddp.WriteTraceSummary(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "solver=pool") {
+	if !strings.Contains(buf.String(), "solver=async") {
 		t.Errorf("summary = %q", buf.String())
 	}
 }
