@@ -150,15 +150,19 @@ bench-server:
 # the frame codec micro-benchmark, archived as BENCH_server.json with the
 # allocation budgets asserted (exit 1 on regression). Budgets: the cold
 # binary batch (8 HTTP round trips; ~180 allocs each, nearly all
-# net/http) and the pure frame codec (pooled; single digits).
+# net/http), the pure frame codec (pooled; single digits) and the
+# client's decode of one 512x256 fleet block (15 allocs into a buffer
+# sized from the request; 48 when the cells were appended onto nil).
 # 30 iterations, not 3: the first op pays the cold sync.Pool fills, so
 # short runs over-report allocs/op by hundreds and flake the gate.
 bench-wire:
 	$(GO) test -run '^$$' -bench=ServerSolve -benchmem -cpu 4 -benchtime 30x ./internal/server/ | tee bench_server_output.txt
 	$(GO) test -run '^$$' -bench=EncodeDecode -benchmem -benchtime 100x ./internal/wire/ | tee -a bench_server_output.txt
+	$(GO) test -run '^$$' -bench=BandResponseDecode -benchmem -benchtime 100x ./lddp/client/ | tee -a bench_server_output.txt
 	$(GO) run ./cmd/benchjson \
-	  -desc "Server-mode reference run: wire (json/binary/cached) vs direct batch throughput, plus the frame codec. Regenerate with \`make bench-wire\`." \
+	  -desc "Server-mode reference run: wire (json/binary/cached) vs direct batch throughput, plus the frame codec and the client's band decode. Regenerate with \`make bench-wire\`." \
 	  -assert 'wire-binary<=1600' -assert 'EncodeDecode512x512<=64' -assert 'HaloEncodeDecode2048<=16' \
+	  -assert 'BandResponseDecode512x256<=32' \
 	  < bench_server_output.txt > BENCH_server.json
 
 # Wire-boundary differential suite: all 15 masks x adversarial shapes
@@ -184,9 +188,9 @@ soak-sim:
 	$(GO) test -race -tags soak -run TestScenarioSweepSoak -timeout 30m ./internal/sim/
 
 # Cross-executor differential conformance suite: all 15 masks x every
-# public executor path (tile engine, level-synchronous pool, scheduler
-# fronts and async workload) x adversarial shapes, under the race
-# detector.
+# public executor path (tile engine, level-synchronous pool, the
+# scheduler's tile engines at 1, 2 and 4 workers) x adversarial shapes,
+# under the race detector.
 conformance:
 	$(GO) test -race -run 'Conformance|Metamorphic' -timeout 10m ./internal/core/ ./internal/sched/
 

@@ -340,14 +340,13 @@ func BenchmarkNativePoolTraceLevenshtein4k(b *testing.B) {
 // scheduler, versus the same 16 solves as back-to-back level-synchronous
 // pool runs (what a service without the scheduler would do). Run both at the
 // same GOMAXPROCS (use -cpu) to compare aggregate throughput; the
-// recorded numbers live in EXPERIMENTS.md. Worker counts and chunks are
-// pinned equal on both sides so the comparison isolates the scheduling
-// structure, not the configuration.
+// recorded numbers live in EXPERIMENTS.md. Worker counts are pinned equal
+// on both sides so the comparison isolates the scheduling structure, not
+// the configuration.
 func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 	const (
 		batch = 16
 		size  = 1024
-		chunk = 256
 	)
 	workers := runtime.GOMAXPROCS(0)
 	problem := func(k int) *core.Problem[int64] {
@@ -362,7 +361,7 @@ func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 		}
 	}
 	b.Run("scheduler", func(b *testing.B) {
-		s, err := sched.New(sched.Config{Workers: workers, Chunk: chunk})
+		s, err := sched.New(sched.Config{Workers: workers})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -388,7 +387,7 @@ func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 		}
 	})
 	b.Run("sequential", func(b *testing.B) {
-		opts := core.Options{NativeWorkers: workers, NativeChunk: chunk}
+		opts := core.Options{NativeWorkers: workers}
 		b.SetBytes(int64(batch) * size * size * 8)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -138,13 +138,31 @@ func checkAssert(spec string, benchmarks []result) []string {
 
 // gitCommit resolves the short commit hash of the working tree,
 // best-effort: runs outside a checkout (or without git) produce records
-// without a commit field rather than failing.
+// without a commit field rather than failing. A tree with uncommitted
+// changes gets "-dirty" appended: its numbers describe code no commit
+// holds. The BENCH_*.json ledgers themselves are left out of that check,
+// since the make targets' redirect truncates the one being written
+// before this runs.
 func gitCommit() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
+	head, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	status, err := exec.Command("git", "status", "--porcelain", "--", ".", ":(exclude)BENCH_*.json").Output()
+	if err != nil {
+		status = []byte("unknown") // cannot prove the tree clean
+	}
+	return commitLabel(string(head), string(status))
+}
+
+// commitLabel renders the commit field from the output of
+// `git rev-parse --short HEAD` and `git status --porcelain`.
+func commitLabel(head, status string) string {
+	c := strings.TrimSpace(head)
+	if strings.TrimSpace(status) != "" {
+		c += "-dirty"
+	}
+	return c
 }
 
 // parseLine decodes one `BenchmarkName-P  N  X ns/op  [Y B/op  Z allocs/op]`

@@ -70,3 +70,20 @@ func TestRunMetadata(t *testing.T) {
 		t.Log("gitCommit returned empty (no git in environment?)")
 	}
 }
+
+// TestCommitLabel: a clean tree stamps the bare short hash; any
+// porcelain status line (modified, added or untracked) marks it dirty.
+func TestCommitLabel(t *testing.T) {
+	cases := []struct{ head, status, want string }{
+		{"1a2b3c4\n", "", "1a2b3c4"},
+		{"1a2b3c4\n", "\n", "1a2b3c4"},
+		{"1a2b3c4\n", " M internal/sched/sched.go\n", "1a2b3c4-dirty"},
+		{"1a2b3c4\n", "?? notes.go\n", "1a2b3c4-dirty"},
+		{"1a2b3c4\n", "A  new.go\n M old.go\n", "1a2b3c4-dirty"},
+	}
+	for _, c := range cases {
+		if got := commitLabel(c.head, c.status); got != c.want {
+			t.Errorf("commitLabel(%q, %q) = %q, want %q", c.head, c.status, got, c.want)
+		}
+	}
+}

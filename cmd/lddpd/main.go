@@ -49,7 +49,6 @@ type options struct {
 	workers    int
 	queue      int
 	active     int
-	chunk      int
 	inflight   int
 	maxCells   int64
 	cacheBytes int64
@@ -67,7 +66,6 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", 0, "scheduler workers (0 = min(GOMAXPROCS, NumCPU))")
 	flag.IntVar(&opts.queue, "queue", 0, "admission queue bound (0 = default)")
 	flag.IntVar(&opts.active, "active", 0, "max concurrently active solves (0 = default)")
-	flag.IntVar(&opts.chunk, "chunk", 0, "cells per claim chunk (0 = default)")
 	flag.IntVar(&opts.inflight, "inflight", 0, "max in-flight solve requests (0 = 4x workers)")
 	flag.Int64Var(&opts.maxCells, "max-cells", 0, "per-request table cell cap (0 = default)")
 	flag.Int64Var(&opts.cacheBytes, "cache-bytes", 0, "result cache bound in bytes (0 = default 64 MiB, negative disables)")
@@ -126,7 +124,6 @@ func run(ctx context.Context, opts options, out io.Writer, addrCh chan<- string)
 		Workers:     opts.workers,
 		Queue:       opts.queue,
 		MaxActive:   opts.active,
-		Chunk:       opts.chunk,
 		MaxInflight: opts.inflight,
 		MaxCells:    opts.maxCells,
 		CacheBytes:  opts.cacheBytes,

@@ -48,7 +48,6 @@ type options struct {
 	workers int
 	queue   int
 	active  int
-	chunk   int
 	timeout time.Duration
 	mode    string
 	metrics string
@@ -73,7 +72,6 @@ func main() {
 	flag.IntVar(&opts.workers, "workers", 0, "scheduler workers (0 = min(GOMAXPROCS, NumCPU))")
 	flag.IntVar(&opts.queue, "queue", 0, "admission queue bound (0 = default)")
 	flag.IntVar(&opts.active, "active", 0, "max concurrently active solves (0 = default)")
-	flag.IntVar(&opts.chunk, "chunk", 0, "scheduler cells per claim chunk (0 = default)")
 	flag.DurationVar(&opts.timeout, "timeout", 0, "per-submission deadline (0 = none)")
 	flag.StringVar(&opts.mode, "mode", "sched", "sched | seq | compare")
 	flag.StringVar(&opts.metrics, "metrics", "", "write the metrics JSON snapshot to this file")
@@ -189,7 +187,6 @@ func run(opts options, out io.Writer) error {
 			lddp.WithSchedulerWorkers(opts.workers),
 			lddp.WithSchedulerQueue(opts.queue),
 			lddp.WithSchedulerMaxActive(opts.active),
-			lddp.WithSchedulerChunk(opts.chunk),
 			lddp.WithSchedulerCollector(metrics),
 		)
 		if err != nil {
@@ -311,7 +308,6 @@ func runRemote(opts options, items []workItem, out io.Writer) error {
 				Rows: it.rows, Cols: it.cols,
 				Mask:       it.mask.String(),
 				Workload:   client.WorkloadSpec{Kind: client.KindServe},
-				Chunk:      opts.chunk,
 				DeadlineMS: opts.timeout.Milliseconds(),
 			}
 			_, err := c.Solve(context.Background(), req)
@@ -424,7 +420,6 @@ func runFleet(opts options, items []workItem, out io.Writer) error {
 				Rows: it.rows, Cols: it.cols,
 				Mask:       it.mask.String(),
 				Workload:   client.WorkloadSpec{Kind: client.KindServe},
-				Chunk:      opts.chunk,
 				DeadlineMS: opts.timeout.Milliseconds(),
 			}
 			fres, err := coord.Solve(context.Background(), req)
@@ -487,8 +482,7 @@ func runFleet(opts options, items []workItem, out io.Writer) error {
 
 // runSequential is the baseline: the same batch as back-to-back
 // lddp.Solve calls, each starting its own tile-engine workers — what a
-// service without the scheduler would do. Solve has no chunks, so -chunk
-// reaches only the scheduler side.
+// service without the scheduler would do.
 func runSequential(opts options, items []workItem) outcome {
 	var res outcome
 	start := time.Now()

@@ -14,7 +14,7 @@ import (
 )
 
 // Dependency-driven tile executor: the engine behind SolveParallel,
-// SolveTiled and the scheduler's async workload.
+// SolveTiled and every scheduler submission (NewTileWorkload).
 //
 // The table is cut into a grid of th x tw tiles and run as a DAG of
 // tiles, following the frontier scheme of "Parallel and (Nearly)
@@ -27,8 +27,9 @@ import (
 //   - a worker that finishes a tile decrements each dependent; the
 //     decrement that reaches zero makes the dependent ready. The worker
 //     keeps the first ready dependent as its next tile, checking the tile
-//     below first so it stays on its column band, and sends the rest on
-//     the ready queue;
+//     below first so it stays on its column band, and queues the rest
+//     (on the engine's ready channel in process, on the submission's
+//     ready queue under the scheduler);
 //   - cells inside a tile run row-major on the flat kernel, which is safe
 //     for every mask (every cell offset points to an earlier row, or left
 //     in the same row).
@@ -37,13 +38,13 @@ import (
 // tile row or to the left in the same tile row, so the raw-mask tile graph
 // is acyclic for all 15 masks — provided NE never crosses into the tile to
 // the east, which is why masks containing NE get 1-row tiles (DESIGN.md
-// §15). Each tile is sent at most once, so a buffered channel with one
-// slot per tile never blocks a sender. Go atomics and channel operations
-// give the happens-before chain a tile needs: each neighbour's grid
-// writes precede its decrement, and the zero-observing decrementer's send
-// (or continuation) precedes the tile's reads.
+// §15). Each tile is queued at most once, so a buffered channel with one
+// slot per tile never blocks a sender. Go atomics and channel (or mutex)
+// operations give the happens-before chain a tile needs: each neighbour's
+// grid writes precede its decrement, and the zero-observing decrementer's
+// queueing (or continuation) precedes the tile's reads.
 
-// tileShape is the tile extent SolveParallel and the async workload run a
+// tileShape is the tile extent SolveParallel and NewTileWorkload run a
 // rows x cols table with under mask m on the given worker count. One
 // worker sweeps the whole table as one row-major tile. Otherwise tiles
 // are row segments: without W a row splits into one segment per worker,
@@ -64,9 +65,9 @@ func tileShape(m DepMask, rows, cols, workers int) (th, tw int) {
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // tileEngine is the shared state of one tile-graph solve. It is built
-// once (counters set, source tiles queued) and then driven by worker loops:
-// the engine's own goroutines (solveTiles) or scheduler workers running
-// NewAsyncWorkload units.
+// once (counters set) and then driven by worker loops: the engine's own
+// goroutines (solveTiles, which owns the ready channel and the fields
+// below it) or scheduler workers running a NewTileWorkload's tiles.
 type tileEngine[T any] struct {
 	k          *flatKernel[T]
 	mask       DepMask
@@ -78,13 +79,13 @@ type tileEngine[T any] struct {
 	// tile index) waits for; the decrement to zero hands the tile to
 	// exactly one worker. A finished tile stores -1.
 	counters []atomic.Int32
+	done     <-chan struct{}
+
 	ready    chan int32
 	left     atomic.Int64  // tiles not yet finished
 	finished chan struct{} // closed by the worker that finishes the last tile
-	done     <-chan struct{}
-
-	stats []poolWorkerStat
-	lanes []*trace.Lane
+	stats    []poolWorkerStat
+	lanes    []*trace.Lane
 }
 
 // tileEngineFor validates the problem and the options and builds the
@@ -112,9 +113,8 @@ func tileEngineFor[T any](ctx context.Context, p *Problem[T], tile int, opts Opt
 
 // newTileEngine cuts a valid problem into th x tw tiles (clamped to the
 // table; th must be 1 under NE unless one tile spans the table), allocates
-// the grid, and queues every tile that waits for nothing. It returns the
-// engine, the grid it fills, and the worker count capped at the tile
-// count.
+// the grid, and sets every tile's counter. It returns the engine, the grid
+// it fills, and the worker count capped at the tile count.
 func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw int) (*tileEngine[T], *table.Grid[T], int, error) {
 	th, tw = min(th, p.Rows), min(tw, p.Cols)
 	tr, tc := ceilDiv(p.Rows, th), ceilDiv(p.Cols, tw)
@@ -133,19 +133,30 @@ func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw in
 		rows: p.Rows, cols: p.Cols,
 		th: th, tw: tw, tr: tr, tc: tc,
 		counters: make([]atomic.Int32, tiles),
-		ready:    make(chan int32, tiles),
-		finished: make(chan struct{}),
 		done:     ctxDone(ctx),
 	}
-	e.left.Store(tiles)
 	for t := range e.counters {
-		n := e.deps(t/tc, t%tc).Count()
-		e.counters[t].Store(int32(n))
-		if n == 0 {
-			e.ready <- int32(t)
-		}
+		e.counters[t].Store(int32(e.deps(t/tc, t%tc).Count()))
 	}
 	return e, g, workers, nil
+}
+
+// sources returns the tiles that wait for nothing, in row-major order.
+// Only valid before any tile has run.
+func (e *tileEngine[T]) sources() []int32 {
+	n := 0
+	for t := range e.counters {
+		if e.counters[t].Load() == 0 {
+			n++
+		}
+	}
+	src := make([]int32, 0, n)
+	for t := range e.counters {
+		if e.counters[t].Load() == 0 {
+			src = append(src, int32(t))
+		}
+	}
+	return src
 }
 
 // deps returns the neighbour tiles tile (bi, bj) waits for: the block
@@ -171,31 +182,39 @@ func (e *tileEngine[T]) deps(bi, bj int) DepMask {
 	return m
 }
 
-// publish decrements the tiles that wait for the finished tile (bi, bj)
-// and returns the first one that became ready, or -1; the others go on
-// the ready queue. The tile below is checked first, so a worker keeps to
-// its column band.
-func (e *tileEngine[T]) publish(bi, bj int) int32 {
-	next := int32(-1)
+// publish decrements the tiles that wait for the finished tile (bi, bj),
+// stores those that became ready in ready and returns how many it stored.
+// The tile below is checked first, so a worker that continues with
+// ready[0] keeps to its column band.
+func (e *tileEngine[T]) publish(bi, bj int, ready *[4]int32) int {
+	n := 0
 	release := func(ti, tj int, from DepMask) {
 		if ti >= e.tr || tj < 0 || tj >= e.tc || !e.deps(ti, tj).Has(from) {
 			return
 		}
 		t := int32(ti*e.tc + tj)
-		if e.counters[t].Add(-1) != 0 {
-			return
-		}
-		if next < 0 {
-			next = t
-		} else {
-			e.ready <- t
+		if e.counters[t].Add(-1) == 0 {
+			ready[n] = t
+			n++
 		}
 	}
 	release(bi+1, bj, DepN)
 	release(bi, bj+1, DepW)
 	release(bi+1, bj+1, DepNW)
 	release(bi+1, bj-1, DepNE)
-	return next
+	return n
+}
+
+// step fills the ready tile t, marks it finished and publishes it (see
+// publish). ok is false, and nothing is published, if the context ended
+// first.
+func (e *tileEngine[T]) step(t int32, ready *[4]int32) (cells, n int, ok bool) {
+	bi, bj := int(t)/e.tc, int(t)%e.tc
+	if cells, ok = e.runTile(bi, bj); !ok {
+		return 0, 0, false
+	}
+	e.counters[t].Store(-1)
+	return cells, e.publish(bi, bj, ready), true
 }
 
 // runTile fills tile (bi, bj) row-major and returns its cell count, or
@@ -215,10 +234,22 @@ func (e *tileEngine[T]) runTile(bi, bj int) (int, bool) {
 	return (iHi - iLo) * (jHi - jLo), true
 }
 
-// work is the worker loop: take a ready tile (the kept dependent, or one
-// off the queue), fill it, publish it, repeat until the last tile is done
-// or the context ends. Any one loop can finish the solve alone, so a loop
-// started after the others are gone never waits forever.
+// startLoops readies the engine for its own worker loops: every source
+// tile on the ready channel, every tile left to finish.
+func (e *tileEngine[T]) startLoops() {
+	e.ready = make(chan int32, len(e.counters))
+	e.finished = make(chan struct{})
+	e.left.Store(int64(len(e.counters)))
+	for t := range e.counters {
+		if e.counters[t].Load() == 0 {
+			e.ready <- int32(t)
+		}
+	}
+}
+
+// work is the in-process worker loop: take a ready tile (the kept
+// dependent, or one off the ready channel), fill it, publish it, repeat
+// until the last tile is done or the context ends.
 func (e *tileEngine[T]) work(w int) {
 	var st *poolWorkerStat
 	if e.stats != nil {
@@ -228,6 +259,7 @@ func (e *tileEngine[T]) work(w int) {
 	if e.lanes != nil {
 		ln = e.lanes[w]
 	}
+	var ready [4]int32
 	next := int32(-1)
 	for {
 		t := next
@@ -243,12 +275,11 @@ func (e *tileEngine[T]) work(w int) {
 				ln.Instant(trace.KindReady, int(t)/e.tc*e.th, int64(len(e.ready)), int64(len(e.counters))-e.left.Load())
 			}
 		}
-		bi, bj := int(t)/e.tc, int(t)%e.tc
 		var t0 time.Time
 		if st != nil || ln != nil {
 			t0 = time.Now()
 		}
-		cells, ok := e.runTile(bi, bj)
+		cells, n, ok := e.step(t, &ready)
 		if !ok {
 			return
 		}
@@ -258,10 +289,15 @@ func (e *tileEngine[T]) work(w int) {
 			st.cells += cells
 		}
 		if ln != nil {
-			ln.SpanFrom(trace.KindTask, bi*e.th, 0, int64(cells), t0)
+			ln.SpanFrom(trace.KindTask, int(t)/e.tc*e.th, 0, int64(cells), t0)
 		}
-		e.counters[t].Store(-1)
-		next = e.publish(bi, bj)
+		next = -1
+		if n > 0 {
+			next = ready[0]
+			for _, r := range ready[1:n] {
+				e.ready <- r
+			}
+		}
 		if e.left.Add(-1) == 0 {
 			close(e.finished)
 			return
@@ -292,6 +328,7 @@ func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile i
 	if isDone(e.done) {
 		return nil, canceledErr(ctx, solver, 0)
 	}
+	e.startLoops()
 
 	executed := fmt.Sprintf("tiles %dx%d", e.th, e.tw)
 	if coll := opts.Collector; coll != nil {
@@ -344,38 +381,4 @@ func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile i
 		return nil, canceledErr(ctx, solver, e.firstUnfinishedRow())
 	}
 	return g, nil
-}
-
-// NewAsyncWorkload adapts a tile-engine solve to the scheduler's Workload
-// contract. The tile graph has no fronts, so the workload is a single
-// front of `workers` independent units, each of which runs one worker
-// loop to completion on the shared engine — the Workload contract (cells
-// of one front are concurrency-safe and order-free) holds exactly. Submit
-// it with SubmitOptions.Chunk = 1 so scheduler workers claim one loop
-// each; a loop claimed after the solve finishes returns at once.
-//
-// The tile extent is tileShape's for opts.NativeWorkers, and ctx is
-// captured by the engine: the loops poll it once per tile row, exactly
-// like SolveParallelContext.
-func NewAsyncWorkload[T any](ctx context.Context, p *Problem[T], opts Options) (*Workload, func() *table.Grid[T], error) {
-	e, g, workers, err := tileEngineFor(ctx, p, 0, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	wl := &Workload{
-		Info: SolveInfo{
-			Solver: "sched-async", Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: "async",
-			Rows: p.Rows, Cols: p.Cols, Fronts: 1,
-		},
-		Fronts:     1,
-		TotalCells: int64(p.Rows) * int64(p.Cols),
-		Size:       func(int) int { return workers },
-		Run: func(_, lo, hi int) {
-			for w := lo; w < hi; w++ {
-				e.work(w)
-			}
-		},
-	}
-	return wl, func() *table.Grid[T] { return g }, nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -207,45 +208,80 @@ func TestAsyncTraceEvents(t *testing.T) {
 	}
 }
 
-// TestAsyncWorkloadRunsOnForeignWorkers drives NewAsyncWorkload the way
-// the scheduler does — worker loops claimed unit by unit by goroutines
-// the engine does not own — and checks the assembled grid, plus that
-// loops claimed after completion return immediately.
+// runForeign drives wl the way the scheduler does: workers goroutines
+// the engine does not own take ready tiles off one mutex-guarded queue,
+// run each with its kept continuation, and queue the rest. It returns the
+// tiles run and their cells once every worker is out of work; a tile
+// whose Run reports a canceled context stops the worker that held it.
+func runForeign(wl *Workload, workers int) (tiles, cells int64) {
+	var mu sync.Mutex
+	queue := append([]int32(nil), wl.Sources...)
+	var tilesRun, cellsRun atomic.Int64
+	var canceled atomic.Bool
+	over := func() bool { return canceled.Load() || tilesRun.Load() == int64(wl.Tiles) }
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var ready [4]int32
+			for !over() {
+				mu.Lock()
+				if len(queue) == 0 {
+					mu.Unlock()
+					runtime.Gosched()
+					continue
+				}
+				t := queue[0]
+				queue = queue[1:]
+				mu.Unlock()
+				for {
+					c, n, ok := wl.Run(t, &ready)
+					if !ok {
+						canceled.Store(true)
+						return
+					}
+					tilesRun.Add(1)
+					cellsRun.Add(int64(c))
+					if n == 0 {
+						break
+					}
+					mu.Lock()
+					queue = append(queue, ready[1:n]...)
+					mu.Unlock()
+					t = ready[0]
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return tilesRun.Load(), cellsRun.Load()
+}
+
+// TestAsyncWorkloadRunsOnForeignWorkers drives NewTileWorkload the way
+// the scheduler does — ready tiles taken and run by goroutines the engine
+// does not own — and checks the assembled grid and that every tile ran
+// exactly once.
 func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
 	p := testProblem(DepW|DepNW|DepN|DepNE, 128, 97)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, finish, err := NewAsyncWorkload(context.Background(), p, Options{NativeWorkers: 4})
+	wl, finish, err := NewTileWorkload(context.Background(), p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wl.Fronts != 1 || wl.Size(0) != 4 {
-		t.Fatalf("workload shape fronts=%d size=%d, want 1 front of 4 units", wl.Fronts, wl.Size(0))
+	if wl.Info.Solver != "sched" || wl.TotalCells != 128*97 || wl.Tiles != 128 {
+		t.Fatalf("workload solver=%q cells=%d tiles=%d, want sched, %d cells in 128 row tiles",
+			wl.Info.Solver, wl.TotalCells, wl.Tiles, 128*97)
 	}
-	if !strings.Contains(wl.Info.Solver, "async") {
-		t.Errorf("workload solver = %q, want an async name", wl.Info.Solver)
+	tiles, cells := runForeign(wl, 4)
+	if tiles != int64(wl.Tiles) || cells != wl.TotalCells {
+		t.Errorf("ran %d tiles / %d cells, want %d / %d", tiles, cells, wl.Tiles, wl.TotalCells)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			wl.Run(0, w, w+1)
-		}(w)
-	}
-	wg.Wait()
-	// A straggler claim after completion must be a no-op, not a hang.
-	done := make(chan struct{})
-	go func() {
-		wl.Run(0, 0, 4)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("post-completion Run did not return")
+	if got := wl.Front(); got != p.Rows {
+		t.Errorf("Front() after completion = %d, want %d", got, p.Rows)
 	}
 	if got := finish(); !table.EqualComparable(want, got) {
 		t.Error("workload grid differs from sequential oracle")
@@ -253,7 +289,8 @@ func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
 }
 
 // TestAsyncWorkloadCancelUnblocksLoops cancels the workload's context
-// mid-solve and checks every claimed loop returns.
+// mid-solve and checks the foreign loops stop short of the full table,
+// with Front naming a row inside it.
 func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -266,21 +303,13 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 		}
 		return inner(i, j, nb)
 	}
-	wl, _, err := NewAsyncWorkload(ctx, p, Options{NativeWorkers: 4})
+	wl, _, err := NewTileWorkload(ctx, p, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
-		var wg sync.WaitGroup
-		for w := 0; w < 4; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				wl.Run(0, w, w+1)
-			}(w)
-		}
-		wg.Wait()
+		runForeign(wl, 4)
 		close(done)
 	}()
 	select {
@@ -290,6 +319,9 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	}
 	if total := cells.Load(); total >= 256*256 {
 		t.Errorf("workload computed all %d cells despite cancellation", total)
+	}
+	if f := wl.Front(); f <= 0 || f >= p.Rows {
+		t.Errorf("Front() after cancel = %d, want a row inside (0, %d)", f, p.Rows)
 	}
 }
 

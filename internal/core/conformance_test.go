@@ -2,8 +2,9 @@
 // the byte-identical table for every dependency mask on every adversarial
 // shape. The sequential solver is the oracle; the tile engine (SolveParallel
 // on its derived row segments, SolveTiled on square tiles), the
-// level-synchronous SolvePool, and scheduler-submitted solves (front chunks
-// and the async workload) are the candidates. Instances are drawn from a seeded wraparound-mixing
+// level-synchronous SolvePool, and scheduler-submitted tile engines at 1, 2
+// and 4 workers (two solves in flight, so their tiles interleave) are the
+// candidates. Instances are drawn from a seeded wraparound-mixing
 // generator, so a failure report (mask, shape, executor, seed, first
 // mismatching cell) reproduces the instance exactly.
 //
@@ -70,7 +71,8 @@ var conformanceShapes = [][2]int{
 	{1, 33},
 	{1, 257}, // single row wider than every chunk/inline cutoff in the matrix
 	{33, 1},
-	{101, 1}, // knight fronts past the scheduler publish boundary are empty at odd t
+	{34, 1},  // knight fronts are empty at odd t; the front scheduler once hung here
+	{101, 1}, // and here, past its publish boundary
 	{3, 101}, // rows << cols
 	{101, 3}, // cols << rows
 	{31, 37}, // primes
@@ -84,10 +86,11 @@ type executorCase struct {
 	run  func(p *core.Problem[int64]) (*table.Grid[int64], error)
 }
 
-// conformanceExecutors builds the candidate list. Worker counts above the
+// conformanceExecutors builds the candidate list; the scheduler rows run
+// on schedulers the test closes at cleanup. Worker counts above the
 // machine's core count and tiny chunks/tiles are deliberate: they force
-// multi-chunk fronts and cross-front handoff even on small tables.
-func conformanceExecutors(s *sched.Scheduler) []executorCase {
+// multi-chunk fronts and cross-tile handoff even on small tables.
+func conformanceExecutors(t *testing.T) []executorCase {
 	cases := []executorCase{
 		{"SolveParallel", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveParallel(p, 4)
@@ -98,23 +101,16 @@ func conformanceExecutors(s *sched.Scheduler) []executorCase {
 		{"SolvePool/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolvePool(context.Background(), p, core.Options{NativeWorkers: 3, NativeChunk: 7})
 		}},
-		{"Scheduler", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return sched.Solve(context.Background(), s, p, sched.SubmitOptions{Chunk: 8})
-		}},
-		{"SchedulerAsync", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			wl, finish, err := core.NewAsyncWorkload(context.Background(), p, core.Options{NativeWorkers: 3})
-			if err != nil {
-				return nil, err
-			}
-			h, err := s.Submit(context.Background(), wl, sched.SubmitOptions{Chunk: 1})
-			if err != nil {
-				return nil, err
-			}
-			if err := h.Wait(); err != nil {
-				return nil, err
-			}
-			return finish(), nil
-		}},
+	}
+	for _, workers := range []int{1, 2, 4} {
+		s, err := sched.New(sched.Config{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		cases = append(cases, executorCase{fmt.Sprintf("Scheduler/%dworkers", workers), func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return schedPair(s, p)
+		}})
 	}
 	// Tile 1 is the per-cell dependency graph.
 	for _, tile := range []int{1, 3, 8} {
@@ -123,6 +119,43 @@ func conformanceExecutors(s *sched.Scheduler) []executorCase {
 		}})
 	}
 	return cases
+}
+
+// schedPair submits p and a sibling instance (every value xor-ed with a
+// constant) to s before waiting for either, so two solves are in flight
+// and their tiles interleave. The sibling is checked against its own
+// oracle here, so cross-talk between the two solves cannot cancel out;
+// p's grid is returned for the caller's check.
+func schedPair(s *sched.Scheduler, p *core.Problem[int64]) (*table.Grid[int64], error) {
+	q := *p
+	q.F = func(i, j int, nb core.Neighbors[int64]) int64 { return p.F(i, j, nb) ^ 0x5a5a }
+	q.Boundary = func(i, j int) int64 { return p.Boundary(i, j) ^ 0x5a5a }
+	ctx := context.Background()
+	var hs [2]*sched.Handle
+	var grids [2]func() *table.Grid[int64]
+	for k, prob := range []*core.Problem[int64]{p, &q} {
+		wl, finish, err := core.NewTileWorkload(ctx, prob, s.Config().Workers)
+		if err != nil {
+			return nil, err
+		}
+		if hs[k], err = s.Submit(ctx, wl, sched.SubmitOptions{}); err != nil {
+			return nil, err
+		}
+		grids[k] = finish
+	}
+	for _, h := range hs {
+		if err := h.Wait(); err != nil {
+			return nil, err
+		}
+	}
+	want, err := core.Solve(&q)
+	if err != nil {
+		return nil, err
+	}
+	if !table.EqualComparable(want, grids[1]()) {
+		return nil, fmt.Errorf("the sibling solve in flight alongside differs from its oracle")
+	}
+	return grids[0](), nil
 }
 
 // reportMismatch renders a reproducible failure: the instance coordinates
@@ -143,14 +176,9 @@ func reportMismatch(t *testing.T, exec string, seed int64, m core.DepMask, rows,
 }
 
 // TestConformanceAllMasksAllExecutors is the full differential matrix:
-// 15 masks x 10 shapes x every executor path, exact table equality.
+// 15 masks x 11 shapes x every executor path, exact table equality.
 func TestConformanceAllMasksAllExecutors(t *testing.T) {
-	s, err := sched.New(sched.Config{Workers: 4, Chunk: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	execs := conformanceExecutors(s)
+	execs := conformanceExecutors(t)
 	const seed = int64(0x5eed_1dd9)
 	for _, m := range core.AllDepMasks() {
 		for _, d := range conformanceShapes {
@@ -178,12 +206,7 @@ func TestConformanceAllMasksAllExecutors(t *testing.T) {
 // the suite is not blind to a value-dependent bug that a single seed
 // happens to miss.
 func TestConformanceSeedSweep(t *testing.T) {
-	s, err := sched.New(sched.Config{Workers: 4, Chunk: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	execs := conformanceExecutors(s)
+	execs := conformanceExecutors(t)
 	masks := []core.DepMask{
 		core.DepW | core.DepN,  // anti-diagonal
 		core.DepN,              // horizontal

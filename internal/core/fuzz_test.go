@@ -115,10 +115,8 @@ func FuzzAsyncDeps(f *testing.F) {
 			t.Fatalf("mask %s %dx%d tiles %dx%d: counters sum to %d, want %d tile pairs", m, rows, cols, e.th, e.tw, sum, len(pairs))
 		}
 		queued := make([]bool, len(e.counters))
-		for n := len(e.ready); n > 0; n-- {
-			tile := <-e.ready
+		for _, tile := range e.sources() {
 			queued[tile] = true
-			e.ready <- tile
 		}
 		for k := range queued {
 			if queued[k] == entered[k] {
@@ -130,6 +128,7 @@ func FuzzAsyncDeps(f *testing.F) {
 		if err != nil {
 			t.Skip()
 		}
+		e.startLoops()
 		var wg sync.WaitGroup
 		wg.Add(nw)
 		for k := 0; k < nw; k++ {

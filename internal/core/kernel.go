@@ -5,9 +5,8 @@ import (
 )
 
 // Cell kernels shared by the native runtimes: flat-slice cell evaluation
-// (the tile engine, the pool) and the front-indexed run(t, lo, hi)
-// closures (the pool, and Workload, the untyped handle the process-wide
-// scheduler consumes).
+// (the tile engine, in process and under the scheduler, and the pool) and
+// the front-indexed run(t, lo, hi) closures of the level-synchronous pool.
 
 // flatKernel evaluates cells straight on a row-major backing slice. The
 // generic gatherNeighbors path costs four non-inlined shape-generic calls
@@ -98,8 +97,8 @@ func (k *flatKernel[T]) edgeCell(i, j, base int) {
 // budget for cheap recurrences.
 //
 // The returned closure is safe for concurrent calls on disjoint ranges of
-// one front, which is what lets the pool and the scheduler run chunks of
-// the same front on different workers.
+// one front, which is what lets the pool run chunks of the same front on
+// different workers.
 func frontRunner[T any](p *Problem[T], w Wavefronts, g *table.Grid[T]) func(t, lo, hi int) {
 	k := newFlatKernel(p, g.RowMajorData(), g.Rows(), g.Cols())
 	switch w.Pattern {

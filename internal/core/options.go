@@ -65,11 +65,12 @@ type Options struct {
 	NativeWorkers int
 
 	// NativeChunk is the number of cells a level-synchronous pool worker
-	// (SolvePool, SolveParallel3, scheduler submissions) claims per atomic
-	// cursor bump; it doubles as the serial cutoff below which a front
-	// runs inline on the advancing worker. Zero or negative selects the
-	// default (512). Smaller chunks balance ragged fronts better; larger
-	// chunks amortize the cursor traffic. The tile engine has no chunks.
+	// (SolvePool, SolveParallel3) claims per atomic cursor bump; it
+	// doubles as the serial cutoff below which a front runs inline on the
+	// advancing worker. Zero or negative selects the default (512).
+	// Smaller chunks balance ragged fronts better; larger chunks amortize
+	// the cursor traffic. The tile engine, and so the scheduler, has no
+	// chunks.
 	NativeChunk int
 
 	// Collector receives runtime observability events (phase wall times,

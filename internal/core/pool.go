@@ -15,9 +15,8 @@ import (
 
 // Persistent worker-pool wavefront runtime: the paper's level-synchronous
 // schedule. It runs SolvePool (the baseline the tile engine is measured
-// against) and SolveParallel3's planes; the shared scheduler runs the same
-// front kernels (kernel.go) on its own workers. A pool is started once
-// per solve:
+// against) and SolveParallel3's planes; the shared scheduler runs tile
+// engines instead (NewTileWorkload). A pool is started once per solve:
 //
 //   - workers pull chunks off the current front through an atomic cursor
 //     (dynamic chunking), so ragged fronts from the Inverted-L and

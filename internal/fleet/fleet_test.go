@@ -45,7 +45,7 @@ func newTestFleet(t *testing.T, n int, cfg fleet.Config, copts ...client.Option)
 	t.Helper()
 	f := &testFleet{}
 	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Config{Workers: 2, Chunk: 8})
+		srv, err := server.New(server.Config{Workers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func TestFleetStitchDetached(t *testing.T) {
 	var clients []*client.Client
 	cfg := fleet.Config{TraceDir: dir}
 	for i := 0; i < 2; i++ {
-		srv, err := server.New(server.Config{Workers: 2, Chunk: 8, TraceDir: t.TempDir()})
+		srv, err := server.New(server.Config{Workers: 2, TraceDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,7 +23,7 @@ func newTracedFleet(t *testing.T, n int, cfg fleet.Config) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Config{Workers: 2, Chunk: 8, TraceDir: t.TempDir()})
+		srv, err := server.New(server.Config{Workers: 2, TraceDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}

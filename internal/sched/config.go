@@ -1,17 +1,19 @@
 // Package sched implements the process-wide solver scheduler: one
 // long-lived worker pool shared by many concurrent LDDP solves.
 //
-// The per-solve pool of internal/core (pool.go) saturates a machine for a
-// single wide solve but serves a solve-heavy service badly: every Solve
-// call spins workers up and tears them down, and the narrow fronts at the
-// start and end of every grow-shrink pattern leave most of the pool idle
-// behind a barrier. The scheduler inverts the structure, following the
-// pipelined/processor-aware DP scheduling line of work (Matsumae &
-// Miyazaki; Tang): workers are started once per scheduler and pull chunks
-// from *whichever* admitted solve has claimable work, so one solve's
-// narrow-front region is covered by another solve's bulk. There is no
-// per-front barrier at all — a worker that cannot claim from solve A
-// steals from solve B, and only parks when no admitted solve has work.
+// An in-process solve spins its workers up and tears them down on every
+// call, and a worker of one solve idles whenever that solve's next tile
+// waits on a neighbour. The scheduler inverts the structure, following
+// the pipelined/processor-aware DP scheduling line of work (Matsumae &
+// Miyazaki; Tang): workers are started once per scheduler, every
+// submission runs as a tile engine (core.NewTileWorkload) at the
+// scheduler's worker count, and workers pop ready tiles from *whichever*
+// admitted solve has one, so one solve's dependency stalls are covered by
+// another solve's tiles. A worker keeps the engine's keep-first
+// continuation within a solve, steals from solve B when solve A has no
+// ready tile, and only parks when no admitted solve has one. On one
+// worker a solve is a single whole-table tile, so solves there run one
+// after another rather than interleaved.
 //
 // Admission control protects the pool: submissions wait in a bounded FIFO
 // queue (overflow is a typed *Rejected error, not a block), a submission
@@ -42,9 +44,6 @@ const (
 	MaxQueueBound = 1 << 20
 	// MaxActiveBound bounds the concurrently-executing solve count.
 	MaxActiveBound = 1 << 14
-	// MaxChunk bounds the cells-per-claim chunk (scheduler-wide and
-	// per-submission).
-	MaxChunk = core.MaxNativeChunk
 	// MaxSmallBoost bounds the queue positions a small solve may jump.
 	MaxSmallBoost = 1 << 20
 )
@@ -59,18 +58,17 @@ const (
 	// DefaultSmallBoost is the number of queue positions a small
 	// submission may jump.
 	DefaultSmallBoost = 8
-	// defaultChunk matches the per-solve pool's chunk default.
-	defaultChunk = 512
 )
 
 // Config configures a Scheduler. The zero value selects all defaults:
 // min(GOMAXPROCS, NumCPU) workers, twice that many concurrently active
-// solves, a 256-deep admission queue, 512-cell chunks, and small-solve
-// priority at the 256x256 threshold with a bounded 8-position jump.
+// solves, a 256-deep admission queue, and small-solve priority at the
+// 256x256 threshold with a bounded 8-position jump.
 type Config struct {
-	// Workers is the shared pool size. <= 0 selects
+	// Workers is the shared pool size, and the worker count every
+	// submission's tile shape is cut for. <= 0 selects
 	// min(runtime.GOMAXPROCS(0), runtime.NumCPU()), the same default as
-	// the per-solve pool.
+	// an in-process solve.
 	Workers int
 
 	// QueueBound is the admission queue depth; a Submit that would exceed
@@ -80,15 +78,9 @@ type Config struct {
 
 	// MaxActive is the maximum number of solves executing concurrently.
 	// More active solves than workers keeps workers busy across one
-	// solve's narrow-front regions, so the default is 2*Workers. <= 0
+	// solve's dependency stalls, so the default is 2*Workers. <= 0
 	// selects the default.
 	MaxActive int
-
-	// Chunk is the default cells-per-claim chunk for submissions that do
-	// not set their own; it doubles as the inline cutoff below which a
-	// front is executed by the advancing worker without publication.
-	// <= 0 selects 512 (the per-solve pool default).
-	Chunk int
 
 	// SmallCells is the total-cell threshold at or below which a
 	// submission counts as small for admission priority. <= 0 selects
@@ -104,7 +96,7 @@ type Config struct {
 
 	// Collector receives the per-solve Collector events of every
 	// admitted solve (SolveStart with the scheduler-assigned SolveInfo.ID,
-	// FrontSize, SolveEnd). A Collector that also implements
+	// SolveEnd). A Collector that also implements
 	// core.SchedCollector additionally receives the SchedEvent lifecycle
 	// stream (queue depth, time-in-queue, cross-solve steals). Nil
 	// disables instrumentation.
@@ -124,9 +116,6 @@ func (c Config) Validate() error {
 	if c.MaxActive > MaxActiveBound {
 		return fmt.Errorf("sched: MaxActive %d exceeds limit %d", c.MaxActive, MaxActiveBound)
 	}
-	if c.Chunk > MaxChunk {
-		return fmt.Errorf("sched: Chunk %d exceeds limit %d", c.Chunk, MaxChunk)
-	}
 	if c.SmallBoost > MaxSmallBoost {
 		return fmt.Errorf("sched: SmallBoost %d exceeds limit %d", c.SmallBoost, MaxSmallBoost)
 	}
@@ -143,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxActive <= 0 {
 		c.MaxActive = 2 * c.Workers
-	}
-	if c.Chunk <= 0 {
-		c.Chunk = defaultChunk
 	}
 	if c.SmallCells <= 0 {
 		c.SmallCells = DefaultSmallCells
@@ -196,8 +182,8 @@ type Stats struct {
 	// admitted solves. Submitted = Done + Canceled + queued + active +
 	// (Rejected - synchronous rejections).
 	Submitted, Done, Canceled, Rejected int64
-	// Steals counts cross-solve steals: a worker claiming work from a
-	// different solve than its previous claim while both were admitted.
+	// Steals counts cross-solve steals: a worker popping a tile from a
+	// different solve than the one it ran last while both were admitted.
 	Steals int64
 	// QueueDepth and Active are the instantaneous queue and running-set
 	// sizes; PeakQueueDepth and PeakActive their high-water marks.
@@ -209,8 +195,8 @@ type Stats struct {
 
 // WorkerLoad is one scheduler worker's cumulative load.
 type WorkerLoad struct {
-	// Chunks counts claimed chunks plus inline-advanced fronts; Cells
-	// the cells computed; Busy the time inside the compute kernel.
-	Chunks, Cells int64
-	Busy          time.Duration
+	// Tiles counts the tiles run; Cells the cells computed; Busy the
+	// time inside the tile kernel.
+	Tiles, Cells int64
+	Busy         time.Duration
 }

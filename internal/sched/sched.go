@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -11,26 +12,18 @@ import (
 	"repro/internal/trace"
 )
 
-// The execution model, in one paragraph: every admitted solve exposes its
-// current wavefront as an atomic-ish cursor (guarded, like all scheduler
-// state, by one mutex — a chunk is hundreds of cells, so the critical
-// sections are a vanishing fraction of the work). Workers claim
-// [cursor, cursor+chunk) spans from whichever admitted solve has claimable
-// work, preferring the solve they claimed from last (cache affinity) and
-// counting a cross-solve steal when they switch. The worker that completes
-// the last outstanding chunk of a front advances the solve: fronts at or
-// below one chunk are executed inline (with a budget, so one narrow solve
-// cannot monopolize a worker), and the first front wide enough to share is
-// published for claiming. There is no barrier and no parked-worker
-// protocol — a front boundary in solve A costs A's workers nothing, they
-// just claim from solve B until A's next front opens.
-
-// inlineBudget is the number of at-or-below-chunk fronts one advance call
-// may execute before it must publish the next front for claiming. The
-// publication point lets other workers (or this one, after a scheduling
-// round) interleave other solves, which keeps narrow solves from pinning
-// a worker on few-core hosts.
-const inlineBudget = 32
+// The execution model, in one paragraph: every admitted solve is a tile
+// engine (core.Workload) with its own FIFO of ready tiles, guarded, like
+// all scheduler state, by one mutex. A worker pops a ready tile from
+// whichever admitted solve has one, preferring the solve it ran last
+// (cache affinity) and counting a cross-solve steal when it switches,
+// then runs it outside the mutex. Finishing a tile hands back the tiles
+// it made ready: the worker keeps the first as its next tile (the
+// engine's keep-first continuation, which needs no lock), queues the rest
+// on the solve's FIFO and wakes a parked worker for each. Workers park
+// only when no admitted solve has a ready tile, so a dependency stall in
+// solve A costs A's workers nothing: they pop solve B's tiles until A's
+// next tile is ready.
 
 type jobState uint8
 
@@ -46,7 +39,6 @@ type job struct {
 	id    int64
 	seq   int64
 	small bool
-	chunk int
 
 	wl      *core.Workload
 	ctx     context.Context
@@ -54,18 +46,16 @@ type job struct {
 	tracer  *trace.Recorder
 	enq     time.Time
 	done    chan struct{}
+	left    atomic.Int64 // tiles not yet run; reaching 0 finishes the solve
 
 	// Guarded by Scheduler.mu.
-	state     jobState
-	err       error
-	lanes     []*trace.Lane
-	front     int
-	size      int
-	cursor    int
-	pending   int  // chunks of the current front still in flight
-	advancing bool // a worker is running the inline ramp / publishing
-	canceled  bool
-	frontT0   time.Time
+	state    jobState
+	err      error
+	lanes    []*trace.Lane
+	ready    []int32 // FIFO of ready tiles; ready[head:] are not yet taken
+	head     int
+	running  int // workers inside one of this solve's tiles
+	canceled bool
 }
 
 // Scheduler is the process-wide solver scheduler: a long-lived shared
@@ -83,7 +73,8 @@ type Scheduler struct {
 	loads  []WorkerLoad
 	stats  Stats // counters only; Stats() fills the instantaneous fields
 	nextID int64
-	rr     int // round-robin start of the claim scan
+	rr     int // round-robin start of the pop scan
+	idle   int // workers parked in cond.Wait
 	closed bool
 	wg     sync.WaitGroup
 }
@@ -134,11 +125,8 @@ func (s *Scheduler) Stats() Stats {
 
 // SubmitOptions are the per-submission knobs.
 type SubmitOptions struct {
-	// Chunk overrides the scheduler's cells-per-claim chunk (and inline
-	// cutoff) for this submission; <= 0 inherits Config.Chunk.
-	Chunk int
 	// Tracer records this submission's runtime events: the queue wait
-	// (KindQueue), chunk claims, inline fronts, front completions, and
+	// (KindQueue), tiles run (KindTask), ready-queue pops (KindReady) and
 	// cross-solve steals (KindSteal). Lanes index the scheduler's global
 	// workers. Nil disables tracing. The tracer must not be read until
 	// the submission has finished.
@@ -167,7 +155,7 @@ func (h *Handle) Err() error { return h.j.err }
 // Wait blocks until the submission reaches its end state and returns its
 // outcome. If the submission's context ends first, Wait cancels the
 // submission (a queued one is rejected immediately; a running one stops
-// at chunk granularity) and still waits for the end state, so the result
+// at tile-row granularity) and still waits for the end state, so the result
 // is always one of {nil, *core.Canceled, *Rejected}.
 func (h *Handle) Wait() error {
 	j := h.j
@@ -185,20 +173,12 @@ func (h *Handle) Wait() error {
 // refused synchronously (queue full, scheduler closed, or the context
 // already ended). ctx governs both the queue wait and the run: a deadline
 // or cancellation while queued rejects the submission without running it,
-// and one mid-run cancels the solve at chunk granularity.
+// and one mid-run cancels the solve at tile-row granularity.
 func (s *Scheduler) Submit(ctx context.Context, wl *core.Workload, opts SubmitOptions) (*Handle, error) {
-	if wl == nil || wl.Size == nil || wl.Run == nil || wl.Fronts < 0 {
+	if wl == nil || wl.Run == nil || wl.Tiles <= 0 || len(wl.Sources) == 0 {
 		return nil, fmt.Errorf("sched: invalid workload")
 	}
-	chunk := opts.Chunk
-	if chunk <= 0 {
-		chunk = s.cfg.Chunk
-	}
-	if chunk > MaxChunk {
-		return nil, fmt.Errorf("sched: submission chunk %d exceeds limit %d", chunk, MaxChunk)
-	}
 	j := &job{
-		chunk:   chunk,
 		wl:      wl,
 		ctx:     ctx,
 		ctxDone: ctxDoneChan(ctx),
@@ -244,12 +224,13 @@ func (s *Scheduler) refusalLocked(j *job) error {
 	return nil
 }
 
-// Solve submits p to the scheduler and waits for the computed grid: the
-// scheduler-side analogue of core.SolveParallelContext. The error is nil,
+// Solve submits p to the scheduler as a tile engine at the scheduler's
+// worker count and waits for the computed grid: the scheduler-side
+// analogue of core.SolveParallelContext. The error is nil,
 // *core.Canceled, *Rejected, or a validation error from the problem
 // itself.
 func Solve[T any](ctx context.Context, s *Scheduler, p *core.Problem[T], opts SubmitOptions) (*table.Grid[T], error) {
-	wl, finish, err := core.NewWorkload(p, core.Options{})
+	wl, finish, err := core.NewTileWorkload(ctx, p, s.cfg.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -265,8 +246,8 @@ func Solve[T any](ctx context.Context, s *Scheduler, p *core.Problem[T], opts Su
 
 // cancel transitions a submission toward its end state after its context
 // ended: a queued submission is rejected on the spot (it never ran), an
-// active one is marked canceled and finalized once its in-flight chunks
-// drain (the workers running them notice at completion).
+// active one is marked canceled and finalized once its in-flight tiles
+// drain (the last worker out of one notices).
 func (s *Scheduler) cancel(j *job) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -275,17 +256,21 @@ func (s *Scheduler) cancel(j *job) {
 		s.finalizeLocked(j, &Rejected{ID: j.id, QueueDepth: len(s.queue) - 1, Err: ctxCause(j.ctx)})
 	case stateActive:
 		j.canceled = true
-		if j.pending == 0 && !j.advancing {
-			s.finalizeLocked(j, s.canceledErr(j, j.front))
+		if j.running == 0 {
+			s.finalizeLocked(j, s.canceledErr(j))
 		}
 	}
 }
 
-// worker is the shared pool worker loop: admit, claim, run, advance —
-// parking only when no admitted solve has claimable work.
+// worker is the shared pool worker loop: admit, pop a ready tile, run it
+// and its continuations — parking only when no admitted solve has a
+// ready tile.
 func (s *Scheduler) worker(w int) {
 	defer s.wg.Done()
-	var last *job // affinity: the solve this worker last claimed from
+	var last *job // affinity: the solve this worker last ran a tile of
+	// The tiles a finished tile readies. Run is an indirect call, so a
+	// buffer declared per run would move to the heap on every pop.
+	ready := new([4]int32)
 	s.mu.Lock()
 	for {
 		s.sweepLocked()
@@ -295,42 +280,92 @@ func (s *Scheduler) worker(w int) {
 			}
 			continue
 		}
-		if j, t, lo, hi := s.claimLocked(w, last); j != nil {
+		if j, t := s.popLocked(w, last); j != nil {
 			last = j
+			j.running++
 			s.mu.Unlock()
-			t0 := time.Now()
-			j.wl.Run(t, lo, hi)
-			dur := time.Since(t0)
-			if j.lanes != nil {
-				j.lanes[w].SpanFrom(trace.KindChunk, t, int64(lo), int64(hi), t0)
-			}
-			s.mu.Lock()
-			s.loads[w].Chunks++
-			s.loads[w].Cells += int64(hi - lo)
-			s.loads[w].Busy += dur
-			s.completeLocked(j, w)
+			s.run(w, j, t, ready)
 			continue
 		}
 		if s.closed && len(s.queue) == 0 && len(s.active) == 0 {
 			break
 		}
+		s.idle++
 		s.cond.Wait()
+		s.idle--
 	}
 	s.mu.Unlock()
 }
 
-// sweepLocked retires active solves whose context ended while they had no
-// chunks in flight (nobody would otherwise notice a dead solve that no
-// worker is touching).
+// run executes the ready tile t of j on worker w, then every tile the
+// keep-first continuation hands back, queueing the other tiles each one
+// makes ready. It is called without the mutex and returns holding it.
+func (s *Scheduler) run(w int, j *job, t int32, ready *[4]int32) {
+	var load WorkerLoad
+	canceled := false
+	for {
+		t0 := time.Now()
+		cells, n, ok := j.wl.Run(t, ready)
+		if !ok {
+			canceled = true
+			break
+		}
+		load.Tiles++
+		load.Cells += int64(cells)
+		load.Busy += time.Since(t0)
+		if j.lanes != nil {
+			// Recorded before the tile counts as run: the finalizer
+			// closes the tracer once the count reaches zero.
+			j.lanes[w].SpanFrom(trace.KindTask, int(t), 0, int64(cells), t0)
+		}
+		if j.left.Add(-1) == 0 || n == 0 {
+			break
+		}
+		if n > 1 {
+			s.mu.Lock()
+			j.ready = append(j.ready, ready[1:n]...)
+			s.wakeLocked(n - 1)
+			s.mu.Unlock()
+		}
+		t = ready[0]
+	}
+	s.mu.Lock()
+	s.loads[w].Tiles += load.Tiles
+	s.loads[w].Cells += load.Cells
+	s.loads[w].Busy += load.Busy
+	j.running--
+	if j.state != stateActive {
+		return
+	}
+	if j.left.Load() == 0 {
+		s.finalizeLocked(j, nil)
+		return
+	}
+	if canceled || j.canceled || isDone(j.ctxDone) {
+		j.canceled = true
+		if j.running == 0 {
+			s.finalizeLocked(j, s.canceledErr(j))
+		}
+	}
+}
+
+// wakeLocked wakes up to n parked workers for newly queued tiles.
+func (s *Scheduler) wakeLocked(n int) {
+	for k := min(n, s.idle); k > 0; k-- {
+		s.cond.Signal()
+	}
+}
+
+// sweepLocked retires active solves whose context ended while no worker
+// was inside one of their tiles (nobody would otherwise notice a dead
+// solve that no worker is touching).
 func (s *Scheduler) sweepLocked() {
 	for i := 0; i < len(s.active); {
 		j := s.active[i]
-		if j.state == stateActive && !j.advancing && (j.canceled || isDone(j.ctxDone)) {
+		if j.running == 0 && (j.canceled || isDone(j.ctxDone)) {
 			j.canceled = true
-			if j.pending == 0 {
-				s.finalizeLocked(j, s.canceledErr(j, j.front))
-				continue // finalize swap-removed index i; re-examine it
-			}
+			s.finalizeLocked(j, s.canceledErr(j))
+			continue // finalize swap-removed index i; re-examine it
 		}
 		i++
 	}
@@ -385,8 +420,7 @@ func (j *job) score(boost int) int64 {
 }
 
 // activateLocked moves a picked submission into the running set, emits
-// its Collector/trace bookkeeping, and runs its ramp-in via advanceLocked
-// (which may complete the whole solve inline for narrow problems).
+// its Collector/trace bookkeeping, and queues its source tiles.
 func (s *Scheduler) activateLocked(j *job, w int) {
 	j.state = stateActive
 	wait := time.Since(j.enq)
@@ -394,31 +428,26 @@ func (s *Scheduler) activateLocked(j *job, w int) {
 	if a := len(s.active); a > s.stats.PeakActive {
 		s.stats.PeakActive = a
 	}
-	j.front, j.size, j.cursor, j.pending = -1, 0, 0, 0
+	info := j.wl.Info
 	if c := s.cfg.Collector; c != nil {
-		// Emit SolveStart and the O(Fronts) FrontSize loop outside the
-		// mutex: the Collector is user code and must not stall every
-		// worker and Submit behind one admission. j.advancing keeps the
-		// solve off the finalize paths (sweep, cancel) while unlocked,
-		// and with size == 0 it is not claimable, so only this worker
-		// touches j until advanceLocked below.
-		j.advancing = true
-		s.mu.Unlock()
-		info := j.wl.Info
+		// The Collector is user code and must not stall every worker and
+		// Submit behind one admission: call it without the mutex. No
+		// worker can reach j's tiles before its sources are queued below,
+		// and running keeps the sweep and cancel from finalizing it.
 		info.ID = j.id
 		info.Workers = s.cfg.Workers
+		j.running++
+		s.mu.Unlock()
 		c.SolveStart(info)
-		for t := 0; t < j.wl.Fronts; t++ {
-			c.FrontSize(j.wl.Size(t))
-		}
 		s.mu.Lock()
+		j.running--
 	}
 	if j.tracer != nil {
 		j.tracer.BeginSolve(trace.Meta{
-			Solver: j.wl.Info.Solver, Problem: j.wl.Info.Problem,
-			Pattern: j.wl.Info.Pattern, Executed: j.wl.Info.Executed,
-			Rows: j.wl.Info.Rows, Cols: j.wl.Info.Cols,
-			Fronts: j.wl.Fronts, Workers: s.cfg.Workers,
+			Solver: info.Solver, Problem: info.Problem,
+			Pattern: info.Pattern, Executed: info.Executed,
+			Rows: info.Rows, Cols: info.Cols,
+			Fronts: info.Fronts, Workers: s.cfg.Workers,
 		})
 		j.lanes = make([]*trace.Lane, s.cfg.Workers)
 		for i := range j.lanes {
@@ -427,129 +456,51 @@ func (s *Scheduler) activateLocked(j *job, w int) {
 		j.lanes[w].SpanFrom(trace.KindQueue, -1, int64(len(s.queue)), 0, j.enq)
 	}
 	s.schedEventLocked(j, core.SchedStarted, wait)
-	s.advanceLocked(j, w)
+	j.left.Store(int64(j.wl.Tiles))
+	j.ready = j.wl.Sources
+	s.wakeLocked(len(j.ready))
 }
 
-// claimLocked hands worker w a chunk from some admitted solve: the one it
-// last claimed from if that still has claimable work (cache affinity),
-// otherwise the next claimable solve round-robin — a cross-solve steal.
-func (s *Scheduler) claimLocked(w int, last *job) (j *job, t, lo, hi int) {
-	n := len(s.active)
-	if n == 0 {
-		return nil, 0, 0, 0
-	}
-	if last != nil && claimable(last) {
-		return s.takeLocked(last, w, false)
-	}
-	for k := 0; k < n; k++ {
-		cand := s.active[(s.rr+k)%n]
-		if claimable(cand) {
-			s.rr = (s.rr + k + 1) % n
-			steal := last != nil && cand != last && last.state == stateActive
-			return s.takeLocked(cand, w, steal)
+// popLocked hands worker w a ready tile: from the solve it last ran if
+// that still has one (cache affinity), otherwise from the next solve with
+// one, round-robin — a cross-solve steal.
+func (s *Scheduler) popLocked(w int, last *job) (*job, int32) {
+	j := last
+	if j == nil || !poppable(j) {
+		j = nil
+		for k, n := 0, len(s.active); k < n; k++ {
+			if cand := s.active[(s.rr+k)%n]; poppable(cand) {
+				s.rr = (s.rr + k + 1) % n
+				j = cand
+				break
+			}
+		}
+		if j == nil {
+			return nil, 0
+		}
+		if last != nil && last.state == stateActive {
+			s.stats.Steals++
+			s.schedEventLocked(j, core.SchedSteal, 0)
+			if j.lanes != nil {
+				j.lanes[w].Instant(trace.KindSteal, -1, j.id, 0)
+			}
 		}
 	}
-	return nil, 0, 0, 0
+	t := j.ready[j.head]
+	j.head++
+	if j.head == len(j.ready) {
+		j.ready, j.head = j.ready[:0], 0
+	}
+	if j.lanes != nil {
+		j.lanes[w].Instant(trace.KindReady, int(t), int64(len(j.ready)-j.head), int64(j.wl.Tiles)-j.left.Load())
+	}
+	return j, t
 }
 
-// claimable reports whether a solve has an unclaimed span on a published
-// front. Pure — the cancellation sweep is sweepLocked's job.
-func claimable(j *job) bool {
-	return j.state == stateActive && !j.advancing && !j.canceled && j.cursor < j.size
-}
-
-// takeLocked claims the next chunk of j's current front for worker w.
-func (s *Scheduler) takeLocked(j *job, w int, steal bool) (*job, int, int, int) {
-	lo := j.cursor
-	hi := lo + j.chunk
-	if hi > j.size {
-		hi = j.size
-	}
-	j.cursor = hi
-	j.pending++
-	if steal {
-		s.stats.Steals++
-		s.schedEventLocked(j, core.SchedSteal, 0)
-		if j.lanes != nil {
-			j.lanes[w].Instant(trace.KindSteal, j.front, j.id, 0)
-		}
-	}
-	return j, j.front, lo, hi
-}
-
-// completeLocked retires one finished chunk of j. The worker completing
-// the last outstanding chunk of a fully-claimed front advances the solve.
-func (s *Scheduler) completeLocked(j *job, w int) {
-	j.pending--
-	if j.pending > 0 || j.state != stateActive || j.advancing {
-		return
-	}
-	if j.canceled || isDone(j.ctxDone) {
-		j.canceled = true
-		s.finalizeLocked(j, s.canceledErr(j, j.front))
-		return
-	}
-	if j.cursor >= j.size {
-		if j.lanes != nil {
-			j.lanes[w].SpanFrom(trace.KindFront, j.front, int64(j.size), 0, j.frontT0)
-		}
-		s.advanceLocked(j, w)
-	}
-}
-
-// advanceLocked moves j past its completed front: fronts at or below one
-// chunk run inline on this worker (up to inlineBudget per call, so one
-// narrow solve cannot pin a worker), and the first front that is either
-// wide enough to share or over budget is published for claiming. On
-// return j has either a published front or is finalized; the scheduler
-// mutex is released around each inline front's compute. Callers must not
-// touch j after advanceLocked returns.
-func (s *Scheduler) advanceLocked(j *job, w int) {
-	j.advancing = true
-	j.size, j.cursor = 0, 0
-	t := j.front + 1
-	for budget := inlineBudget; ; {
-		if j.canceled || isDone(j.ctxDone) {
-			j.canceled = true
-			j.advancing = false
-			s.finalizeLocked(j, s.canceledErr(j, t))
-			return
-		}
-		if t >= j.wl.Fronts {
-			j.advancing = false
-			s.finalizeLocked(j, nil)
-			return
-		}
-		size := j.wl.Size(t)
-		if size == 0 {
-			// An empty front (e.g. knight-move fronts on a 1-column table
-			// at odd t) has nothing to run or publish. Publishing it would
-			// wedge the solve — no chunk is ever claimable, so no worker
-			// would advance past it. Skip it; it costs no inline budget.
-			t++
-			continue
-		}
-		if size > j.chunk || budget <= 0 {
-			j.front, j.size, j.cursor, j.pending = t, size, 0, 0
-			j.frontT0 = time.Now()
-			j.advancing = false
-			s.cond.Broadcast()
-			return
-		}
-		s.mu.Unlock()
-		t0 := time.Now()
-		j.wl.Run(t, 0, size)
-		dur := time.Since(t0)
-		if j.lanes != nil {
-			j.lanes[w].SpanFrom(trace.KindInline, t, 0, int64(size), t0)
-		}
-		s.mu.Lock()
-		s.loads[w].Chunks++
-		s.loads[w].Cells += int64(size)
-		s.loads[w].Busy += dur
-		budget--
-		t++
-	}
+// poppable reports whether a solve has a ready tile to hand out. Pure —
+// the cancellation sweep is sweepLocked's job.
+func poppable(j *job) bool {
+	return j.state == stateActive && !j.canceled && j.head < len(j.ready)
 }
 
 // finalizeLocked moves j to its end state: removes it from its set,
@@ -621,8 +572,13 @@ func (s *Scheduler) schedEventLocked(j *job, kind core.SchedEventKind, wait time
 	})
 }
 
-// canceledErr builds the *core.Canceled for a solve interrupted at front.
-func (s *Scheduler) canceledErr(j *job, front int) error {
+// canceledErr builds the *core.Canceled of an interrupted solve; Front is
+// the first row holding an unfinished tile.
+func (s *Scheduler) canceledErr(j *job) error {
+	front := 0
+	if j.wl.Front != nil {
+		front = j.wl.Front()
+	}
 	return &core.Canceled{Solver: "sched", Front: front, Err: ctxCause(j.ctx)}
 }
 

@@ -44,31 +44,32 @@ func testProblem(m core.DepMask, rows, cols int) *core.Problem[int64] {
 	}
 }
 
-// gateWorkload is a one-front workload whose Run blocks on gate; started
+// gateWorkload is a one-tile workload whose Run blocks on gate; started
 // is closed when the worker enters it. It pins a worker deterministically.
 func gateWorkload(started, gate chan struct{}) *core.Workload {
 	var once sync.Once
 	return &core.Workload{
 		Info:       core.SolveInfo{Solver: "sched", Problem: "gate", Rows: 1, Cols: 1, Fronts: 1},
-		Fronts:     1,
 		TotalCells: 1,
-		Size:       func(int) int { return 1 },
-		Run: func(int, int, int) {
+		Tiles:      1,
+		Sources:    []int32{0},
+		Run: func(int32, *[4]int32) (int, int, bool) {
 			once.Do(func() { close(started) })
 			<-gate
+			return 1, 0, true
 		},
 	}
 }
 
-// sizedWorkload is a trivial workload whose only interesting property is
-// its TotalCells (for admission-priority tests).
+// sizedWorkload is a trivial one-tile workload whose only interesting
+// property is its TotalCells (for admission-priority tests).
 func sizedWorkload(name string, cells int64) *core.Workload {
 	return &core.Workload{
 		Info:       core.SolveInfo{Solver: "sched", Problem: name, Rows: 1, Cols: 1, Fronts: 1},
-		Fronts:     1,
 		TotalCells: cells,
-		Size:       func(int) int { return 1 },
-		Run:        func(int, int, int) {},
+		Tiles:      1,
+		Sources:    []int32{0},
+		Run:        func(int32, *[4]int32) (int, int, bool) { return 1, 0, true },
 	}
 }
 
@@ -85,10 +86,10 @@ func (c *eventCollector) SolveStart(info core.SolveInfo) {
 	defer c.mu.Unlock()
 	c.starts = append(c.starts, info)
 }
-func (c *eventCollector) Phase(string, time.Duration)     {}
-func (c *eventCollector) FrontSize(int)                   {}
-func (c *eventCollector) WorkerStats(core.WorkerStats)    {}
-func (c *eventCollector) Transfer(core.TransferStats)     {}
+func (c *eventCollector) Phase(string, time.Duration)  {}
+func (c *eventCollector) FrontSize(int)                {}
+func (c *eventCollector) WorkerStats(core.WorkerStats) {}
+func (c *eventCollector) Transfer(core.TransferStats)  {}
 func (c *eventCollector) SolveEnd(err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -123,10 +124,9 @@ func newScheduler(t *testing.T, cfg sched.Config) *sched.Scheduler {
 }
 
 // Every mask through the scheduler must agree exactly with the sequential
-// oracle, with a chunk small enough to force multi-chunk fronts and
-// cross-front claims.
+// oracle.
 func TestSchedulerSolveMatchesSequential(t *testing.T) {
-	s := newScheduler(t, sched.Config{Workers: 4, Chunk: 8})
+	s := newScheduler(t, sched.Config{Workers: 4})
 	dims := [][2]int{{1, 1}, {1, 9}, {9, 1}, {8, 8}, {13, 37}, {37, 13}}
 	for _, m := range core.AllDepMasks() {
 		for _, d := range dims {
@@ -146,13 +146,12 @@ func TestSchedulerSolveMatchesSequential(t *testing.T) {
 	}
 }
 
-// A single-column knight-pattern table has zero-size fronts at odd t, so
-// once the inline budget runs out the advance loop lands on empty fronts.
-// Publishing one would wedge the solve forever (an empty front is never
-// claimable and has no pending chunks); the scheduler must skip them.
-// Regression test: 34x1 used to hang at the t=65 publish point.
+// A single-column knight-pattern table has zero-size fronts at odd t; the
+// front-chunk scheduler this one replaced hung on them (34x1 wedged at the
+// t=65 publish point). The tile engine has no fronts, but the shapes stay
+// as regression cases: each is a chain of one-cell tiles under NE.
 func TestSchedulerEmptyKnightFronts(t *testing.T) {
-	s := newScheduler(t, sched.Config{Workers: 2, Chunk: 8})
+	s := newScheduler(t, sched.Config{Workers: 2})
 	for _, rows := range []int{34, 101} {
 		p := testProblem(core.DepW|core.DepNE, rows, 1)
 		want, err := core.Solve(p)
@@ -174,7 +173,7 @@ func TestSchedulerEmptyKnightFronts(t *testing.T) {
 // Many concurrent submissions on a small shared pool must all complete
 // correctly — the scheduler's whole reason to exist.
 func TestSchedulerConcurrentSubmissions(t *testing.T) {
-	s := newScheduler(t, sched.Config{Workers: 4, Chunk: 16, MaxActive: 6})
+	s := newScheduler(t, sched.Config{Workers: 4, MaxActive: 6})
 	masks := core.AllDepMasks()
 	const n = 30
 	var wg sync.WaitGroup
@@ -302,16 +301,20 @@ func TestSchedulerCancelWhileRunning(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
+	// A chain of ten one-cell tiles: tile t readies tile t+1.
 	wl := &core.Workload{
-		Info:       core.SolveInfo{Solver: "sched", Problem: "cancel-mid-run", Rows: 1, Cols: 10, Fronts: 10},
-		Fronts:     10,
+		Info:       core.SolveInfo{Solver: "sched", Problem: "cancel-mid-run", Rows: 1, Cols: 10, Fronts: 1},
 		TotalCells: 10,
-		Size:       func(int) int { return 1 },
-		Run: func(t, _, _ int) {
+		Tiles:      10,
+		Sources:    []int32{0},
+		Run: func(t int32, ready *[4]int32) (int, int, bool) {
 			once.Do(func() { close(started) })
 			if t > 0 {
-				<-ctx.Done() // later fronts stall until the cancel lands
+				<-ctx.Done() // later tiles stall until the cancel lands
+				return 0, 0, false
 			}
+			ready[0] = t + 1
+			return 1, 1, true
 		},
 	}
 	h, err := s.Submit(ctx, wl, sched.SubmitOptions{})
@@ -443,10 +446,10 @@ func TestSchedulerSmallBoostIsBounded(t *testing.T) {
 	}
 }
 
-// The per-submission tracer must carry the queue span and chunk/inline
-// events of its own solve only.
+// The per-submission tracer must carry the queue span and the tile spans
+// of its own solve only, one cell per cell of the table.
 func TestSchedulerTracer(t *testing.T) {
-	s := newScheduler(t, sched.Config{Workers: 2, Chunk: 8})
+	s := newScheduler(t, sched.Config{Workers: 2})
 	rec := trace.NewRecorder(0)
 	p := testProblem(core.DepW|core.DepN, 40, 40)
 	got, err := sched.Solve(context.Background(), s, p, sched.SubmitOptions{Tracer: rec})
@@ -462,14 +465,18 @@ func TestSchedulerTracer(t *testing.T) {
 	}
 	events := rec.Events()
 	counts := map[trace.Kind]int{}
+	var cells int64
 	for _, e := range events {
 		counts[e.Kind]++
+		if e.Kind == trace.KindTask {
+			cells += e.B - e.A
+		}
 	}
 	if counts[trace.KindQueue] != 1 {
 		t.Errorf("queue spans = %d, want 1", counts[trace.KindQueue])
 	}
-	if counts[trace.KindChunk]+counts[trace.KindInline] == 0 {
-		t.Error("no chunk or inline events recorded")
+	if counts[trace.KindTask] == 0 || cells != 40*40 {
+		t.Errorf("%d tile spans covering %d cells, want tiles covering %d", counts[trace.KindTask], cells, 40*40)
 	}
 	if rec.Meta().Solver != "sched" {
 		t.Errorf("trace meta solver = %q, want \"sched\"", rec.Meta().Solver)
@@ -477,7 +484,7 @@ func TestSchedulerTracer(t *testing.T) {
 }
 
 func TestSchedulerStatsAndWorkerLoads(t *testing.T) {
-	s := newScheduler(t, sched.Config{Workers: 2, Chunk: 8})
+	s := newScheduler(t, sched.Config{Workers: 2})
 	p := testProblem(core.DepW|core.DepN, 64, 64)
 	for k := 0; k < 3; k++ {
 		if _, err := sched.Solve(context.Background(), s, p, sched.SubmitOptions{}); err != nil {
@@ -508,7 +515,6 @@ func TestConfigValidate(t *testing.T) {
 		{Workers: sched.MaxWorkers + 1},
 		{QueueBound: sched.MaxQueueBound + 1},
 		{MaxActive: sched.MaxActiveBound + 1},
-		{Chunk: sched.MaxChunk + 1},
 		{SmallBoost: sched.MaxSmallBoost + 1},
 	}
 	for i, cfg := range bad {
@@ -520,7 +526,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// Zero and negative values select defaults.
-	for _, cfg := range []sched.Config{{}, {Workers: -1, QueueBound: -1, MaxActive: -1, Chunk: -1, SmallCells: -1, SmallBoost: -1}} {
+	for _, cfg := range []sched.Config{{}, {Workers: -1, QueueBound: -1, MaxActive: -1, SmallCells: -1, SmallBoost: -1}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("default-selecting config rejected: %v", err)
 		}
@@ -532,11 +538,17 @@ func TestSubmitRejectsInvalidWorkload(t *testing.T) {
 	if _, err := s.Submit(context.Background(), nil, sched.SubmitOptions{}); err == nil {
 		t.Error("nil workload accepted")
 	}
-	if _, err := s.Submit(context.Background(), &core.Workload{Fronts: 1}, sched.SubmitOptions{}); err == nil {
-		t.Error("workload without Size/Run accepted")
+	if _, err := s.Submit(context.Background(), &core.Workload{Tiles: 1, Sources: []int32{0}}, sched.SubmitOptions{}); err == nil {
+		t.Error("workload without Run accepted")
 	}
-	wl := sizedWorkload("chunk", 1)
-	if _, err := s.Submit(context.Background(), wl, sched.SubmitOptions{Chunk: sched.MaxChunk + 1}); err == nil {
-		t.Error("oversized submission chunk accepted")
+	noSources := sizedWorkload("no-sources", 1)
+	noSources.Sources = nil
+	if _, err := s.Submit(context.Background(), noSources, sched.SubmitOptions{}); err == nil {
+		t.Error("workload without a ready tile accepted")
+	}
+	noTiles := sizedWorkload("no-tiles", 1)
+	noTiles.Tiles = 0
+	if _, err := s.Submit(context.Background(), noTiles, sched.SubmitOptions{}); err == nil {
+		t.Error("workload without tiles accepted")
 	}
 }

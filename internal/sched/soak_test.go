@@ -27,7 +27,7 @@ import (
 func runSoak(t *testing.T, n, maxDim int, seed int64) {
 	t.Helper()
 	leak := testutil.StartLeakCheck()
-	s, err := sched.New(sched.Config{Workers: 4, MaxActive: 8, QueueBound: 32, Chunk: 16})
+	s, err := sched.New(sched.Config{Workers: 4, MaxActive: 8, QueueBound: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

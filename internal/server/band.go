@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/sched"
 	"repro/internal/wire"
 	"repro/lddp"
 	"repro/lddp/api"
@@ -125,8 +124,8 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 	if req.Workload.Cells != nil {
 		return 0, fmt.Errorf("inline cells are not valid in band requests; band workloads must be seed-generated")
 	}
-	if req.Chunk < 0 || req.Chunk > sched.MaxChunk {
-		return 0, fmt.Errorf("chunk %d outside [0, %d]", req.Chunk, sched.MaxChunk)
+	if req.Chunk < 0 || req.Chunk > api.MaxChunk {
+		return 0, fmt.Errorf("chunk %d outside [0, %d]", req.Chunk, api.MaxChunk)
 	}
 	if req.DeadlineMS < 0 || req.DeadlineMS > MaxDeadlineMS {
 		return 0, fmt.Errorf("deadline_ms %d outside [0, %d]", req.DeadlineMS, MaxDeadlineMS)
@@ -289,9 +288,6 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, lddp.WithStrategy(lddp.Parallel))
 	case "async":
 		opts = append(opts, lddp.WithStrategy(lddp.Async))
-	}
-	if req.Chunk > 0 {
-		opts = append(opts, lddp.WithChunk(req.Chunk))
 	}
 	var tracer *lddp.Tracer
 	if s.cfg.TraceDir != "" {

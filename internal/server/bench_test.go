@@ -43,14 +43,13 @@ func BenchmarkServerSolveBatch8x512(b *testing.B) {
 	const (
 		batch = 8
 		size  = 512
-		chunk = 128
 	)
 	workers := runtime.GOMAXPROCS(0)
 
 	wireVariant := func(codec []client.Option, cacheBytes int64, warm bool) func(b *testing.B) {
 		return func(b *testing.B) {
 			srv, ts, c := newBenchService(b, server.Config{
-				Workers: workers, Chunk: chunk, MaxInflight: batch,
+				Workers: workers, MaxInflight: batch,
 				CacheBytes: cacheBytes,
 			}, codec...)
 			defer func() { c.Close(); ts.Close(); srv.Close() }()
@@ -71,7 +70,7 @@ func BenchmarkServerSolveBatch8x512(b *testing.B) {
 	b.Run("wire-cached", wireVariant(binary, server.DefaultCacheBytes, true))
 
 	b.Run("direct", func(b *testing.B) {
-		s, err := lddp.NewScheduler(lddp.WithSchedulerWorkers(workers), lddp.WithSchedulerChunk(chunk))
+		s, err := lddp.NewScheduler(lddp.WithSchedulerWorkers(workers))
 		if err != nil {
 			b.Fatal(err)
 		}

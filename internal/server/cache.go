@@ -21,7 +21,7 @@ const cacheEntryOverhead = 256
 // cacheKey identifies one deterministic solve. Server workloads are
 // declarative — (kind, seed, shape) rebuild the identical instance — so
 // the key is the workload tuple plus everything else that reaches the
-// executor: the dependency mask, the strategy, and the chunk override.
+// executor: the dependency mask and the strategy.
 // Inline cost payloads are content-addressed through their digest, so
 // two different grids with the same shape never collide, and the kind
 // string keeps equal seeds of different generators apart.
@@ -31,7 +31,6 @@ type cacheKey struct {
 	rows, cols int
 	mask       lddp.DepMask
 	strategy   string
-	chunk      int
 	// inlineDigest is the word-FNV digest of the inline cost cells;
 	// hasInline separates "no payload" from a payload digesting to zero.
 	inlineDigest uint64
@@ -87,7 +86,6 @@ func keyForRequest(req *api.SolveRequest, deps lddp.DepMask) cacheKey {
 		cols:     req.Cols,
 		mask:     deps,
 		strategy: req.Strategy,
-		chunk:    req.Chunk,
 	}
 	if k.kind == "" {
 		k.kind = api.KindMix

@@ -31,7 +31,7 @@ func runDrainSoak(t *testing.T, n, maxDim int, seed int64) {
 	t.Helper()
 	leak := testutil.StartLeakCheck()
 	srv, err := server.New(server.Config{
-		Workers: 4, Queue: 16, MaxInflight: 8, Chunk: 16,
+		Workers: 4, Queue: 16, MaxInflight: 8,
 		RetryAfter: 10 * time.Millisecond,
 	})
 	if err != nil {

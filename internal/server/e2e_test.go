@@ -155,7 +155,7 @@ func mustBuild(t *testing.T, req *client.SolveRequest) *lddp.Problem[int64] {
 // against one shared service, so the JSON pass populates the result
 // cache and the binary pass doubles as a cached-replay differential.
 func TestE2EDifferentialAllMasks(t *testing.T) {
-	srv, ts, _ := newTestService(t, server.Config{Workers: 4, Chunk: 8})
+	srv, ts, _ := newTestService(t, server.Config{Workers: 4})
 	const seed = int64(0x5eed_1dd9)
 	for _, codec := range e2eCodecs(t, ts) {
 		t.Run(codec.name, func(t *testing.T) {
@@ -205,7 +205,7 @@ func TestE2EDifferentialAsyncStrategy(t *testing.T) {
 // seeds so the boundary is not blind to a value-dependent bug one seed
 // happens to miss.
 func TestE2EDifferentialSeedSweep(t *testing.T) {
-	_, _, c := newTestService(t, server.Config{Workers: 4, Chunk: 8})
+	_, _, c := newTestService(t, server.Config{Workers: 4})
 	masks := []lddp.DepMask{
 		lddp.DepW | lddp.DepN,
 		lddp.DepNW,
@@ -239,7 +239,7 @@ func TestE2EDifferentialOtherKinds(t *testing.T) {
 			if codecName == "binary" {
 				opts = append(opts, client.WithCodec(client.CodecBinary))
 			}
-			_, _, c := newTestService(t, server.Config{Workers: 4, Chunk: 8, CacheBytes: -1}, opts...)
+			_, _, c := newTestService(t, server.Config{Workers: 4, CacheBytes: -1}, opts...)
 			t.Run("serve", func(t *testing.T) {
 				for _, m := range []lddp.DepMask{lddp.DepW | lddp.DepN, lddp.DepNE} {
 					req := &client.SolveRequest{
@@ -281,7 +281,7 @@ func TestE2EDifferentialOtherKinds(t *testing.T) {
 // indistinguishable from the cold solve — same digest, byte-identical
 // cells — under every codec pairing of cold and warm request.
 func TestE2ECacheReplayDifferential(t *testing.T) {
-	_, ts, _ := newTestService(t, server.Config{Workers: 4, Chunk: 8})
+	_, ts, _ := newTestService(t, server.Config{Workers: 4})
 	codecs := e2eCodecs(t, ts)
 	m := lddp.DepW | lddp.DepNW | lddp.DepNE
 	seed := int64(99)

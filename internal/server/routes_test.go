@@ -73,7 +73,7 @@ func TestRouteTable(t *testing.T) {
 // single-block correctness base case the fleet differential suite
 // builds on.
 func TestBandSolveMatchesFullTable(t *testing.T) {
-	_, ts, _ := newTestService(t, server.Config{Workers: 2, Chunk: 8})
+	_, ts, _ := newTestService(t, server.Config{Workers: 2})
 	const rows, cols, seed = 20, 17, 77
 	for _, m := range lddp.AllDepMasks() {
 		t.Run(m.String(), func(t *testing.T) {

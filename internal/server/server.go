@@ -20,10 +20,10 @@ import (
 
 // Config configures a Server. The zero value selects all defaults.
 type Config struct {
-	// Workers, Queue, MaxActive and Chunk configure the underlying
-	// shared scheduler (lddp.NewScheduler semantics: <= 0 selects the
-	// scheduler defaults).
-	Workers, Queue, MaxActive, Chunk int
+	// Workers, Queue and MaxActive configure the underlying shared
+	// scheduler (lddp.NewScheduler semantics: <= 0 selects the scheduler
+	// defaults).
+	Workers, Queue, MaxActive int
 
 	// MaxInflight bounds the solve requests admitted concurrently,
 	// in front of the scheduler's own queue: past it the server answers
@@ -219,7 +219,6 @@ func New(cfg Config) (*Server, error) {
 		lddp.WithSchedulerWorkers(cfg.Workers),
 		lddp.WithSchedulerQueue(cfg.Queue),
 		lddp.WithSchedulerMaxActive(cfg.MaxActive),
-		lddp.WithSchedulerChunk(cfg.Chunk),
 		lddp.WithSchedulerCollector(cfg.Metrics),
 	)
 	if err != nil {
@@ -518,9 +517,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		opts = append(opts, lddp.WithStrategy(lddp.Parallel))
 	case "async":
 		opts = append(opts, lddp.WithStrategy(lddp.Async))
-	}
-	if req.Chunk > 0 {
-		opts = append(opts, lddp.WithChunk(req.Chunk))
 	}
 	var tracer *lddp.Tracer
 	if s.cfg.TraceDir != "" {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/sched"
 	"repro/lddp/api"
 )
 
@@ -76,8 +75,8 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 			return fmt.Errorf("inline cost payload %dx%d exceeds the cap of %d cells", req.Rows, req.Cols, s.cfg.MaxInlineCells)
 		}
 	}
-	if req.Chunk < 0 || req.Chunk > sched.MaxChunk {
-		return fmt.Errorf("chunk %d outside [0, %d]", req.Chunk, sched.MaxChunk)
+	if req.Chunk < 0 || req.Chunk > api.MaxChunk {
+		return fmt.Errorf("chunk %d outside [0, %d]", req.Chunk, api.MaxChunk)
 	}
 	if req.DeadlineMS < 0 || req.DeadlineMS > MaxDeadlineMS {
 		return fmt.Errorf("deadline_ms %d outside [0, %d]", req.DeadlineMS, MaxDeadlineMS)

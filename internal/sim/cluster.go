@@ -144,7 +144,6 @@ func bootCluster(s *Schedule, traceDir string) (*cluster, error) {
 		}
 		cfg := server.Config{
 			Workers:     s.Workers,
-			Chunk:       8,
 			MaxInflight: s.MaxInflight,
 			RetryAfter:  time.Duration(s.RetryAfterMS) * time.Millisecond,
 			TraceDir:    filepath.Join(traceDir, fmt.Sprintf("node-%d", i)),

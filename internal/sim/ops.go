@@ -337,10 +337,10 @@ func (g *generator) solveShape(masks []lddp.DepMask) (kind, mask, strategy strin
 	if _, err := api.ResolveMask(kind, mask); err != nil {
 		mask = "" // align rejects everything but its fixed mask
 	}
-	// The async strategy (the tile engine as one scheduler front) rides a
-	// deterministic subset of solves (seeded rng, so recorded schedules
-	// replay identically), putting it under the same kills, drains,
-	// cancels and wire faults as the front-chunk strategies.
+	// Every strategy name rides a deterministic subset of solves (seeded
+	// rng, so recorded schedules replay identically); all of them run the
+	// tile engine on the node's scheduler, under the same kills, drains,
+	// cancels and wire faults.
 	strategy = []string{"", "auto", "parallel", "async"}[g.rng.Intn(4)]
 	rows = 2 + g.rng.Intn(g.cfg.MaxDim-1)
 	cols = 2 + g.rng.Intn(g.cfg.MaxDim-1)

@@ -50,11 +50,12 @@ const (
 	// KindTask spans one tile run by the dependency-driven tile engine
 	// (it has no fronts, so the tile is its busy unit). A and B carry a
 	// [0, cells) count so Cells accounting matches the chunk convention;
-	// Front is the tile's first row (display only).
+	// Front is the tile's first row in process and its tile index under
+	// the scheduler (display only).
 	KindTask
 	// KindReady is an instant sampling the tile engine's ready queue when
 	// a worker takes a tile off it: A carries the queue depth, B the
-	// finished-tile count at the sample.
+	// finished-tile count at the sample; Front is as for KindTask.
 	KindReady
 )
 

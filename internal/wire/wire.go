@@ -440,6 +440,23 @@ func (d *Decoder) Header() ([]byte, error) {
 // (pass a pooled or preallocated buffer to avoid growth) and returning
 // the extended slice.
 func (d *Decoder) Cells(dst []int64) ([]int64, error) {
+	return d.cells(dst, 0)
+}
+
+// CellsSized reads the cell section like Cells into one buffer of
+// capacity n, allocated when the first chunk arrives, so a frame without
+// cells allocates nothing and returns nil. n is the receiver's own bound
+// on the cell count, never a value read from the frame: it lowers the
+// SetMaxCells cap to n, so a frame carrying more fails with ErrFrame
+// instead of growing the buffer (and the buffer never exceeds the cap).
+func (d *Decoder) CellsSized(n int) ([]int64, error) {
+	d.maxCells = max(min(d.maxCells, int64(n)), 0)
+	return d.cells(nil, int(d.maxCells))
+}
+
+// cells reads the cell section onto dst; a positive size allocates dst
+// at that capacity when the first chunk arrives.
+func (d *Decoder) cells(dst []int64, size int) ([]int64, error) {
 	if d.state != 1 {
 		return dst, errors.New("wire: Cells outside Header..Close")
 	}
@@ -451,6 +468,9 @@ func (d *Decoder) Cells(dst []int64) ([]int64, error) {
 		}
 		if n == 0 {
 			return dst, nil
+		}
+		if dst == nil && size > 0 {
+			dst = make([]int64, 0, size)
 		}
 		dst, err = d.readCellRun(dst, n, "cell chunk")
 		if err != nil {

@@ -24,16 +24,16 @@ type SolveRequest struct {
 	Mask string `json:"mask,omitempty"`
 
 	// Strategy selects the executor: "auto" (default), "parallel", or
-	// "async" (the dependency-driven tile schedule, run as one front of
-	// worker loops) — the strategies the shared scheduler can run.
+	// "async" — the strategies the shared scheduler can run, all three as
+	// the dependency-driven tile engine.
 	Strategy string `json:"strategy,omitempty"`
 
 	// Workload selects the problem generator; the zero value is the
 	// seeded "mix" generator.
 	Workload WorkloadSpec `json:"workload"`
 
-	// Chunk overrides the scheduler's cells-per-claim chunk for this
-	// solve; 0 inherits the server default.
+	// Chunk is accepted for compatibility and checked against
+	// [0, MaxChunk], but ignored: the scheduler runs tiles, not chunks.
 	Chunk int `json:"chunk,omitempty"`
 
 	// DeadlineMS bounds the solve (queue wait + run) in milliseconds,
@@ -111,6 +111,10 @@ type ErrorBody struct {
 	// resolution.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
+
+// MaxChunk is the largest chunk field a request may carry (2^26 cells,
+// the ceiling the field had when it still steered the scheduler).
+const MaxChunk = 1 << 26
 
 // Workload kind names accepted by the server.
 const (

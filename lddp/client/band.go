@@ -42,7 +42,7 @@ func (c *Client) SolveBand(ctx context.Context, req *BandRequest) (*BandResponse
 				return nil, err
 			}
 		}
-		resp, err := c.trySolveBand(ctx, body)
+		resp, err := c.trySolveBand(ctx, req, body)
 		if err == nil {
 			return resp, nil
 		}
@@ -51,7 +51,7 @@ func (c *Client) SolveBand(ctx context.Context, req *BandRequest) (*BandResponse
 		if errors.As(err, &apiErr) && !apiErr.retryable() {
 			return nil, err
 		}
-		if errors.Is(err, ErrWireVersion) {
+		if errors.Is(err, ErrWireVersion) || errors.Is(err, ErrMismatch) {
 			return nil, err
 		}
 		if ctx.Err() != nil {
@@ -107,8 +107,9 @@ func (c *Client) encodeBandRequest(req *BandRequest) (*bytes.Buffer, error) {
 	return buf, nil
 }
 
-// trySolveBand performs one POST /v1/band/solve round trip.
-func (c *Client) trySolveBand(ctx context.Context, body *pooledBody) (*BandResponse, error) {
+// trySolveBand performs one POST /v1/band/solve round trip of req,
+// encoded in body, refusing a response for any other block.
+func (c *Client) trySolveBand(ctx context.Context, req *BandRequest, body *pooledBody) (*BandResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/band/solve", nil)
 	if err != nil {
 		return nil, err
@@ -127,19 +128,42 @@ func (c *Client) trySolveBand(ctx context.Context, body *pooledBody) (*BandRespo
 		return nil, decodeError(hresp)
 	}
 	if responseIsBinary(hresp) {
-		return decodeBinaryBandResponse(hresp)
+		return decodeBinaryBandResponse(hresp, req)
 	}
 	var out BandResponse
 	if err := json.NewDecoder(io.LimitReader(hresp.Body, 64<<20)).Decode(&out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band response: %w", err)
 	}
+	if err := checkBlock(&out, req); err != nil {
+		return nil, err
+	}
+	bRows, bCols := req.Row1-req.Row0, req.Col1-req.Col0
+	if len(out.Cells) != bRows {
+		return nil, fmt.Errorf("lddp client: band response carries %d rows for a %dx%d block", len(out.Cells), bRows, bCols)
+	}
+	for _, row := range out.Cells {
+		if len(row) != bCols {
+			return nil, fmt.Errorf("lddp client: band response carries a %d-cell row for a %dx%d block", len(row), bRows, bCols)
+		}
+	}
 	return &out, nil
 }
 
-// decodeBinaryBandResponse decodes a 200 wire-frame band response: the
-// header is the BandResponse document and the cell section carries the
-// solved block, row-major.
-func decodeBinaryBandResponse(hresp *http.Response) (*BandResponse, error) {
+// checkBlock refuses a band response for any block but the requested one.
+func checkBlock(out *BandResponse, req *BandRequest) error {
+	if out.Row0 != req.Row0 || out.Row1 != req.Row1 || out.Col0 != req.Col0 || out.Col1 != req.Col1 {
+		return fmt.Errorf("%w: band response for rows [%d,%d) x cols [%d,%d), requested rows [%d,%d) x cols [%d,%d)",
+			ErrMismatch, out.Row0, out.Row1, out.Col0, out.Col1, req.Row0, req.Row1, req.Col0, req.Col1)
+	}
+	return nil
+}
+
+// decodeBinaryBandResponse decodes a 200 wire-frame band response to
+// req: the header is the BandResponse document and the cell section
+// carries the solved block, row-major. The block lands in one buffer
+// sized from the request's own block extent, which the client can trust
+// unlike the response header.
+func decodeBinaryBandResponse(hresp *http.Response, req *BandRequest) (*BandResponse, error) {
 	d := wire.NewDecoder(io.LimitReader(hresp.Body, 64<<20))
 	defer d.Release()
 	hdr, err := d.Header()
@@ -153,14 +177,17 @@ func decodeBinaryBandResponse(hresp *http.Response) (*BandResponse, error) {
 	if err := json.Unmarshal(hdr, &out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band frame header: %w", err)
 	}
-	flat, err := d.Cells(nil)
+	if err := checkBlock(&out, req); err != nil {
+		return nil, err
+	}
+	bRows, bCols := req.Row1-req.Row0, req.Col1-req.Col0
+	flat, err := d.CellsSized(bRows * bCols)
 	if err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band frame cells: %w", err)
 	}
 	if err := d.Close(); err != nil {
 		return nil, fmt.Errorf("lddp client: verifying band frame: %w", err)
 	}
-	bRows, bCols := out.Row1-out.Row0, out.Col1-out.Col0
 	if bRows <= 0 || bCols <= 0 || bRows*bCols != len(flat) {
 		return nil, fmt.Errorf("lddp client: band frame carries %d cells for a %dx%d block", len(flat), bRows, bCols)
 	}

@@ -222,7 +222,7 @@ func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 				return nil, err
 			}
 		}
-		resp, err := c.trySolve(ctx, body)
+		resp, err := c.trySolve(ctx, req, body)
 		if err == nil {
 			return resp, nil
 		}
@@ -231,9 +231,10 @@ func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 		if errors.As(err, &apiErr) && !apiErr.retryable() {
 			return nil, err
 		}
-		if errors.Is(err, ErrWireVersion) {
-			// A version mismatch is deterministic; retrying resends the
-			// same frame at the same server.
+		if errors.Is(err, ErrWireVersion) || errors.Is(err, ErrMismatch) {
+			// A version mismatch is deterministic, and a server answering
+			// another table is broken; retrying resends the same frame at
+			// the same server.
 			return nil, err
 		}
 		if ctx.Err() != nil {
@@ -243,8 +244,9 @@ func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 	return nil, last
 }
 
-// trySolve performs one POST /v1/solve round trip.
-func (c *Client) trySolve(ctx context.Context, body *pooledBody) (*SolveResponse, error) {
+// trySolve performs one POST /v1/solve round trip of req, encoded in
+// body.
+func (c *Client) trySolve(ctx context.Context, req *SolveRequest, body *pooledBody) (*SolveResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/solve", nil)
 	if err != nil {
 		return nil, err
@@ -270,7 +272,7 @@ func (c *Client) trySolve(ctx context.Context, body *pooledBody) (*SolveResponse
 		return nil, decodeError(hresp)
 	}
 	if responseIsBinary(hresp) {
-		return decodeBinaryResponse(hresp)
+		return decodeBinaryResponse(hresp, req)
 	}
 	var out SolveResponse
 	if err := json.NewDecoder(io.LimitReader(hresp.Body, 64<<20)).Decode(&out); err != nil {

@@ -35,6 +35,13 @@ const (
 // client does not speak. Not retryable — the same frame would come back.
 var ErrWireVersion = errors.New("lddp client: unsupported binary wire version from server")
 
+// ErrMismatch: a 200 response answers a different table or block than
+// the request asked for — a binary header whose rows or cols differ from
+// the request's, or a band response for another block. Not retried
+// against the same server; the fleet coordinator moves the block to the
+// next node.
+var ErrMismatch = errors.New("lddp client: response does not match the request")
+
 // WithCodec selects the request/response encoding (default CodecJSON).
 func WithCodec(c Codec) Option {
 	return func(cl *Client) { cl.codec = c }
@@ -185,11 +192,13 @@ func responseIsBinary(hresp *http.Response) bool {
 	return strings.EqualFold(strings.TrimSpace(ct), wire.MediaType)
 }
 
-// decodeBinaryResponse decodes a 200 wire-frame response body. The
-// body is capped at the same 64MB as the JSON path — the decoder's own
-// header/cell caps bound each section, and the outer limit bounds total
-// client memory even against a server that streams garbage framing.
-func decodeBinaryResponse(hresp *http.Response) (*SolveResponse, error) {
+// decodeBinaryResponse decodes a 200 wire-frame response body to req.
+// The body is capped at the same 64MB as the JSON path — the decoder's
+// own header/cell caps bound each section, and the outer limit bounds
+// total client memory even against a server that streams garbage
+// framing. The cells land in one buffer sized from the request's own
+// rows x cols, allocated only if the frame carries cells.
+func decodeBinaryResponse(hresp *http.Response, req *SolveRequest) (*SolveResponse, error) {
 	d := wire.NewDecoder(io.LimitReader(hresp.Body, 64<<20))
 	defer d.Release()
 	hdr, err := d.Header()
@@ -203,7 +212,10 @@ func decodeBinaryResponse(hresp *http.Response) (*SolveResponse, error) {
 	if err := json.Unmarshal(hdr, &out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding response header: %w", err)
 	}
-	flat, err := d.Cells(nil)
+	if out.Rows != req.Rows || out.Cols != req.Cols {
+		return nil, fmt.Errorf("%w: response frame header is %dx%d for a %dx%d request", ErrMismatch, out.Rows, out.Cols, req.Rows, req.Cols)
+	}
+	flat, err := d.CellsSized(req.Rows * req.Cols)
 	if err != nil {
 		return nil, fmt.Errorf("lddp client: decoding response cells: %w", err)
 	}
@@ -211,7 +223,7 @@ func decodeBinaryResponse(hresp *http.Response) (*SolveResponse, error) {
 		return nil, fmt.Errorf("lddp client: verifying response frame: %w", err)
 	}
 	if len(flat) > 0 {
-		if out.Rows <= 0 || out.Cols <= 0 || out.Rows*out.Cols != len(flat) {
+		if len(flat) != req.Rows*req.Cols {
 			return nil, fmt.Errorf("lddp client: response frame carries %d cells for a %dx%d table", len(flat), out.Rows, out.Cols)
 		}
 		// One flat backing plus row headers: two allocations for the

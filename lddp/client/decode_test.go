@@ -1,0 +1,224 @@
+package client
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/wire"
+)
+
+// fakeResponse is what a fake node answers to one request: a header
+// document with the given cells, as a binary frame or as JSON.
+type fakeResponse struct {
+	header any
+	cells  []int64
+	json   bool
+}
+
+// fakeNode serves resp to every request and counts the requests.
+func fakeNode(t *testing.T, resp fakeResponse) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	var hits atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		io.Copy(io.Discard, r.Body)
+		if resp.json {
+			w.Header().Set("Content-Type", "application/json")
+			json.NewEncoder(w).Encode(resp.header)
+			return
+		}
+		w.Header().Set("Content-Type", wire.MediaType)
+		enc := wire.NewEncoder(w)
+		enc.Header(resp.header)
+		if len(resp.cells) > 0 {
+			enc.Cells(resp.cells)
+		}
+		enc.Close()
+	}))
+	t.Cleanup(ts.Close)
+	return ts, &hits
+}
+
+func seq(n int) []int64 {
+	cells := make([]int64, n)
+	for i := range cells {
+		cells[i] = int64(3*i + 1)
+	}
+	return cells
+}
+
+// TestSolveDecodeChecksRequest: a /v1/solve response is decoded against
+// the request that asked for it. A header for another table shape is an
+// ErrMismatch, refused after one attempt; a frame carrying more or fewer
+// cells than the request's rows x cols is a decode error.
+func TestSolveDecodeChecksRequest(t *testing.T) {
+	req := &SolveRequest{Rows: 3, Cols: 4, ReturnCells: true}
+	cases := []struct {
+		name     string
+		resp     fakeResponse
+		mismatch bool
+		fail     bool
+		cells    int
+	}{
+		{name: "cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(12)}, cells: 12},
+		{name: "no cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}}},
+		{name: "rows differ", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 4, Cols: 4}, cells: seq(16)}, mismatch: true},
+		{name: "cols differ", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 3}}, mismatch: true},
+		{name: "transposed", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 4, Cols: 3}, cells: seq(12)}, mismatch: true},
+		{name: "too many cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(13)}, fail: true},
+		{name: "too few cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(11)}, fail: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, hits := fakeNode(t, tc.resp)
+			c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3}), WithCodec(CodecBinary))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			resp, err := c.Solve(context.Background(), req)
+			switch {
+			case tc.mismatch:
+				if !errors.Is(err, ErrMismatch) {
+					t.Fatalf("err = %v, want ErrMismatch", err)
+				}
+				if n := hits.Load(); n != 1 {
+					t.Errorf("server saw %d attempts, want 1 (a mismatch must not retry)", n)
+				}
+			case tc.fail:
+				if err == nil || errors.Is(err, ErrMismatch) {
+					t.Fatalf("err = %v, want a decode error", err)
+				}
+			default:
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := 0
+				for i, row := range resp.Cells {
+					for j, v := range row {
+						if want := int64(3*(i*req.Cols+j) + 1); v != want {
+							t.Fatalf("cell (%d,%d) = %d, want %d", i, j, v, want)
+						}
+						got++
+					}
+				}
+				if got != tc.cells {
+					t.Errorf("decoded %d cells, want %d", got, tc.cells)
+				}
+			}
+		})
+	}
+}
+
+// TestSolveBandDecodeChecksBlock: a band response for any block but the
+// requested one — even one of the same size, which assembly would
+// otherwise accept — is an ErrMismatch on both codecs, refused after one
+// attempt; one whose cells do not fill the block is a decode error.
+func TestSolveBandDecodeChecksBlock(t *testing.T) {
+	req := &BandRequest{Rows: 16, Cols: 16, Row0: 4, Row1: 8, Col0: 2, Col1: 5, Workload: WorkloadSpec{Kind: KindMix}}
+	block := func(r0, r1, c0, c1 int) BandResponse {
+		return BandResponse{Status: "done", Row0: r0, Row1: r1, Col0: c0, Col1: c1}
+	}
+	cases := []struct {
+		name     string
+		resp     fakeResponse
+		mismatch bool
+		fail     bool
+	}{
+		{name: "binary", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(12)}},
+		{name: "json", resp: fakeResponse{header: BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
+			Cells: [][]int64{{1, 4, 7}, {10, 13, 16}, {19, 22, 25}, {28, 31, 34}}}, json: true}},
+		{name: "binary shifted rows", resp: fakeResponse{header: block(5, 9, 2, 5), cells: seq(12)}, mismatch: true},
+		{name: "binary shifted cols", resp: fakeResponse{header: block(4, 8, 3, 6), cells: seq(12)}, mismatch: true},
+		{name: "binary row1 differs", resp: fakeResponse{header: block(4, 9, 2, 5), cells: seq(15)}, mismatch: true},
+		{name: "json row0 differs", resp: fakeResponse{header: block(0, 8, 2, 5), json: true}, mismatch: true},
+		{name: "json col1 differs", resp: fakeResponse{header: block(4, 8, 2, 6), json: true}, mismatch: true},
+		{name: "json missing row", resp: fakeResponse{header: BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
+			Cells: [][]int64{{1, 4, 7}, {10, 13, 16}, {19, 22, 25}}}, json: true}, fail: true},
+		{name: "json short row", resp: fakeResponse{header: BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
+			Cells: [][]int64{{1, 4, 7}, {10, 13}, {19, 22, 25}, {28, 31, 34}}}, json: true}, fail: true},
+		{name: "binary too many cells", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(13)}, fail: true},
+		{name: "binary too few cells", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(11)}, fail: true},
+		{name: "binary no cells", resp: fakeResponse{header: block(4, 8, 2, 5)}, fail: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ts, hits := fakeNode(t, tc.resp)
+			c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3}), WithCodec(CodecBinary))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			resp, err := c.SolveBand(context.Background(), req)
+			switch {
+			case tc.mismatch:
+				if !errors.Is(err, ErrMismatch) {
+					t.Fatalf("err = %v, want ErrMismatch", err)
+				}
+				if n := hits.Load(); n != 1 {
+					t.Errorf("server saw %d attempts, want 1 (a mismatch must not retry)", n)
+				}
+			case tc.fail:
+				if err == nil || errors.Is(err, ErrMismatch) {
+					t.Fatalf("err = %v, want a decode error", err)
+				}
+			default:
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Cells) != 4 || len(resp.Cells[3]) != 3 || resp.Cells[3][2] != 34 {
+					t.Errorf("block cells = %v, want the 4x3 block ending in 34", resp.Cells)
+				}
+			}
+		})
+	}
+}
+
+// bandFrame encodes the binary band response of req's block.
+func bandFrame(tb testing.TB, req *BandRequest) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	enc := wire.NewEncoder(&buf)
+	if err := enc.Header(BandResponse{ID: 1, Status: "done", Row0: req.Row0, Row1: req.Row1,
+		Col0: req.Col0, Col1: req.Col1, Mask: "{W,N}", Digest: "0123456789abcdef"}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Cells(seq((req.Row1 - req.Row0) * (req.Col1 - req.Col0))); err != nil {
+		tb.Fatal(err)
+	}
+	if err := enc.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkBandResponseDecode512x256 decodes one 512x256 band frame the
+// way SolveBand does: the coordinator's receive cost per fleet block.
+// make bench-wire gates its allocs/op: the block lands in one buffer
+// sized from the request, so the count does not grow with the block.
+func BenchmarkBandResponseDecode512x256(b *testing.B) {
+	req := &BandRequest{Rows: 1024, Cols: 1024, Row0: 512, Row1: 1024, Col0: 256, Col1: 512}
+	frame := bandFrame(b, req)
+	body := bytes.NewReader(frame)
+	hresp := &http.Response{Body: io.NopCloser(body)}
+	b.SetBytes(int64(len(frame)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body.Reset(frame)
+		resp, err := decodeBinaryBandResponse(hresp, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(resp.Cells) != 512 {
+			b.Fatalf("decoded %d rows, want 512", len(resp.Cells))
+		}
+	}
+}

@@ -10,14 +10,15 @@ import (
 
 // Scheduler is the process-wide shared solve scheduler (alias of the
 // internal sched type): one long-lived worker pool serving many
-// concurrent solve submissions, interleaving chunks of different solves
-// on the same workers with bounded-FIFO admission control. Create one
-// with NewScheduler, submit problems with Submit, and Close it to drain.
+// concurrent solve submissions, interleaving ready tiles of different
+// solves on the same workers with bounded-FIFO admission control. Create
+// one with NewScheduler, submit problems with Submit, and Close it to
+// drain.
 //
 // Use a Scheduler instead of concurrent Solve calls when many solves
 // share one process: N concurrent Solve calls each spin up their own
-// pool and stall it on their own narrow fronts, while a Scheduler covers
-// one solve's narrow-front regions with another solve's bulk.
+// workers and idle them on their own dependency stalls, while a
+// Scheduler covers one solve's stalls with another solve's ready tiles.
 type Scheduler = sched.Scheduler
 
 // SchedulerStats is a point-in-time snapshot of a Scheduler's counters.
@@ -81,13 +82,6 @@ func WithSchedulerMaxActive(n int) SchedulerOption {
 	return func(c *sched.Config) { c.MaxActive = n }
 }
 
-// WithSchedulerChunk sets the default cells-per-claim chunk for
-// submissions that do not set their own via WithChunk; zero or negative
-// selects 512.
-func WithSchedulerChunk(n int) SchedulerOption {
-	return func(c *sched.Config) { c.Chunk = n }
-}
-
 // WithSchedulerCollector attaches an observability sink to every solve
 // the scheduler admits. SolveStart events carry the scheduler-assigned
 // SolveInfo.ID; a sink that also implements SchedCollector (e.g.
@@ -143,25 +137,23 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 	return s.finish(), nil
 }
 
-// Submit enqueues a problem on the shared scheduler. The per-solve
-// options honored are WithChunk (claim granularity) and WithTracer (a
-// per-submission Tracer recording queue wait, chunk claims, and steals);
-// WithWorkers is ignored — the scheduler owns the pool — and WithCollector
-// is rejected in favor of the scheduler-wide WithSchedulerCollector.
-// Only the Auto, Parallel and Async strategies can run on the scheduler.
-//
-// An Async submission is a single front of independent worker loops over
-// the dependency-driven tile engine (core.NewAsyncWorkload), claimed one
-// loop at a time, so scheduler workers join and leave the solve like any
-// other chunked submission. Auto and Parallel submissions run the
-// scheduler's own front chunks.
+// Submit enqueues a problem on the shared scheduler. Only the Auto,
+// Parallel and Async strategies can run there, and all three run the same
+// way: the problem is built once as a dependency-driven tile engine, cut
+// for the scheduler's worker count exactly as Solve cuts it for
+// WithWorkers, and scheduler workers pop its ready tiles alongside those
+// of every other admitted solve. The per-solve option honored is
+// WithTracer (a per-submission Tracer recording queue wait, tiles, and
+// steals); WithWorkers and WithChunk are ignored — the scheduler owns the
+// pool and the tile shape — and WithCollector is rejected in favor of the
+// scheduler-wide WithSchedulerCollector.
 //
 // A nil error means the submission was accepted; its outcome arrives via
 // the Submission. A *Rejected error means it was refused synchronously
 // (queue full, scheduler closed, or the context already ended). ctx
 // governs both the queue wait and the run: expiry while queued rejects
 // the submission without running it, expiry mid-run cancels the solve at
-// chunk granularity.
+// tile-row granularity.
 func Submit[T any](ctx context.Context, s *Scheduler, p *Problem[T], options ...Option) (*Submission[T], error) {
 	cfg := config{strategy: Auto, opts: core.Options{TSwitch: -1, TShare: -1}}
 	for _, o := range options {
@@ -176,27 +168,14 @@ func Submit[T any](ctx context.Context, s *Scheduler, p *Problem[T], options ...
 	if cfg.opts.Collector != nil {
 		return nil, fmt.Errorf("lddp: per-submission collectors are not supported; attach one scheduler-wide with WithSchedulerCollector")
 	}
-	var (
-		wl     *core.Workload
-		finish func() *Grid[T]
-		err    error
-		chunk  = cfg.opts.NativeChunk
-	)
-	if cfg.strategy == Async {
-		// The async workload's "cells" are whole worker loops; cap them at
-		// the scheduler's pool size and claim them one at a time.
-		if w := s.Config().Workers; cfg.opts.NativeWorkers <= 0 || cfg.opts.NativeWorkers > w {
-			cfg.opts.NativeWorkers = w
-		}
-		wl, finish, err = core.NewAsyncWorkload(ctx, p, cfg.opts)
-		chunk = 1
-	} else {
-		wl, finish, err = core.NewWorkload(p, cfg.opts)
+	if err := cfg.opts.Validate(); err != nil {
+		return nil, err
 	}
+	wl, finish, err := core.NewTileWorkload(ctx, p, s.Config().Workers)
 	if err != nil {
 		return nil, err
 	}
-	h, err := s.Submit(ctx, wl, sched.SubmitOptions{Chunk: chunk, Tracer: cfg.opts.Tracer})
+	h, err := s.Submit(ctx, wl, sched.SubmitOptions{Tracer: cfg.opts.Tracer})
 	if err != nil {
 		return nil, err
 	}

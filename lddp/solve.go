@@ -35,10 +35,9 @@ const (
 	// Multi runs the multi-accelerator extension (horizontal-pattern
 	// problems; requires WithAccelerators).
 	Multi
-	// Async is the dependency-driven tile schedule under its own name: in
-	// Solve it runs exactly as Parallel does; on the shared scheduler it
-	// runs the tile engine as one front of worker loops instead of the
-	// scheduler's front chunks (see Submit).
+	// Async is the dependency-driven tile schedule under its own name: it
+	// runs exactly as Parallel does, in Solve and on the shared scheduler
+	// (see Submit).
 	Async
 )
 
@@ -99,9 +98,9 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.NativeWorkers = n }
 }
 
-// WithChunk sets the cells-per-claim chunk (and serial cutoff) of
-// scheduler submissions (Submit). Zero or negative selects the default
-// (512). Solve's strategies have no chunks and ignore it.
+// WithChunk is kept for compatibility and ignored: neither Solve's
+// strategies nor the shared scheduler (Submit) run in chunks any more.
+// Values past the old ceiling are still reported as an error.
 func WithChunk(n int) Option {
 	return func(c *config) { c.opts.NativeChunk = n }
 }
