@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet check race bench bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
+.PHONY: all build test vet format check race bench bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
 
 all: build vet test
 
@@ -15,8 +15,14 @@ vet:
 test:
 	$(GO) test ./...
 
-# The per-PR gate: build, vet (the concurrency code leans on it), tests.
-check: build vet test
+# Fails when a tracked Go file is not gofmt-formatted; `gofmt -l .` lists
+# the offenders.
+format:
+	test -z "$$(git ls-files '*.go' | xargs gofmt -l)"
+
+# The per-PR gate: formatting, build, vet (the concurrency code leans on
+# it), tests.
+check: format build vet test
 
 # Race-detector pass over the whole module; the executor tests in
 # internal/core are written to stress the pool's epoch barrier and the

@@ -24,7 +24,6 @@ import (
 	"repro/internal/problems"
 	"repro/internal/sched"
 	"repro/internal/server"
-	"repro/internal/table"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -145,30 +144,6 @@ func BenchmarkSimSubmit(b *testing.B) {
 	prev := hetsim.NoOp
 	for i := 0; i < b.N; i++ {
 		prev = s.Submit(op, prev)
-	}
-}
-
-// Layout index maps, the hot path of every cell access.
-func BenchmarkLayoutIndex(b *testing.B) {
-	layouts := []struct {
-		name string
-		l    table.Layout
-	}{
-		{"RowMajor", table.RowMajor{}},
-		{"AntiDiagMajor", table.AntiDiagMajor{}},
-		{"LMajor", table.LMajor{}},
-		{"KnightMajor", table.NewKnightMajor(1024, 1024)},
-	}
-	for _, lt := range layouts {
-		b.Run(lt.name, func(b *testing.B) {
-			sink := 0
-			for i := 0; i < b.N; i++ {
-				sink += lt.l.Index(1024, 1024, i%1024, (i*7)%1024)
-			}
-			if sink == -1 {
-				b.Fatal("impossible")
-			}
-		})
 	}
 }
 

@@ -87,9 +87,9 @@ func runAntiDiagonal[T any](e *heteroExec[T], tSwitch, tShare int) error {
 			}
 			lastGPU = e.gpuOp(t, cpuCount, size, "gpu:p2", lastGPU, upload, syncUp, b1, b2)
 		}
-		if cpuCount > 0 && gpuCount > 0 {
-			// One boundary cell (row tShare-1) feeds the GPU's W/NW/N reads
-			// on the next two fronts.
+		if cpuCount > 0 && firstRow+cpuCount == tShare && tShare < e.w.Rows && t+1 < p3Start {
+			// The CPU part ends at the boundary cell (row tShare-1), which
+			// the GPU reads through N on front t+1 and NW on front t+2.
 			h2d[t] = e.boundary(hetsim.ResCopyH2D, 1, "h2d:boundary", lastCPU)
 		}
 	}

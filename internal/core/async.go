@@ -126,7 +126,7 @@ func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw in
 	}
 	workers = min(workers, int(tiles))
 
-	g := table.NewGrid[T](p.Rows, p.Cols, nil) // nil layout = row-major
+	g := table.NewGrid[T](p.Rows, p.Cols)
 	e := &tileEngine[T]{
 		k:    newFlatKernel(p, g.RowMajorData(), p.Rows, p.Cols),
 		mask: p.Deps,

@@ -35,7 +35,7 @@ func SolveBandedContext[T any](ctx context.Context, p *Problem[T], band int, out
 		return nil, fmt.Errorf("core: outOfBand function required (an absorbing value for the recurrence)")
 	}
 	done := ctxDone(ctx)
-	g := table.NewGrid[T](p.Rows, p.Cols, nil)
+	g := table.NewGrid[T](p.Rows, p.Cols)
 	g.Fill(func(i, j int) T { return outOfBand(i, j) })
 
 	rd := bandReader[T]{g: g, band: band, outOfBand: outOfBand}

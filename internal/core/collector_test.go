@@ -14,11 +14,11 @@ type phaseSink struct {
 	walls []time.Duration
 }
 
-func (p *phaseSink) SolveStart(SolveInfo)                 {}
-func (p *phaseSink) FrontSize(int)                        {}
-func (p *phaseSink) WorkerStats(WorkerStats)              {}
-func (p *phaseSink) Transfer(TransferStats)               {}
-func (p *phaseSink) SolveEnd(error)                       {}
+func (p *phaseSink) SolveStart(SolveInfo)    {}
+func (p *phaseSink) FrontSize(int)           {}
+func (p *phaseSink) WorkerStats(WorkerStats) {}
+func (p *phaseSink) Transfer(TransferStats)  {}
+func (p *phaseSink) SolveEnd(error)          {}
 func (p *phaseSink) Phase(name string, w time.Duration) {
 	p.names = append(p.names, name)
 	p.walls = append(p.walls, w)

@@ -14,9 +14,10 @@
 //
 //   - Solve: sequential reference (row-major fill).
 //   - SolveParallel: real goroutine wavefront solver for multicore hosts.
-//   - SolveHetero: the paper's heterogeneous framework, executed against a
-//     simulated CPU+GPU platform (internal/hetsim); computes real cell
-//     values and a deterministic simulated timeline.
+//   - SolveHetero: the paper's heterogeneous framework, planned against a
+//     simulated CPU+GPU platform (internal/hetsim) into a deterministic
+//     simulated timeline; the cell values come from the native tile
+//     engine.
 //   - SolveCPUOnly / SolveGPUOnly: simulated single-device baselines used
 //     by the paper's figures.
 //

@@ -4,41 +4,35 @@ import (
 	"context"
 
 	"repro/internal/hetsim"
-	"repro/internal/table"
 )
 
 // heteroExec carries the state shared by all strategy implementations: the
-// (canonicalized) problem, its wavefront space, the real DP grid being
-// filled, and the simulator collecting the timing DAG.
+// (canonicalized) problem, its wavefront space, and the simulator
+// collecting the timing DAG.
 //
-// Correctness and timing are decoupled by construction: every cpuOp/gpuOp
-// first evaluates the recurrence for its cell range (in front order, which
-// is dependency-safe) and then submits a timed operation describing what
-// the corresponding device would have done.
+// Correctness and timing are decoupled: the strategies only plan, each
+// cpuOp/gpuOp submitting a timed operation for what its device would do
+// with a cell range, and the caller fills the table afterwards on the tile
+// engine. Any dependency-respecting order yields the same table, and
+// TestTimelineLegal checks that every plan respects the dependencies.
 type heteroExec[T any] struct {
 	p         *Problem[T]
 	w         Wavefronts
-	g         *table.Grid[T] // nil when Options.SkipCompute
 	sim       *hetsim.Sim
 	opts      Options
-	coalesced bool // layout stores fronts contiguously
+	coalesced bool // the modelled layout stores fronts contiguously
 	bpc       int
 	ctx       context.Context
 	done      <-chan struct{} // solve context's done channel; nil = uncancellable
 }
 
 func newHeteroExec[T any](ctx context.Context, p *Problem[T], w Wavefronts, opts Options) *heteroExec[T] {
-	var g *table.Grid[T]
-	if !opts.SkipCompute {
-		g = table.NewGrid[T](p.Rows, p.Cols, opts.Layout)
-	}
 	return &heteroExec[T]{
 		p:         p,
 		w:         w,
-		g:         g,
 		sim:       hetsim.NewSim(opts.Platform),
 		opts:      opts,
-		coalesced: opts.Layout.Name() == w.PreferredLayout().Name(),
+		coalesced: !opts.Uncoalesced,
 		bpc:       p.bytesPerCell(),
 		ctx:       ctx,
 		done:      ctxDone(ctx),
@@ -54,28 +48,15 @@ func (e *heteroExec[T]) cancelErr(solver string, front int) error {
 	return canceledErr(e.ctx, solver, front)
 }
 
-// compute evaluates cells [lo, hi) of front t into the grid.
-func (e *heteroExec[T]) compute(t, lo, hi int) {
-	if e.g == nil {
-		return
-	}
-	rd := gridReader[T]{e.g}
-	for k := lo; k < hi; k++ {
-		i, j := e.w.Cell(t, k)
-		e.g.Set(i, j, e.p.F(i, j, gatherNeighbors(e.p, rd, i, j)))
-	}
-}
-
-// cpuOp computes cells [lo, hi) of front t and submits the corresponding
-// CPU parallel region. label is the static phase label ("cpu:p1", ...);
-// the front index is carried as a tag and only rendered into the label by
-// trace sinks (OpRecord.FullLabel), so the per-front hot path submits ops
-// without any string formatting or allocation.
+// cpuOp submits the CPU parallel region computing cells [lo, hi) of front
+// t. label is the static phase label ("cpu:p1", ...); the front index is
+// carried as a tag and only rendered into the label by trace sinks
+// (OpRecord.FullLabel), so the per-front hot path submits ops without any
+// string formatting or allocation.
 func (e *heteroExec[T]) cpuOp(t, lo, hi int, label string, deps ...hetsim.OpID) hetsim.OpID {
 	if hi <= lo {
 		return hetsim.NoOp
 	}
-	e.compute(t, lo, hi)
 	cells := hi - lo
 	cpu := e.opts.Platform.CPU
 	var dur = cpu.RegionDuration(cells, e.coalesced)
@@ -91,14 +72,13 @@ func (e *heteroExec[T]) cpuOp(t, lo, hi int, label string, deps ...hetsim.OpID) 
 	}, t, deps...)
 }
 
-// gpuOp computes cells [lo, hi) of front t and submits the corresponding
-// kernel launch. label is the static phase label ("gpu:p2", ...); see cpuOp
-// for the lazy front tagging.
+// gpuOp submits the kernel launch computing cells [lo, hi) of front t.
+// label is the static phase label ("gpu:p2", ...); see cpuOp for the lazy
+// front tagging.
 func (e *heteroExec[T]) gpuOp(t, lo, hi int, label string, deps ...hetsim.OpID) hetsim.OpID {
 	if hi <= lo {
 		return hetsim.NoOp
 	}
-	e.compute(t, lo, hi)
 	cells := hi - lo
 	dur := e.opts.Platform.GPU.KernelDuration(cells, e.coalesced)
 	return e.sim.SubmitFront(hetsim.Op{

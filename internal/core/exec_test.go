@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/hetsim"
-	"repro/internal/table"
 )
 
 func newTestExec(t *testing.T, opts Options) *heteroExec[int64] {
@@ -21,7 +20,7 @@ func TestExecCoalescedFlag(t *testing.T) {
 	if !e.coalesced {
 		t.Error("pattern-default layout should be coalesced")
 	}
-	e2 := newTestExec(t, Options{TSwitch: 0, TShare: 0, Layout: table.RowMajor{}})
+	e2 := newTestExec(t, Options{TSwitch: 0, TShare: 0, Uncoalesced: true})
 	if e2.coalesced {
 		t.Error("row-major layout on an anti-diagonal problem should be uncoalesced")
 	}
@@ -86,15 +85,6 @@ func TestExecDisablePipelineMovesTransfersToGPU(t *testing.T) {
 	}
 }
 
-func TestExecSkipComputeLeavesGridNil(t *testing.T) {
-	e := newTestExec(t, Options{TSwitch: 0, TShare: 0, SkipCompute: true})
-	if e.g != nil {
-		t.Error("SkipCompute should not allocate a grid")
-	}
-	// compute must be a no-op, not a crash.
-	e.compute(0, 0, 1)
-}
-
 func TestOptionsWithDefaults(t *testing.T) {
 	w := NewWavefronts(AntiDiagonal, 2048, 2048)
 	o := Options{TSwitch: -1, TShare: -1}.withDefaults(w, TransferOneWay)
@@ -104,12 +94,9 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if o.TSwitch < 0 || o.TShare < 0 {
 		t.Error("auto parameters not resolved")
 	}
-	if o.Layout == nil || o.Layout.Name() != "antidiag-major" {
-		t.Errorf("default layout = %v, want antidiag-major", o.Layout)
-	}
 	// Explicit values survive.
-	o2 := Options{TSwitch: 7, TShare: 9, Layout: table.RowMajor{}}.withDefaults(w, TransferOneWay)
-	if o2.TSwitch != 7 || o2.TShare != 9 || o2.Layout.Name() != "row-major" {
+	o2 := Options{TSwitch: 7, TShare: 9, Uncoalesced: true}.withDefaults(w, TransferOneWay)
+	if o2.TSwitch != 7 || o2.TShare != 9 || !o2.Uncoalesced {
 		t.Error("explicit options overwritten by defaults")
 	}
 }
@@ -126,25 +113,5 @@ func TestResultStats(t *testing.T) {
 	}
 	if st.CPUCells+st.GPUCells != 64*64 {
 		t.Errorf("stats account for %d cells, want %d", st.CPUCells+st.GPUCells, 64*64)
-	}
-}
-
-func TestPreferredLayoutFor(t *testing.T) {
-	cases := []struct {
-		m        DepMask
-		preferIL bool
-		want     string
-	}{
-		{DepW | DepN, false, "antidiag-major"},
-		{DepNW, false, "row-major"}, // inverted-L routed through horizontal
-		{DepNW, true, "l-major"},
-		{DepW | DepNE, false, "knight-major"},
-		{DepW, false, "row-major"}, // vertical transposed to horizontal
-	}
-	for _, c := range cases {
-		p := testProblem(c.m, 8, 8)
-		if got := PreferredLayoutFor(p, c.preferIL).Name(); got != c.want {
-			t.Errorf("PreferredLayoutFor(%s, %v) = %q, want %q", c.m, c.preferIL, got, c.want)
-		}
 	}
 }

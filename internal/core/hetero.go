@@ -11,14 +11,16 @@ import (
 
 // SolveHetero runs the paper's heterogeneous framework on the problem: it
 // classifies the contributing set (Table I), symmetry-reduces the pattern,
-// selects the execution strategy and work-division parameters, and executes
-// the plan against the simulated platform while computing real cell values.
+// selects the execution strategy and work-division parameters, and plans
+// the execution on the simulated platform. The cell values come from the
+// native tile engine at Options.NativeWorkers.
 func SolveHetero[T any](p *Problem[T], opts Options) (*Result[T], error) {
 	return solveSim(context.Background(), p, opts, modeHetero)
 }
 
 // SolveHeteroContext is SolveHetero honoring a context, polled once per
-// wavefront. A canceled solve returns a nil result and a *Canceled error.
+// wavefront while planning and once per tile row while filling the table.
+// A canceled solve returns a nil result and a *Canceled error.
 func SolveHeteroContext[T any](ctx context.Context, p *Problem[T], opts Options) (*Result[T], error) {
 	return solveSim(ctx, p, opts, modeHetero)
 }
@@ -68,7 +70,7 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cp, canonical, reduction, undo := canonicalize(p)
+	cp, canonical, reduction, _ := canonicalize(p)
 
 	executed := canonical
 	if canonical == InvertedL && !opts.PreferInvertedL {
@@ -77,9 +79,6 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 	}
 	w := NewWavefronts(executed, cp.Rows, cp.Cols)
 	o := opts.withDefaults(w, TransferNeed(p.Deps))
-	if o.Layout == nil {
-		return nil, fmt.Errorf("core: nil layout after defaulting")
-	}
 
 	if c := o.Collector; c != nil {
 		c.SolveStart(SolveInfo{
@@ -117,8 +116,15 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 	if err != nil {
 		return nil, err
 	}
+	var grid *table.Grid[T]
+	if !o.SkipCompute {
+		if grid, err = fillTiles(ctx, mode.String(), p, o); err != nil {
+			return nil, err
+		}
+	}
 
 	res = &Result[T]{
+		Grid:      grid,
 		Pattern:   Classify(p.Deps),
 		Executed:  executed,
 		Reduction: reduction,
@@ -144,10 +150,15 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 	if mode != modeHetero {
 		res.TSwitch, res.TShare = 0, 0
 	}
-	if e.g != nil {
-		res.Grid = undo(e.g)
-	}
 	return res, nil
+}
+
+// fillTiles computes the table of a simulated solve on the tile engine at
+// NativeWorkers, in the problem's own orientation. The fill gets no
+// Collector or Tracer, which describe the simulated schedule, and a cancel
+// during it names solver, the simulated strategy.
+func fillTiles[T any](ctx context.Context, solver string, p *Problem[T], o Options) (*table.Grid[T], error) {
+	return solveTiles(ctx, solver, p, 0, Options{NativeWorkers: o.NativeWorkers})
 }
 
 // runDeviceOnly executes every wavefront on a single device: the pure-CPU
@@ -172,16 +183,4 @@ func runDeviceOnly[T any](e *heteroExec[T], dev hetsim.Resource) error {
 		last = e.cpuOp(t, 0, e.w.Size(t), "cpu:only", last)
 	}
 	return nil
-}
-
-// PreferredLayoutFor returns the coalescing-friendly layout the framework
-// would select for a problem, after symmetry reduction and the inverted-L
-// preference. Exposed for experiments that override Options.Layout.
-func PreferredLayoutFor[T any](p *Problem[T], preferInvertedL bool) table.Layout {
-	cp, canonical, _, _ := canonicalize(p)
-	executed := canonical
-	if canonical == InvertedL && !preferInvertedL {
-		executed = Horizontal
-	}
-	return NewWavefronts(executed, cp.Rows, cp.Cols).PreferredLayout()
 }

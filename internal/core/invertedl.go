@@ -11,10 +11,13 @@ import "repro/internal/hetsim"
 // the L); the boundary cell is shipped to the GPU each iteration, per the
 // paper's one-way transfer scheme (Table II).
 //
-// Note: with {NW} as the only dependency the diagonally sliding split is in
-// fact communication-free, since NW chains never cross it; the per-front
-// transfer here reproduces the paper's stated scheme rather than exploiting
-// that. The framework's default is anyway to solve this class through
+// Note: with {NW} as the only dependency the GPU never reads a CPU cell,
+// since NW chains run along the L and never cross the split into the GPU
+// part; the per-front H2D here reproduces the paper's stated scheme rather
+// than exploiting that. The other direction is live once tShare exceeds a
+// front's row segment: the CPU share then wraps the L's corner, and its
+// last column cell reads the previous front's first GPU cell, which ships
+// D2H. The framework's default is anyway to solve this class through
 // horizontal case-1, which §V-B measures as faster.
 //
 // The solve context is polled once per front; an observed cancellation
@@ -47,7 +50,14 @@ func runInvertedL[T any](e *heteroExec[T], tSwitch, tShare int) error {
 		gpuCount := size - cpuCount
 
 		if cpuCount > 0 {
-			lastCPU = e.cpuOp(t, 0, cpuCount, "cpu:p1", lastCPU)
+			// A CPU share wider than the row segment wraps the L's corner,
+			// and its last cell reads NW from the previous front's first
+			// GPU cell.
+			down := hetsim.NoOp
+			if t > 0 && cpuCount == tShare && tShare > e.w.Cols-t {
+				down = e.boundary(hetsim.ResCopyD2H, 1, "d2h:boundary", lastGPU)
+			}
+			lastCPU = e.cpuOp(t, 0, cpuCount, "cpu:p1", lastCPU, down)
 		}
 		if gpuCount > 0 {
 			lastGPU = e.gpuOp(t, cpuCount, size, "gpu:p1", lastGPU, upload, prevH2D)

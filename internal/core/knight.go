@@ -55,12 +55,20 @@ func runKnightMove[T any](e *heteroExec[T], tSwitch, tShare int) error {
 		return size - cpuCount, cpuCount
 	}
 
-	// Phase 1: CPU only.
+	// onFront reports whether column j holds a cell of front t.
+	onFront := func(t, j int) bool {
+		return j >= 0 && j < e.w.Cols && t >= j && (t-j)%2 == 0 && (t-j)/2 < e.w.Rows
+	}
+
+	// Phase 1: CPU only. Fronts are empty on one-column tables at odd t,
+	// and an empty front must not drop the op the sync below waits for.
 	for t := 0; t < p2Start; t++ {
 		if e.canceled() {
 			return e.cancelErr("hetero", t)
 		}
-		lastCPU = e.cpuOp(t, 0, e.w.Size(t), "cpu:p1", lastCPU)
+		if op := e.cpuOp(t, 0, e.w.Size(t), "cpu:p1", lastCPU); op != hetsim.NoOp {
+			lastCPU = op
+		}
 	}
 
 	// Phase 1 -> 2 synchronization: knight dependencies reach back three
@@ -104,8 +112,13 @@ func runKnightMove[T any](e *heteroExec[T], tSwitch, tShare int) error {
 			}
 			lastCPU = e.cpuOp(t, gpuCount, size, "cpu:p2", lastCPU, down)
 		}
-		if cpuCount > 0 && gpuCount > 0 {
+		// A boundary cell ships when the other device reads it on front
+		// t+1: the CPU's column tShare-1 through the GPU's W (and NW on
+		// t+3), the GPU's column tShare through the CPU's NE.
+		if t+1 < p3Start && onFront(t, tShare-1) && onFront(t+1, tShare) {
 			h2d[t] = e.boundary(hetsim.ResCopyH2D, 1, "h2d:boundary", lastCPU)
+		}
+		if t+1 < p3Start && onFront(t, tShare) && onFront(t+1, tShare-1) {
 			d2h[t] = e.boundary(hetsim.ResCopyD2H, 1, "d2h:boundary", lastGPU)
 		}
 	}

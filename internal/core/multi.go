@@ -53,7 +53,8 @@ func SolveHeteroMulti[T any](p *Problem[T], opts Options, accels []Accelerator, 
 }
 
 // SolveHeteroMultiContext is SolveHeteroMulti honoring a context, polled
-// once per row. A canceled solve returns a nil result and a *Canceled error.
+// once per row while planning and once per tile row while filling the
+// table. A canceled solve returns a nil result and a *Canceled error.
 func SolveHeteroMultiContext[T any](ctx context.Context, p *Problem[T], opts Options, accels []Accelerator, shares []int) (res *MultiResult[T], err error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -61,7 +62,7 @@ func SolveHeteroMultiContext[T any](ctx context.Context, p *Problem[T], opts Opt
 	if len(accels) == 0 {
 		return nil, fmt.Errorf("core: multi solve needs at least one accelerator")
 	}
-	cp, canonical, _, undo := canonicalize(p)
+	cp, canonical, _, _ := canonicalize(p)
 	executed := canonical
 	if canonical == InvertedL {
 		executed = Horizontal
@@ -105,8 +106,15 @@ func SolveHeteroMultiContext[T any](ctx context.Context, p *Problem[T], opts Opt
 	if err = runHorizontalMulti(e, accels, shares); err != nil {
 		return nil, err
 	}
+	var grid *table.Grid[T]
+	if !o.SkipCompute {
+		if grid, err = fillTiles(ctx, "multi", p, o); err != nil {
+			return nil, err
+		}
+	}
 
 	res = &MultiResult[T]{
+		Grid:     grid,
 		Shares:   shares,
 		Timeline: e.sim.Timeline(),
 	}
@@ -121,9 +129,6 @@ func SolveHeteroMultiContext[T any](ctx context.Context, p *Problem[T], opts Opt
 			Rows: cp.Rows, Cols: cp.Cols, Fronts: w.Fronts, Clock: "sim",
 		})
 		tr.ImportTimeline(res.Timeline)
-	}
-	if e.g != nil {
-		res.Grid = undo(e.g)
 	}
 	return res, nil
 }
@@ -254,7 +259,6 @@ func runHorizontalMulti[T any](e *heteroExec[T], accels []Accelerator, shares []
 		if d == 0 {
 			return e.cpuOp(row, lo, hi, "cpu:p1", deps...)
 		}
-		e.compute(row, lo, hi)
 		dur := accels[d-1].Model.KernelDuration(hi-lo, e.coalesced)
 		return e.sim.SubmitFront(hetsim.Op{
 			Resource: queues[d],

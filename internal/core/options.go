@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/hetsim"
-	"repro/internal/table"
 	"repro/internal/trace"
 )
 
@@ -26,11 +25,12 @@ type Options struct {
 	// model-derived default (DefaultTShare). Zero disables CPU sharing.
 	TShare int
 
-	// Layout overrides the DP-table memory layout. Nil selects the executed
-	// pattern's coalescing-friendly layout (paper §IV-B); choosing a
-	// mismatched layout makes GPU kernels uncoalesced and CPU fronts
-	// strided, which is the coalescing ablation.
-	Layout table.Layout
+	// Uncoalesced models a naive row-major DP table instead of the executed
+	// pattern's coalescing-friendly layout (paper §IV-B): the 2-D simulated
+	// strategies' GPU kernels run uncoalesced and their CPU fronts strided,
+	// which is the coalescing ablation. It changes simulated time only; the
+	// 3-D strategies always model plane-major storage.
+	Uncoalesced bool
 
 	// PreferInvertedL forces contributing sets that classify as Inverted-L
 	// to run the genuine inverted-L strategy. By default the framework
@@ -52,16 +52,17 @@ type Options struct {
 	// chunking, the rejected strategy of paper §IV-A.
 	CPUThreadPerCell bool
 
-	// SkipCompute runs only the timing model without evaluating the
-	// recurrence; Result.Grid is nil. The autotuner uses this to sweep
-	// parameters quickly.
+	// SkipCompute runs only the timing model: the simulated strategies plan
+	// their schedule and skip the table fill, and Result.Grid is nil. The
+	// autotuner uses this to sweep parameters quickly.
 	SkipCompute bool
 
 	// NativeWorkers is the worker count of the native executors
-	// (SolveParallel, SolveTiled, SolvePool). Zero or negative selects the
-	// default min(runtime.GOMAXPROCS(0), runtime.NumCPU()): the executors
-	// are compute-bound, so workers beyond the physical cores add no
-	// throughput.
+	// (SolveParallel, SolveTiled, SolvePool) and of the tile-engine fill
+	// that gives the simulated strategies their cell values. Zero or
+	// negative selects the default min(runtime.GOMAXPROCS(0),
+	// runtime.NumCPU()): the executors are compute-bound, so workers beyond
+	// the physical cores add no throughput.
 	NativeWorkers int
 
 	// NativeChunk is the number of cells a level-synchronous pool worker
@@ -76,7 +77,9 @@ type Options struct {
 	// Collector receives runtime observability events (phase wall times,
 	// front-size histogram, pool worker utilization and chunk claims,
 	// simulated transfer volumes). Nil — the default — disables all
-	// instrumentation at zero overhead.
+	// instrumentation at zero overhead. For the simulated strategies the
+	// Collector and the Tracer describe the simulated schedule; the table
+	// fill that computes their cell values reports to neither.
 	Collector Collector
 
 	// Tracer records per-event runtime traces (front begin/end, chunk
@@ -121,9 +124,6 @@ func (o Options) withDefaults(w Wavefronts, transfer TransferKind) Options {
 	}
 	if o.TShare < 0 {
 		o.TShare = DefaultTShare(o.Platform, w, transfer)
-	}
-	if o.Layout == nil {
-		o.Layout = w.PreferredLayout()
 	}
 	return o
 }

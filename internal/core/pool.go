@@ -360,7 +360,7 @@ func SolvePool[T any](ctx context.Context, p *Problem[T], opts Options) (grid *t
 	}
 	cp, canonical, _, undo := canonicalize(p)
 	w := NewWavefronts(canonical, cp.Rows, cp.Cols)
-	g := table.NewGrid[T](cp.Rows, cp.Cols, nil)
+	g := table.NewGrid[T](cp.Rows, cp.Cols)
 
 	coll := opts.Collector
 	if coll != nil {

@@ -47,7 +47,7 @@ func SolveResilientContext[T comparable](ctx context.Context, p *Problem[T], rep
 	done := ctxDone(ctx)
 	grids := make([]*table.Grid[T], replicas)
 	for r := range grids {
-		grids[r] = table.NewGrid[T](p.Rows, p.Cols, nil)
+		grids[r] = table.NewGrid[T](p.Rows, p.Cols)
 	}
 	rd := majorityReader[T]{grids: grids}
 	corrected := 0
@@ -72,7 +72,7 @@ func SolveResilientContext[T comparable](ctx context.Context, p *Problem[T], rep
 	}
 	// Reconstruct the majority view once more for the returned grid, so
 	// the caller sees exactly what later reads would have seen.
-	out := table.NewGrid[T](p.Rows, p.Cols, nil)
+	out := table.NewGrid[T](p.Rows, p.Cols)
 	for i := 0; i < p.Rows; i++ {
 		for j := 0; j < p.Cols; j++ {
 			out.Set(i, j, rd.at(i, j))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/table"
 )
@@ -28,38 +27,16 @@ func SolveContext[T any](ctx context.Context, p *Problem[T]) (*table.Grid[T], er
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	g := table.NewGrid[T](p.Rows, p.Cols, nil)
-	if err := fillRowMajorInto(ctx, p, g); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// SolveInto is Solve writing into a caller-provided grid (any layout),
-// avoiding the allocation; the grid dimensions must match the problem.
-func SolveInto[T any](p *Problem[T], g *table.Grid[T]) error {
-	if err := p.Validate(); err != nil {
-		return err
-	}
-	if g.Rows() != p.Rows || g.Cols() != p.Cols {
-		return fmt.Errorf("core: grid %dx%d does not match problem %dx%d",
-			g.Rows(), g.Cols(), p.Rows, p.Cols)
-	}
-	return fillRowMajorInto(context.Background(), p, g)
-}
-
-// fillRowMajorInto is the shared row-major sweep of the sequential solvers,
-// polling the context once per row.
-func fillRowMajorInto[T any](ctx context.Context, p *Problem[T], g *table.Grid[T]) error {
+	g := table.NewGrid[T](p.Rows, p.Cols)
 	done := ctxDone(ctx)
 	rd := gridReader[T]{g}
 	for i := 0; i < p.Rows; i++ {
 		if isDone(done) {
-			return canceledErr(ctx, "sequential", i)
+			return nil, canceledErr(ctx, "sequential", i)
 		}
 		for j := 0; j < p.Cols; j++ {
 			g.Set(i, j, p.F(i, j, gatherNeighbors(p, rd, i, j)))
 		}
 	}
-	return nil
+	return g, nil
 }

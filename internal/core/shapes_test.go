@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/hetsim"
-	"repro/internal/table"
 )
 
 // These tests pin the qualitative performance relationships the paper's
@@ -158,7 +157,7 @@ func TestShapeFig8InvertedLSlowerThanHorizontal(t *testing.T) {
 		// prefers horizontal case-1 with its naturally coalescing-friendly
 		// row layout.
 		oi := Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true,
-			PreferInvertedL: true, Layout: table.RowMajor{}}
+			PreferInvertedL: true, Uncoalesced: true}
 		oh := Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true}
 		ri, err := solver(p, oi)
 		if err != nil {
@@ -227,7 +226,7 @@ func TestShapeCoalescingAblation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := base
-	bad.Layout = table.RowMajor{}
+	bad.Uncoalesced = true
 	uncoalesced, err := SolveGPUOnly(p, bad)
 	if err != nil {
 		t.Fatal(err)

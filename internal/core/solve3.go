@@ -23,7 +23,7 @@ func Solve3Context[T any](ctx context.Context, p *Problem3[T]) (*table.Grid3[T],
 		return nil, err
 	}
 	done := ctxDone(ctx)
-	g := table.NewGrid3[T](p.NX, p.NY, p.NZ, nil)
+	g := table.NewGrid3[T](p.NX, p.NY, p.NZ)
 	for i := 0; i < p.NX; i++ {
 		if isDone(done) {
 			return nil, canceledErr(ctx, "sequential3", i)
@@ -77,7 +77,13 @@ func SolveParallel3Context[T any](ctx context.Context, p *Problem3[T], workers i
 // SolveParallel3Opt is SolveParallel3Context with the full Options set:
 // NativeWorkers/NativeChunk sizing plus the Collector and Tracer sinks
 // wired through the pool runtime exactly as in the 2-D executors.
-func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options) (grid *table.Grid3[T], err error) {
+func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options) (*table.Grid3[T], error) {
+	return solveParallel3(ctx, "pool3", p, opts)
+}
+
+// solveParallel3 is SolveParallel3Opt naming the solver in the
+// observability events and in *Canceled.
+func solveParallel3[T any](ctx context.Context, solver string, p *Problem3[T], opts Options) (grid *table.Grid3[T], err error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -89,7 +95,7 @@ func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options)
 	planeSize := func(s int) int { return table.PlaneSize(p.NX, p.NY, p.NZ, s) }
 	if c := opts.Collector; c != nil {
 		c.SolveStart(SolveInfo{
-			Solver: "pool3", Problem: p.Name,
+			Solver: solver, Problem: p.Name,
 			Rows: p.NX, Cols: p.NY * p.NZ, Fronts: planes, Workers: workers,
 		})
 		for s := 0; s < planes; s++ {
@@ -99,12 +105,12 @@ func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options)
 	}
 	if tr := opts.Tracer; tr != nil {
 		tr.BeginSolve(trace.Meta{
-			Solver: "pool3", Problem: p.Name,
+			Solver: solver, Problem: p.Name,
 			Rows: p.NX, Cols: p.NY * p.NZ, Fronts: planes, Workers: workers,
 		})
 		defer tr.EndSolve()
 	}
-	g := table.NewGrid3[T](p.NX, p.NY, p.NZ, nil)
+	g := table.NewGrid3[T](p.NX, p.NY, p.NZ)
 	chunk := opts.NativeChunk
 	if chunk <= 0 {
 		chunk = defaultNativeChunk
@@ -112,7 +118,7 @@ func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options)
 	// Planes grow and shrink like 2-D anti-diagonals; the pool runtime's
 	// serial cutoff keeps the small end planes on the advancing worker.
 	cfg := poolConfig{
-		solver: "pool3", phase: "planes", workers: workers, chunk: chunk,
+		solver: solver, phase: "planes", workers: workers, chunk: chunk,
 		coll: opts.Collector, rec: opts.Tracer,
 	}
 	err = runWavefronts(ctx, cfg, planes, planeSize, func(s, lo, hi int) {
@@ -144,12 +150,14 @@ func (r *Result3[T]) Duration() time.Duration { return r.Timeline.Makespan() }
 // smaller coordinates, so — exactly as in 2-D — the CPU band never reads
 // GPU cells and the boundary traffic is strictly one-way CPU->GPU.
 // The simulated kernels assume the plane-major layout (coalesced fronts).
+// The cell values come from SolveParallel3's plane pool.
 func SolveHetero3[T any](p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(context.Background(), p, opts, modeHetero)
 }
 
 // SolveHetero3Context is SolveHetero3 honoring a context, polled once per
-// plane. A canceled solve returns a nil result and a *Canceled error.
+// plane while planning and once per chunk while filling the table. A
+// canceled solve returns a nil result and a *Canceled error.
 func SolveHetero3Context[T any](ctx context.Context, p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(ctx, p, opts, modeHetero)
 }
@@ -238,10 +246,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 		opts.TShare = lo
 	}
 
-	var g *table.Grid3[T]
-	if !opts.SkipCompute {
-		g = table.NewGrid3[T](p.NX, p.NY, p.NZ, nil)
-	}
 	sim := hetsim.NewSim(opts.Platform)
 	bpc := p.bytesPerCell()
 
@@ -259,35 +263,26 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 		defer func() { coll.SolveEnd(err) }()
 	}
 
-	compute := func(s, lo, hi int) {
-		if g == nil {
-			return
-		}
-		forEachPlaneCell(p, s, lo, hi, func(i, j, k int) {
-			g.Set(i, j, k, p.F(i, j, k, gather3(p, g, i, j, k)))
-		})
-	}
+	// The plane index rides along as the op's front tag.
 	cpuOp := func(s, lo, hi int, deps ...hetsim.OpID) hetsim.OpID {
 		if hi <= lo {
 			return hetsim.NoOp
 		}
-		compute(s, lo, hi)
-		return sim.Submit(hetsim.Op{
+		return sim.SubmitFront(hetsim.Op{
 			Resource: hetsim.ResCPU, Kind: hetsim.OpCompute,
 			Duration: opts.Platform.CPU.RegionDuration(hi-lo, true),
 			Label:    "cpu:plane", Cells: hi - lo,
-		}, deps...)
+		}, s, deps...)
 	}
 	gpuOp := func(s, lo, hi int, deps ...hetsim.OpID) hetsim.OpID {
 		if hi <= lo {
 			return hetsim.NoOp
 		}
-		compute(s, lo, hi)
-		return sim.Submit(hetsim.Op{
+		return sim.SubmitFront(hetsim.Op{
 			Resource: hetsim.ResGPU, Kind: hetsim.OpCompute,
 			Duration: opts.Platform.GPU.KernelDuration(hi-lo, true),
 			Label:    "gpu:plane", Cells: hi - lo,
-		}, deps...)
+		}, s, deps...)
 	}
 
 	cpuCells := func(s int) int { return bandCells(s, opts.TShare) }
@@ -366,7 +361,11 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 				if nCPU < size {
 					lastGPU = gpuOp(s, nCPU, size, lastGPU, syncUp, prevBoundary)
 				}
-				if nCPU > 0 && nCPU < size {
+				// The CPU part ends in layer tShare-1 when that layer has
+				// cells on plane s; the GPU's layer tShare reads them from
+				// plane s+1 on.
+				_, edge := table.PlaneRowSpan(p.NY, p.NZ, s, opts.TShare-1)
+				if opts.TShare >= 1 && opts.TShare < p.NX && edge > 0 && s+1 < p3Start {
 					if coll != nil {
 						coll.Transfer(TransferStats{Boundary: true, ToDevice: true, Bytes: bpc, Cells: 1})
 					}
@@ -377,6 +376,16 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 					}, lastCPU)
 				}
 			}
+		}
+	}
+
+	var g *table.Grid3[T]
+	if !opts.SkipCompute {
+		// The cell values come from the native plane pool, which gets no
+		// Collector or Tracer: those describe the simulated schedule.
+		fill := Options{NativeWorkers: opts.NativeWorkers, NativeChunk: opts.NativeChunk}
+		if g, err = solveParallel3(ctx, solver, p, fill); err != nil {
+			return nil, err
 		}
 	}
 

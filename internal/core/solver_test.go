@@ -71,29 +71,6 @@ func TestSolveValidates(t *testing.T) {
 	}
 }
 
-func TestSolveIntoMismatch(t *testing.T) {
-	p := testProblem(DepN, 3, 3)
-	g := table.NewGrid[int64](2, 3, nil)
-	if err := SolveInto(p, g); err == nil {
-		t.Error("expected dimension mismatch error")
-	}
-}
-
-func TestSolveIntoMatchesSolve(t *testing.T) {
-	p := testProblem(DepW|DepN, 7, 9)
-	want, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := table.NewGrid[int64](7, 9, table.AntiDiagMajor{})
-	if err := SolveInto(p, g); err != nil {
-		t.Fatal(err)
-	}
-	if !table.EqualComparable(want, g) {
-		t.Error("SolveInto differs from Solve")
-	}
-}
-
 // SolveParallel must agree with Solve for every contributing set (which
 // exercises every canonical pattern and both symmetry reductions) and for
 // shapes wider, taller, and degenerate.
@@ -345,7 +322,7 @@ func TestSolveHeteroLowPlatform(t *testing.T) {
 func TestSolveHeteroCustomLayoutStillCorrect(t *testing.T) {
 	p := testProblem(DepW|DepN, 30, 30)
 	want, _ := Solve(p)
-	res, err := SolveHetero(p, Options{TSwitch: 5, TShare: 5, Layout: table.RowMajor{}})
+	res, err := SolveHetero(p, Options{TSwitch: 5, TShare: 5, Uncoalesced: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func Transposed[T any](p *Problem[T]) (*Problem[T], func(*table.Grid[T]) *table.
 		tp.Boundary = func(i, j int) T { return orig.Boundary(j, i) }
 	}
 	undo := func(g *table.Grid[T]) *table.Grid[T] {
-		out := table.NewGrid[T](orig.Rows, orig.Cols, nil)
+		out := table.NewGrid[T](orig.Rows, orig.Cols)
 		for i := 0; i < orig.Rows; i++ {
 			for j := 0; j < orig.Cols; j++ {
 				out.Set(i, j, g.At(j, i))
@@ -60,7 +60,7 @@ func MirroredColumns[T any](p *Problem[T]) (*Problem[T], func(*table.Grid[T]) *t
 		mp.Boundary = func(i, j int) T { return orig.Boundary(i, last-j) }
 	}
 	undo := func(g *table.Grid[T]) *table.Grid[T] {
-		out := table.NewGrid[T](orig.Rows, orig.Cols, nil)
+		out := table.NewGrid[T](orig.Rows, orig.Cols)
 		for i := 0; i < orig.Rows; i++ {
 			for j := 0; j < orig.Cols; j++ {
 				out.Set(i, j, g.At(i, last-j))

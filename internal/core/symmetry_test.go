@@ -90,7 +90,7 @@ func TestCanonicalizeIdentityForCanonicalPatterns(t *testing.T) {
 		if cp != p {
 			t.Errorf("%s: canonicalize should return the problem unchanged", m)
 		}
-		g := table.NewGrid[int64](5, 5, nil)
+		g := table.NewGrid[int64](5, 5)
 		if undo(g) != g {
 			t.Errorf("%s: identity undo should return the same grid", m)
 		}

@@ -65,7 +65,8 @@ func (w Wavefronts) Size(t int) int {
 }
 
 // Cell returns the coordinates of the k-th cell of front t. Cells within a
-// front are ordered as their coalescing-friendly layout stores them:
+// front are ordered as the pattern's coalescing-friendly layout (paper
+// §IV-B) would store them, and the strategies split fronts by this index:
 // anti-diagonal and knight fronts by increasing row, horizontal fronts by
 // increasing column, inverted-L fronts row segment first then column
 // segment.
@@ -121,21 +122,4 @@ func (w Wavefronts) MaxWidth() int {
 		}
 	}
 	return widest
-}
-
-// PreferredLayout returns the memory layout that stores this pattern's
-// fronts contiguously (paper §IV-B).
-func (w Wavefronts) PreferredLayout() table.Layout {
-	switch w.Pattern {
-	case AntiDiagonal:
-		return table.AntiDiagMajor{}
-	case Horizontal:
-		return table.RowMajor{}
-	case InvertedL:
-		return table.LMajor{}
-	case KnightMove:
-		return table.NewKnightMajor(w.Rows, w.Cols)
-	default:
-		return table.RowMajor{}
-	}
 }

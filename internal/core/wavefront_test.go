@@ -180,21 +180,6 @@ func TestWavefrontsSizeOutOfRange(t *testing.T) {
 	}
 }
 
-func TestPreferredLayouts(t *testing.T) {
-	want := map[Pattern]string{
-		AntiDiagonal: "antidiag-major",
-		Horizontal:   "row-major",
-		InvertedL:    "l-major",
-		KnightMove:   "knight-major",
-	}
-	for p, name := range want {
-		w := NewWavefronts(p, 4, 5)
-		if got := w.PreferredLayout().Name(); got != name {
-			t.Errorf("%s preferred layout = %q, want %q", p, got, name)
-		}
-	}
-}
-
 // The parallelism profiles of §III: anti-diagonal and knight-move grow then
 // shrink; horizontal is constant; inverted-L strictly shrinks.
 func TestParallelismProfiles(t *testing.T) {

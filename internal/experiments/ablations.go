@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hetsim"
 	"repro/internal/problems"
-	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -77,7 +76,7 @@ func RunAblationCoalesce(cfg Config) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		bad, err := core.SolveGPUOnly(p, core.Options{SkipCompute: true, Layout: table.RowMajor{}})
+		bad, err := core.SolveGPUOnly(p, core.Options{SkipCompute: true, Uncoalesced: true})
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/hetsim"
 	"repro/internal/problems"
-	"repro/internal/table"
 	"repro/internal/workload"
 )
 
@@ -62,7 +61,7 @@ func Fig8Measure(n int) (il, h1 map[string]TriTimes, err error) {
 	h1 = map[string]TriTimes{}
 	for _, plat := range hetsim.Platforms() {
 		oIL := core.Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true,
-			PreferInvertedL: true, Layout: table.RowMajor{}}
+			PreferInvertedL: true, Uncoalesced: true}
 		oH := core.Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true}
 		cIL, err := core.SolveCPUOnly(p, oIL)
 		if err != nil {

@@ -36,7 +36,7 @@ func (g GPUModel) Lanes() int {
 
 // KernelDuration returns the simulated duration of one kernel computing
 // cells table cells. coalesced reports whether the iteration's cells are
-// contiguous in device memory (see table layouts).
+// contiguous in device memory (see core.Options.Uncoalesced).
 //
 // Execution time is linear in the number of waves with a one-wave floor:
 // launch + WaveCost * max(1, cells/Lanes). A fractional last wave costs its

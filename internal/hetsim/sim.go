@@ -23,10 +23,8 @@ type Sim struct {
 	ops      []record
 	// resourceReady[r] is the time at which resource r becomes free.
 	resourceReady []time.Duration
-	// opEnd[id] caches the end time of each submitted op.
-	opEnd       []time.Duration
-	numStreams  int
-	streamNames []string
+	numStreams    int
+	streamNames   []string
 	// lastOp[r] is the most recent operation submitted to resource r.
 	lastOp []OpID
 }
@@ -128,23 +126,23 @@ func (s *Sim) SubmitFront(op Op, front int, deps ...OpID) OpID {
 		if d < 0 || d >= id {
 			panic(fmt.Sprintf("hetsim: op %q depends on invalid op %d", op.Label, int(d)))
 		}
-		if e := s.opEnd[d]; e > start {
+		if e := s.ops[d].end; e > start {
 			start = e
 			parent = d
 		}
 	}
-	if parent != NoOp && s.opEnd[parent] < start {
+	if parent != NoOp && s.ops[parent].end < start {
 		// The resource was free before the constraining dependency ended;
 		// keep the dependency as the parent only if it actually set start.
 		parent = NoOp
 		for _, d := range deps {
-			if d != NoOp && s.opEnd[d] == start {
+			if d != NoOp && s.ops[d].end == start {
 				parent = d
 				break
 			}
 		}
 		if parent == NoOp {
-			if p := s.lastOnResource(res); p != NoOp && s.opEnd[p] == start {
+			if p := s.lastOnResource(res); p != NoOp && s.ops[p].end == start {
 				parent = p
 			}
 		}
@@ -154,7 +152,6 @@ func (s *Sim) SubmitFront(op Op, front int, deps ...OpID) OpID {
 	s.lastOp[res] = id
 	op.Resource = res
 	s.ops = append(s.ops, record{op: op, start: start, end: end, front: front, critParent: parent})
-	s.opEnd = append(s.opEnd, end)
 	return id
 }
 
@@ -164,16 +161,16 @@ func (s *Sim) EndOf(id OpID) time.Duration {
 	if id == NoOp {
 		return 0
 	}
-	return s.opEnd[id]
+	return s.ops[id].end
 }
 
 // Makespan returns the completion time of the last-finishing operation, that
 // is, the simulated wall-clock duration of the whole computation.
 func (s *Sim) Makespan() time.Duration {
 	var m time.Duration
-	for _, e := range s.opEnd {
-		if e > m {
-			m = e
+	for _, r := range s.ops {
+		if r.end > m {
+			m = r.end
 		}
 	}
 	return m
@@ -223,22 +220,23 @@ func (s *Sim) CriticalPath() []OpRecord {
 	// Find the last-finishing op.
 	last := OpID(0)
 	for id := range s.ops {
-		if s.opEnd[id] > s.opEnd[last] {
+		if s.ops[id].end > s.ops[last].end {
 			last = OpID(id)
 		}
 	}
-	var path []OpRecord
-	for id := last; id != NoOp; {
+	// Walk the chain once to size the path, then fill it back to front.
+	n := 0
+	for id := last; id != NoOp; id = s.ops[id].critParent {
+		n++
+	}
+	path := make([]OpRecord, n)
+	for id := last; id != NoOp; id = s.ops[id].critParent {
+		n--
 		r := s.ops[id]
-		path = append(path, OpRecord{
+		path[n] = OpRecord{
 			ID: id, Label: r.op.Label, Front: r.front, Resource: r.op.Resource, Kind: r.op.Kind,
 			Start: r.start, End: r.end, Cells: r.op.Cells, Bytes: r.op.Bytes,
-		})
-		id = r.critParent
-	}
-	// Reverse into execution order.
-	for l, rr := 0, len(path)-1; l < rr; l, rr = l+1, rr-1 {
-		path[l], path[rr] = path[rr], path[l]
+		}
 	}
 	return path
 }

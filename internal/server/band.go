@@ -319,7 +319,7 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeOutcomeError(w, r, id, err)
 		return
 	}
-	flat := flatCells(grid)
+	flat := grid.RowMajorData()
 	resp := &api.BandResponse{
 		ID: id, Status: "done",
 		Row0: req.Row0, Row1: req.Row1, Col0: req.Col0, Col1: req.Col1,

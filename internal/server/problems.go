@@ -232,5 +232,5 @@ func DigestCells(rows, cols int, cells []int64) string {
 
 // DigestGrid is DigestCells over a result grid.
 func DigestGrid(g *lddp.Grid[int64]) string {
-	return DigestCells(g.Rows(), g.Cols(), flatCells(g))
+	return DigestCells(g.Rows(), g.Cols(), g.RowMajorData())
 }

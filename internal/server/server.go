@@ -541,7 +541,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.writeOutcomeError(w, r, id, err)
 		return
 	}
-	flat := flatCells(grid)
+	flat := grid.RowMajorData()
 	digest := DigestCells(problem.Rows, problem.Cols, flat)
 	releaseInline()
 	elapsed := time.Since(start)
@@ -565,22 +565,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	s.writeSolveResponse(w, neg, resp, flat, includeCells)
-}
-
-// flatCells returns the grid's row-major cells, borrowing the backing
-// slice when the layout allows (the scheduler path always does) and
-// copying otherwise.
-func flatCells(g *lddp.Grid[int64]) []int64 {
-	if flat := g.RowMajorData(); flat != nil {
-		return flat
-	}
-	flat := make([]int64, 0, g.Rows()*g.Cols())
-	for i := 0; i < g.Rows(); i++ {
-		for j := 0; j < g.Cols(); j++ {
-			flat = append(flat, g.At(i, j))
-		}
-	}
-	return flat
 }
 
 // writeSubmitError maps a synchronous Submit refusal onto the wire.

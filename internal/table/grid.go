@@ -1,40 +1,31 @@
-// Package table provides the DP-table storage used by the LDDP framework:
-// a generic dense 2-D grid plus pattern-aware memory layouts.
+// Package table provides the DP-table storage of the LDDP framework: a
+// dense row-major 2-D grid, a dense lexicographic 3-D grid, and the span
+// helpers that enumerate the cells of one wavefront.
 //
-// Paper §IV-B observes that GPU global-memory access is only efficient when
-// the threads of one iteration touch contiguous addresses, and therefore
-// stores "all the cells marked with the same number ... together in a one
-// dimensional array". The Layout types implement exactly that: bijective
-// maps from (row, col) to a position in a flat array such that each
-// wavefront of the corresponding pattern occupies a contiguous span.
+// Paper §IV-B stores "all the cells marked with the same number ...
+// together in a one dimensional array" so that GPU accesses coalesce. Here
+// that placement matters only to the simulated timing model, as its
+// coalesced bit (core.Options.Uncoalesced); the tables that hold real
+// values are filled by the host's tile engine, which reads them row-major.
 package table
 
 import "fmt"
 
-// Grid is a dense rows x cols table of T backed by a single flat slice in
-// the order defined by its Layout.
+// Grid is a dense rows x cols table of T stored row-major: cell (i, j)
+// lives at index i*cols+j of one flat slice.
 type Grid[T any] struct {
 	rows, cols int
-	layout     Layout
 	data       []T
 }
 
-// NewGrid allocates a zeroed grid with the given layout. A nil layout means
-// RowMajor. NewGrid panics on non-positive dimensions: every LDDP problem
-// has at least one cell, so this is a programming error.
-func NewGrid[T any](rows, cols int, layout Layout) *Grid[T] {
+// NewGrid allocates a zeroed grid. NewGrid panics on non-positive
+// dimensions: every LDDP problem has at least one cell, so this is a
+// programming error.
+func NewGrid[T any](rows, cols int) *Grid[T] {
 	if rows <= 0 || cols <= 0 {
 		panic(fmt.Sprintf("table: invalid grid size %dx%d", rows, cols))
 	}
-	if layout == nil {
-		layout = RowMajor{}
-	}
-	return &Grid[T]{
-		rows:   rows,
-		cols:   cols,
-		layout: layout,
-		data:   make([]T, rows*cols),
-	}
+	return &Grid[T]{rows: rows, cols: cols, data: make([]T, rows*cols)}
 }
 
 // Rows returns the number of rows.
@@ -46,30 +37,18 @@ func (g *Grid[T]) Cols() int { return g.cols }
 // Len returns the total number of cells.
 func (g *Grid[T]) Len() int { return g.rows * g.cols }
 
-// Layout returns the grid's memory layout.
-func (g *Grid[T]) Layout() Layout { return g.layout }
+// At returns the value at (i, j). Only the flat index is bounds-checked,
+// so an out-of-range column reads a neighbouring row; use InBounds first
+// where that matters.
+func (g *Grid[T]) At(i, j int) T { return g.data[i*g.cols+j] }
 
-// At returns the value at (i, j). Bounds are checked by the slice access
-// after the layout map; layouts are bijections onto [0, rows*cols).
-func (g *Grid[T]) At(i, j int) T {
-	return g.data[g.layout.Index(g.rows, g.cols, i, j)]
-}
+// Set stores v at (i, j), with At's bounds caveat.
+func (g *Grid[T]) Set(i, j int, v T) { g.data[i*g.cols+j] = v }
 
-// Set stores v at (i, j).
-func (g *Grid[T]) Set(i, j int, v T) {
-	g.data[g.layout.Index(g.rows, g.cols, i, j)] = v
-}
-
-// RowMajorData returns the backing slice when the grid uses the RowMajor
-// layout, in which cell (i, j) lives at data[i*cols+j]; it returns nil for
-// any other layout. Hot kernels use it to bypass the per-cell Layout.Index
-// dispatch of At/Set.
-func (g *Grid[T]) RowMajorData() []T {
-	if _, ok := g.layout.(RowMajor); ok {
-		return g.data
-	}
-	return nil
-}
+// RowMajorData returns the backing slice, in which cell (i, j) lives at
+// data[i*cols+j]. Hot kernels and wire encoders use it to walk the table
+// without per-cell calls; writes through it are writes to the grid.
+func (g *Grid[T]) RowMajorData() []T { return g.data }
 
 // InBounds reports whether (i, j) is a valid cell.
 func (g *Grid[T]) InBounds(i, j int) bool {
@@ -89,23 +68,11 @@ func (g *Grid[T]) Fill(f func(i, j int) T) {
 	}
 }
 
-// Clone returns a deep copy with the same layout.
+// Clone returns a deep copy.
 func (g *Grid[T]) Clone() *Grid[T] {
-	c := &Grid[T]{rows: g.rows, cols: g.cols, layout: g.layout, data: make([]T, len(g.data))}
+	c := &Grid[T]{rows: g.rows, cols: g.cols, data: make([]T, len(g.data))}
 	copy(c.data, g.data)
 	return c
-}
-
-// Relayout returns a copy of the grid stored under a different layout.
-// Cell values are preserved; only the flat order changes.
-func (g *Grid[T]) Relayout(layout Layout) *Grid[T] {
-	out := NewGrid[T](g.rows, g.cols, layout)
-	for i := 0; i < g.rows; i++ {
-		for j := 0; j < g.cols; j++ {
-			out.Set(i, j, g.At(i, j))
-		}
-	}
-	return out
 }
 
 // Row returns a freshly allocated copy of row i in column order.
@@ -127,7 +94,7 @@ func (g *Grid[T]) Col(j int) []T {
 }
 
 // Equal reports whether two grids have identical dimensions and cell
-// values under eq, regardless of layout.
+// values under eq.
 func Equal[T any](a, b *Grid[T], eq func(x, y T) bool) bool {
 	if a.rows != b.rows || a.cols != b.cols {
 		return false

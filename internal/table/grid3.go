@@ -2,106 +2,20 @@ package table
 
 import "fmt"
 
-// Layout3 maps 3-D cell coordinates to positions in a flat backing array:
-// a bijection from the box onto [0, nx*ny*nz).
-type Layout3 interface {
-	Index3(nx, ny, nz, i, j, k int) int
-	Name() string
-}
-
-// Lex3 is lexicographic (i, then j, then k) storage: the natural layout
-// for sequential fills.
-type Lex3 struct{}
-
-// Index3 implements Layout3.
-func (Lex3) Index3(nx, ny, nz, i, j, k int) int { return (i*ny+j)*nz + k }
-
-// Name implements Layout3.
-func (Lex3) Name() string { return "lex3" }
-
-// PlaneMajor3 stores the anti-diagonal planes i+j+k = s contiguously, each
-// plane ordered by (i, then j): the coalescing-friendly layout for
-// plane-wavefront execution of 3-D LDDP problems, the direct analogue of
-// AntiDiagMajor. Built for specific dimensions because the plane prefix
-// sums have no convenient closed form.
-type PlaneMajor3 struct {
-	nx, ny, nz int
-	// planeOff[s] is the flat position of the first cell of plane s.
-	planeOff []int
-	// rowOff[s*nx+i] is the offset within plane s of the first cell with
-	// first coordinate i (0 when the pair is empty).
-	rowOff []int
-}
-
-// NewPlaneMajor3 builds the plane-major layout for an nx x ny x nz box.
-func NewPlaneMajor3(nx, ny, nz int) *PlaneMajor3 {
-	if nx <= 0 || ny <= 0 || nz <= 0 {
-		panic(fmt.Sprintf("table: invalid 3-D layout size %dx%dx%d", nx, ny, nz))
-	}
-	planes := nx + ny + nz - 2
-	l := &PlaneMajor3{
-		nx: nx, ny: ny, nz: nz,
-		planeOff: make([]int, planes+1),
-		rowOff:   make([]int, planes*nx),
-	}
-	for s := 0; s < planes; s++ {
-		cells := 0
-		for i := maxInt(0, s-(ny-1)-(nz-1)); i <= minInt(nx-1, s); i++ {
-			l.rowOff[s*nx+i] = cells
-			_, n := AntiDiagSpan(ny, nz, s-i)
-			cells += n
-		}
-		l.planeOff[s+1] = l.planeOff[s] + cells
-	}
-	return l
-}
-
-// Name implements Layout3.
-func (l *PlaneMajor3) Name() string { return "plane-major3" }
-
-// Index3 implements Layout3.
-func (l *PlaneMajor3) Index3(nx, ny, nz, i, j, k int) int {
-	if nx != l.nx || ny != l.ny || nz != l.nz {
-		panic(fmt.Sprintf("table: plane layout built for %dx%dx%d used with %dx%dx%d",
-			l.nx, l.ny, l.nz, nx, ny, nz))
-	}
-	s := i + j + k
-	first, _ := AntiDiagSpan(ny, nz, s-i)
-	return l.planeOff[s] + l.rowOff[s*nx+i] + (j - first)
-}
-
-// PlaneSize returns the number of cells on plane s of an nx x ny x nz box.
-func PlaneSize(nx, ny, nz, s int) int {
-	total := 0
-	for i := maxInt(0, s-(ny-1)-(nz-1)); i <= minInt(nx-1, s); i++ {
-		_, n := AntiDiagSpan(ny, nz, s-i)
-		total += n
-	}
-	return total
-}
-
-// PlaneRowSpan returns, for plane s and first coordinate i, the first j
-// and the count of cells (i, j, s-i-j) within the box.
-func PlaneRowSpan(ny, nz, s, i int) (firstJ, count int) {
-	return AntiDiagSpan(ny, nz, s-i)
-}
-
-// Grid3 is a dense nx x ny x nz table of T.
+// Grid3 is a dense nx x ny x nz table of T stored lexicographically: cell
+// (i, j, k) lives at index (i*ny+j)*nz+k of one flat slice.
 type Grid3[T any] struct {
 	nx, ny, nz int
-	layout     Layout3
 	data       []T
 }
 
-// NewGrid3 allocates a zeroed 3-D grid; nil layout means Lex3.
-func NewGrid3[T any](nx, ny, nz int, layout Layout3) *Grid3[T] {
+// NewGrid3 allocates a zeroed 3-D grid. It panics on non-positive
+// dimensions, like NewGrid.
+func NewGrid3[T any](nx, ny, nz int) *Grid3[T] {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		panic(fmt.Sprintf("table: invalid grid size %dx%dx%d", nx, ny, nz))
 	}
-	if layout == nil {
-		layout = Lex3{}
-	}
-	return &Grid3[T]{nx: nx, ny: ny, nz: nz, layout: layout, data: make([]T, nx*ny*nz)}
+	return &Grid3[T]{nx: nx, ny: ny, nz: nz, data: make([]T, nx*ny*nz)}
 }
 
 // NX returns the first dimension.
@@ -116,18 +30,11 @@ func (g *Grid3[T]) NZ() int { return g.nz }
 // Len returns the total cell count.
 func (g *Grid3[T]) Len() int { return g.nx * g.ny * g.nz }
 
-// Layout returns the grid's memory layout.
-func (g *Grid3[T]) Layout() Layout3 { return g.layout }
-
 // At returns the value at (i, j, k).
-func (g *Grid3[T]) At(i, j, k int) T {
-	return g.data[g.layout.Index3(g.nx, g.ny, g.nz, i, j, k)]
-}
+func (g *Grid3[T]) At(i, j, k int) T { return g.data[(i*g.ny+j)*g.nz+k] }
 
 // Set stores v at (i, j, k).
-func (g *Grid3[T]) Set(i, j, k int, v T) {
-	g.data[g.layout.Index3(g.nx, g.ny, g.nz, i, j, k)] = v
-}
+func (g *Grid3[T]) Set(i, j, k int, v T) { g.data[(i*g.ny+j)*g.nz+k] = v }
 
 // InBounds reports whether (i, j, k) is a valid cell.
 func (g *Grid3[T]) InBounds(i, j, k int) bool {

@@ -1,26 +1,21 @@
 package table
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestGrid3RoundTrip(t *testing.T) {
-	for _, layout := range []Layout3{Lex3{}, NewPlaneMajor3(4, 5, 6)} {
-		g := NewGrid3[int](4, 5, 6, layout)
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 5; j++ {
-				for k := 0; k < 6; k++ {
-					g.Set(i, j, k, i*100+j*10+k)
-				}
+	g := NewGrid3[int](4, 5, 6)
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			for k := 0; k < 6; k++ {
+				g.Set(i, j, k, i*100+j*10+k)
 			}
 		}
-		for i := 0; i < 4; i++ {
-			for j := 0; j < 5; j++ {
-				for k := 0; k < 6; k++ {
-					if got := g.At(i, j, k); got != i*100+j*10+k {
-						t.Fatalf("%s: At(%d,%d,%d) = %d", layout.Name(), i, j, k, got)
-					}
+	}
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 5; j++ {
+			for k := 0; k < 6; k++ {
+				if got := g.At(i, j, k); got != i*100+j*10+k {
+					t.Fatalf("At(%d,%d,%d) = %d", i, j, k, got)
 				}
 			}
 		}
@@ -28,12 +23,9 @@ func TestGrid3RoundTrip(t *testing.T) {
 }
 
 func TestGrid3Dims(t *testing.T) {
-	g := NewGrid3[int8](2, 3, 4, nil)
+	g := NewGrid3[int8](2, 3, 4)
 	if g.NX() != 2 || g.NY() != 3 || g.NZ() != 4 || g.Len() != 24 {
 		t.Error("dims wrong")
-	}
-	if g.Layout().Name() != "lex3" {
-		t.Error("default layout should be lex3")
 	}
 	if !g.InBounds(1, 2, 3) || g.InBounds(2, 0, 0) || g.InBounds(0, -1, 0) {
 		t.Error("InBounds wrong")
@@ -46,76 +38,12 @@ func TestGrid3PanicsOnBadDims(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewGrid3[int](0, 2, 2, nil)
-}
-
-// Property: both layouts are bijections and PlaneSize partitions the box.
-func TestLayout3BijectionProperty(t *testing.T) {
-	f := func(a, b, c uint8) bool {
-		nx := int(a%7) + 1
-		ny := int(b%7) + 1
-		nz := int(c%7) + 1
-		for _, l := range []Layout3{Lex3{}, NewPlaneMajor3(nx, ny, nz)} {
-			seen := make([]bool, nx*ny*nz)
-			for i := 0; i < nx; i++ {
-				for j := 0; j < ny; j++ {
-					for k := 0; k < nz; k++ {
-						idx := l.Index3(nx, ny, nz, i, j, k)
-						if idx < 0 || idx >= len(seen) || seen[idx] {
-							return false
-						}
-						seen[idx] = true
-					}
-				}
-			}
-		}
-		total := 0
-		for s := 0; s <= nx+ny+nz-3; s++ {
-			total += PlaneSize(nx, ny, nz, s)
-		}
-		return total == nx*ny*nz
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Plane-major must store each plane contiguously in (i, j) order.
-func TestPlaneMajor3Contiguity(t *testing.T) {
-	nx, ny, nz := 4, 6, 5
-	l := NewPlaneMajor3(nx, ny, nz)
-	next := 0
-	for s := 0; s <= nx+ny+nz-3; s++ {
-		for i := max(0, s-(ny-1)-(nz-1)); i <= min(nx-1, s); i++ {
-			firstJ, count := PlaneRowSpan(ny, nz, s, i)
-			for jj := 0; jj < count; jj++ {
-				j := firstJ + jj
-				k := s - i - j
-				if got := l.Index3(nx, ny, nz, i, j, k); got != next {
-					t.Fatalf("plane %d cell (%d,%d,%d): index %d, want %d", s, i, j, k, got, next)
-				}
-				next++
-			}
-		}
-	}
-	if next != nx*ny*nz {
-		t.Errorf("covered %d cells, want %d", next, nx*ny*nz)
-	}
-}
-
-func TestPlaneMajor3DimensionMismatchPanics(t *testing.T) {
-	l := NewPlaneMajor3(3, 3, 3)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	l.Index3(4, 3, 3, 0, 0, 0)
+	NewGrid3[int](0, 2, 2)
 }
 
 func TestEqual3(t *testing.T) {
-	a := NewGrid3[int](2, 2, 2, nil)
-	b := NewGrid3[int](2, 2, 2, NewPlaneMajor3(2, 2, 2))
+	a := NewGrid3[int](2, 2, 2)
+	b := NewGrid3[int](2, 2, 2)
 	a.Set(1, 1, 0, 7)
 	b.Set(1, 1, 0, 7)
 	if !Equal3(a, b) {
@@ -125,7 +53,7 @@ func TestEqual3(t *testing.T) {
 	if Equal3(a, b) {
 		t.Error("unequal grids reported equal")
 	}
-	c := NewGrid3[int](2, 2, 3, nil)
+	c := NewGrid3[int](2, 2, 3)
 	if Equal3(a, c) {
 		t.Error("different shapes reported equal")
 	}

@@ -5,7 +5,7 @@ import (
 )
 
 func TestNewGridZeroed(t *testing.T) {
-	g := NewGrid[int](3, 4, nil)
+	g := NewGrid[int](3, 4)
 	if g.Rows() != 3 || g.Cols() != 4 || g.Len() != 12 {
 		t.Fatalf("dims = %dx%d len %d", g.Rows(), g.Cols(), g.Len())
 	}
@@ -15,9 +15,6 @@ func TestNewGridZeroed(t *testing.T) {
 				t.Errorf("At(%d,%d) = %d, want 0", i, j, g.At(i, j))
 			}
 		}
-	}
-	if g.Layout().Name() != "row-major" {
-		t.Errorf("default layout = %q, want row-major", g.Layout().Name())
 	}
 }
 
@@ -29,32 +26,33 @@ func TestNewGridPanicsOnBadDims(t *testing.T) {
 					t.Errorf("NewGrid(%d,%d) should panic", dims[0], dims[1])
 				}
 			}()
-			NewGrid[int](dims[0], dims[1], nil)
+			NewGrid[int](dims[0], dims[1])
 		}()
 	}
 }
 
 func TestGridSetAtRoundTrip(t *testing.T) {
-	layouts := []Layout{RowMajor{}, ColMajor{}, AntiDiagMajor{}, LMajor{}, NewKnightMajor(5, 7)}
-	for _, l := range layouts {
-		g := NewGrid[int](5, 7, l)
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 7; j++ {
-				g.Set(i, j, 100*i+j)
-			}
+	g := NewGrid[int](5, 7)
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 7; j++ {
+			g.Set(i, j, 100*i+j)
 		}
-		for i := 0; i < 5; i++ {
-			for j := 0; j < 7; j++ {
-				if got := g.At(i, j); got != 100*i+j {
-					t.Errorf("%s: At(%d,%d) = %d, want %d", l.Name(), i, j, got, 100*i+j)
-				}
+	}
+	flat := g.RowMajorData()
+	for i := 0; i < 5; i++ {
+		for j := 0; j < 7; j++ {
+			if got := g.At(i, j); got != 100*i+j {
+				t.Errorf("At(%d,%d) = %d, want %d", i, j, got, 100*i+j)
+			}
+			if got := flat[i*7+j]; got != 100*i+j {
+				t.Errorf("RowMajorData()[%d] = %d, want %d", i*7+j, got, 100*i+j)
 			}
 		}
 	}
 }
 
 func TestGridFill(t *testing.T) {
-	g := NewGrid[int](4, 4, AntiDiagMajor{})
+	g := NewGrid[int](4, 4)
 	g.Fill(func(i, j int) int { return i*10 + j })
 	if g.At(2, 3) != 23 {
 		t.Errorf("Fill: At(2,3) = %d, want 23", g.At(2, 3))
@@ -66,7 +64,7 @@ func TestGridFill(t *testing.T) {
 }
 
 func TestGridCloneIndependent(t *testing.T) {
-	g := NewGrid[int](2, 2, nil)
+	g := NewGrid[int](2, 2)
 	g.Set(0, 0, 9)
 	c := g.Clone()
 	c.Set(0, 0, 5)
@@ -78,22 +76,8 @@ func TestGridCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestGridRelayoutPreservesValues(t *testing.T) {
-	g := NewGrid[int](6, 5, RowMajor{})
-	g.Fill(func(i, j int) int { return i*31 + j*7 })
-	for _, l := range []Layout{ColMajor{}, AntiDiagMajor{}, LMajor{}, NewKnightMajor(6, 5)} {
-		r := g.Relayout(l)
-		if !EqualComparable(g, r) {
-			t.Errorf("Relayout(%s) changed cell values", l.Name())
-		}
-		if r.Layout().Name() != l.Name() {
-			t.Errorf("Relayout(%s) kept old layout", l.Name())
-		}
-	}
-}
-
 func TestGridRowCol(t *testing.T) {
-	g := NewGrid[int](3, 4, LMajor{})
+	g := NewGrid[int](3, 4)
 	g.Fill(func(i, j int) int { return i*4 + j })
 	row := g.Row(1)
 	want := []int{4, 5, 6, 7}
@@ -112,7 +96,7 @@ func TestGridRowCol(t *testing.T) {
 }
 
 func TestGridInBounds(t *testing.T) {
-	g := NewGrid[int](2, 3, nil)
+	g := NewGrid[int](2, 3)
 	cases := []struct {
 		i, j int
 		want bool
@@ -128,18 +112,18 @@ func TestGridInBounds(t *testing.T) {
 }
 
 func TestEqual(t *testing.T) {
-	a := NewGrid[int](2, 2, RowMajor{})
-	b := NewGrid[int](2, 2, ColMajor{})
+	a := NewGrid[int](2, 2)
+	b := NewGrid[int](2, 2)
 	a.Fill(func(i, j int) int { return i + j })
 	b.Fill(func(i, j int) int { return i + j })
 	if !EqualComparable(a, b) {
-		t.Error("grids with equal values under different layouts should be Equal")
+		t.Error("grids with equal values should be Equal")
 	}
 	b.Set(1, 1, 99)
 	if EqualComparable(a, b) {
 		t.Error("differing grids reported Equal")
 	}
-	c := NewGrid[int](2, 3, nil)
+	c := NewGrid[int](2, 3)
 	if EqualComparable(a, c) {
 		t.Error("different-shape grids reported Equal")
 	}

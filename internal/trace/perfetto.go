@@ -32,8 +32,8 @@ type spanEvent struct {
 // chromeTrace is the top-level JSON object.
 type chromeTrace struct {
 	TraceEvents     []spanEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	OtherData       *Meta         `json:"otherData,omitempty"`
+	DisplayTimeUnit string      `json:"displayTimeUnit"`
+	OtherData       *Meta       `json:"otherData,omitempty"`
 }
 
 // eventArgs carries the lossless event payload inside each span's args.

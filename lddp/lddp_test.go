@@ -115,12 +115,13 @@ func TestSolveOptionErrors(t *testing.T) {
 	}
 }
 
-// TestSolveRejectsTooManyWorkers checks every native strategy validates
-// the worker count before starting anything: a count past
+// TestSolveRejectsTooManyWorkers checks every strategy that runs the tile
+// engine, natively or as the simulated strategies' table fill, validates
+// the worker count before starting a worker: a count past
 // core.MaxNativeWorkers is a configuration error, not 1025 goroutines.
 func TestSolveRejectsTooManyWorkers(t *testing.T) {
 	p := testProblem(lddp.DepW|lddp.DepN, 8, 8)
-	for _, s := range []lddp.Strategy{lddp.Auto, lddp.Parallel, lddp.Tiled, lddp.Async} {
+	for _, s := range []lddp.Strategy{lddp.Auto, lddp.Parallel, lddp.Tiled, lddp.Async, lddp.Hetero, lddp.SimCPU, lddp.SimGPU} {
 		res, err := lddp.Solve(context.Background(), p, lddp.WithStrategy(s), lddp.WithWorkers(core.MaxNativeWorkers+1))
 		if err == nil || res != nil {
 			t.Errorf("strategy %s: WithWorkers(%d) returned (%v, %v), want a limit error", s, core.MaxNativeWorkers+1, res, err)

@@ -26,7 +26,8 @@ const (
 	// cache-efficient tiled multicore scheme.
 	Tiled
 	// Hetero runs the paper's heterogeneous CPU+GPU framework on the
-	// simulated platform (real cell values, simulated timing).
+	// simulated platform: simulated timing, with the cell values computed
+	// by the tile engine at WithWorkers.
 	Hetero
 	// SimCPU runs the simulated multicore-CPU baseline.
 	SimCPU
@@ -92,8 +93,10 @@ func WithStrategy(s Strategy) Option {
 }
 
 // WithWorkers sets the worker count of the native strategies (Parallel,
-// Tiled, Async). Zero or negative selects the default min(GOMAXPROCS,
-// NumCPU).
+// Tiled, Async) and of the tile-engine fill that computes the simulated
+// strategies' (Hetero, SimCPU, SimGPU, Multi) cell values. Zero or
+// negative selects the default min(GOMAXPROCS, NumCPU); a count past
+// core.MaxNativeWorkers is an error for all of them.
 func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.NativeWorkers = n }
 }
@@ -214,10 +217,11 @@ type Result[T any] struct {
 }
 
 // Solve runs the problem through the selected executor. The context is
-// polled by every executor — once per tile row by the native strategies,
-// once per wavefront by the simulated ones; cancellation returns a nil
-// result and a *Canceled error. The zero option set solves natively on the
-// tile engine with auto-sized workers.
+// polled by every executor — once per tile row by the native strategies
+// and by the simulated ones' table fill, once per wavefront by the
+// simulated ones' planning; cancellation returns a nil result and a
+// *Canceled error. The zero option set solves natively on the tile engine
+// with auto-sized workers.
 func Solve[T any](ctx context.Context, p *Problem[T], options ...Option) (*Result[T], error) {
 	cfg := config{
 		strategy: Auto,
