@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet format check race bench bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
+.PHONY: all build test vet format check race bench bench-masks bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
 
 all: build vet test
 
@@ -36,6 +36,14 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=NativePool -benchmem -cpu 4 -benchtime 3x . | tee bench_output.txt
 	$(GO) run ./cmd/benchjson < bench_output.txt > BENCH_native.json
+
+# Mask ratio gate: each of the six masks that read NE with W or NW
+# against its NE-free sibling at 1024x1024 on two workers, timed in
+# alternating pairs (BenchmarkNativePoolMaskPairs); exit 1 when the
+# median ne/sibling time ratio of any pair exceeds 1.35.
+bench-masks:
+	$(GO) test -run '^$$' -bench=NativePoolMaskPairs -cpu 2 -benchtime 15x . | tee bench_masks_output.txt
+	$(GO) run ./cmd/benchjson -assert 'MaskPairs:ne/sibling<=1.35' < bench_masks_output.txt > /dev/null
 
 # Full benchmark pass: one testing.B benchmark per paper table/figure plus
 # the ablations, extensions and micro-benchmarks.
@@ -201,5 +209,5 @@ conformance:
 	$(GO) test -race -run 'Conformance|Metamorphic' -timeout 10m ./internal/core/ ./internal/sched/
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_server_output.txt trace.json pool_trace.json async_trace.json serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json
+	rm -f cover.out test_output.txt bench_output.txt bench_masks_output.txt bench_server_output.txt trace.json pool_trace.json async_trace.json serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json
 	rm -rf fleet-traces

@@ -15,8 +15,10 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -270,6 +272,39 @@ func BenchmarkNativePoolMasks(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// The six masks that read NE with W or NW against their NE-free siblings
+// ({W,NE} against {W}, and so on), at 1024x1024 on lddpserve's kernel with
+// two workers. Each iteration solves both tables back to back, alternating
+// which goes first, so host drift hits both sides of a pair alike; the
+// reported ne/sibling is the median of the per-iteration time ratios.
+// `make bench-masks` runs it at -cpu 2 and gates every ratio.
+func BenchmarkNativePoolMaskPairs(b *testing.B) {
+	for _, m := range core.AllDepMasks() {
+		if !m.Has(core.DepNE) || m&(core.DepW|core.DepNW) == 0 {
+			continue
+		}
+		pair := [2]*core.Problem[int64]{server.ServeProblem(m, 1024, 1024), server.ServeProblem(m&^core.DepNE, 1024, 1024)}
+		b.Run(m.String(), func(b *testing.B) {
+			ratios := make([]float64, b.N)
+			for i := range ratios {
+				var took [2]time.Duration
+				for k := range 2 {
+					side := (i + k) % 2
+					t0 := time.Now()
+					if _, err := core.SolveParallel(pair[side], 2); err != nil {
+						b.Fatal(err)
+					}
+					took[side] = time.Since(t0)
+				}
+				ratios[i] = took[0].Seconds() / took[1].Seconds()
+			}
+			slices.Sort(ratios)
+			n := len(ratios)
+			b.ReportMetric((ratios[(n-1)/2]+ratios[n/2])/2, "ne/sibling")
+		})
 	}
 }
 

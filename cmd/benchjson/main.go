@@ -10,8 +10,11 @@
 // contains the substring and fails the run (exit 1, JSON still written)
 // when any of them exceeds the limit in allocs/op — the CI hook that
 // keeps a perf-sensitive path from silently regressing its allocation
-// budget. A pattern matching no benchmark is also an error: a renamed
-// benchmark must not turn the gate into a no-op.
+// budget. "substring:unit<=limit" gates a custom b.ReportMetric column
+// instead, such as an interleaved time ratio. A pattern matching no
+// benchmark is also an error, and so is a matched benchmark that does not
+// report the unit: a renamed benchmark or metric must not turn the gate
+// into a no-op.
 package main
 
 import (
@@ -33,6 +36,8 @@ type result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Metrics holds the custom b.ReportMetric columns by unit.
+	Metrics map[string]float64 `json:"metrics,omitempty"`
 }
 
 type report struct {
@@ -57,7 +62,7 @@ func main() {
 	desc := flag.String("desc", "Reference benchmark run; real wall-clock numbers from one machine. Regenerate with `make bench`.",
 		"description line embedded in the report")
 	var asserts assertList
-	flag.Var(&asserts, "assert", "allocs/op budget as 'substring<=limit' (repeatable); fail when any matching benchmark exceeds it")
+	flag.Var(&asserts, "assert", "allocs/op budget as 'substring<=limit', or a custom metric's as 'substring:unit<=limit' (repeatable); fail when any matching benchmark exceeds it")
 	flag.Parse()
 	rep := report{
 		Description: *desc,
@@ -105,19 +110,24 @@ func main() {
 	}
 }
 
-// checkAssert evaluates one 'substring<=limit' budget against the parsed
-// results and returns one message per violation (malformed spec and
-// no-match are violations too — a silent gate is worse than none).
+// checkAssert evaluates one 'substring<=limit' (allocs/op) or
+// 'substring:unit<=limit' (custom metric) budget against the parsed
+// results and returns one message per violation (malformed spec, no
+// match and a matched benchmark without the unit are violations too — a
+// silent gate is worse than none).
 func checkAssert(spec string, benchmarks []result) []string {
 	name, limitStr, ok := strings.Cut(spec, "<=")
 	if !ok {
-		return []string{fmt.Sprintf("assert %q: want 'substring<=limit'", spec)}
+		return []string{fmt.Sprintf("assert %q: want 'substring<=limit' or 'substring:unit<=limit'", spec)}
 	}
-	limit, err := strconv.ParseInt(strings.TrimSpace(limitStr), 10, 64)
+	limit, err := strconv.ParseFloat(strings.TrimSpace(limitStr), 64)
 	if err != nil {
 		return []string{fmt.Sprintf("assert %q: bad limit: %v", spec, err)}
 	}
-	name = strings.TrimSpace(name)
+	name, unit, custom := strings.Cut(strings.TrimSpace(name), ":")
+	if !custom {
+		unit = "allocs/op"
+	}
 	var msgs []string
 	matched := false
 	for _, r := range benchmarks {
@@ -125,9 +135,15 @@ func checkAssert(spec string, benchmarks []result) []string {
 			continue
 		}
 		matched = true
-		if r.AllocsPerOp > limit {
-			msgs = append(msgs, fmt.Sprintf("assert %q: %s at %d allocs/op exceeds budget %d",
-				spec, r.Name, r.AllocsPerOp, limit))
+		v, ok := float64(r.AllocsPerOp), true
+		if custom {
+			v, ok = r.Metrics[unit]
+		}
+		switch {
+		case !ok:
+			msgs = append(msgs, fmt.Sprintf("assert %q: %s reports no %s (renamed without updating the budget?)", spec, r.Name, unit))
+		case v > limit:
+			msgs = append(msgs, fmt.Sprintf("assert %q: %s at %g %s exceeds budget %g", spec, r.Name, v, unit, limit))
 		}
 	}
 	if !matched {
@@ -166,8 +182,8 @@ func commitLabel(head, status string) string {
 }
 
 // parseLine decodes one `BenchmarkName-P  N  X ns/op  [Y B/op  Z allocs/op]`
-// result line. Unknown units are ignored so custom ReportMetric columns
-// pass through harmlessly.
+// result line. Any other unit is a custom ReportMetric column, kept in
+// Metrics.
 func parseLine(line string) (result, bool) {
 	f := strings.Fields(line)
 	if len(f) < 4 {
@@ -190,6 +206,11 @@ func parseLine(line string) (result, bool) {
 			r.BytesPerOp = int64(v)
 		case "allocs/op":
 			r.AllocsPerOp = int64(v)
+		default:
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[f[i+1]] = v
 		}
 	}
 	return r, r.NsPerOp > 0

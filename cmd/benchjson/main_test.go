@@ -2,6 +2,7 @@ package main
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -14,6 +15,10 @@ func TestParseLine(t *testing.T) {
 	if r.Name != "BenchmarkNativePoolLevenshtein4k-8" || r.Iterations != 3 ||
 		r.NsPerOp != 123456789 || r.BytesPerOp != 120 || r.AllocsPerOp != 7 {
 		t.Errorf("parsed %+v", r)
+	}
+	r, ok = parseLine("BenchmarkNativePoolMaskPairs/{W,NE}-2   	      15	  31365997 ns/op	         1.086 ne/sibling")
+	if !ok || r.Metrics["ne/sibling"] != 1.086 || len(r.Metrics) != 1 {
+		t.Errorf("custom metric column parsed as %+v, want metrics[ne/sibling] = 1.086", r)
 	}
 	if _, ok := parseLine("BenchmarkBroken-8"); ok {
 		t.Error("parseLine accepted a truncated line")
@@ -48,6 +53,37 @@ func TestCheckAssert(t *testing.T) {
 	}
 	if msgs := checkAssert("wire<=not-a-number", benchmarks); len(msgs) != 1 {
 		t.Errorf("bad-limit assert produced %v, want one parse error", msgs)
+	}
+}
+
+// TestCheckAssertCustomUnit covers the 'substring:unit<=limit' form: it
+// gates a ReportMetric column, and a matched benchmark that lacks the
+// unit fails the way a pattern matching nothing does.
+func TestCheckAssertCustomUnit(t *testing.T) {
+	benchmarks := []result{
+		{Name: "BenchmarkNativePoolMaskPairs/{W,NE}-2", NsPerOp: 3e7, Metrics: map[string]float64{"ne/sibling": 1.08}},
+		{Name: "BenchmarkNativePoolMaskPairs/{NW,NE}-2", NsPerOp: 3e7, Metrics: map[string]float64{"ne/sibling": 1.52}},
+		{Name: "BenchmarkNativePoolMasks/1024/{W}/tiles-2", NsPerOp: 2e7, AllocsPerOp: 40},
+	}
+	if msgs := checkAssert("MaskPairs:ne/sibling<=1.6", benchmarks); len(msgs) != 0 {
+		t.Errorf("within-limit ratio assert failed: %v", msgs)
+	}
+	if msgs := checkAssert("MaskPairs:ne/sibling<=1.35", benchmarks); len(msgs) != 1 || !strings.Contains(msgs[0], "{NW,NE}") {
+		t.Errorf("over-limit ratio assert produced %v, want one violation naming {NW,NE}", msgs)
+	}
+	if msgs := checkAssert("MaskPairs/{W,NE}:no-such-unit<=1", benchmarks); len(msgs) != 1 {
+		t.Errorf("missing-unit assert produced %v, want one error", msgs)
+	}
+	// Both kinds of result match "NativePool"; the one without the unit
+	// fails the gate even though the other passes it.
+	if msgs := checkAssert("NativePool:ne/sibling<=2", benchmarks); len(msgs) != 1 || !strings.Contains(msgs[0], "reports no ne/sibling") {
+		t.Errorf("partly-matched unit assert produced %v, want one missing-unit error", msgs)
+	}
+	if msgs := checkAssert("NoSuchBench:ne/sibling<=2", benchmarks); len(msgs) != 1 {
+		t.Errorf("unmatched unit assert produced %v, want one no-match error", msgs)
+	}
+	if msgs := checkAssert("MaskPairs:ne/sibling<=x", benchmarks); len(msgs) != 1 {
+		t.Errorf("bad-limit unit assert produced %v, want one parse error", msgs)
 	}
 }
 

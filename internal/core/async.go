@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +24,7 @@ import (
 //
 //   - every tile carries an atomic in-degree counter: the number of its
 //     W/NW/N/NE neighbour tiles that some cell edge of the mask crosses
-//     into (deps, lifted from the cell mask by deriveBlockMask);
+//     into (deps), set once when the engine is built;
 //   - a worker that finishes a tile decrements each dependent; the
 //     decrement that reaches zero makes the dependent ready. The worker
 //     keeps the first ready dependent as its next tile, checking the tile
@@ -34,21 +35,40 @@ import (
 //     for every mask (every cell offset points to an earlier row, or left
 //     in the same row).
 //
+// Tile columns index either j or, for the six masks that read NE together
+// with W or NW, the wavefront index u = i + j of the anti-diagonal
+// pattern (paper Table I). In (i, j) an NE read from a tile's second row
+// lands in the tile to the east, so those masks would need 1-row tiles
+// and synchronise across column bands on every row. In (i, u) the cell
+// offsets W, NW, N and NE become (0,-1), (-1,-2), (-1,-1) and (-1,0):
+// none points right, so with tw >= 2 a skewed tile waits only on its W,
+// NW and N tiles and may be many rows tall. Skewed tile (bi, bu) holds,
+// in each of its rows i, the cells with j in [bu*tw - i, bu*tw + tw - i)
+// ∩ [0, cols); the corner tiles of the (i, u) grid hold no cell and are
+// born finished. Any order that respects the dependency DAG reaches the
+// sequential fixed point, so the cut changes the schedule, never a value
+// (DESIGN.md §15).
+//
 // No canonicalization is needed. Every neighbour tile lies in an earlier
-// tile row or to the left in the same tile row, so the raw-mask tile graph
-// is acyclic for all 15 masks — provided NE never crosses into the tile to
-// the east, which is why masks containing NE get 1-row tiles (DESIGN.md
-// §15). Each tile is queued at most once, so a buffered channel with one
-// slot per tile never blocks a sender. Go atomics and channel (or mutex)
-// operations give the happens-before chain a tile needs: each neighbour's
-// grid writes precede its decrement, and the zero-observing decrementer's
-// queueing (or continuation) precedes the tile's reads.
+// tile row or to the left in the same tile row, so the tile graph is
+// acyclic for all 15 masks — provided NE never crosses into the tile to
+// the east, which is why an unskewed mask containing NE ({NE} or {N,NE})
+// gets 1-row tiles. Each tile is queued at most once, so a buffered
+// channel with one slot per tile never blocks a sender. Go atomics and
+// channel (or mutex) operations give the happens-before chain a tile
+// needs: each neighbour's grid writes precede its decrement, and the
+// zero-observing decrementer's queueing (or continuation) precedes the
+// tile's reads.
 
 // tileShape is the tile extent SolveParallel and NewTileWorkload run a
 // rows x cols table with under mask m on the given worker count. One
-// worker sweeps the whole table as one row-major tile. Otherwise tiles
-// are row segments: without W a row splits into one segment per worker,
-// the column-band partition; with W a segment is a quarter of a worker's
+// worker sweeps the whole table as one row-major tile. The six masks that
+// read NE with W or NW get skewed tiles tw u-columns wide and tw/4 rows
+// tall, with tw a sixteenth of a worker's share of the rows + cols - 1
+// wavefront indices but at least 256 (64 x 256 at 1024², best or tied in
+// a sweep of 16-256 rows x 128-1024 columns). The other masks get row
+// segments: without W a row splits into one segment per worker, the
+// column-band partition; with W a segment is a quarter of a worker's
 // share, so a row pipelines across the workers. Either way a segment is
 // no narrower than 256 cells, below which the per-tile hand-off costs
 // more than it overlaps (DESIGN.md §15 gives the sweep).
@@ -56,11 +76,20 @@ func tileShape(m DepMask, rows, cols, workers int) (th, tw int) {
 	if workers <= 1 {
 		return rows, cols
 	}
+	if skews(m) {
+		tw = max(256, ceilDiv(rows+cols-1, 4*workers))
+		return tw / 4, tw
+	}
 	if m.Has(DepW) {
 		workers *= 4
 	}
 	return 1, max(256, ceilDiv(cols, workers))
 }
+
+// skews reports whether m is one of the six masks the engine cuts in
+// (i, u = i + j): those that read NE together with W or NW. {NE} and
+// {N,NE} keep 1-row tiles, whose column bands already pipeline.
+func skews(m DepMask) bool { return m.Has(DepNE) && m&(DepW|DepNW) != 0 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
@@ -72,12 +101,15 @@ type tileEngine[T any] struct {
 	k          *flatKernel[T]
 	mask       DepMask
 	rows, cols int
-	th, tw     int // tile extent in cells
-	tr, tc     int // tile grid extent in tiles
+	th, tw     int  // tile extent: rows x columns, or x u-columns when skewed
+	tr, tc     int  // tile grid extent in tiles
+	skew       bool // tile columns index u = i + j instead of j
+	live       int  // tiles holding at least one cell
 
 	// counters[t] counts the unfinished neighbour tiles tile t (row-major
 	// tile index) waits for; the decrement to zero hands the tile to
-	// exactly one worker. A finished tile stores -1.
+	// exactly one worker. A finished tile stores -1, and so does a tile
+	// holding no cell from the start.
 	counters []atomic.Int32
 	done     <-chan struct{}
 
@@ -90,7 +122,7 @@ type tileEngine[T any] struct {
 
 // tileEngineFor validates the problem and the options and builds the
 // engine with the worker count and the tile extent they select: square
-// tiles of side tile (1-row under NE), or tileShape's when tile == 0.
+// tiles of side tile, or tileShape's when tile == 0.
 func tileEngineFor[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*tileEngine[T], *table.Grid[T], int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, 0, err
@@ -105,26 +137,36 @@ func tileEngineFor[T any](ctx context.Context, p *Problem[T], tile int, opts Opt
 	th, tw := tile, tile
 	if tile == 0 {
 		th, tw = tileShape(p.Deps, p.Rows, p.Cols, workers)
-	} else if p.Deps.Has(DepNE) {
-		th = 1
 	}
 	return newTileEngine(ctx, p, workers, th, tw)
 }
 
-// newTileEngine cuts a valid problem into th x tw tiles (clamped to the
-// table; th must be 1 under NE unless one tile spans the table), allocates
-// the grid, and sets every tile's counter. It returns the engine, the grid
-// it fills, and the worker count capped at the tile count.
+// newTileEngine cuts a valid problem into th x tw tiles, allocates the
+// grid, and sets every tile's counter. When the table takes more than one
+// tile, the tiles are skewed (tile columns index u = i + j) for a mask
+// skews names and tw >= 2, and 1-row under any other mask containing NE
+// (a taller tile's NE reads would land in the tile to the east). The
+// extent is clamped to the table (to its rows + cols - 1 wavefront
+// indices when skewed). It returns the engine, the grid it fills, and the
+// worker count capped at the count of tiles that hold a cell.
 func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw int) (*tileEngine[T], *table.Grid[T], int, error) {
-	th, tw = min(th, p.Rows), min(tw, p.Cols)
-	tr, tc := ceilDiv(p.Rows, th), ceilDiv(p.Cols, tw)
+	single := th >= p.Rows && tw >= p.Cols
+	skew := !single && skews(p.Deps) && tw >= 2
+	if !single && !skew && p.Deps.Has(DepNE) {
+		th = 1
+	}
+	span := p.Cols
+	if skew {
+		span = p.Rows + p.Cols - 1
+	}
+	th, tw = min(th, p.Rows), min(tw, span)
+	tr, tc := ceilDiv(p.Rows, th), ceilDiv(span, tw)
 	tiles := int64(tr) * int64(tc)
 	if tiles > math.MaxInt32 {
 		// Tile indices travel as int32 on the ready queue.
 		return nil, nil, 0, fmt.Errorf("core: tile engine supports at most %d tiles, got %d (%dx%d tiles of %dx%d cells)",
 			math.MaxInt32, tiles, tr, tc, th, tw)
 	}
-	workers = min(workers, int(tiles))
 
 	g := table.NewGrid[T](p.Rows, p.Cols)
 	e := &tileEngine[T]{
@@ -132,13 +174,20 @@ func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw in
 		mask: p.Deps,
 		rows: p.Rows, cols: p.Cols,
 		th: th, tw: tw, tr: tr, tc: tc,
+		skew:     skew,
 		counters: make([]atomic.Int32, tiles),
 		done:     ctxDone(ctx),
 	}
 	for t := range e.counters {
-		e.counters[t].Store(int32(e.deps(t/tc, t%tc).Count()))
+		bi, bj := t/tc, t%tc
+		if skew && !e.reads(bi, bj, bi, bj, 0, 0) {
+			e.counters[t].Store(-1) // no cell: finished from the start
+			continue
+		}
+		e.live++
+		e.counters[t].Store(int32(e.deps(bi, bj).Count()))
 	}
-	return e, g, workers, nil
+	return e, g, min(workers, e.live), nil
 }
 
 // sources returns the tiles that wait for nothing, in row-major order.
@@ -159,11 +208,14 @@ func (e *tileEngine[T]) sources() []int32 {
 	return src
 }
 
-// deps returns the neighbour tiles tile (bi, bj) waits for: the block
+// deps returns the neighbour tiles tile (bi, bj) waits for: exactly the
+// tile pairs some cell edge crosses. Unskewed, these are the block
 // offsets deriveBlockMask lifts the mask to at the tile's own extent
-// (edge tiles may be smaller), less those outside the tile grid. A tile
-// pair is in the result exactly when some cell edge crosses it.
+// (edge tiles may be smaller), less those outside the tile grid.
 func (e *tileEngine[T]) deps(bi, bj int) DepMask {
+	if e.skew {
+		return e.skewDeps(bi, bj)
+	}
 	if bi == 0 && bj == 0 {
 		// The first tile waits for nothing; it may also be the whole
 		// table, a tile taller than deriveBlockMask accepts under NE.
@@ -180,6 +232,60 @@ func (e *tileEngine[T]) deps(bi, bj int) DepMask {
 		m &^= DepNE
 	}
 	return m
+}
+
+// skewDeps is deps on skewed tiles. In (i, u) every cell offset has a
+// row step of 0 or -1 and a u step of 0 to -2, so with tw >= 2 an edge
+// enters tile (bi, bu) only from its W (0,-1), NW (-1,-1) or N (-1,0)
+// tile; reads checks each candidate against the cells both tiles hold,
+// which keeps the count exact on the ragged tiles along the table's
+// edges.
+func (e *tileEngine[T]) skewDeps(bi, bu int) DepMask {
+	var m DepMask
+	for _, o := range cellOffsets {
+		if !e.mask.Has(o.dep) {
+			continue
+		}
+		if e.reads(bi, bu, bi, bu-1, o.di, o.dj) {
+			m |= DepW
+		}
+		if e.reads(bi, bu, bi-1, bu-1, o.di, o.dj) {
+			m |= DepNW
+		}
+		if e.reads(bi, bu, bi-1, bu, o.di, o.dj) {
+			m |= DepN
+		}
+	}
+	return m
+}
+
+// cellOffsets are the (row, column) offsets of the four representative
+// cells.
+var cellOffsets = [...]struct {
+	dep    DepMask
+	di, dj int
+}{{DepW, 0, -1}, {DepNW, -1, -1}, {DepN, -1, 0}, {DepNE, -1, 1}}
+
+// reads reports whether some cell of skewed tile (bi, bu) has its
+// (di, dj) neighbour in skewed tile (si, su), both cells inside the table.
+// With (si, su) = (bi, bu) and a zero offset it reports whether the tile
+// holds a cell at all.
+func (e *tileEngine[T]) reads(bi, bu, si, su, di, dj int) bool {
+	if si < 0 || su < 0 {
+		return false
+	}
+	du := di + dj
+	// The rows and u-columns of tile (bi, bu) whose neighbour lies in the
+	// rows and u-columns of tile (si, su)...
+	iLo := max(bi*e.th, si*e.th-di)
+	iHi := min(bi*e.th+e.th, si*e.th+e.th-di, e.rows)
+	uLo := max(bu*e.tw, su*e.tw-du)
+	uHi := min(bu*e.tw+e.tw, su*e.tw+e.tw-du)
+	// ...span the columns j = u - i in [uLo-iHi+1, uHi-1-iLo], and the
+	// cell and its neighbour need j and j+dj in [0, cols).
+	jLo := max(uLo-iHi+1, 0, -dj)
+	jHi := min(uHi-1-iLo, e.cols-1, e.cols-1-dj)
+	return iLo < iHi && uLo < uHi && jLo <= jHi
 }
 
 // publish decrements the tiles that wait for the finished tile (bi, bj),
@@ -221,25 +327,31 @@ func (e *tileEngine[T]) step(t int32, ready *[4]int32) (cells, n int, ok bool) {
 // false if the context ended first. The context is polled once per tile
 // row, so even a whole-table tile stays cancellable.
 func (e *tileEngine[T]) runTile(bi, bj int) (int, bool) {
-	iLo, jLo := bi*e.th, bj*e.tw
-	iHi, jHi := min(iLo+e.th, e.rows), min(jLo+e.tw, e.cols)
+	iLo, cLo := bi*e.th, bj*e.tw
+	iHi, cHi := min(iLo+e.th, e.rows), cLo+e.tw
+	cells := 0
 	for i := iLo; i < iHi; i++ {
 		if isDone(e.done) {
 			return 0, false
 		}
+		jLo, jHi := cLo, min(cHi, e.cols)
+		if e.skew {
+			jLo, jHi = max(cLo-i, 0), min(cHi-i, e.cols)
+		}
 		for j := jLo; j < jHi; j++ {
 			e.k.cell(i, j)
 		}
+		cells += max(jHi-jLo, 0)
 	}
-	return (iHi - iLo) * (jHi - jLo), true
+	return cells, true
 }
 
 // startLoops readies the engine for its own worker loops: every source
-// tile on the ready channel, every tile left to finish.
+// tile on the ready channel, every live tile left to finish.
 func (e *tileEngine[T]) startLoops() {
-	e.ready = make(chan int32, len(e.counters))
+	e.ready = make(chan int32, e.live)
 	e.finished = make(chan struct{})
-	e.left.Store(int64(len(e.counters)))
+	e.left.Store(int64(e.live))
 	for t := range e.counters {
 		if e.counters[t].Load() == 0 {
 			e.ready <- int32(t)
@@ -272,7 +384,7 @@ func (e *tileEngine[T]) work(w int) {
 				return
 			}
 			if ln != nil {
-				ln.Instant(trace.KindReady, int(t)/e.tc*e.th, int64(len(e.ready)), int64(len(e.counters))-e.left.Load())
+				ln.Instant(trace.KindReady, int(t)/e.tc*e.th, int64(len(e.ready)), int64(e.live)-e.left.Load())
 			}
 		}
 		var t0 time.Time
@@ -305,6 +417,21 @@ func (e *tileEngine[T]) work(w int) {
 	}
 }
 
+// executed names the tile shape in SolveInfo.Executed, trace.Meta and
+// the workers' pprof labels, for example "tiles 1x256", or "tiles 64x256
+// skewed" for tiles in (i, u). Every solve builds it, so it is appended
+// into one string rather than formatted: fmt would box each extent of
+// 256 or more into an interface, one allocation apiece.
+func (e *tileEngine[T]) executed() string {
+	b := make([]byte, 0, 32)
+	b = strconv.AppendInt(append(b, "tiles "...), int64(e.th), 10)
+	b = strconv.AppendInt(append(b, 'x'), int64(e.tw), 10)
+	if e.skew {
+		b = append(b, " skewed"...)
+	}
+	return string(b)
+}
+
 // firstUnfinishedRow is Canceled.Front for the tile engine: the first row
 // that holds an unfinished tile. Only called after the worker join.
 func (e *tileEngine[T]) firstUnfinishedRow() int {
@@ -330,7 +457,7 @@ func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile i
 	}
 	e.startLoops()
 
-	executed := fmt.Sprintf("tiles %dx%d", e.th, e.tw)
+	executed := e.executed()
 	if coll := opts.Collector; coll != nil {
 		e.stats = make([]poolWorkerStat, workers)
 		coll.SolveStart(SolveInfo{

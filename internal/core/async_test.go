@@ -261,9 +261,10 @@ func runForeign(wl *Workload, workers int) (tiles, cells int64) {
 // TestAsyncWorkloadRunsOnForeignWorkers drives NewTileWorkload the way
 // the scheduler does — ready tiles taken and run by goroutines the engine
 // does not own — and checks the assembled grid and that every tile ran
-// exactly once.
+// exactly once. The knight-class mask cuts 130x140 into 3 x 2 skewed
+// 64x256 tiles, one of which holds no cell and is not a tile to run.
 func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
-	p := testProblem(DepW|DepNW|DepN|DepNE, 128, 97)
+	p := testProblem(DepW|DepNW|DepN|DepNE, 130, 140)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -272,9 +273,9 @@ func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wl.Info.Solver != "sched" || wl.TotalCells != 128*97 || wl.Tiles != 128 {
-		t.Fatalf("workload solver=%q cells=%d tiles=%d, want sched, %d cells in 128 row tiles",
-			wl.Info.Solver, wl.TotalCells, wl.Tiles, 128*97)
+	if wl.Info.Solver != "sched" || wl.Info.Executed != "tiles 64x256 skewed" || wl.TotalCells != 130*140 || wl.Tiles != 5 {
+		t.Fatalf("workload solver=%q executed=%q cells=%d tiles=%d, want sched, %d cells in 5 skewed 64x256 tiles",
+			wl.Info.Solver, wl.Info.Executed, wl.TotalCells, wl.Tiles, 130*140)
 	}
 	tiles, cells := runForeign(wl, 4)
 	if tiles != int64(wl.Tiles) || cells != wl.TotalCells {

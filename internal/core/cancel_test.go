@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/testutil"
 )
 
 // wantCanceled asserts err is a *Canceled unwrapping to context.Canceled
@@ -135,11 +137,30 @@ func TestMidSolveCancelPool(t *testing.T) {
 // waiting for a neighbour band must observe the cancel rather than
 // deadlock, and Front must name a row the solve did not finish.
 func TestMidSolveCancelBands(t *testing.T) {
+	midSolveCancel(t, DepN|DepNE)
+}
+
+// TestMidSolveCancelSkewed is TestMidSolveCancelBands on a knight-class
+// mask, whose tiles are skewed 64x256 blocks in (i, u = i + j): Front
+// must still name a row below which every cell was computed, and no
+// worker may outlive the solve.
+func TestMidSolveCancelSkewed(t *testing.T) {
+	leak := testutil.StartLeakCheck()
+	midSolveCancel(t, DepW|DepNW|DepN|DepNE)
+	if err := leak.Err(2 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// midSolveCancel cancels a 512x512 solve under mask m at 4 workers after
+// 5000 cells and checks the *Canceled it returns.
+func midSolveCancel(t *testing.T, m DepMask) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	var cells atomic.Int64
-	p := testProblem(DepNW|DepN|DepNE, 512, 512)
+	p := testProblem(m, 512, 512)
 	inner := p.F
 	p.F = func(i, j int, nb Neighbors[int64]) int64 {
 		if cells.Add(1) == 5000 {

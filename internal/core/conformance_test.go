@@ -78,6 +78,10 @@ var conformanceShapes = [][2]int{
 	{31, 37}, // primes
 	{48, 48},
 	{7, 600}, // several derived row segments per row, with and without W
+	// Skewed 64x256 tiles in both directions at 2 and 4 workers for the
+	// masks that read NE with W or NW: 3 x 2 tiles holding 8960/0,
+	// 8894/66 and 255/25 cells, so one is empty and several are ragged.
+	{130, 140},
 }
 
 // executorCase is one candidate executor path under test.
@@ -97,6 +101,9 @@ func conformanceExecutors(t *testing.T) []executorCase {
 		}},
 		{"SolveParallel/1worker", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveParallel(p, 1)
+		}},
+		{"SolveParallel/2workers", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
+			return core.SolveParallel(p, 2)
 		}},
 		{"SolvePool/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolvePool(context.Background(), p, core.Options{NativeWorkers: 3, NativeChunk: 7})
@@ -176,7 +183,7 @@ func reportMismatch(t *testing.T, exec string, seed int64, m core.DepMask, rows,
 }
 
 // TestConformanceAllMasksAllExecutors is the full differential matrix:
-// 15 masks x 11 shapes x every executor path, exact table equality.
+// 15 masks x 12 shapes x every executor path, exact table equality.
 func TestConformanceAllMasksAllExecutors(t *testing.T) {
 	execs := conformanceExecutors(t)
 	const seed = int64(0x5eed_1dd9)

@@ -57,25 +57,33 @@ func FuzzHeteroEquivalence(f *testing.F) {
 }
 
 // FuzzAsyncDeps fuzzes the tile engine's dependency counters over
-// arbitrary (mask, rows, cols, tile extent, workers): construction must
-// never panic, the counters must sum to a brute-force count of the
-// distinct (tile, neighbour tile) pairs some cell edge of the mask
-// crosses, the queued tiles must be exactly the tiles no such edge
-// enters, and a full solve on the same engine must match the sequential
-// oracle cell for cell.
+// arbitrary (mask, rows, cols, tile extent, workers), skewed tiles
+// included: construction must never panic, the counters must sum to a
+// brute-force count of the distinct (tile, neighbour tile) pairs some cell
+// edge of the mask crosses, the queued tiles must be exactly the tiles
+// that hold a cell and that no such edge enters, a tile holding no cell
+// must be born finished and left out of the live count, and a full solve
+// on the same engine must match the sequential oracle cell for cell.
 func FuzzAsyncDeps(f *testing.F) {
 	f.Add(uint8(3), uint8(9), uint8(9), uint8(2), uint8(3), uint8(4))
 	f.Add(uint8(6), uint8(1), uint8(64), uint8(1), uint8(5), uint8(1))  // 1xN row
 	f.Add(uint8(12), uint8(64), uint8(1), uint8(4), uint8(1), uint8(3)) // Nx1 column
 	f.Add(uint8(9), uint8(2), uint8(2), uint8(1), uint8(1), uint8(7))   // 2x2, one-cell tiles
 	f.Add(uint8(14), uint8(33), uint8(17), uint8(5), uint8(4), uint8(0))
+	// Skewed tiles for each of the six masks that read NE with W or NW.
+	f.Add(uint8(8), uint8(19), uint8(29), uint8(2), uint8(1), uint8(3))  // {W,NE}, tw = 2
+	f.Add(uint8(9), uint8(16), uint8(22), uint8(3), uint8(4), uint8(2))  // {NW,NE}, 17 rows in 4-row tiles
+	f.Add(uint8(10), uint8(32), uint8(8), uint8(1), uint8(6), uint8(4))  // {W,NW,NE}, tall and narrow
+	f.Add(uint8(12), uint8(8), uint8(39), uint8(4), uint8(2), uint8(1))  // {W,N,NE}, wide and short
+	f.Add(uint8(13), uint8(25), uint8(25), uint8(5), uint8(8), uint8(5)) // {NW,N,NE}, 26 rows in 6-row tiles
+	f.Add(uint8(14), uint8(63), uint8(63), uint8(8), uint8(8), uint8(8)) // {W,NW,N,NE}, 64x64 in 9x9
 	f.Fuzz(func(t *testing.T, mi, r, c, h, w, workers uint8) {
 		masks := AllDepMasks()
 		m := masks[int(mi)%len(masks)]
 		rows := int(r%64) + 1
 		cols := int(c%64) + 1
 		th, tw := int(h%9)+1, int(w%9)+1
-		if m.Has(DepNE) {
+		if m.Has(DepNE) && !skews(m) {
 			th = 1
 		}
 		p := testProblem(m, rows, cols)
@@ -84,17 +92,25 @@ func FuzzAsyncDeps(f *testing.F) {
 			t.Fatal(err)
 		}
 
-		// Brute force: every in-bounds cell edge whose ends lie in
-		// different tiles names one (neighbour tile, tile) pair.
-		tileOf := func(i, j int) int { return i/e.th*e.tc + j/e.tw }
+		// Brute force, on the engine's own geometry: every in-bounds cell
+		// edge whose ends lie in different tiles names one (neighbour
+		// tile, tile) pair.
+		tileOf := func(i, j int) int {
+			if e.skew {
+				return i/e.th*e.tc + (i+j)/e.tw
+			}
+			return i/e.th*e.tc + j/e.tw
+		}
 		pairs := map[[2]int]bool{}
 		entered := make([]bool, len(e.counters))
+		holds := make([]int, len(e.counters))
 		offsets := []struct {
 			dep    DepMask
 			di, dj int
 		}{{DepW, 0, -1}, {DepNW, -1, -1}, {DepN, -1, 0}, {DepNE, -1, 1}}
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
+				holds[tileOf(i, j)]++
 				for _, o := range offsets {
 					ni, nj := i+o.di, j+o.dj
 					if !m.Has(o.dep) || ni < 0 || nj < 0 || nj >= cols {
@@ -109,19 +125,33 @@ func FuzzAsyncDeps(f *testing.F) {
 		}
 		var sum int
 		for k := range e.counters {
-			sum += int(e.counters[k].Load())
+			if holds[k] > 0 {
+				sum += int(e.counters[k].Load())
+			}
 		}
 		if sum != len(pairs) {
-			t.Fatalf("mask %s %dx%d tiles %dx%d: counters sum to %d, want %d tile pairs", m, rows, cols, e.th, e.tw, sum, len(pairs))
+			t.Fatalf("mask %s %dx%d %s: counters sum to %d, want %d tile pairs", m, rows, cols, e.executed(), sum, len(pairs))
 		}
 		queued := make([]bool, len(e.counters))
 		for _, tile := range e.sources() {
 			queued[tile] = true
 		}
+		live := 0
 		for k := range queued {
-			if queued[k] == entered[k] {
-				t.Fatalf("mask %s %dx%d tiles %dx%d: tile %d queued=%v but entered by an edge=%v", m, rows, cols, e.th, e.tw, k, queued[k], entered[k])
+			if holds[k] == 0 {
+				if queued[k] || e.counters[k].Load() != -1 {
+					t.Fatalf("mask %s %dx%d %s: empty tile %d queued=%v with counter %d, want born finished",
+						m, rows, cols, e.executed(), k, queued[k], e.counters[k].Load())
+				}
+				continue
 			}
+			live++
+			if queued[k] == entered[k] {
+				t.Fatalf("mask %s %dx%d %s: tile %d queued=%v but entered by an edge=%v", m, rows, cols, e.executed(), k, queued[k], entered[k])
+			}
+		}
+		if e.live != live {
+			t.Fatalf("mask %s %dx%d %s: engine counts %d live tiles, want the %d that hold a cell", m, rows, cols, e.executed(), e.live, live)
 		}
 
 		want, err := Solve(p)
@@ -139,7 +169,7 @@ func FuzzAsyncDeps(f *testing.F) {
 		}
 		wg.Wait()
 		if !table.EqualComparable(want, g) {
-			t.Fatalf("mask %s %dx%d tiles %dx%d workers=%d: tile engine differs from oracle", m, rows, cols, e.th, e.tw, nw)
+			t.Fatalf("mask %s %dx%d %s workers=%d: tile engine differs from oracle", m, rows, cols, e.executed(), nw)
 		}
 	})
 }

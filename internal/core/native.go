@@ -11,11 +11,12 @@ import (
 // values as Solve and is what the examples use to solve problems for real.
 //
 // Execution runs on the dependency-driven tile engine (async.go): the
-// table is cut into row segments whose width follows from the mask, the
-// column count and the worker count (tileShape), and each segment runs as
-// soon as the neighbour segments it reads are done — no wavefront
-// barriers and no symmetry reduction. See SolvePool for the
-// level-synchronous baseline.
+// table is cut into tiles whose shape follows from the mask, the table
+// shape and the worker count (tileShape) — row segments, or, for the six
+// masks that read NE with W or NW, multi-row tiles skewed along the
+// wavefront index u = i + j — and each tile runs as soon as the neighbour
+// tiles it reads are done: no wavefront barriers and no symmetry
+// reduction. See SolvePool for the level-synchronous baseline.
 //
 // workers <= 0 selects min(runtime.GOMAXPROCS(0), runtime.NumCPU()), the
 // documented NativeWorkers default.

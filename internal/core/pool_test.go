@@ -64,10 +64,12 @@ func TestPoolMatchesSolveAllPatterns(t *testing.T) {
 // TestPoolBandLookahead checks every horizontal-class contributing set —
 // left-only (NW), right-only (NE), both, and none ({N}, where bands run
 // fully independently) — on both schedules a horizontal table can take:
-// the tile engine, whose tiles for a W-free mask are one-row column bands
-// that wait only on their neighbours' previous row (1100 columns give 2,
-// 4 and 5 bands at 2, 4 and 9 workers), and the pool's global barrier
-// between rows. Vertical masks reach the pool through the transpose
+// the tile engine and the pool's global barrier between rows. The tile
+// engine cuts {N}, {NW,N} and {N,NE} into one-row column bands that wait
+// only on their neighbours' previous row (1100 columns give 2, 4 and 5
+// bands at 2, 4 and 9 workers); the masks that read NW with NE get skewed
+// tiles in (i, u = i + j) instead, one 40-row tile row of 5 tiles at 256
+// u-columns each. Vertical masks reach the pool through the transpose
 // adapter; the tile engine runs them as they are.
 func TestPoolBandLookahead(t *testing.T) {
 	const rows, cols = 40, 1100

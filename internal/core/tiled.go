@@ -12,9 +12,12 @@ import (
 // builds on (Chowdhury & Ramachandran's CMP algorithms): each tile is
 // filled row-major for locality, and tiles run on the dependency-driven
 // tile engine (async.go) the moment the neighbour tiles they read are
-// done. Masks containing NE get 1 x tile strips instead: a non-top-row
-// cell's NE neighbour can live in the tile to the east, which no forward
-// tile order satisfies.
+// done. A non-top-row cell's NE neighbour can live in the tile to the
+// east, which no forward tile order satisfies, so the six masks that read
+// NE with W or NW get tile x tile squares in (i, u = i + j) coordinates
+// when tile >= 2 (async.go), where NE points straight up, and the other
+// masks containing NE, {NE} and {N,NE}, get 1 x tile strips. A tile that
+// covers the whole table runs as one tile under every mask.
 //
 // workers <= 0 selects min(GOMAXPROCS, NumCPU).
 func SolveTiled[T any](p *Problem[T], tile, workers int) (*table.Grid[T], error) {
@@ -37,7 +40,9 @@ func SolveTiledContext[T any](ctx context.Context, p *Problem[T], tile int, opts
 // tileRows x tileCols cells: for each cell dependency offset, the union of
 // tile offsets it lands in from some cell of the tile, excluding the tile
 // itself. Masks containing NE need tileRows == 1: a taller tile's
-// non-top-row NE reads land in the tile to the east.
+// non-top-row NE reads land in the tile to the east. Since the six masks
+// that read NE with W or NW are cut in (i, u = i + j) instead (skewDeps),
+// the one-row rule covers only {NE} and {N,NE}.
 //
 //	cell W  (0,-1)  -> tile W
 //	cell NW (-1,-1) -> tiles NW, W (tileRows > 1), N (tileCols > 1)

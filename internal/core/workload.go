@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/table"
 )
@@ -26,7 +25,8 @@ type Workload struct {
 	// TotalCells is the table's cell count, used for size-aware admission
 	// priority.
 	TotalCells int64
-	// Tiles is the number of tiles; the solve is done when all have run.
+	// Tiles is the number of tiles that hold a cell; the solve is done
+	// when all have run.
 	Tiles int
 	// Sources are the tiles ready at the start. The scheduler takes the
 	// slice over as the solve's ready queue, so a Workload is submitted
@@ -56,11 +56,11 @@ func NewTileWorkload[T any](ctx context.Context, p *Problem[T], workers int) (*W
 	wl := &Workload{
 		Info: SolveInfo{
 			Solver: "sched", Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: fmt.Sprintf("tiles %dx%d", e.th, e.tw),
+			Pattern: Classify(p.Deps).String(), Executed: e.executed(),
 			Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows,
 		},
 		TotalCells: int64(p.Rows) * int64(p.Cols),
-		Tiles:      len(e.counters),
+		Tiles:      e.live,
 		Sources:    e.sources(),
 		Run:        e.step,
 		Front:      e.firstUnfinishedRow,

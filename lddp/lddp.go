@@ -1,8 +1,9 @@
 // Package lddp is the public facade of the LDDP-Plus framework: one entry
 // point, Solve, that runs any local-dependency dynamic-programming problem
 // through the framework's executors — sequential reference, native
-// dependency-driven tile engine (row segments or square tiles), the paper's
-// heterogeneous CPU+GPU strategies on a simulated platform, and the
+// dependency-driven tile engine (row segments or square tiles, cut along
+// the wavefront index i + j for the masks that read NE with W or NW), the
+// paper's heterogeneous CPU+GPU strategies on a simulated platform, and the
 // multi-accelerator extension — selected and configured with functional
 // options.
 //

@@ -17,13 +17,16 @@ const (
 	Auto Strategy = iota
 	// Sequential runs the row-major reference solver.
 	Sequential
-	// Parallel runs the native dependency-driven tile engine on row
-	// segments derived from the mask, the column count and the worker
-	// count: a segment starts as soon as the neighbour segments it reads
-	// are done, with no wavefront barriers.
+	// Parallel runs the native dependency-driven tile engine on tiles
+	// derived from the mask, the table shape and the worker count: row
+	// segments, or, for the six masks that read NE with W or NW,
+	// multi-row tiles cut along the wavefront index i + j. A tile starts
+	// as soon as the neighbour tiles it reads are done, with no wavefront
+	// barriers.
 	Parallel
 	// Tiled runs the same tile engine on square tiles (WithTile), the
-	// cache-efficient tiled multicore scheme.
+	// cache-efficient tiled multicore scheme; the masks that read NE
+	// with W or NW get their squares along i + j.
 	Tiled
 	// Hetero runs the paper's heterogeneous CPU+GPU framework on the
 	// simulated platform: simulated timing, with the cell values computed
