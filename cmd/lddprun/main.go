@@ -7,7 +7,8 @@
 //	lddprun -problem dither -size 512 -solver parallel -workers 8
 //	lddprun -problem checkerboard -size 1024 -solver hetero -platform Hetero-Low -gantt
 //	lddprun -problem checkerboard -size 4096 -solver multi -accels k20,phi
-//	lddprun -problem lcs -size 2048 -solver hetero -metrics
+//	lddprun -problem levenshtein -size 2048 -solver hetero -trace
+//	lddprun -problem lcs -size 2048 -solver parallel -trace -metrics
 //	lddprun -problem levenshtein -size 2048 -solver parallel -traceout t.json
 //	lddprun -problem levenshtein -size 2048 -solver pool -traceout p.json
 package main
@@ -18,7 +19,6 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"repro/internal/cli"
 	"repro/internal/core"
@@ -44,8 +44,8 @@ func main() {
 	replicas := flag.Int("replicas", 3, "memory replicas for -solver resilient")
 	faultRate := flag.Int("faultrate", 1, "percent of writes corrupted per replica for -solver resilient")
 	htmlOut := flag.String("html", "", "write an HTML Gantt chart of the simulated timeline to this file")
-	metricsOut := flag.Bool("metrics", false, "emit the collected runtime metrics as JSON on stdout")
-	traceOut := flag.Bool("trace", false, "print a phase/worker trace table of the solve")
+	metricsOut := flag.Bool("metrics", false, "emit the analyzed runtime trace of the solve as JSON on stdout")
+	traceOut := flag.Bool("trace", false, "print the simulated phases, or the per-worker trace summary of a native solve")
 	traceFile := flag.String("traceout", "", "record runtime events and write them as Chrome trace-event JSON to this file (analyze with lddptrace or ui.perfetto.dev)")
 	flag.Parse()
 
@@ -55,18 +55,13 @@ func main() {
 	}
 	fmt.Printf("problem=%s table=%dx%d pattern=%s\n", inst.Name, inst.Rows, inst.Cols, inst.Pattern)
 
-	// One collector serves both reporting flags; solvers that never emit
-	// events (seq, resilient) just yield an empty document.
-	var metrics *lddp.Metrics
-	var coll core.Collector
-	if *metricsOut || *traceOut {
-		metrics = &lddp.Metrics{}
-		coll = metrics
-	}
+	// One tracer serves every reporting flag; solvers that record no
+	// events (seq, resilient) just yield an empty trace.
 	var tracer *lddp.Tracer
-	if *traceFile != "" {
+	if *traceFile != "" || *traceOut || *metricsOut {
 		tracer = lddp.NewTracer()
 	}
+	simulated := false
 
 	switch *solver {
 	case "seq":
@@ -80,7 +75,7 @@ func main() {
 		if tl <= 0 {
 			tl = core.DefaultTile(4)
 		}
-		ans, err := inst.SolveTiled(tl, core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
+		ans, err := inst.SolveTiled(tl, core.Options{NativeWorkers: *workers, Tracer: tracer})
 		if err != nil {
 			fatal(err)
 		}
@@ -92,18 +87,19 @@ func main() {
 		}
 		fmt.Printf("%s (replicas=%d, detected faults at %d cells)\n", ans, *replicas, corrected)
 	case "parallel":
-		ans, err := inst.SolveParallel(core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
+		ans, err := inst.SolveParallel(core.Options{NativeWorkers: *workers, Tracer: tracer})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(ans)
 	case "pool":
-		ans, err := inst.SolvePool(core.Options{NativeWorkers: *workers, Collector: coll, Tracer: tracer})
+		ans, err := inst.SolvePool(core.Options{NativeWorkers: *workers, Tracer: tracer})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Println(ans)
 	case "cpu", "gpu", "hetero", "multi":
+		simulated = true
 		var plat *hetsim.Platform
 		var err error
 		if *platformFile != "" {
@@ -118,7 +114,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		opts := core.Options{Platform: plat, TSwitch: *tswitch, TShare: *tshare, Collector: coll, Tracer: tracer}
+		opts := core.Options{Platform: plat, TSwitch: *tswitch, TShare: *tshare, Tracer: tracer}
 		var info cli.SimInfo
 		if *solver == "multi" {
 			names := strings.Split(*accels, ",")
@@ -136,6 +132,11 @@ func main() {
 		fmt.Printf("executed=%s transfer=%s t_switch=%d t_share=%d\n",
 			info.Executed, info.Transfer, info.TSwitch, info.TShare)
 		fmt.Printf("simulated: %s\n", trace.StatsLine(info.Timeline))
+		if *traceOut {
+			for _, ph := range info.Timeline.Phases() {
+				fmt.Printf("  phase %-12s wall=%s\n", ph.Name, ph.Wall)
+			}
+		}
 		if *gantt {
 			fmt.Print(trace.Gantt(info.Timeline, 100))
 		}
@@ -162,7 +163,7 @@ func main() {
 		fatal(fmt.Errorf("unknown solver %q", *solver))
 	}
 
-	if tracer != nil {
+	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
 		if err != nil {
 			fatal(err)
@@ -180,33 +181,19 @@ func main() {
 			fmt.Printf("wrote %s (%d events, %d dropped)\n", *traceFile, n, tracer.Dropped())
 		}
 	}
-	if *traceOut {
-		printTrace(metrics.Snapshot())
+	if *traceOut && !simulated {
+		if len(tracer.Events()) == 0 {
+			fmt.Printf("trace: solver %q is untraced\n", *solver)
+		} else if err := lddp.WriteTraceSummary(os.Stdout, tracer); err != nil {
+			fatal(err)
+		}
 	}
 	if *metricsOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(metrics.Snapshot()); err != nil {
+		if err := enc.Encode(lddp.AnalyzeTrace(tracer, 0)); err != nil {
 			fatal(err)
 		}
-	}
-}
-
-// printTrace renders the collected metrics as a readable table.
-func printTrace(s lddp.MetricsSnapshot) {
-	fmt.Printf("trace: solver=%s fronts=%d cells=%d\n", s.Solver, s.TotalFronts, s.TotalCells)
-	for _, ph := range s.Phases {
-		fmt.Printf("  phase %-12s wall=%-14s spans=%d\n", ph.Name, time.Duration(ph.WallNS), ph.Count)
-	}
-	for _, w := range s.Workers {
-		fmt.Printf("  worker %-3d chunks=%-6d cells=%-10d busy=%-14s util=%.2f\n",
-			w.Worker, w.Chunks, w.Cells, time.Duration(w.BusyNS), w.Utilization)
-	}
-	tr := s.Transfers
-	if tr.BoundaryH2D.Count+tr.BoundaryD2H.Count+tr.BulkH2D.Count+tr.BulkD2H.Count > 0 {
-		fmt.Printf("  transfers boundary h2d=%dB/%d d2h=%dB/%d bulk h2d=%dB/%d d2h=%dB/%d\n",
-			tr.BoundaryH2D.Bytes, tr.BoundaryH2D.Count, tr.BoundaryD2H.Bytes, tr.BoundaryD2H.Count,
-			tr.BulkH2D.Bytes, tr.BulkH2D.Count, tr.BulkD2H.Bytes, tr.BulkD2H.Count)
 	}
 }
 

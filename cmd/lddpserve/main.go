@@ -187,11 +187,11 @@ func run(opts options, out io.Writer) error {
 			lddp.WithSchedulerWorkers(opts.workers),
 			lddp.WithSchedulerQueue(opts.queue),
 			lddp.WithSchedulerMaxActive(opts.active),
-			lddp.WithSchedulerCollector(metrics),
 		)
 		if err != nil {
 			return err
 		}
+		metrics = lddp.NewMetrics(s)
 		schedRes = runScheduled(opts, s, items)
 		st := s.Stats()
 		s.Close()

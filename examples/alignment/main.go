@@ -1,8 +1,8 @@
 // Alignment: the bioinformatics workloads that motivate LDDP frameworks —
 // edit distance, global alignment (Needleman-Wunsch) and local alignment
 // (Smith-Waterman) over DNA sequences — solved through the public lddp
-// facade on both of the paper's platforms, with a metrics collector
-// showing the runtime's observability output.
+// facade on both of the paper's platforms, with the simulated schedule's
+// phases showing how the framework divides the work.
 package main
 
 import (
@@ -53,24 +53,21 @@ func main() {
 	fmt.Printf("local align score     = %d  [pattern %s, %s]\n\n",
 		problems.LocalBestScore(swRes.Grid), swRes.Pattern, swRes.SimTime)
 
-	// How the framework divides this work on each platform, observed
-	// through a metrics collector.
+	// How the framework divides this work on each platform, read from
+	// the simulated schedule.
 	fmt.Println("heterogeneous execution profile (Levenshtein):")
 	for _, platform := range []string{"Hetero-High", "Hetero-Low"} {
-		metrics := &lddp.Metrics{}
 		res, err := lddp.Solve(ctx, lev,
 			lddp.WithStrategy(lddp.Hetero),
-			lddp.WithPlatform(platform),
-			lddp.WithCollector(metrics))
+			lddp.WithPlatform(platform))
 		if err != nil {
 			log.Fatal(err)
 		}
 		st := res.Timeline.Summarize()
 		fmt.Printf("  %-12s t_switch=%-5d t_share=%-5d cpuCells=%-8d gpuCells=%-8d %s\n",
 			platform, res.TSwitch, res.TShare, st.CPUCells, st.GPUCells, res.SimTime)
-		snap := metrics.Snapshot()
-		for _, ph := range snap.Phases {
-			fmt.Printf("    phase %-4s wall=%s\n", ph.Name, fmt.Sprintf("%dns", ph.WallNS))
+		for _, ph := range res.Timeline.Phases() {
+			fmt.Printf("    phase %-4s wall=%dns\n", ph.Name, ph.Wall.Nanoseconds())
 		}
 	}
 }

@@ -36,10 +36,10 @@ type Instance struct {
 	// SolveSeq runs the sequential reference and returns the answer.
 	SolveSeq func() (string, error)
 	// SolveParallel runs the native tile engine; opts carries the worker
-	// count and the optional Collector/Tracer.
+	// count and the optional Tracer.
 	SolveParallel func(opts core.Options) (string, error)
 	// SolvePool runs the level-synchronous pool baseline; opts carries
-	// workers, chunk and the optional Collector/Tracer.
+	// workers, chunk and the optional Tracer.
 	SolvePool func(opts core.Options) (string, error)
 	// SolveSim runs a simulated solver: mode is "cpu", "gpu" or "hetero".
 	SolveSim func(mode string, opts core.Options) (SimInfo, error)
@@ -47,7 +47,7 @@ type Instance struct {
 	// problems only) with the named accelerators.
 	SolveMulti func(accelNames []string, opts core.Options) (SimInfo, error)
 	// SolveTiled runs the tile engine on square tiles; worker count and
-	// Collector/Tracer ride in opts.
+	// the optional Tracer ride in opts.
 	SolveTiled func(tile int, opts core.Options) (string, error)
 	// SolveResilient runs the unreliable-memory solver with seeded faults
 	// at ratePercent per replica write, and reports the answer plus the

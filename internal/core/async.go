@@ -116,7 +116,6 @@ type tileEngine[T any] struct {
 	ready    chan int32
 	left     atomic.Int64  // tiles not yet finished
 	finished chan struct{} // closed by the worker that finishes the last tile
-	stats    []poolWorkerStat
 	lanes    []*trace.Lane
 }
 
@@ -363,10 +362,6 @@ func (e *tileEngine[T]) startLoops() {
 // dependent, or one off the ready channel), fill it, publish it, repeat
 // until the last tile is done or the context ends.
 func (e *tileEngine[T]) work(w int) {
-	var st *poolWorkerStat
-	if e.stats != nil {
-		st = &e.stats[w]
-	}
 	var ln *trace.Lane
 	if e.lanes != nil {
 		ln = e.lanes[w]
@@ -388,17 +383,12 @@ func (e *tileEngine[T]) work(w int) {
 			}
 		}
 		var t0 time.Time
-		if st != nil || ln != nil {
+		if ln != nil {
 			t0 = time.Now()
 		}
 		cells, n, ok := e.step(t, &ready)
 		if !ok {
 			return
-		}
-		if st != nil {
-			st.busy += time.Since(t0)
-			st.chunks++
-			st.cells += cells
 		}
 		if ln != nil {
 			ln.SpanFrom(trace.KindTask, int(t)/e.tc*e.th, 0, int64(cells), t0)
@@ -417,11 +407,11 @@ func (e *tileEngine[T]) work(w int) {
 	}
 }
 
-// executed names the tile shape in SolveInfo.Executed, trace.Meta and
-// the workers' pprof labels, for example "tiles 1x256", or "tiles 64x256
-// skewed" for tiles in (i, u). Every solve builds it, so it is appended
-// into one string rather than formatted: fmt would box each extent of
-// 256 or more into an interface, one allocation apiece.
+// executed names the tile shape in trace.Meta and the workers' pprof
+// labels, for example "tiles 1x256", or "tiles 64x256 skewed" for tiles
+// in (i, u). Every solve builds it, so it is appended into one string
+// rather than formatted: fmt would box each extent of 256 or more into
+// an interface, one allocation apiece.
 func (e *tileEngine[T]) executed() string {
 	b := make([]byte, 0, 32)
 	b = strconv.AppendInt(append(b, "tiles "...), int64(e.th), 10)
@@ -445,9 +435,9 @@ func (e *tileEngine[T]) firstUnfinishedRow() int {
 
 // solveTiles is the shared entry of SolveParallel* and SolveTiled*: it
 // builds the engine, runs one worker loop per worker (the caller is worker
-// 0), and wires the Collector and the Tracer. solver names the executor in
-// the observability events and in *Canceled.
-func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile int, opts Options) (grid *table.Grid[T], err error) {
+// 0), and wires the Tracer. solver names the executor in the trace and in
+// *Canceled.
+func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile int, opts Options) (*table.Grid[T], error) {
 	e, g, workers, err := tileEngineFor(ctx, p, tile, opts)
 	if err != nil {
 		return nil, err
@@ -458,27 +448,6 @@ func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile i
 	e.startLoops()
 
 	executed := e.executed()
-	if coll := opts.Collector; coll != nil {
-		e.stats = make([]poolWorkerStat, workers)
-		coll.SolveStart(SolveInfo{
-			Solver: solver, Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: executed,
-			Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows, Workers: workers,
-		})
-		start := time.Now()
-		defer func() {
-			wall := time.Since(start)
-			for w := range e.stats {
-				st := &e.stats[w]
-				coll.WorkerStats(WorkerStats{
-					Worker: w, Chunks: st.chunks, Cells: st.cells,
-					Busy: st.busy, Wall: wall,
-				})
-			}
-			coll.Phase(solver, wall)
-			coll.SolveEnd(err)
-		}()
-	}
 	if tr := opts.Tracer; tr != nil {
 		tr.BeginSolve(trace.Meta{
 			Solver: solver, Problem: p.Name,

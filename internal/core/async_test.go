@@ -14,21 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// asyncSink records the full Collector stream of one tile-engine solve.
-type asyncSink struct {
-	starts  []SolveInfo
-	workers []WorkerStats
-	phases  []string
-	ends    []error
-}
-
-func (s *asyncSink) SolveStart(info SolveInfo)          { s.starts = append(s.starts, info) }
-func (s *asyncSink) FrontSize(int)                      {}
-func (s *asyncSink) WorkerStats(ws WorkerStats)         { s.workers = append(s.workers, ws) }
-func (s *asyncSink) Transfer(TransferStats)             {}
-func (s *asyncSink) Phase(name string, _ time.Duration) { s.phases = append(s.phases, name) }
-func (s *asyncSink) SolveEnd(err error)                 { s.ends = append(s.ends, err) }
-
 // TestAsyncExpiredContext checks the tile engine returns promptly with a
 // *Canceled when handed an already-expired context.
 func TestAsyncExpiredContext(t *testing.T) {
@@ -113,45 +98,38 @@ func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestAsyncCollectorEvents checks the Collector wiring: one SolveStart
-// naming the async executor and its tile shape, per-worker stats whose
-// cells sum to the table, the async phase, and a nil SolveEnd.
-func TestAsyncCollectorEvents(t *testing.T) {
-	sink := &asyncSink{}
+// TestAsyncTracerMeta checks the solve description the tile engine hands
+// its Tracer (the async executor, its tile shape and its worker count),
+// and that the analyzed trace has one lane per worker whose tile cells
+// sum to the table.
+func TestAsyncTracerMeta(t *testing.T) {
+	rec := trace.NewRecorder(0)
 	p := testProblem(DepW|DepN, 96, 83)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SolveParallelOpt(p, Options{NativeWorkers: 4, Collector: sink})
+	got, err := SolveParallelOpt(p, Options{NativeWorkers: 4, Tracer: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !table.EqualComparable(want, got) {
-		t.Fatal("collected solve computed a different table")
+		t.Fatal("traced solve computed a different table")
 	}
-	if len(sink.starts) != 1 {
-		t.Fatalf("SolveStart count = %d, want 1", len(sink.starts))
+	meta := rec.Meta()
+	if meta.Solver != "async" || meta.Executed != "tiles 1x83" || meta.Workers != 4 {
+		t.Errorf("Meta = %+v, want async on whole-row 1x83 tiles with 4 workers", meta)
 	}
-	info := sink.starts[0]
-	if info.Solver != "async" || info.Executed != "tiles 1x83" || info.Workers != 4 {
-		t.Errorf("SolveInfo = %+v, want async on whole-row 1x83 tiles with 4 workers", info)
+	lanes := trace.Analyze(meta, rec.Events(), 0).Workers
+	if len(lanes) != 4 {
+		t.Fatalf("analyzed trace has %d worker lanes, want 4", len(lanes))
 	}
-	if len(sink.workers) != 4 {
-		t.Fatalf("WorkerStats count = %d, want 4", len(sink.workers))
-	}
-	cells := 0
-	for _, ws := range sink.workers {
-		cells += ws.Cells
+	var cells int64
+	for _, l := range lanes {
+		cells += l.Cells
 	}
 	if cells != 96*83 {
-		t.Errorf("worker cells sum to %d, want %d", cells, 96*83)
-	}
-	if len(sink.phases) != 1 || sink.phases[0] != "async" {
-		t.Errorf("phases = %v, want [async]", sink.phases)
-	}
-	if len(sink.ends) != 1 || sink.ends[0] != nil {
-		t.Errorf("SolveEnd = %v, want one nil", sink.ends)
+		t.Errorf("worker lanes cover %d cells, want %d", cells, 96*83)
 	}
 }
 

@@ -112,9 +112,6 @@ func (e *heteroExec[T]) boundary(res hetsim.Resource, cells int, label string, d
 	bytes := cells * e.bpc
 	pinned := !e.opts.UsePageable
 	dur := e.opts.Platform.Bus.TransferDuration(bytes, pinned)
-	if c := e.opts.Collector; c != nil {
-		c.Transfer(TransferStats{Boundary: true, ToDevice: res == hetsim.ResCopyH2D, Bytes: bytes, Cells: cells})
-	}
 	return e.sim.Submit(hetsim.Op{
 		Resource: e.transferResource(res),
 		Kind:     hetsim.OpTransfer,
@@ -132,9 +129,6 @@ func (e *heteroExec[T]) bulk(res hetsim.Resource, bytes int, label string, deps 
 		return hetsim.NoOp
 	}
 	dur := e.opts.Platform.Bus.TransferDuration(bytes, false)
-	if c := e.opts.Collector; c != nil {
-		c.Transfer(TransferStats{Boundary: false, ToDevice: res == hetsim.ResCopyH2D, Bytes: bytes})
-	}
 	return e.sim.Submit(hetsim.Op{
 		Resource: e.transferResource(res),
 		Kind:     hetsim.OpTransfer,

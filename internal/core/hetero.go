@@ -80,18 +80,6 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 	w := NewWavefronts(executed, cp.Rows, cp.Cols)
 	o := opts.withDefaults(w, TransferNeed(p.Deps))
 
-	if c := o.Collector; c != nil {
-		c.SolveStart(SolveInfo{
-			Solver: mode.String(), Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: executed.String(),
-			Rows: cp.Rows, Cols: cp.Cols, Fronts: w.Fronts,
-		})
-		for t := 0; t < w.Fronts; t++ {
-			c.FrontSize(w.Size(t))
-		}
-		defer func() { c.SolveEnd(err) }()
-	}
-
 	e := newHeteroExec(ctx, cp, w, o)
 
 	switch mode {
@@ -135,9 +123,6 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 		Timeline:  e.sim.Timeline(),
 		Critical:  e.sim.CriticalPath(),
 	}
-	if c := o.Collector; c != nil {
-		emitTimelinePhases(c, res.Timeline)
-	}
 	if tr := o.Tracer; tr != nil {
 		// No EndSolve: imported events live on the simulated clock.
 		tr.BeginSolve(trace.Meta{
@@ -155,8 +140,8 @@ func solveSim[T any](ctx context.Context, p *Problem[T], opts Options, mode solv
 
 // fillTiles computes the table of a simulated solve on the tile engine at
 // NativeWorkers, in the problem's own orientation. The fill gets no
-// Collector or Tracer, which describe the simulated schedule, and a cancel
-// during it names solver, the simulated strategy.
+// Tracer, which describes the simulated schedule, and a cancel during it
+// names solver, the simulated strategy.
 func fillTiles[T any](ctx context.Context, solver string, p *Problem[T], o Options) (*table.Grid[T], error) {
 	return solveTiles(ctx, solver, p, 0, Options{NativeWorkers: o.NativeWorkers})
 }

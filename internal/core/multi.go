@@ -90,18 +90,6 @@ func SolveHeteroMultiContext[T any](ctx context.Context, p *Problem[T], opts Opt
 		return nil, fmt.Errorf("core: shares sum to %d, want %d columns", total, cp.Cols)
 	}
 
-	if c := o.Collector; c != nil {
-		c.SolveStart(SolveInfo{
-			Solver: "multi", Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: Horizontal.String(),
-			Rows: cp.Rows, Cols: cp.Cols, Fronts: w.Fronts,
-		})
-		for t := 0; t < w.Fronts; t++ {
-			c.FrontSize(w.Size(t))
-		}
-		defer func() { c.SolveEnd(err) }()
-	}
-
 	e := newHeteroExec(ctx, cp, w, o)
 	if err = runHorizontalMulti(e, accels, shares); err != nil {
 		return nil, err
@@ -117,9 +105,6 @@ func SolveHeteroMultiContext[T any](ctx context.Context, p *Problem[T], opts Opt
 		Grid:     grid,
 		Shares:   shares,
 		Timeline: e.sim.Timeline(),
-	}
-	if c := o.Collector; c != nil {
-		emitTimelinePhases(c, res.Timeline)
 	}
 	if tr := o.Tracer; tr != nil {
 		// No EndSolve: imported events live on the simulated clock.

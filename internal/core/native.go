@@ -25,9 +25,9 @@ func SolveParallel[T any](p *Problem[T], workers int) (*table.Grid[T], error) {
 }
 
 // SolveParallelOpt is SolveParallel with the native-runtime fields of
-// Options honored: NativeWorkers, Collector and Tracer. All other Options
-// fields are ignored — the native executor computes real values on the
-// host and involves no simulated platform.
+// Options honored: NativeWorkers and Tracer. All other Options fields are
+// ignored — the native executor computes real values on the host and
+// involves no simulated platform.
 func SolveParallelOpt[T any](p *Problem[T], opts Options) (*table.Grid[T], error) {
 	return SolveParallelContext(context.Background(), p, opts)
 }

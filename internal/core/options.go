@@ -74,19 +74,13 @@ type Options struct {
 	// chunks.
 	NativeChunk int
 
-	// Collector receives runtime observability events (phase wall times,
-	// front-size histogram, pool worker utilization and chunk claims,
-	// simulated transfer volumes). Nil — the default — disables all
-	// instrumentation at zero overhead. For the simulated strategies the
-	// Collector and the Tracer describe the simulated schedule; the table
-	// fill that computes their cell values reports to neither.
-	Collector Collector
-
 	// Tracer records per-event runtime traces (front begin/end, chunk
 	// claims, barrier waits, tile tasks, simulated transfers) into
 	// per-worker ring buffers for Perfetto export and stall analysis.
 	// Nil — the default — disables tracing; the hot paths guard every
-	// emission behind one nil test, like Collector.
+	// emission behind one nil test. For the simulated strategies the
+	// Tracer imports the simulated schedule; the table fill that computes
+	// their cell values records nothing.
 	Tracer *trace.Recorder
 }
 

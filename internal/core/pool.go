@@ -38,11 +38,6 @@ import (
 // sees the flag, closes the gate with the stop bit set, and every worker
 // exits promptly — the barrier protocol itself is the shutdown path, so no
 // goroutine can be left parked. The interrupted solve returns *Canceled.
-//
-// Instrumentation: with a non-nil Collector the pool counts chunk claims,
-// cells, and kernel time per worker (accumulated in worker-local state and
-// reported once after the join). With a nil Collector the only residue is
-// one nil test per chunk claim.
 
 // defaultNativeChunk is the number of cells a worker claims per cursor
 // bump. It doubles as the serial cutoff: fronts that fit in one chunk run
@@ -59,14 +54,6 @@ func defaultPoolWorkers() int {
 	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// poolWorkerStat is one worker's instrumentation state, local to the worker
-// during the solve (no sharing, no atomics) and reported after the join.
-type poolWorkerStat struct {
-	chunks int
-	cells  int
-	busy   time.Duration
-}
-
 // workerPool is the reusable barrier state shared by the pool workers.
 // Front-describing fields (front, size, frontT0) are written only by the
 // advancing worker between epochs and published to the others by the gate
@@ -78,9 +65,8 @@ type workerPool struct {
 	sizeOf  func(t int) int
 	run     func(t, lo, hi int)
 
-	done  <-chan struct{}  // context done channel; nil = uncancellable
-	stats []poolWorkerStat // per-worker instrumentation; nil = collector off
-	lanes []*trace.Lane    // per-worker trace lanes; nil = tracer off
+	done  <-chan struct{} // context done channel; nil = uncancellable
+	lanes []*trace.Lane   // per-worker trace lanes; nil = tracer off
 
 	front   int       // current front index
 	size    int64     // current front size
@@ -95,14 +81,13 @@ type workerPool struct {
 
 // poolConfig bundles the cross-cutting knobs of the pool runtime: the
 // executor name (error messages, pprof labels), worker/chunk sizing, and
-// the two observability sinks. The zero values of workers and chunk select
-// the documented defaults.
+// the trace recorder. The zero values of workers and chunk select the
+// documented defaults.
 type poolConfig struct {
 	solver  string
 	phase   string // pprof label: executed pattern / tile extent / "planes"
 	workers int
 	chunk   int
-	coll    Collector
 	rec     *trace.Recorder
 }
 
@@ -177,9 +162,6 @@ func runWavefronts(ctx context.Context, cfg poolConfig, fronts int, size func(t 
 		size:    int64(size(t)),
 		gate:    make(chan struct{}),
 	}
-	if cfg.coll != nil {
-		p.stats = make([]poolWorkerStat, workers)
-	}
 	if cfg.rec != nil {
 		p.lanes = make([]*trace.Lane, workers)
 		for w := range p.lanes {
@@ -189,7 +171,6 @@ func runWavefronts(ctx context.Context, cfg poolConfig, fronts int, size func(t 
 	}
 	p.remaining.Store(int64(workers))
 
-	start := time.Now()
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for i := 1; i < workers; i++ {
@@ -202,16 +183,6 @@ func runWavefronts(ctx context.Context, cfg poolConfig, fronts int, size func(t 
 	pprof.Do(ctx, cfg.poolLabels(0), func(context.Context) { p.work(0) })
 	wg.Wait()
 
-	if cfg.coll != nil {
-		wall := time.Since(start)
-		for w := range p.stats {
-			st := &p.stats[w]
-			cfg.coll.WorkerStats(WorkerStats{
-				Worker: w, Chunks: st.chunks, Cells: st.cells,
-				Busy: st.busy, Wall: wall,
-			})
-		}
-	}
 	if p.canceled.Load() {
 		return canceledErr(ctx, cfg.solver, p.front)
 	}
@@ -221,29 +192,18 @@ func runWavefronts(ctx context.Context, cfg poolConfig, fronts int, size func(t 
 // work is the pool worker loop: claim chunks, arrive at the barrier, and
 // either advance the epoch (last arriver) or park on the gate.
 func (p *workerPool) work(w int) {
-	var st *poolWorkerStat
-	if p.stats != nil {
-		st = &p.stats[w]
-	}
 	var ln *trace.Lane
 	if p.lanes != nil {
 		ln = p.lanes[w]
 	}
 	runSpan := func(kind trace.Kind, t, lo, hi int) {
-		if st == nil && ln == nil {
+		if ln == nil {
 			p.run(t, lo, hi)
 			return
 		}
 		t0 := time.Now()
 		p.run(t, lo, hi)
-		if st != nil {
-			st.busy += time.Since(t0)
-			st.chunks++
-			st.cells += hi - lo
-		}
-		if ln != nil {
-			ln.SpanFrom(kind, t, int64(lo), int64(hi), t0)
-		}
+		ln.SpanFrom(kind, t, int64(lo), int64(hi), t0)
 	}
 	for {
 		// Claim chunks of the current front until the cursor runs past its
@@ -344,10 +304,10 @@ func (p *workerPool) work(w int) {
 // It is the paper's level-synchronous baseline, kept for the native-pool
 // ablation and the barrier-stall comparison; SolveParallel is the faster
 // executor. The native-runtime fields of Options apply (NativeWorkers,
-// NativeChunk, Collector, Tracer); ctx is polled once per chunk claim,
+// NativeChunk, Tracer); ctx is polled once per chunk claim,
 // and a canceled solve returns a nil grid and a *Canceled error whose
 // Front is the first front not known to be fully computed.
-func SolvePool[T any](ctx context.Context, p *Problem[T], opts Options) (grid *table.Grid[T], err error) {
+func SolvePool[T any](ctx context.Context, p *Problem[T], opts Options) (*table.Grid[T], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -362,22 +322,6 @@ func SolvePool[T any](ctx context.Context, p *Problem[T], opts Options) (grid *t
 	w := NewWavefronts(canonical, cp.Rows, cp.Cols)
 	g := table.NewGrid[T](cp.Rows, cp.Cols)
 
-	coll := opts.Collector
-	if coll != nil {
-		coll.SolveStart(SolveInfo{
-			Solver: "pool", Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: canonical.String(),
-			Rows: cp.Rows, Cols: cp.Cols, Fronts: w.Fronts, Workers: workers,
-		})
-		for t := 0; t < w.Fronts; t++ {
-			coll.FrontSize(w.Size(t))
-		}
-		start := time.Now()
-		defer func() {
-			coll.Phase("native", time.Since(start))
-			coll.SolveEnd(err)
-		}()
-	}
 	tr := opts.Tracer
 	if tr != nil {
 		tr.BeginSolve(trace.Meta{
@@ -389,8 +333,7 @@ func SolvePool[T any](ctx context.Context, p *Problem[T], opts Options) (grid *t
 	}
 	cfg := poolConfig{
 		solver: "pool", phase: canonical.String(),
-		workers: workers, chunk: opts.NativeChunk,
-		coll: coll, rec: tr,
+		workers: workers, chunk: opts.NativeChunk, rec: tr,
 	}
 	if err := runWavefronts(ctx, cfg, w.Fronts, w.Size, frontRunner(cp, w, g)); err != nil {
 		return nil, err

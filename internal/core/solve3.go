@@ -75,15 +75,15 @@ func SolveParallel3Context[T any](ctx context.Context, p *Problem3[T], workers i
 }
 
 // SolveParallel3Opt is SolveParallel3Context with the full Options set:
-// NativeWorkers/NativeChunk sizing plus the Collector and Tracer sinks
-// wired through the pool runtime exactly as in the 2-D executors.
+// NativeWorkers/NativeChunk sizing plus the Tracer, wired through the
+// pool runtime exactly as in the 2-D executors.
 func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options) (*table.Grid3[T], error) {
 	return solveParallel3(ctx, "pool3", p, opts)
 }
 
-// solveParallel3 is SolveParallel3Opt naming the solver in the
-// observability events and in *Canceled.
-func solveParallel3[T any](ctx context.Context, solver string, p *Problem3[T], opts Options) (grid *table.Grid3[T], err error) {
+// solveParallel3 is SolveParallel3Opt naming the solver in the trace and
+// in *Canceled.
+func solveParallel3[T any](ctx context.Context, solver string, p *Problem3[T], opts Options) (*table.Grid3[T], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,16 +93,6 @@ func solveParallel3[T any](ctx context.Context, solver string, p *Problem3[T], o
 	}
 	planes := p.Planes()
 	planeSize := func(s int) int { return table.PlaneSize(p.NX, p.NY, p.NZ, s) }
-	if c := opts.Collector; c != nil {
-		c.SolveStart(SolveInfo{
-			Solver: solver, Problem: p.Name,
-			Rows: p.NX, Cols: p.NY * p.NZ, Fronts: planes, Workers: workers,
-		})
-		for s := 0; s < planes; s++ {
-			c.FrontSize(planeSize(s))
-		}
-		defer func() { c.SolveEnd(err) }()
-	}
 	if tr := opts.Tracer; tr != nil {
 		tr.BeginSolve(trace.Meta{
 			Solver: solver, Problem: p.Name,
@@ -119,9 +109,9 @@ func solveParallel3[T any](ctx context.Context, solver string, p *Problem3[T], o
 	// serial cutoff keeps the small end planes on the advancing worker.
 	cfg := poolConfig{
 		solver: solver, phase: "planes", workers: workers, chunk: chunk,
-		coll: opts.Collector, rec: opts.Tracer,
+		rec: opts.Tracer,
 	}
-	err = runWavefronts(ctx, cfg, planes, planeSize, func(s, lo, hi int) {
+	err := runWavefronts(ctx, cfg, planes, planeSize, func(s, lo, hi int) {
 		forEachPlaneCell(p, s, lo, hi, func(i, j, k int) {
 			g.Set(i, j, k, p.F(i, j, k, gather3(p, g, i, j, k)))
 		})
@@ -251,18 +241,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 
 	done := ctxDone(ctx)
 	solver := mode.String() + "-3d"
-	coll := opts.Collector
-	if coll != nil {
-		coll.SolveStart(SolveInfo{
-			Solver: solver, Problem: p.Name,
-			Rows: p.NX, Cols: p.NY * p.NZ, Fronts: planes,
-		})
-		for s := 0; s < planes; s++ {
-			coll.FrontSize(planeSize(s))
-		}
-		defer func() { coll.SolveEnd(err) }()
-	}
-
 	// The plane index rides along as the op's front tag.
 	cpuOp := func(s, lo, hi int, deps ...hetsim.OpID) hetsim.OpID {
 		if hi <= lo {
@@ -299,9 +277,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 	case modeGPUOnly:
 		upload := hetsim.NoOp
 		if p.InputBytes > 0 {
-			if coll != nil {
-				coll.Transfer(TransferStats{ToDevice: true, Bytes: p.InputBytes})
-			}
 			upload = sim.Submit(hetsim.Op{
 				Resource: hetsim.ResCopyH2D, Kind: hetsim.OpTransfer,
 				Duration: opts.Platform.Bus.TransferDuration(p.InputBytes, false),
@@ -332,9 +307,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 					// Phase 2 -> 3: pull the GPU parts of the last two
 					// planes down for the CPU tail.
 					bytes := (planeSize(s-1) + planeSize(max(0, s-2))) * bpc
-					if coll != nil {
-						coll.Transfer(TransferStats{Bytes: bytes})
-					}
 					syncDown = sim.Submit(hetsim.Op{
 						Resource: hetsim.ResCopyD2H, Kind: hetsim.OpTransfer,
 						Duration: opts.Platform.Bus.TransferDuration(bytes, false),
@@ -345,9 +317,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 			default:
 				if s == p2Start && s > 0 {
 					bytes := (planeSize(s-1) + planeSize(max(0, s-2))) * bpc
-					if coll != nil {
-						coll.Transfer(TransferStats{ToDevice: true, Bytes: bytes})
-					}
 					syncUp = sim.Submit(hetsim.Op{
 						Resource: hetsim.ResCopyH2D, Kind: hetsim.OpTransfer,
 						Duration: opts.Platform.Bus.TransferDuration(bytes, false),
@@ -366,9 +335,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 				// plane s+1 on.
 				_, edge := table.PlaneRowSpan(p.NY, p.NZ, s, opts.TShare-1)
 				if opts.TShare >= 1 && opts.TShare < p.NX && edge > 0 && s+1 < p3Start {
-					if coll != nil {
-						coll.Transfer(TransferStats{Boundary: true, ToDevice: true, Bytes: bpc, Cells: 1})
-					}
 					prevBoundary = sim.Submit(hetsim.Op{
 						Resource: hetsim.ResCopyH2D, Kind: hetsim.OpTransfer,
 						Duration: opts.Platform.Bus.TransferDuration(bpc, true),
@@ -382,7 +348,7 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 	var g *table.Grid3[T]
 	if !opts.SkipCompute {
 		// The cell values come from the native plane pool, which gets no
-		// Collector or Tracer: those describe the simulated schedule.
+		// Tracer: that describes the simulated schedule.
 		fill := Options{NativeWorkers: opts.NativeWorkers, NativeChunk: opts.NativeChunk}
 		if g, err = solveParallel3(ctx, solver, p, fill); err != nil {
 			return nil, err
@@ -394,9 +360,6 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 		TSwitch:  opts.TSwitch,
 		TShare:   opts.TShare,
 		Timeline: sim.Timeline(),
-	}
-	if coll != nil {
-		emitTimelinePhases(coll, res.Timeline)
 	}
 	if tr := opts.Tracer; tr != nil {
 		// No EndSolve: imported events live on the simulated clock, and a

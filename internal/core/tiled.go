@@ -27,8 +27,7 @@ func SolveTiled[T any](p *Problem[T], tile, workers int) (*table.Grid[T], error)
 // SolveTiledContext is SolveTiled honoring a context (polled once per
 // tile row) and an Options carrying the worker count
 // (Options.NativeWorkers), which Validate checks, and the optional
-// Collector and Tracer. A canceled solve returns a nil grid and a
-// *Canceled error.
+// Tracer. A canceled solve returns a nil grid and a *Canceled error.
 func SolveTiledContext[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*table.Grid[T], error) {
 	if tile < 1 {
 		return nil, fmt.Errorf("core: tile size %d < 1", tile)

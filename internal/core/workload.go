@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"repro/internal/table"
+	"repro/internal/trace"
 )
 
 // Workload is the untyped view of one tile-engine solve, with the cell
@@ -19,9 +20,9 @@ import (
 // a scheduler that runs each reported tile once runs the whole table once.
 // Run is safe for concurrent calls on distinct ready tiles.
 type Workload struct {
-	// Info describes the solve for Collector wiring. Solver is "sched";
-	// ID and Workers are filled in by the scheduler at admission.
-	Info SolveInfo
+	// Info describes the solve to a per-submission tracer. Solver is
+	// "sched"; the scheduler fills in Workers at admission.
+	Info trace.Meta
 	// TotalCells is the table's cell count, used for size-aware admission
 	// priority.
 	TotalCells int64
@@ -54,7 +55,7 @@ func NewTileWorkload[T any](ctx context.Context, p *Problem[T], workers int) (*W
 		return nil, nil, err
 	}
 	wl := &Workload{
-		Info: SolveInfo{
+		Info: trace.Meta{
 			Solver: "sched", Problem: p.Name,
 			Pattern: Classify(p.Deps).String(), Executed: e.executed(),
 			Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows,

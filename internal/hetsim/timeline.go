@@ -3,6 +3,7 @@ package hetsim
 import (
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -126,6 +127,48 @@ func (t Timeline) TransferCount() int {
 		}
 	}
 	return n
+}
+
+// PhaseSpan is the simulated wall-clock span of one execution phase.
+type PhaseSpan struct {
+	Name string
+	Wall time.Duration
+}
+
+// Phases returns the span of each execution phase, in the order of each
+// phase's first compute op. Compute labels follow the "device:phase"
+// convention ("cpu:p1", "gpu:p2", "k20:p1", ...), so the ops of one phase
+// group across devices, and a phase's wall time runs from its first op
+// start to its last op end. The phase count is the paper's Table-II
+// phase structure for the executed pattern: three for anti-diagonal and
+// knight-move, two for inverted-L, one for horizontal.
+func (t Timeline) Phases() []PhaseSpan {
+	var out []PhaseSpan
+	var starts, ends []time.Duration
+	for _, r := range t.Records {
+		if r.Kind != OpCompute {
+			continue
+		}
+		name := r.Label
+		if i := strings.IndexByte(name, ':'); i >= 0 {
+			name = name[i+1:]
+		}
+		k := 0
+		for k < len(out) && out[k].Name != name {
+			k++
+		}
+		if k == len(out) {
+			out = append(out, PhaseSpan{Name: name})
+			starts = append(starts, r.Start)
+			ends = append(ends, r.End)
+		}
+		starts[k] = min(starts[k], r.Start)
+		ends[k] = max(ends[k], r.End)
+	}
+	for k := range out {
+		out[k].Wall = ends[k] - starts[k]
+	}
+	return out
 }
 
 // Resources returns the distinct resources used, sorted.

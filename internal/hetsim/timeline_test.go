@@ -100,3 +100,74 @@ func TestOpRecordDuration(t *testing.T) {
 		t.Errorf("Duration = %v, want 7", r.Duration())
 	}
 }
+
+// records builds a timeline straight from records; Phases only reads
+// Label, Kind, Start and End.
+func records(rs ...OpRecord) Timeline { return Timeline{Records: rs} }
+
+func rec(label string, kind OpKind, start, end time.Duration) OpRecord {
+	return OpRecord{Label: label, Kind: kind, Start: start, End: end}
+}
+
+func phaseNames(ps []PhaseSpan) []string {
+	names := make([]string, len(ps))
+	for i, p := range ps {
+		names[i] = p.Name
+	}
+	return names
+}
+
+func TestTimelinePhasesMergesDevices(t *testing.T) {
+	// One phase split across two devices: the phase wall is the span from
+	// the earliest start to the latest end, not the sum of op durations.
+	ps := records(
+		rec("cpu:p1", OpCompute, 0, 10*time.Microsecond),
+		rec("gpu:p1", OpCompute, 5*time.Microsecond, 20*time.Microsecond),
+	).Phases()
+	if len(ps) != 1 || ps[0].Name != "p1" {
+		t.Fatalf("phases = %v, want [p1]", phaseNames(ps))
+	}
+	if ps[0].Wall != 20*time.Microsecond {
+		t.Errorf("p1 wall = %v, want 20us (merged span, not summed durations)", ps[0].Wall)
+	}
+}
+
+func TestTimelinePhasesStripsDevicePrefix(t *testing.T) {
+	ps := records(
+		rec("k20:p2", OpCompute, 0, time.Microsecond),
+		rec("bare", OpCompute, time.Microsecond, 2*time.Microsecond),
+	).Phases()
+	if len(ps) != 2 || ps[0].Name != "p2" || ps[1].Name != "bare" {
+		t.Fatalf("phases = %v, want [p2 bare] (prefix stripped, colon-less label kept)", phaseNames(ps))
+	}
+}
+
+func TestTimelinePhasesFirstSeenOrder(t *testing.T) {
+	// Phases report in first-op order even when later ops interleave.
+	ps := records(
+		rec("cpu:p1", OpCompute, time.Microsecond, 2*time.Microsecond),
+		rec("cpu:p2", OpCompute, 2*time.Microsecond, 3*time.Microsecond),
+		rec("gpu:p1", OpCompute, 0, 4*time.Microsecond),
+		rec("cpu:p3", OpCompute, 4*time.Microsecond, 5*time.Microsecond),
+	).Phases()
+	want := []string{"p1", "p2", "p3"}
+	if got := phaseNames(ps); len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("phases = %v, want %v", got, want)
+	}
+	// p1's span grew at both ends to cover the late gpu op, which also
+	// started before the first one.
+	if ps[0].Wall != 4*time.Microsecond {
+		t.Errorf("p1 wall = %v, want 4us", ps[0].Wall)
+	}
+}
+
+func TestTimelinePhasesIgnoresTransfers(t *testing.T) {
+	ps := records(
+		rec("h2d:input", OpTransfer, 0, time.Microsecond),
+		rec("cpu:p1", OpCompute, 0, time.Microsecond),
+		rec("d2h:result", OpTransfer, time.Microsecond, 2*time.Microsecond),
+	).Phases()
+	if len(ps) != 1 || ps[0].Name != "p1" {
+		t.Fatalf("phases = %v, want [p1] (transfers excluded)", phaseNames(ps))
+	}
+}

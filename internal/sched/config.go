@@ -29,8 +29,6 @@ import (
 	"fmt"
 	"runtime"
 	"time"
-
-	"repro/internal/core"
 )
 
 // Config field ceilings enforced by Validate. Values past these are
@@ -93,14 +91,6 @@ type Config struct {
 	// at most the small solves that arrive within SmallBoost positions
 	// of it.
 	SmallBoost int
-
-	// Collector receives the per-solve Collector events of every
-	// admitted solve (SolveStart with the scheduler-assigned SolveInfo.ID,
-	// SolveEnd). A Collector that also implements
-	// core.SchedCollector additionally receives the SchedEvent lifecycle
-	// stream (queue depth, time-in-queue, cross-solve steals). Nil
-	// disables instrumentation.
-	Collector core.Collector
 }
 
 // Validate checks the configuration. Zero and negative values are legal
@@ -178,10 +168,10 @@ func (r *Rejected) Unwrap() error { return r.Err }
 // Stats is a point-in-time snapshot of a Scheduler's counters.
 type Stats struct {
 	// Submitted counts accepted submissions; Rejected refused ones
-	// (including queue expiries). Done and Canceled count finished
-	// admitted solves. Submitted = Done + Canceled + queued + active +
-	// (Rejected - synchronous rejections).
-	Submitted, Done, Canceled, Rejected int64
+	// (including queue expiries). Started counts admissions, and Done and
+	// Canceled finished admitted solves. Submitted = Done + Canceled +
+	// queued + active + (Rejected - synchronous rejections).
+	Submitted, Started, Done, Canceled, Rejected int64
 	// Steals counts cross-solve steals: a worker popping a tile from a
 	// different solve than the one it ran last while both were admitted.
 	Steals int64
@@ -189,9 +179,56 @@ type Stats struct {
 	// sizes; PeakQueueDepth and PeakActive their high-water marks.
 	QueueDepth, Active         int
 	PeakQueueDepth, PeakActive int
+	// QueueWait histograms the time in queue of every admitted
+	// submission; SolveLatency the submit-to-done latency of every
+	// successful solve.
+	QueueWait, SolveLatency Hist
 	// Workers reports each worker's cumulative load across all solves.
 	Workers []WorkerLoad
 }
+
+// HistBoundsNS are the inclusive upper bounds of every Hist's buckets:
+// powers of four from 1µs to ~16.8s, a range wide enough to resolve both
+// sub-millisecond admission waits and multi-second solves.
+var HistBoundsNS = [13]int64{
+	1e3, 4e3, 16e3, 64e3, 256e3, 1024e3, 4096e3,
+	16384e3, 65536e3, 262144e3, 1048576e3, 4194304e3, 16777216e3,
+}
+
+// Hist is a fixed-bound duration histogram over HistBoundsNS. Counts has
+// one entry per bound plus a final overflow bucket, so the cumulative
+// Prometheus rendering (le="...", le="+Inf") falls out by prefix-summing
+// Counts.
+type Hist struct {
+	// BoundsNS holds HistBoundsNS once the histogram has an observation.
+	BoundsNS [len(HistBoundsNS)]int64 `json:"bounds_ns"`
+	// Counts[i] counts observations <= BoundsNS[i] (and > BoundsNS[i-1]);
+	// the final extra entry counts overflows.
+	Counts [len(HistBoundsNS) + 1]int64 `json:"counts"`
+	// Count and SumNS are the marginals; MaxNS the largest observation.
+	Count int64 `json:"count"`
+	SumNS int64 `json:"sum_ns"`
+	MaxNS int64 `json:"max_ns"`
+}
+
+// Observe adds one duration, in nanoseconds, to the histogram.
+func (h *Hist) Observe(ns int64) {
+	if h.Count == 0 {
+		h.BoundsNS = HistBoundsNS
+	}
+	i := 0
+	for i < len(HistBoundsNS) && ns > HistBoundsNS[i] {
+		i++
+	}
+	h.Counts[i]++
+	h.Count++
+	h.SumNS += ns
+	h.MaxNS = max(h.MaxNS, ns)
+}
+
+// IsZero reports whether the histogram has no observations; it makes
+// empty histograms disappear from JSON under omitzero.
+func (h Hist) IsZero() bool { return h.Count == 0 }
 
 // WorkerLoad is one scheduler worker's cumulative load.
 type WorkerLoad struct {

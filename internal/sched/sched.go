@@ -63,8 +63,7 @@ type job struct {
 // submit with Submit (or the generic Solve helper), and Close it to drain.
 // All methods are safe for concurrent use.
 type Scheduler struct {
-	cfg       Config
-	schedColl core.SchedCollector // cfg.Collector, if it implements the extension
+	cfg Config
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -88,7 +87,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	rcfg := cfg.withDefaults()
 	s := &Scheduler{cfg: rcfg, loads: make([]WorkerLoad, rcfg.Workers)}
-	s.schedColl, _ = rcfg.Collector.(core.SchedCollector)
 	s.cond = sync.NewCond(&s.mu)
 	s.wg.Add(rcfg.Workers)
 	for w := 0; w < rcfg.Workers; w++ {
@@ -139,8 +137,7 @@ type Handle struct {
 	j *job
 }
 
-// ID returns the scheduler-assigned solve ID (matches SolveInfo.ID and
-// the SchedEvent stream).
+// ID returns the scheduler-assigned solve ID.
 func (h *Handle) ID() int64 { return h.j.id }
 
 // Done returns a channel closed when the submission reaches its end
@@ -194,7 +191,6 @@ func (s *Scheduler) Submit(ctx context.Context, wl *core.Workload, opts SubmitOp
 	if reason := s.refusalLocked(j); reason != nil {
 		depth := len(s.queue)
 		s.stats.Rejected++
-		s.schedEventLocked(j, core.SchedRejected, time.Since(j.enq))
 		s.mu.Unlock()
 		return nil, &Rejected{ID: j.id, QueueDepth: depth, Err: reason}
 	}
@@ -203,7 +199,6 @@ func (s *Scheduler) Submit(ctx context.Context, wl *core.Workload, opts SubmitOp
 	if d := len(s.queue); d > s.stats.PeakQueueDepth {
 		s.stats.PeakQueueDepth = d
 	}
-	s.schedEventLocked(j, core.SchedEnqueued, 0)
 	s.cond.Signal()
 	s.mu.Unlock()
 	return &Handle{s: s, j: j}, nil
@@ -419,43 +414,27 @@ func (j *job) score(boost int) int64 {
 	return k
 }
 
-// activateLocked moves a picked submission into the running set, emits
-// its Collector/trace bookkeeping, and queues its source tiles.
+// activateLocked moves a picked submission into the running set, counts
+// its admission and queue wait, opens its trace, and queues its source
+// tiles.
 func (s *Scheduler) activateLocked(j *job, w int) {
 	j.state = stateActive
-	wait := time.Since(j.enq)
 	s.active = append(s.active, j)
 	if a := len(s.active); a > s.stats.PeakActive {
 		s.stats.PeakActive = a
 	}
-	info := j.wl.Info
-	if c := s.cfg.Collector; c != nil {
-		// The Collector is user code and must not stall every worker and
-		// Submit behind one admission: call it without the mutex. No
-		// worker can reach j's tiles before its sources are queued below,
-		// and running keeps the sweep and cancel from finalizing it.
-		info.ID = j.id
-		info.Workers = s.cfg.Workers
-		j.running++
-		s.mu.Unlock()
-		c.SolveStart(info)
-		s.mu.Lock()
-		j.running--
-	}
+	s.stats.Started++
+	s.stats.QueueWait.Observe(time.Since(j.enq).Nanoseconds())
 	if j.tracer != nil {
-		j.tracer.BeginSolve(trace.Meta{
-			Solver: info.Solver, Problem: info.Problem,
-			Pattern: info.Pattern, Executed: info.Executed,
-			Rows: info.Rows, Cols: info.Cols,
-			Fronts: info.Fronts, Workers: s.cfg.Workers,
-		})
+		meta := j.wl.Info
+		meta.Workers = s.cfg.Workers
+		j.tracer.BeginSolve(meta)
 		j.lanes = make([]*trace.Lane, s.cfg.Workers)
 		for i := range j.lanes {
 			j.lanes[i] = j.tracer.Lane(i)
 		}
 		j.lanes[w].SpanFrom(trace.KindQueue, -1, int64(len(s.queue)), 0, j.enq)
 	}
-	s.schedEventLocked(j, core.SchedStarted, wait)
 	j.left.Store(int64(j.wl.Tiles))
 	j.ready = j.wl.Sources
 	s.wakeLocked(len(j.ready))
@@ -480,7 +459,6 @@ func (s *Scheduler) popLocked(w int, last *job) (*job, int32) {
 		}
 		if last != nil && last.state == stateActive {
 			s.stats.Steals++
-			s.schedEventLocked(j, core.SchedSteal, 0)
 			if j.lanes != nil {
 				j.lanes[w].Instant(trace.KindSteal, -1, j.id, 0)
 			}
@@ -504,9 +482,8 @@ func poppable(j *job) bool {
 }
 
 // finalizeLocked moves j to its end state: removes it from its set,
-// counts the outcome, emits the Collector/trace closing events, and —
-// strictly last, so waiters observe a quiescent collector and tracer —
-// releases waiters by closing j.done.
+// counts the outcome, closes its trace, and — strictly last, so waiters
+// observe a quiescent tracer — releases waiters by closing j.done.
 func (s *Scheduler) finalizeLocked(j *job, err error) {
 	wasActive := j.state == stateActive
 	switch j.state {
@@ -517,30 +494,20 @@ func (s *Scheduler) finalizeLocked(j *job, err error) {
 	}
 	j.state = stateFinal
 	j.err = err
-	kind := core.SchedDone
 	switch err.(type) {
 	case nil:
 		s.stats.Done++
+		// j.enq is the Submit timestamp: the latency runs end to end,
+		// queue wait included.
+		s.stats.SolveLatency.Observe(time.Since(j.enq).Nanoseconds())
 	case *Rejected:
 		s.stats.Rejected++
-		kind = core.SchedRejected
 	default:
 		s.stats.Canceled++
-		kind = core.SchedCanceled
 	}
-	if wasActive {
-		if c := s.cfg.Collector; c != nil {
-			c.SolveEnd(err)
-		}
-		if j.tracer != nil {
-			j.tracer.EndSolve()
-		}
+	if wasActive && j.tracer != nil {
+		j.tracer.EndSolve()
 	}
-	// The terminal event's Wait is the full submit-to-terminal latency
-	// (j.enq is the Submit timestamp) — SchedCollectors derive their
-	// solve-latency histograms from exactly this value, so it must stay
-	// the end-to-end elapsed, not the queued portion.
-	s.schedEventLocked(j, kind, time.Since(j.enq))
 	close(j.done)
 	s.cond.Broadcast()
 }
@@ -557,19 +524,6 @@ func removeJob(list []*job, j *job) []*job {
 		}
 	}
 	return list
-}
-
-// schedEventLocked reports one lifecycle event to the configured
-// SchedCollector, if any.
-func (s *Scheduler) schedEventLocked(j *job, kind core.SchedEventKind, wait time.Duration) {
-	if s.schedColl == nil {
-		return
-	}
-	s.schedColl.SchedEvent(core.SchedEvent{
-		ID: j.id, Kind: kind,
-		QueueDepth: len(s.queue), Active: len(s.active),
-		Wait: wait, Cells: j.wl.TotalCells,
-	})
 }
 
 // canceledErr builds the *core.Canceled of an interrupted solve; Front is

@@ -49,7 +49,7 @@ func testProblem(m core.DepMask, rows, cols int) *core.Problem[int64] {
 func gateWorkload(started, gate chan struct{}) *core.Workload {
 	var once sync.Once
 	return &core.Workload{
-		Info:       core.SolveInfo{Solver: "sched", Problem: "gate", Rows: 1, Cols: 1, Fronts: 1},
+		Info:       trace.Meta{Solver: "sched", Problem: "gate", Rows: 1, Cols: 1, Fronts: 1},
 		TotalCells: 1,
 		Tiles:      1,
 		Sources:    []int32{0},
@@ -62,55 +62,40 @@ func gateWorkload(started, gate chan struct{}) *core.Workload {
 }
 
 // sizedWorkload is a trivial one-tile workload whose only interesting
-// property is its TotalCells (for admission-priority tests).
-func sizedWorkload(name string, cells int64) *core.Workload {
+// property is its TotalCells (for admission-priority tests). A non-nil
+// log records the run.
+func sizedWorkload(name string, cells int64, log *runLog) *core.Workload {
 	return &core.Workload{
-		Info:       core.SolveInfo{Solver: "sched", Problem: name, Rows: 1, Cols: 1, Fronts: 1},
+		Info:       trace.Meta{Solver: "sched", Problem: name, Rows: 1, Cols: 1, Fronts: 1},
 		TotalCells: cells,
 		Tiles:      1,
 		Sources:    []int32{0},
-		Run:        func(int32, *[4]int32) (int, int, bool) { return 1, 0, true },
+		Run: func(int32, *[4]int32) (int, int, bool) {
+			if log != nil {
+				log.add(name)
+			}
+			return 1, 0, true
+		},
 	}
 }
 
-// eventCollector records SolveStart order and the SchedEvent stream.
-type eventCollector struct {
-	mu     sync.Mutex
-	starts []core.SolveInfo
-	ends   []error
-	events []core.SchedEvent
+// runLog records the order in which workloads ran. With one worker and
+// MaxActive 1, solves run one at a time in admission order.
+type runLog struct {
+	mu    sync.Mutex
+	names []string
 }
 
-func (c *eventCollector) SolveStart(info core.SolveInfo) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.starts = append(c.starts, info)
-}
-func (c *eventCollector) Phase(string, time.Duration)  {}
-func (c *eventCollector) FrontSize(int)                {}
-func (c *eventCollector) WorkerStats(core.WorkerStats) {}
-func (c *eventCollector) Transfer(core.TransferStats)  {}
-func (c *eventCollector) SolveEnd(err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ends = append(c.ends, err)
-}
-func (c *eventCollector) SchedEvent(ev core.SchedEvent) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.events = append(c.events, ev)
+func (l *runLog) add(name string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.names = append(l.names, name)
 }
 
-func (c *eventCollector) kinds(id int64) []core.SchedEventKind {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var ks []core.SchedEventKind
-	for _, ev := range c.events {
-		if ev.ID == id {
-			ks = append(ks, ev.Kind)
-		}
-	}
-	return ks
+func (l *runLog) order() []string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]string(nil), l.names...)
 }
 
 func newScheduler(t *testing.T, cfg sched.Config) *sched.Scheduler {
@@ -246,11 +231,11 @@ func TestSchedulerQueueFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started // the only worker is now pinned inside the gate solve
-	hQ, err := s.Submit(context.Background(), sizedWorkload("queued", 1), sched.SubmitOptions{})
+	hQ, err := s.Submit(context.Background(), sizedWorkload("queued", 1, nil), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatalf("first queued submission: %v", err)
 	}
-	_, err = s.Submit(context.Background(), sizedWorkload("overflow", 1), sched.SubmitOptions{})
+	_, err = s.Submit(context.Background(), sizedWorkload("overflow", 1, nil), sched.SubmitOptions{})
 	var rej *sched.Rejected
 	if !errors.As(err, &rej) || !errors.Is(err, sched.ErrQueueFull) {
 		t.Fatalf("overflow submission: got %v, want *Rejected wrapping ErrQueueFull", err)
@@ -280,7 +265,7 @@ func TestSchedulerCancelWhileQueued(t *testing.T) {
 	<-started
 	cause := errors.New("deadline for the test")
 	ctx, cancel := context.WithCancelCause(context.Background())
-	hQ, err := s.Submit(ctx, sizedWorkload("queued", 1), sched.SubmitOptions{})
+	hQ, err := s.Submit(ctx, sizedWorkload("queued", 1, nil), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +288,7 @@ func TestSchedulerCancelWhileRunning(t *testing.T) {
 	var once sync.Once
 	// A chain of ten one-cell tiles: tile t readies tile t+1.
 	wl := &core.Workload{
-		Info:       core.SolveInfo{Solver: "sched", Problem: "cancel-mid-run", Rows: 1, Cols: 10, Fronts: 1},
+		Info:       trace.Meta{Solver: "sched", Problem: "cancel-mid-run", Rows: 1, Cols: 10, Fronts: 1},
 		TotalCells: 10,
 		Tiles:      10,
 		Sources:    []int32{0},
@@ -334,12 +319,12 @@ func TestSchedulerCancelWhileRunning(t *testing.T) {
 }
 
 // With the only worker pinned, a small solve queued after a large one must
-// be admitted first (bounded jump), and the collector must see the full
-// lifecycle with matching solve IDs.
-func TestSchedulerSmallSolvePriorityAndCollector(t *testing.T) {
-	coll := &eventCollector{}
+// be admitted first (bounded jump), and Stats must count the full
+// lifecycle of all three solves.
+func TestSchedulerSmallSolvePriorityAndStats(t *testing.T) {
+	log := &runLog{}
 	s := newScheduler(t, sched.Config{
-		Workers: 1, MaxActive: 1, SmallCells: 100, SmallBoost: 8, Collector: coll,
+		Workers: 1, MaxActive: 1, SmallCells: 100, SmallBoost: 8,
 	})
 	started, gate := make(chan struct{}), make(chan struct{})
 	hGate, err := s.Submit(context.Background(), gateWorkload(started, gate), sched.SubmitOptions{})
@@ -347,11 +332,11 @@ func TestSchedulerSmallSolvePriorityAndCollector(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	hBig, err := s.Submit(context.Background(), sizedWorkload("big", 1_000_000), sched.SubmitOptions{})
+	hBig, err := s.Submit(context.Background(), sizedWorkload("big", 1_000_000, log), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hSmall, err := s.Submit(context.Background(), sizedWorkload("small", 10), sched.SubmitOptions{})
+	hSmall, err := s.Submit(context.Background(), sizedWorkload("small", 10, log), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,42 +346,32 @@ func TestSchedulerSmallSolvePriorityAndCollector(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mu := coll.kinds(hSmall.ID())
-	coll.mu.Lock()
-	defer coll.mu.Unlock()
-	if len(coll.starts) != 3 || len(coll.ends) != 3 {
-		t.Fatalf("collector saw %d starts / %d ends, want 3/3", len(coll.starts), len(coll.ends))
-	}
-	// Admission order: gate first, then the small solve jumps the big one.
-	if got := []string{coll.starts[0].Problem, coll.starts[1].Problem, coll.starts[2].Problem}; got[1] != "small" || got[2] != "big" {
-		t.Errorf("admission order %v, want gate, small, big", got)
-	}
-	for i, info := range coll.starts {
-		if info.ID == 0 {
-			t.Errorf("start %d: SolveInfo.ID is 0, want scheduler-assigned ID", i)
-		}
+	// Admission order after the gate: the small solve jumps the big one.
+	if got := log.order(); len(got) != 2 || got[0] != "small" || got[1] != "big" {
+		t.Errorf("run order %v, want [small big]", got)
 	}
 	if hSmall.ID() == hBig.ID() || hSmall.ID() == 0 {
 		t.Errorf("handle IDs not distinct: small=%d big=%d", hSmall.ID(), hBig.ID())
 	}
-	// Per-submission lifecycle in the SchedEvent stream.
-	want := []core.SchedEventKind{core.SchedEnqueued, core.SchedStarted, core.SchedDone}
-	if len(mu) != len(want) {
-		t.Fatalf("small solve events %v, want %v", mu, want)
+	st := s.Stats()
+	if st.Submitted != 3 || st.Started != 3 || st.Done != 3 || st.Canceled != 0 || st.Rejected != 0 {
+		t.Errorf("lifecycle submitted/started/done/canceled/rejected = %d/%d/%d/%d/%d, want 3/3/3/0/0",
+			st.Submitted, st.Started, st.Done, st.Canceled, st.Rejected)
 	}
-	for i := range want {
-		if mu[i] != want[i] {
-			t.Fatalf("small solve events %v, want %v", mu, want)
-		}
+	if st.QueueWait.Count != 3 || st.SolveLatency.Count != 3 {
+		t.Errorf("queue-wait/latency observations = %d/%d, want 3/3", st.QueueWait.Count, st.SolveLatency.Count)
+	}
+	if st.PeakQueueDepth != 2 || st.PeakActive != 1 {
+		t.Errorf("peak queue/active = %d/%d, want 2/1", st.PeakQueueDepth, st.PeakActive)
 	}
 }
 
 // A large submission is passed by at most SmallBoost later small ones:
 // the boost is a bounded jump, not a separate priority class.
 func TestSchedulerSmallBoostIsBounded(t *testing.T) {
-	coll := &eventCollector{}
+	log := &runLog{}
 	s := newScheduler(t, sched.Config{
-		Workers: 1, MaxActive: 1, SmallCells: 100, SmallBoost: 2, Collector: coll,
+		Workers: 1, MaxActive: 1, SmallCells: 100, SmallBoost: 2,
 	})
 	started, gate := make(chan struct{}), make(chan struct{})
 	hGate, err := s.Submit(context.Background(), gateWorkload(started, gate), sched.SubmitOptions{})
@@ -405,13 +380,13 @@ func TestSchedulerSmallBoostIsBounded(t *testing.T) {
 	}
 	<-started
 	var handles []*sched.Handle
-	hBig, err := s.Submit(context.Background(), sizedWorkload("big", 1_000_000), sched.SubmitOptions{})
+	hBig, err := s.Submit(context.Background(), sizedWorkload("big", 1_000_000, log), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	handles = append(handles, hBig)
 	for k := 0; k < 4; k++ {
-		h, err := s.Submit(context.Background(), sizedWorkload(fmt.Sprintf("small%d", k), 10), sched.SubmitOptions{})
+		h, err := s.Submit(context.Background(), sizedWorkload(fmt.Sprintf("small%d", k), 10, log), sched.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,23 +401,18 @@ func TestSchedulerSmallBoostIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	coll.mu.Lock()
-	defer coll.mu.Unlock()
+	order := log.order()
 	pos := -1
-	for i, info := range coll.starts {
-		if info.Problem == "big" {
+	for i, name := range order {
+		if name == "big" {
 			pos = i
 		}
 	}
-	// starts[0] is the gate; with boost 2, only small0 (arrival distance
-	// 1, strictly inside the boost) jumps the big solve — small1 ties on
+	// After the gate, with boost 2, only small0 (arrival distance 1,
+	// strictly inside the boost) jumps the big solve — small1 ties on
 	// score and the tie goes to the earlier arrival.
-	if pos != 2 {
-		order := make([]string, len(coll.starts))
-		for i, info := range coll.starts {
-			order[i] = info.Problem
-		}
-		t.Errorf("big solve admitted at position %d (order %v), want 2", pos, order)
+	if pos != 1 {
+		t.Errorf("big solve ran at position %d (order %v), want 1", pos, order)
 	}
 }
 
@@ -541,12 +511,12 @@ func TestSubmitRejectsInvalidWorkload(t *testing.T) {
 	if _, err := s.Submit(context.Background(), &core.Workload{Tiles: 1, Sources: []int32{0}}, sched.SubmitOptions{}); err == nil {
 		t.Error("workload without Run accepted")
 	}
-	noSources := sizedWorkload("no-sources", 1)
+	noSources := sizedWorkload("no-sources", 1, nil)
 	noSources.Sources = nil
 	if _, err := s.Submit(context.Background(), noSources, sched.SubmitOptions{}); err == nil {
 		t.Error("workload without a ready tile accepted")
 	}
-	noTiles := sizedWorkload("no-tiles", 1)
+	noTiles := sizedWorkload("no-tiles", 1, nil)
 	noTiles.Tiles = 0
 	if _, err := s.Submit(context.Background(), noTiles, sched.SubmitOptions{}); err == nil {
 		t.Error("workload without tiles accepted")

@@ -1,5 +1,7 @@
 package server
 
+import "repro/lddp"
+
 // AcquireInflightForTest occupies one in-flight limiter slot and returns
 // its release, letting tests hit the 429 path deterministically instead
 // of racing real solves against the limiter.
@@ -7,3 +9,7 @@ func (s *Server) AcquireInflightForTest() func() {
 	s.inflight <- struct{}{}
 	return func() { <-s.inflight }
 }
+
+// SchedulerForTest exposes the server's scheduler, so tests can pin its
+// workers and compare its Stats with the /v1/metrics document.
+func (s *Server) SchedulerForTest() *lddp.Scheduler { return s.sched }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"repro/internal/sched"
 	"repro/lddp"
 )
 
@@ -103,20 +104,12 @@ func (p *promWriter) gauge(name, help string, v float64) {
 // stable series set.
 func (p *promWriter) histogram(name, help string, h lddp.Hist) {
 	p.typeLine(name, "histogram", help)
-	bounds := h.BoundsNS
-	counts := h.Counts
-	if bounds == nil {
-		zero := lddp.Hist{}
-		zero.Observe(0)
-		bounds = zero.BoundsNS
-		counts = make([]int64, len(bounds)+1)
-	}
 	var cum int64
-	for i, bound := range bounds {
-		cum += counts[i]
+	for i, bound := range sched.HistBoundsNS {
+		cum += h.Counts[i]
 		fmt.Fprintf(p.b, "%s_bucket{le=%q} %d\n", name, promFloat(float64(bound)/1e9), cum)
 	}
-	cum += counts[len(bounds)]
+	cum += h.Counts[len(sched.HistBoundsNS)]
 	fmt.Fprintf(p.b, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
 	fmt.Fprintf(p.b, "%s_sum %s\n", name, promFloat(float64(h.SumNS)/1e9))
 	fmt.Fprintf(p.b, "%s_count %d\n", name, h.Count)

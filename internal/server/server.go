@@ -60,10 +60,6 @@ type Config struct {
 	// trace-event JSON, the lddptrace input format).
 	TraceDir string
 
-	// Metrics receives the scheduler's Collector and SchedCollector
-	// streams and backs GET /metrics. Nil allocates a fresh one.
-	Metrics *lddp.Metrics
-
 	// ExtraMetrics, when non-nil, runs at /metrics scrape time to fill
 	// snapshot sections owned outside the server — the fleet
 	// coordinator's counters on nodes running one (cmd/lddpd wires
@@ -110,9 +106,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheBytes == 0 {
 		c.CacheBytes = DefaultCacheBytes
-	}
-	if c.Metrics == nil {
-		c.Metrics = &lddp.Metrics{}
 	}
 	if c.ErrorLog == nil {
 		c.ErrorLog = log.Default()
@@ -219,7 +212,6 @@ func New(cfg Config) (*Server, error) {
 		lddp.WithSchedulerWorkers(cfg.Workers),
 		lddp.WithSchedulerQueue(cfg.Queue),
 		lddp.WithSchedulerMaxActive(cfg.MaxActive),
-		lddp.WithSchedulerCollector(cfg.Metrics),
 	)
 	if err != nil {
 		return nil, err
@@ -249,8 +241,8 @@ func (s *Server) WireStats() lddp.WireSnapshot { return s.wireStats.snapshot() }
 // Config returns the resolved configuration.
 func (s *Server) Config() Config { return s.cfg }
 
-// Metrics returns the server's metrics collector.
-func (s *Server) Metrics() *lddp.Metrics { return s.cfg.Metrics }
+// Metrics returns the metrics view of the server's scheduler.
+func (s *Server) Metrics() *lddp.Metrics { return lddp.NewMetrics(s.sched) }
 
 // Handler returns the service mux. Every endpoint lives under the /v1
 // prefix — POST /v1/solve, POST /v1/band/solve, GET /v1/healthz,
@@ -342,11 +334,11 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // Prometheus text exposition under ?format=prometheus. Both render the
 // same snapshot, extended at scrape time with the sections that live
 // server-side (cache, codec counters, process gauges, and — through the
-// ExtraMetrics hook — the fleet coordinator's). Snapshot copies under
-// the Metrics mutex and marshals outside it, so a slow scraper never
-// holds up the scheduler's event stream.
+// ExtraMetrics hook — the fleet coordinator's). Snapshot copies the
+// scheduler's counters under its mutex and marshals outside it, so a slow
+// scraper never holds up the scheduler.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	snap := s.cfg.Metrics.Snapshot()
+	snap := s.Metrics().Snapshot()
 	snap.Cache = s.cache.stats()
 	snap.Wire = s.wireStats.snapshot()
 	snap.Server = lddp.ServerSnapshot{

@@ -259,7 +259,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	// schedule but bounded against pathological replays.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	sem := make(chan struct{}, 32)
+	sem := make(chan struct{}, dispatchCap)
 	var wg sync.WaitGroup
 	t0 := time.Now()
 	for _, op := range s.Ops {

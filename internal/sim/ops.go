@@ -32,6 +32,9 @@ const (
 	DefaultRetryAfterMS = 25
 	DefaultMaxAttempts  = 4
 	DefaultPhaseCols    = 16
+
+	// dispatchCap bounds the ops the engine runs at once.
+	dispatchCap = 32
 )
 
 // OpKind enumerates the operations a schedule can carry.
@@ -145,7 +148,8 @@ type GenConfig struct {
 	Kills  int // nodes killed mid-run (clamped to keep one healthy)
 	Drains int // nodes drained mid-run (clamped with Kills)
 	// Arms is the admission-saturation burst count: 0 selects one when
-	// the run is big enough (Ops >= 20), negative disables entirely.
+	// the run is big enough (Ops >= 20). Negative disables saturation
+	// entirely and sizes MaxInflight so no node ever answers 429.
 	Arms int
 }
 
@@ -188,6 +192,13 @@ func Generate(cfg GenConfig) *Schedule {
 		RetryAfterMS: DefaultRetryAfterMS,
 		MaxAttempts:  DefaultMaxAttempts,
 		PhaseCols:    DefaultPhaseCols,
+	}
+	if cfg.Arms < 0 {
+		// With no saturation burst nothing should push back: size the
+		// limiter to the most requests one node can hold at once, every
+		// dispatched op with a fleet op's one block per band, so honest
+		// contention never answers 429 and never forces a relocation.
+		s.MaxInflight = dispatchCap * cfg.Nodes
 	}
 	g := &generator{cfg: cfg, rng: rng, s: s,
 		killed:  make([]bool, cfg.Nodes),

@@ -40,11 +40,15 @@ func runScenario(t *testing.T, cfg GenConfig) *Report {
 }
 
 // TestScenarioBaseline: no structural faults — every op must land in a
-// benign class and the coordinator must count zero relocations.
+// benign class, no node may push back, and the coordinator must count
+// zero relocations.
 func TestScenarioBaseline(t *testing.T) {
 	rep := runScenario(t, GenConfig{Seed: 1, Nodes: 2, Ops: 30, Arms: -1})
 	if rep.Relocations != 0 {
 		t.Errorf("baseline run recorded %d relocations", rep.Relocations)
+	}
+	if rep.Rejected429 != 0 {
+		t.Errorf("baseline run recorded %d 429s", rep.Rejected429)
 	}
 	if rep.Classes[classOK] == 0 {
 		t.Error("baseline run produced no successful ops")

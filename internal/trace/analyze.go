@@ -138,8 +138,9 @@ func Analyze(meta Meta, events []Event, buckets int) *Report {
 		rep.SpanNS = 1
 	}
 
-	// Per-lane busy totals and the bucketed utilization timeline.
-	nLanes := maxLane + 1
+	// Per-lane busy totals and the bucketed utilization timeline, with a
+	// lane for every worker of the solve, even one that ran nothing.
+	nLanes := max(maxLane+1, meta.Workers)
 	rep.Util = make([][]float64, nLanes)
 	for i := range rep.Util {
 		rep.Util[i] = make([]float64, buckets)

@@ -59,7 +59,7 @@ type Meta struct {
 // fixed-capacity ring buffer per worker, written lock-free because each
 // lane is owned by exactly one goroutine during a solve. A nil *Recorder
 // disables tracing; the runtime guards every emission behind one nil
-// test, the same discipline as a nil Collector.
+// test, hoisted out of the per-cell loops.
 //
 // Rings overwrite their oldest events when full (the newest window is
 // the useful one for stall analysis); Dropped reports how many were

@@ -67,8 +67,8 @@ type WorkloadSpec struct {
 // SolveResponse is the 200 body of a completed solve.
 type SolveResponse struct {
 	// ID is the scheduler-assigned solve ID, also echoed in the
-	// X-Lddp-Solve-Id header and carried by the solve's trace and
-	// Collector events server-side.
+	// X-Lddp-Solve-Id header and naming the solve's trace file
+	// server-side.
 	ID int64 `json:"id"`
 	// Status is "done".
 	Status string `json:"status"`

@@ -20,10 +20,12 @@
 //
 // Solves honor the context: cancellation is observed per tile row by the
 // native strategies and per wavefront by the simulated ones, and surfaces
-// as a *Canceled error wrapping
-// context.Cause. Passing WithCollector (e.g. a *Metrics) instruments the
-// solve with phase wall times, front-size and worker-utilization counters,
-// and simulated transfer volumes; without it instrumentation costs nothing.
+// as a *Canceled error wrapping context.Cause. A simulated solve's
+// Result.Timeline carries its phases (Timeline.Phases) and transfers;
+// passing WithTracer records a native solve's per-worker tiles, which
+// AnalyzeTrace folds into utilization and stall reports. Without a Tracer
+// observation costs nothing. The shared Scheduler keeps its own counters
+// (Stats, and the Metrics view of them).
 package lddp
 
 import (
@@ -102,24 +104,10 @@ type Reduction = core.Reduction
 // unwraps to context.Cause of the solve context.
 type Canceled = core.Canceled
 
-// Collector receives runtime observability events; see core.Collector for
-// the event contract. A nil Collector disables instrumentation at zero
-// overhead.
-type Collector = core.Collector
-
-// SolveInfo describes a starting solve to a Collector.
-type SolveInfo = core.SolveInfo
-
-// WorkerStats reports one pool worker's utilization to a Collector.
-type WorkerStats = core.WorkerStats
-
-// TransferStats reports one simulated transfer to a Collector.
-type TransferStats = core.TransferStats
-
 // Tracer is the per-worker ring-buffer event recorder; attach one with
 // WithTracer to capture timestamped runtime events (front begin/end,
 // chunk claims, barrier waits, tile tasks, simulated transfers).
-// Like Collector, a nil Tracer disables tracing at zero overhead. Export
+// A nil Tracer disables tracing at zero overhead. Export
 // a finished trace with WriteTrace (Chrome/Perfetto JSON) or
 // WriteTraceSummary (plain text); the lddptrace command analyzes the
 // JSON offline.

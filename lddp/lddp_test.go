@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/hetsim"
 	"repro/internal/table"
 	"repro/lddp"
 )
@@ -149,70 +151,98 @@ func TestSolveCancellation(t *testing.T) {
 	}
 }
 
+// transferTotals sums one class of simulated transfers.
+type transferTotals struct{ count, bytes, cells int }
+
+// timelineTransfers splits a simulated schedule's transfer ops into
+// boundary and bulk by direction. Boundary exchanges are the ops that
+// carry a cell count. Direction comes from the copy engine, or, when the
+// DisablePipeline ablation puts every transfer on the GPU queue, from the
+// label's h2d/d2h prefix, as trace.ImportTimeline classifies them.
+func timelineTransfers(tl lddp.Timeline) (boundaryH2D, boundaryD2H, bulkH2D, bulkD2H transferTotals) {
+	for _, r := range tl.Records {
+		if r.Kind != hetsim.OpTransfer {
+			continue
+		}
+		h2d := r.Resource == hetsim.ResCopyH2D || strings.HasPrefix(r.Label, "h2d")
+		c := &bulkD2H
+		switch {
+		case r.Cells > 0 && h2d:
+			c = &boundaryH2D
+		case r.Cells > 0:
+			c = &boundaryD2H
+		case h2d:
+			c = &bulkH2D
+		}
+		c.count++
+		c.bytes += r.Bytes
+		c.cells += r.Cells
+	}
+	return
+}
+
 // TestMetricsCountersMatchKnownTotals solves a horizontal-pattern problem
-// with a fixed split and checks the collector's counters against the
+// with a fixed split and checks its simulated schedule against the
 // analytically known front and transfer totals.
 func TestMetricsCountersMatchKnownTotals(t *testing.T) {
 	const rows, cols, tShare = 32, 64, 16
 	p := testProblem(lddp.DepNW|lddp.DepN|lddp.DepNE, rows, cols) // two-way horizontal
-	metrics := &lddp.Metrics{}
 	res, err := lddp.Solve(context.Background(), p,
 		lddp.WithStrategy(lddp.Hetero),
-		lddp.WithTSwitch(0), lddp.WithTShare(tShare),
-		lddp.WithCollector(metrics))
+		lddp.WithTSwitch(0), lddp.WithTShare(tShare))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Executed != lddp.Horizontal {
 		t.Fatalf("executed %s, want Horizontal", res.Executed)
 	}
-	snap := metrics.Snapshot()
+	tl := res.Timeline
 
 	// Every row is one front of cols cells.
-	if snap.TotalFronts != rows {
-		t.Errorf("TotalFronts = %d, want %d", snap.TotalFronts, rows)
+	fronts := map[int]bool{}
+	for _, r := range tl.Records {
+		if r.Kind == hetsim.OpCompute {
+			fronts[r.Front] = true
+		}
 	}
-	if snap.TotalCells != rows*cols {
-		t.Errorf("TotalCells = %d, want %d", snap.TotalCells, rows*cols)
+	if len(fronts) != rows {
+		t.Errorf("compute ops span %d fronts, want %d", len(fronts), rows)
 	}
-	if snap.Fronts != rows {
-		t.Errorf("Fronts = %d, want %d", snap.Fronts, rows)
+	if cells := tl.CellsOn(hetsim.ResCPU) + tl.CellsOn(hetsim.ResGPU); cells != rows*cols {
+		t.Errorf("compute ops cover %d cells, want %d", cells, rows*cols)
 	}
 
 	// The horizontal strategy is single-phase (Table II row "horizontal"):
 	// exactly one compute phase label ("p1").
-	if len(snap.Phases) != 1 {
-		t.Errorf("phases = %+v, want exactly one", snap.Phases)
+	if ph := tl.Phases(); len(ph) != 1 {
+		t.Errorf("phases = %+v, want exactly one", ph)
 	}
 
 	// Two-way boundary exchange: one H2D and one D2H cell per row.
-	tr := snap.Transfers
-	if tr.BoundaryH2D.Count != rows || tr.BoundaryH2D.Cells != rows {
-		t.Errorf("BoundaryH2D = %+v, want %d single-cell transfers", tr.BoundaryH2D, rows)
+	bH2D, bD2H, kH2D, kD2H := timelineTransfers(tl)
+	if bH2D.count != rows || bH2D.cells != rows {
+		t.Errorf("boundary h2d = %+v, want %d single-cell transfers", bH2D, rows)
 	}
-	if tr.BoundaryD2H.Count != rows || tr.BoundaryD2H.Cells != rows {
-		t.Errorf("BoundaryD2H = %+v, want %d single-cell transfers", tr.BoundaryD2H, rows)
+	if bD2H.count != rows || bD2H.cells != rows {
+		t.Errorf("boundary d2h = %+v, want %d single-cell transfers", bD2H, rows)
 	}
-	if wantBytes := int64(rows * 8); tr.BoundaryH2D.Bytes != wantBytes || tr.BoundaryD2H.Bytes != wantBytes {
-		t.Errorf("boundary bytes h2d=%d d2h=%d, want %d each", tr.BoundaryH2D.Bytes, tr.BoundaryD2H.Bytes, wantBytes)
+	if wantBytes := rows * 8; bH2D.bytes != wantBytes || bD2H.bytes != wantBytes {
+		t.Errorf("boundary bytes h2d=%d d2h=%d, want %d each", bH2D.bytes, bD2H.bytes, wantBytes)
 	}
 	// One bulk result extraction of the GPU's final-row share; no input
 	// upload (InputBytes is zero).
-	if tr.BulkH2D.Count != 0 {
-		t.Errorf("BulkH2D = %+v, want none", tr.BulkH2D)
+	if kH2D.count != 0 {
+		t.Errorf("bulk h2d = %+v, want none", kH2D)
 	}
-	if wantBytes := int64((cols - tShare) * 8); tr.BulkD2H.Count != 1 || tr.BulkD2H.Bytes != wantBytes {
-		t.Errorf("BulkD2H = %+v, want one transfer of %d bytes", tr.BulkD2H, wantBytes)
-	}
-
-	if snap.Solves != 1 || snap.Errors != 0 {
-		t.Errorf("Solves/Errors = %d/%d, want 1/0", snap.Solves, snap.Errors)
+	if wantBytes := (cols - tShare) * 8; kD2H.count != 1 || kD2H.bytes != wantBytes {
+		t.Errorf("bulk d2h = %+v, want one transfer of %d bytes", kD2H, wantBytes)
 	}
 }
 
-// TestMetricsPhaseCountsMatchTableII checks the phase structure the
-// collector reports matches the paper's Table-II strategies: three phases
-// for anti-diagonal and knight-move, one for horizontal.
+// TestMetricsPhaseCountsMatchTableII checks the phase structure of the
+// simulated schedule matches the paper's Table-II strategies: three
+// phases for anti-diagonal and knight-move, two for inverted-L, one for
+// horizontal.
 func TestMetricsPhaseCountsMatchTableII(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -227,20 +257,18 @@ func TestMetricsPhaseCountsMatchTableII(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			metrics := &lddp.Metrics{}
 			opts := append([]lddp.Option{
 				lddp.WithStrategy(lddp.Hetero),
 				lddp.WithTSwitch(8), lddp.WithTShare(4),
-				lddp.WithCollector(metrics),
 			}, tc.opts...)
-			if _, err := lddp.Solve(context.Background(), testProblem(tc.mask, 64, 64), opts...); err != nil {
+			res, err := lddp.Solve(context.Background(), testProblem(tc.mask, 64, 64), opts...)
+			if err != nil {
 				t.Fatal(err)
 			}
-			snap := metrics.Snapshot()
-			if len(snap.Phases) != tc.phases {
-				names := make([]string, 0, len(snap.Phases))
-				for _, ph := range snap.Phases {
-					names = append(names, ph.Name)
+			if ph := res.Timeline.Phases(); len(ph) != tc.phases {
+				names := make([]string, 0, len(ph))
+				for _, p := range ph {
+					names = append(names, p.Name)
 				}
 				t.Errorf("phases %v, want %d", names, tc.phases)
 			}
@@ -248,43 +276,46 @@ func TestMetricsPhaseCountsMatchTableII(t *testing.T) {
 	}
 }
 
-// TestMetricsWorkerStats checks the pool reports one entry per worker and
-// that chunk/cell counts add up.
+// TestMetricsWorkerStats checks a traced native solve reports one lane
+// per worker, with utilization in [0, 1] and tile cells that cover the
+// table exactly once.
 func TestMetricsWorkerStats(t *testing.T) {
 	const rows, cols, workers = 128, 128, 4
-	metrics := &lddp.Metrics{}
+	tr := lddp.NewTracer()
 	_, err := lddp.Solve(context.Background(), testProblem(lddp.DepW|lddp.DepN, rows, cols),
-		lddp.WithWorkers(workers), lddp.WithChunk(32), lddp.WithCollector(metrics))
+		lddp.WithWorkers(workers), lddp.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := metrics.Snapshot()
-	if len(snap.Workers) != workers {
-		t.Fatalf("worker stats for %d workers, want %d", len(snap.Workers), workers)
+	lanes := lddp.AnalyzeTrace(tr, 0).Workers
+	if len(lanes) != workers {
+		t.Fatalf("trace has %d worker lanes, want %d", len(lanes), workers)
 	}
 	var cells int64
-	for _, w := range snap.Workers {
+	for _, w := range lanes {
 		cells += w.Cells
-		if w.Utilization < 0 || w.Utilization > 1 {
-			t.Errorf("worker %d utilization %f out of [0,1]", w.Worker, w.Utilization)
+		if w.Util < 0 || w.Util > 1 {
+			t.Errorf("worker %d utilization %f out of [0,1]", w.Worker, w.Util)
 		}
 	}
-	// The workers' chunk cells plus the serial prefix/suffix fronts (run
-	// inline, not attributed to workers) cover the table.
-	if cells <= 0 || cells > rows*cols {
-		t.Errorf("workers computed %d cells, want within (0, %d]", cells, rows*cols)
+	if cells != rows*cols {
+		t.Errorf("workers computed %d cells, want exactly %d", cells, rows*cols)
 	}
 }
 
-// TestMetricsJSONRoundTrip checks the snapshot marshals to JSON with the
-// documented field names.
+// TestMetricsJSONRoundTrip checks a scheduler's metrics view marshals to
+// JSON with the documented field names, and without the per-solve keys a
+// scheduler never filled.
 func TestMetricsJSONRoundTrip(t *testing.T) {
-	metrics := &lddp.Metrics{}
-	if _, err := lddp.Solve(context.Background(), testProblem(lddp.DepW|lddp.DepN, 32, 32),
-		lddp.WithStrategy(lddp.Hetero), lddp.WithCollector(metrics)); err != nil {
+	s, err := lddp.NewScheduler(lddp.WithSchedulerWorkers(1))
+	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(metrics)
+	defer s.Close()
+	if _, err := lddp.SolveOn(context.Background(), s, testProblem(lddp.DepW|lddp.DepN, 32, 32)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(lddp.NewMetrics(s))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,9 +323,20 @@ func TestMetricsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"solver", "phases", "front_sizes", "worker_stats", "transfers", "fronts"} {
+	for _, key := range []string{"solves", "errors", "sched"} {
 		if _, ok := doc[key]; !ok {
 			t.Errorf("marshaled metrics missing %q: %s", key, data)
+		}
+	}
+	for _, key := range []string{"solver", "phases", "front_sizes", "worker_stats", "transfers", "fronts"} {
+		if _, ok := doc[key]; ok {
+			t.Errorf("marshaled metrics still carries per-solve key %q: %s", key, data)
+		}
+	}
+	sched, _ := doc["sched"].(map[string]any)
+	for _, key := range []string{"submitted", "started", "done", "queue_wait_ns", "max_queue_wait_ns", "queue_wait", "solve_latency"} {
+		if _, ok := sched[key]; !ok {
+			t.Errorf("sched section missing %q: %s", key, data)
 		}
 	}
 }

@@ -4,59 +4,35 @@ import (
 	"encoding/json"
 	"expvar"
 	"fmt"
-	"math/bits"
 	"sync"
-	"time"
+
+	"repro/internal/sched"
 )
 
-// Metrics is a ready-made Collector that aggregates solver observability
-// events into a JSON-marshalable snapshot: per-phase wall times, a
-// power-of-two front-size histogram, pool worker utilization, and
-// simulated transfer volumes split boundary/bulk by direction. It is safe
-// for concurrent use and may be reused across solves (counters accumulate;
-// Reset clears them).
+// Metrics is the read-only metrics view of one Scheduler: Snapshot
+// reads the scheduler's Stats at call time, so the view holds no state
+// of its own and costs the scheduler nothing between scrapes. lddpd
+// extends the snapshot with its cache, wire, process and fleet sections
+// at scrape time. Per-solve numbers come from what records them: a
+// Tracer (AnalyzeTrace) for native solves, Result.Timeline for the
+// simulated ones. The zero Metrics views no scheduler and reports zeros.
 type Metrics struct {
-	mu   sync.Mutex
-	snap MetricsSnapshot
+	s *Scheduler
 }
 
-// MetricsSnapshot is the aggregate view of a Metrics collector. All
-// durations are nanoseconds, so the document round-trips through JSON
-// without float loss.
+// NewMetrics returns the metrics view of s.
+func NewMetrics(s *Scheduler) *Metrics { return &Metrics{s: s} }
+
+// MetricsSnapshot is the aggregate view of a Metrics. All durations are
+// nanoseconds, so the document round-trips through JSON without float
+// loss.
 type MetricsSnapshot struct {
-	// Solver/Problem/Pattern/Executed describe the most recent solve.
-	Solver   string `json:"solver"`
-	Problem  string `json:"problem,omitempty"`
-	Pattern  string `json:"pattern,omitempty"`
-	Executed string `json:"executed,omitempty"`
-	Rows     int    `json:"rows"`
-	Cols     int    `json:"cols"`
-	Fronts   int    `json:"fronts"`
+	// Solves counts the admitted solves that finished, Errors those that
+	// were canceled mid-run.
+	Solves int64 `json:"solves"`
+	Errors int64 `json:"errors"`
 
-	// Solves counts completed solves; Errors those that returned one.
-	Solves int `json:"solves"`
-	Errors int `json:"errors"`
-	// LastError holds the most recent solve error, if any.
-	LastError string `json:"last_error,omitempty"`
-
-	// Phases lists per-phase wall times in first-seen order.
-	Phases []PhaseStat `json:"phases"`
-
-	// FrontSizes is a power-of-two histogram of wavefront sizes;
-	// TotalFronts and TotalCells are its marginals.
-	FrontSizes  []SizeBucket `json:"front_sizes"`
-	TotalFronts int64        `json:"total_fronts"`
-	TotalCells  int64        `json:"total_cells"`
-
-	// Workers lists per-worker pool utilization, in worker order of the
-	// most recent pool solve.
-	Workers []WorkerSnapshot `json:"worker_stats"`
-
-	// Transfers aggregates simulated device traffic.
-	Transfers TransferSummary `json:"transfers"`
-
-	// Sched aggregates shared-scheduler lifecycle events when the Metrics
-	// is attached via WithSchedulerCollector; zero otherwise.
+	// Sched reports the scheduler's lifecycle counters.
 	Sched SchedSnapshot `json:"sched,omitzero"`
 
 	// Cache reports the lddpd result cache when the snapshot comes from
@@ -152,7 +128,8 @@ type WireSnapshot struct {
 	HaloBytes  int64 `json:"halo_bytes"`
 }
 
-// SchedSnapshot aggregates the SchedEvent stream of a shared scheduler.
+// SchedSnapshot is the scheduler section of a metrics snapshot, read
+// from the scheduler's Stats.
 type SchedSnapshot struct {
 	// Submitted counts admissions into the queue; Started, Done, Canceled
 	// and Rejected the lifecycle outcomes (Rejected includes synchronous
@@ -164,8 +141,8 @@ type SchedSnapshot struct {
 	Rejected  int64 `json:"rejected"`
 	// Steals counts cross-solve steals (a worker switching solves).
 	Steals int64 `json:"steals"`
-	// PeakQueueDepth and PeakActive are high-water marks observed on the
-	// event stream.
+	// PeakQueueDepth and PeakActive are the high-water marks of the
+	// admission queue and the running set.
 	PeakQueueDepth int `json:"peak_queue_depth"`
 	PeakActive     int `json:"peak_active"`
 	// QueueWaitNS sums the time-in-queue of started submissions;
@@ -173,275 +150,36 @@ type SchedSnapshot struct {
 	// the mean admission latency.
 	QueueWaitNS    int64 `json:"queue_wait_ns"`
 	MaxQueueWaitNS int64 `json:"max_queue_wait_ns"`
-	// QueueWait histograms the time-in-queue of admitted submissions
-	// (the SchedStarted Wait stream); SolveLatency the full
-	// submit-to-done latency of successful solves (the SchedDone Wait
-	// stream).
+	// QueueWait histograms the time-in-queue of admitted submissions;
+	// SolveLatency the full submit-to-done latency of successful solves.
 	QueueWait    Hist `json:"queue_wait,omitzero"`
 	SolveLatency Hist `json:"solve_latency,omitzero"`
 }
 
-// histBoundsNS are the shared upper bounds of the duration histograms:
-// powers of four from 1µs to ~16.8s (13 buckets), a range wide enough to
-// resolve both sub-millisecond admission waits and multi-second solves
-// at a fixed, merge-friendly bucket layout.
-func histBoundsNS() []int64 {
-	b := make([]int64, 13)
-	v := int64(1000)
-	for i := range b {
-		b[i] = v
-		v *= 4
-	}
-	return b
-}
+// Hist is a fixed-bound duration histogram (powers of four from 1µs to
+// ~16.8s); Counts prefix-sum to the cumulative Prometheus buckets.
+type Hist = sched.Hist
 
-// Hist is a fixed-bound duration histogram over histBoundsNS. Counts has
-// one entry per bound plus a final overflow bucket, so the cumulative
-// Prometheus rendering (le="...", le="+Inf") falls out by prefix-summing
-// Counts.
-type Hist struct {
-	// BoundsNS are the inclusive upper bounds, ascending.
-	BoundsNS []int64 `json:"bounds_ns"`
-	// Counts[i] counts observations <= BoundsNS[i] (and > BoundsNS[i-1]);
-	// the final extra entry counts overflows.
-	Counts []int64 `json:"counts"`
-	// Count and SumNS are the marginals; MaxNS the largest observation.
-	Count int64 `json:"count"`
-	SumNS int64 `json:"sum_ns"`
-	MaxNS int64 `json:"max_ns"`
-}
-
-// Observe adds one duration (in nanoseconds) to the histogram,
-// allocating the fixed bucket layout on first use.
-func (h *Hist) Observe(ns int64) {
-	if h.BoundsNS == nil {
-		h.BoundsNS = histBoundsNS()
-		h.Counts = make([]int64, len(h.BoundsNS)+1)
-	}
-	i := 0
-	for i < len(h.BoundsNS) && ns > h.BoundsNS[i] {
-		i++
-	}
-	h.Counts[i]++
-	h.Count++
-	h.SumNS += ns
-	if ns > h.MaxNS {
-		h.MaxNS = ns
-	}
-}
-
-// IsZero reports whether the histogram has no observations; it makes
-// empty histograms disappear from JSON under omitzero.
-func (h Hist) IsZero() bool { return h.Count == 0 }
-
-// clone deep-copies the histogram's bucket slices.
-func (h Hist) clone() Hist {
-	h.BoundsNS = append([]int64(nil), h.BoundsNS...)
-	h.Counts = append([]int64(nil), h.Counts...)
-	return h
-}
-
-// PhaseStat accumulates the wall time of one named execution phase.
-type PhaseStat struct {
-	Name   string `json:"name"`
-	WallNS int64  `json:"wall_ns"`
-	Count  int64  `json:"count"`
-}
-
-// SizeBucket counts fronts whose size falls in [Lo, Hi].
-type SizeBucket struct {
-	Lo    int   `json:"lo"`
-	Hi    int   `json:"hi"`
-	Count int64 `json:"count"`
-}
-
-// WorkerSnapshot reports one pool worker's share of the work.
-type WorkerSnapshot struct {
-	Worker      int     `json:"worker"`
-	Chunks      int64   `json:"chunks"`
-	Cells       int64   `json:"cells"`
-	BusyNS      int64   `json:"busy_ns"`
-	WallNS      int64   `json:"wall_ns"`
-	Utilization float64 `json:"utilization"`
-}
-
-// TransferSummary splits simulated transfers boundary/bulk by direction.
-type TransferSummary struct {
-	BoundaryH2D TransferCounter `json:"boundary_h2d"`
-	BoundaryD2H TransferCounter `json:"boundary_d2h"`
-	BulkH2D     TransferCounter `json:"bulk_h2d"`
-	BulkD2H     TransferCounter `json:"bulk_d2h"`
-}
-
-// TransferCounter accumulates one transfer class.
-type TransferCounter struct {
-	Count int64 `json:"count"`
-	Bytes int64 `json:"bytes"`
-	Cells int64 `json:"cells"`
-}
-
-var (
-	_ Collector      = (*Metrics)(nil)
-	_ SchedCollector = (*Metrics)(nil)
-)
-
-// SolveStart implements Collector.
-func (m *Metrics) SolveStart(info SolveInfo) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Solver = info.Solver
-	m.snap.Problem = info.Problem
-	m.snap.Pattern = info.Pattern
-	m.snap.Executed = info.Executed
-	m.snap.Rows, m.snap.Cols, m.snap.Fronts = info.Rows, info.Cols, info.Fronts
-	// A new solve reports a fresh worker roster.
-	m.snap.Workers = m.snap.Workers[:0]
-}
-
-// Phase implements Collector.
-func (m *Metrics) Phase(name string, wall time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for i := range m.snap.Phases {
-		if m.snap.Phases[i].Name == name {
-			m.snap.Phases[i].WallNS += wall.Nanoseconds()
-			m.snap.Phases[i].Count++
-			return
-		}
-	}
-	m.snap.Phases = append(m.snap.Phases, PhaseStat{Name: name, WallNS: wall.Nanoseconds(), Count: 1})
-}
-
-// FrontSize implements Collector.
-func (m *Metrics) FrontSize(cells int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.TotalFronts++
-	m.snap.TotalCells += int64(cells)
-	lo, hi := bucketRange(cells)
-	for i := range m.snap.FrontSizes {
-		if m.snap.FrontSizes[i].Lo == lo {
-			m.snap.FrontSizes[i].Count++
-			return
-		}
-	}
-	m.snap.FrontSizes = append(m.snap.FrontSizes, SizeBucket{Lo: lo, Hi: hi, Count: 1})
-}
-
-// bucketRange maps a front size to its power-of-two histogram bucket.
-func bucketRange(cells int) (lo, hi int) {
-	if cells <= 0 {
-		return 0, 0
-	}
-	n := bits.Len(uint(cells)) - 1 // floor(log2)
-	return 1 << n, 1<<(n+1) - 1
-}
-
-// WorkerStats implements Collector.
-func (m *Metrics) WorkerStats(ws WorkerStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	snap := WorkerSnapshot{
-		Worker: ws.Worker,
-		Chunks: int64(ws.Chunks),
-		Cells:  int64(ws.Cells),
-		BusyNS: ws.Busy.Nanoseconds(),
-		WallNS: ws.Wall.Nanoseconds(),
-	}
-	if snap.WallNS > 0 {
-		snap.Utilization = float64(snap.BusyNS) / float64(snap.WallNS)
-	}
-	m.snap.Workers = append(m.snap.Workers, snap)
-}
-
-// Transfer implements Collector.
-func (m *Metrics) Transfer(ts TransferStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var c *TransferCounter
-	switch {
-	case ts.Boundary && ts.ToDevice:
-		c = &m.snap.Transfers.BoundaryH2D
-	case ts.Boundary:
-		c = &m.snap.Transfers.BoundaryD2H
-	case ts.ToDevice:
-		c = &m.snap.Transfers.BulkH2D
-	default:
-		c = &m.snap.Transfers.BulkD2H
-	}
-	c.Count++
-	c.Bytes += int64(ts.Bytes)
-	c.Cells += int64(ts.Cells)
-}
-
-// SolveEnd implements Collector.
-func (m *Metrics) SolveEnd(err error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap.Solves++
-	if err != nil {
-		m.snap.Errors++
-		m.snap.LastError = err.Error()
-	}
-}
-
-// SchedEvent implements SchedCollector: attached scheduler-wide via
-// WithSchedulerCollector, the Metrics aggregates the scheduler's
-// lifecycle stream into the Sched section of the snapshot.
-func (m *Metrics) SchedEvent(ev SchedEvent) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := &m.snap.Sched
-	switch ev.Kind {
-	case SchedEnqueued:
-		s.Submitted++
-	case SchedStarted:
-		s.Started++
-		w := ev.Wait.Nanoseconds()
-		s.QueueWaitNS += w
-		if w > s.MaxQueueWaitNS {
-			s.MaxQueueWaitNS = w
-		}
-		s.QueueWait.Observe(w)
-	case SchedDone:
-		s.Done++
-		// The terminal event's Wait is the submit-to-done latency
-		// (internal/sched documents the contract), so the latency
-		// histogram is one Observe here.
-		s.SolveLatency.Observe(ev.Wait.Nanoseconds())
-	case SchedCanceled:
-		s.Canceled++
-	case SchedRejected:
-		s.Rejected++
-	case SchedSteal:
-		s.Steals++
-	}
-	if ev.QueueDepth > s.PeakQueueDepth {
-		s.PeakQueueDepth = ev.QueueDepth
-	}
-	if ev.Active > s.PeakActive {
-		s.PeakActive = ev.Active
-	}
-}
-
-// Snapshot returns a deep copy of the current aggregates.
+// Snapshot reads the scheduler's counters.
 func (m *Metrics) Snapshot() MetricsSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.snap
-	s.Phases = append([]PhaseStat(nil), m.snap.Phases...)
-	s.FrontSizes = append([]SizeBucket(nil), m.snap.FrontSizes...)
-	s.Workers = append([]WorkerSnapshot(nil), m.snap.Workers...)
-	s.Sched.QueueWait = m.snap.Sched.QueueWait.clone()
-	s.Sched.SolveLatency = m.snap.Sched.SolveLatency.clone()
-	return s
-}
-
-// Reset clears all aggregates.
-func (m *Metrics) Reset() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.snap = MetricsSnapshot{}
+	if m.s == nil {
+		return MetricsSnapshot{}
+	}
+	st := m.s.Stats()
+	return MetricsSnapshot{
+		Solves: st.Done + st.Canceled,
+		Errors: st.Canceled,
+		Sched: SchedSnapshot{
+			Submitted: st.Submitted, Started: st.Started,
+			Done: st.Done, Canceled: st.Canceled, Rejected: st.Rejected,
+			Steals:         st.Steals,
+			PeakQueueDepth: st.PeakQueueDepth, PeakActive: st.PeakActive,
+			QueueWaitNS:    st.QueueWait.SumNS,
+			MaxQueueWaitNS: st.QueueWait.MaxNS,
+			QueueWait:      st.QueueWait,
+			SolveLatency:   st.SolveLatency,
+		},
+	}
 }
 
 // MarshalJSON renders the current snapshot, so a *Metrics can be encoded

@@ -41,25 +41,6 @@ var (
 	ErrSchedulerClosed = sched.ErrClosed
 )
 
-// SchedEvent is one scheduler lifecycle event; SchedEventKind classifies
-// it. A Collector that also implements SchedCollector (as *Metrics does)
-// receives the stream when attached with WithSchedulerCollector.
-type (
-	SchedEvent     = core.SchedEvent
-	SchedEventKind = core.SchedEventKind
-	SchedCollector = core.SchedCollector
-)
-
-// The scheduler lifecycle event kinds.
-const (
-	SchedEnqueued = core.SchedEnqueued
-	SchedStarted  = core.SchedStarted
-	SchedDone     = core.SchedDone
-	SchedCanceled = core.SchedCanceled
-	SchedRejected = core.SchedRejected
-	SchedSteal    = core.SchedSteal
-)
-
 // SchedulerOption configures NewScheduler.
 type SchedulerOption func(*sched.Config)
 
@@ -80,15 +61,6 @@ func WithSchedulerQueue(n int) SchedulerOption {
 // negative selects twice the worker count.
 func WithSchedulerMaxActive(n int) SchedulerOption {
 	return func(c *sched.Config) { c.MaxActive = n }
-}
-
-// WithSchedulerCollector attaches an observability sink to every solve
-// the scheduler admits. SolveStart events carry the scheduler-assigned
-// SolveInfo.ID; a sink that also implements SchedCollector (e.g.
-// *Metrics) additionally receives the SchedEvent lifecycle stream —
-// queue depths, time-in-queue, cross-solve steals.
-func WithSchedulerCollector(coll Collector) SchedulerOption {
-	return func(c *sched.Config) { c.Collector = coll }
 }
 
 // WithSmallSolveBoost tunes size-aware admission: submissions of at most
@@ -119,8 +91,7 @@ type Submission[T any] struct {
 	finish func() *Grid[T]
 }
 
-// ID returns the scheduler-assigned solve ID (matches SolveInfo.ID and
-// the SchedEvent stream).
+// ID returns the scheduler-assigned solve ID.
 func (s *Submission[T]) ID() int64 { return s.h.ID() }
 
 // Done returns a channel closed when the submission reaches its end
@@ -144,9 +115,8 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 // WithWorkers, and scheduler workers pop its ready tiles alongside those
 // of every other admitted solve. The per-solve option honored is
 // WithTracer (a per-submission Tracer recording queue wait, tiles, and
-// steals); WithWorkers and WithChunk are ignored — the scheduler owns the
-// pool and the tile shape — and WithCollector is rejected in favor of the
-// scheduler-wide WithSchedulerCollector.
+// steals); WithWorkers is ignored, because the scheduler owns the pool
+// and the tile shape. Scheduler-wide counters are in Stats.
 //
 // A nil error means the submission was accepted; its outcome arrives via
 // the Submission. A *Rejected error means it was refused synchronously
@@ -164,9 +134,6 @@ func Submit[T any](ctx context.Context, s *Scheduler, p *Problem[T], options ...
 	}
 	if cfg.strategy != Auto && cfg.strategy != Parallel && cfg.strategy != Async {
 		return nil, fmt.Errorf("lddp: the %s strategy cannot run on the shared scheduler (only Auto, Parallel and Async)", cfg.strategy)
-	}
-	if cfg.opts.Collector != nil {
-		return nil, fmt.Errorf("lddp: per-submission collectors are not supported; attach one scheduler-wide with WithSchedulerCollector")
 	}
 	if err := cfg.opts.Validate(); err != nil {
 		return nil, err

@@ -118,11 +118,7 @@ func schedProblem(rows, cols int) *lddp.Problem[int64] {
 }
 
 func TestSchedulerFacadeMatchesSolve(t *testing.T) {
-	metrics := &lddp.Metrics{}
-	s, err := lddp.NewScheduler(
-		lddp.WithSchedulerWorkers(2),
-		lddp.WithSchedulerCollector(metrics),
-	)
+	s, err := lddp.NewScheduler(lddp.WithSchedulerWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +139,12 @@ func TestSchedulerFacadeMatchesSolve(t *testing.T) {
 			}
 		}
 	}
-	snap := metrics.Snapshot()
+	snap := lddp.NewMetrics(s).Snapshot()
 	if snap.Sched.Submitted != 1 || snap.Sched.Started != 1 || snap.Sched.Done != 1 {
 		t.Errorf("sched metrics = %+v, want submitted/started/done = 1", snap.Sched)
 	}
-	if snap.Solver != "sched" {
-		t.Errorf("metrics solver = %q, want \"sched\"", snap.Solver)
+	if snap.Solves != 1 || snap.Errors != 0 {
+		t.Errorf("solves/errors = %d/%d, want 1/0", snap.Solves, snap.Errors)
 	}
 }
 
@@ -189,9 +185,6 @@ func TestSubmitRejectsUnsupportedOptions(t *testing.T) {
 	if _, err := lddp.Submit(context.Background(), s, p, lddp.WithStrategy(lddp.Tiled)); err == nil {
 		t.Error("Tiled strategy accepted by Submit")
 	}
-	if _, err := lddp.Submit(context.Background(), s, p, lddp.WithCollector(&lddp.Metrics{})); err == nil {
-		t.Error("per-submission collector accepted by Submit")
-	}
 }
 
 func TestSchedulerFacadeRejectionTypes(t *testing.T) {
@@ -215,7 +208,7 @@ func TestSchedulerFacadeTracer(t *testing.T) {
 	defer s.Close()
 	tr := lddp.NewTracer()
 	if _, err := lddp.SolveOn(context.Background(), s, schedProblem(40, 40),
-		lddp.WithChunk(8), lddp.WithTracer(tr)); err != nil {
+		lddp.WithTracer(tr)); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Meta().Solver != "sched" {

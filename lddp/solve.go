@@ -104,13 +104,6 @@ func WithWorkers(n int) Option {
 	return func(c *config) { c.opts.NativeWorkers = n }
 }
 
-// WithChunk is kept for compatibility and ignored: neither Solve's
-// strategies nor the shared scheduler (Submit) run in chunks any more.
-// Values past the old ceiling are still reported as an error.
-func WithChunk(n int) Option {
-	return func(c *config) { c.opts.NativeChunk = n }
-}
-
 // WithTile sets the block size of the Tiled strategy. Unset or
 // non-positive selects DefaultTile for the problem's cell size.
 func WithTile(n int) Option {
@@ -152,12 +145,6 @@ func WithTShare(n int) Option {
 // inverted-L strategy instead of the (faster) horizontal case-1 route.
 func WithPreferInvertedL() Option {
 	return func(c *config) { c.opts.PreferInvertedL = true }
-}
-
-// WithCollector attaches a runtime observability sink (e.g. *Metrics) to
-// the solve. Nil keeps instrumentation disabled.
-func WithCollector(coll Collector) Option {
-	return func(c *config) { c.opts.Collector = coll }
 }
 
 // WithTracer attaches a runtime event tracer (see NewTracer) to the

@@ -14,7 +14,7 @@ func TestWithTracerRecordsParallelSolve(t *testing.T) {
 	tr := lddp.NewTracer()
 	p := testProblem(lddp.DepW|lddp.DepN, 64, 64)
 	if _, err := lddp.Solve(context.Background(), p,
-		lddp.WithWorkers(4), lddp.WithChunk(16), lddp.WithTracer(tr)); err != nil {
+		lddp.WithWorkers(4), lddp.WithTracer(tr)); err != nil {
 		t.Fatal(err)
 	}
 	events := tr.Events()
@@ -79,7 +79,7 @@ func TestPublishExpvarDuplicate(t *testing.T) {
 	}
 	other := &lddp.Metrics{}
 	if err := other.PublishExpvar(name); err == nil {
-		t.Fatal("duplicate publish from another collector returned nil error")
+		t.Fatal("duplicate publish from another Metrics returned nil error")
 	}
 	if err := other.PublishExpvar(name + "_second"); err != nil {
 		t.Fatalf("fresh name: %v", err)
