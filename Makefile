@@ -25,14 +25,14 @@ format:
 check: format build vet test
 
 # Race-detector pass over the whole module; the executor tests in
-# internal/core are written to stress the pool's epoch barrier and the
-# tile engine's counter and ready-queue hand-offs.
+# internal/core are written to stress the tile engine's counter and
+# ready-queue hand-offs, in 2-D and over 3-D k-columns.
 race:
 	$(GO) test -race ./...
 
-# Native executor benchmarks — the tile engine vs the level-synchronous
-# pool over all 15 masks — archived as BENCH_native.json (real wall-clock
-# numbers — machine-dependent).
+# Native executor benchmarks — the tile engine over all 15 masks and on
+# 3-D LCS boxes — archived as BENCH_native.json (real wall-clock numbers,
+# machine-dependent).
 bench:
 	$(GO) test -run '^$$' -bench=NativePool -benchmem -cpu 4 -benchtime 3x . | tee bench_output.txt
 	$(GO) run ./cmd/benchjson < bench_output.txt > BENCH_native.json
@@ -81,16 +81,15 @@ sched-smoke:
 	$(GO) run ./cmd/lddpserve -mix -solves 32 -size 400 -timeout 50ms
 
 # Tile-engine smoke: the dependency-driven tile engine's unit, fuzz-seed,
-# tiled and metamorphic batteries under the race detector, then the
-# stall proof — trace the same seeded 2048x2048 solve through the
-# level-synchronous pool and the tile engine and require the tile
-# trace's total barrier stall to be strictly below the pool's (it is
-# structurally zero: the tile engine emits no barrier spans).
+# tiled, 3-D, cancellation and metamorphic batteries under the race
+# detector, then a traced seeded 2048x2048 solve on four workers run
+# through lddptrace, whose summary must report the engine's async
+# critical path (tile task spans on the worker lanes).
 async-smoke:
-	$(GO) test -race -count=1 -run 'Async|Tiled|BandLookahead' ./internal/core/ ./lddp/
-	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver pool -workers 4 -seed 7 -traceout pool_trace.json
+	$(GO) test -race -count=1 -run 'Async|Tiled|HorizontalBands|Parallel3|Solve3|Cancel' ./internal/core/ ./lddp/
 	$(GO) run ./cmd/lddprun -problem levenshtein -size 2048 -solver parallel -workers 4 -seed 7 -traceout async_trace.json
-	$(GO) run ./cmd/lddptrace -barrier-under pool_trace.json async_trace.json
+	$(GO) run ./cmd/lddptrace async_trace.json | tee async_trace_summary.txt
+	grep -q 'critical path (async)' async_trace_summary.txt
 
 # Network service smoke: boot lddpd on an ephemeral local port, fire a
 # remote batch through cmd/lddpserve -url (the client's retry/backoff
@@ -202,12 +201,12 @@ soak-sim:
 	$(GO) test -race -tags soak -run TestScenarioSweepSoak -timeout 30m ./internal/sim/
 
 # Cross-executor differential conformance suite: all 15 masks x every
-# public executor path (tile engine, level-synchronous pool, the
-# scheduler's tile engines at 1, 2 and 4 workers) x adversarial shapes,
-# under the race detector.
+# public executor path (the tile engine in process at 1, 2 and 4 workers
+# and on square tiles, the scheduler's tile engines at 1, 2 and 4
+# workers) x adversarial shapes, under the race detector.
 conformance:
 	$(GO) test -race -run 'Conformance|Metamorphic' -timeout 10m ./internal/core/ ./internal/sched/
 
 clean:
-	rm -f cover.out test_output.txt bench_output.txt bench_masks_output.txt bench_server_output.txt trace.json pool_trace.json async_trace.json serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json
+	rm -f cover.out test_output.txt bench_output.txt bench_masks_output.txt bench_server_output.txt trace.json async_trace.json async_trace_summary.txt serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json
 	rm -rf fleet-traces

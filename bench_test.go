@@ -233,9 +233,8 @@ func BenchmarkExtModern(b *testing.B) { benchExperiment(b, "ext-modern") }
 func BenchmarkExtBottleneck(b *testing.B) { benchExperiment(b, "ext-bottleneck") }
 
 // Native executor family (-bench=NativePool): the dependency-driven tile
-// engine behind SolveParallel against the level-synchronous pool. Run with
-// -benchmem: the Sim alloc counts are part of the recorded evidence
-// (BENCH_native.json).
+// engine behind SolveParallel and SolveParallel3. Run with -benchmem: the
+// Sim alloc counts are part of the recorded evidence (BENCH_native.json).
 
 // The tile engine at its default shape on the 4k anti-diagonal case study.
 func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
@@ -248,22 +247,14 @@ func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 	}
 }
 
-// All 15 masks at 256x256 and 1024x1024 through the level-synchronous
-// pool (SolvePool) and the tile engine (SolveParallel), on lddpserve's
-// kernel, which does the same work per cell under every mask. The
-// tiles/pool ratio per mask is the sweep behind the tile-shape rule
+// All 15 masks at 256x256 and 1024x1024 through the tile engine
+// (SolveParallel), on lddpserve's kernel, which does the same work per
+// cell under every mask, so the per-mask times compare the tile shapes
 // (DESIGN.md §15); run it with -cpu 2 for the two-worker figures.
 func BenchmarkNativePoolMasks(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, m := range core.AllDepMasks() {
 			p := server.ServeProblem(m, n, n)
-			b.Run(fmt.Sprintf("%d/%s/pool", n, m), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.SolvePool(context.Background(), p, core.Options{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 			b.Run(fmt.Sprintf("%d/%s/tiles", n, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := core.SolveParallel(p, 0); err != nil {
@@ -308,6 +299,22 @@ func BenchmarkNativePoolMaskPairs(b *testing.B) {
 	}
 }
 
+// Three-sequence LCS on n x n x n boxes through SolveParallel3: the tile
+// engine over the n x n grid of k-columns (DESIGN.md §15).
+func BenchmarkNativePoolLCS3(b *testing.B) {
+	for _, n := range []int{64, 128} {
+		a, s := workload.SimilarStrings(1, n-1, workload.DNAAlphabet, 0.3)
+		p := problems.LCS3(a, s, workload.RandomString(8, n-1, workload.DNAAlphabet))
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := core.SolveParallel3(p, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // Simulated hetero path at 4k: the lazy-label fix means the per-op
 // fmt.Sprintf and dep-slice allocations are gone; allocs/op here is the
 // headline number for that satellite.
@@ -347,8 +354,8 @@ func BenchmarkNativePoolTraceLevenshtein4k(b *testing.B) {
 
 // Shared-scheduler multi-solve throughput: one batch iteration is 16
 // concurrent 1024x1024 anti-diagonal solves submitted to one shared
-// scheduler, versus the same 16 solves as back-to-back level-synchronous
-// pool runs (what a service without the scheduler would do). Run both at the
+// scheduler, versus the same 16 solves as back-to-back SolveParallel
+// runs (what a service without the scheduler would do). Run both at the
 // same GOMAXPROCS (use -cpu) to compare aggregate throughput; the
 // recorded numbers live in EXPERIMENTS.md. Worker counts are pinned equal
 // on both sides so the comparison isolates the scheduling structure, not
@@ -402,7 +409,7 @@ func BenchmarkSchedulerBatch16x1024(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < batch; k++ {
-				if _, err := core.SolvePool(context.Background(), problem(k), opts); err != nil {
+				if _, err := core.SolveParallelOpt(problem(k), opts); err != nil {
 					b.Fatal(err)
 				}
 			}

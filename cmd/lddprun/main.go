@@ -10,7 +10,6 @@
 //	lddprun -problem levenshtein -size 2048 -solver hetero -trace
 //	lddprun -problem lcs -size 2048 -solver parallel -trace -metrics
 //	lddprun -problem levenshtein -size 2048 -solver parallel -traceout t.json
-//	lddprun -problem levenshtein -size 2048 -solver pool -traceout p.json
 package main
 
 import (
@@ -30,8 +29,8 @@ import (
 func main() {
 	problem := flag.String("problem", "levenshtein", fmt.Sprintf("one of %v", cli.ProblemNames()))
 	size := flag.Int("size", 1024, "table side length")
-	solver := flag.String("solver", "hetero", "seq, parallel, pool (level-synchronous baseline), tiled, resilient, cpu, gpu, hetero or multi")
-	workers := flag.Int("workers", 0, "workers for -solver parallel/pool/tiled (0 = min(GOMAXPROCS, NumCPU))")
+	solver := flag.String("solver", "hetero", "seq, parallel, tiled, resilient, cpu, gpu, hetero or multi")
+	workers := flag.Int("workers", 0, "workers for -solver parallel/tiled (0 = min(GOMAXPROCS, NumCPU))")
 	platform := flag.String("platform", "Hetero-High", "simulated platform (Hetero-High, Hetero-Low, Hetero-Phi, Hetero-Modern)")
 	platformFile := flag.String("platform-file", "", "load a custom platform calibration from a JSON file (overrides -platform)")
 	tswitch := flag.Int("tswitch", -1, "t_switch (-1 = auto)")
@@ -88,12 +87,6 @@ func main() {
 		fmt.Printf("%s (replicas=%d, detected faults at %d cells)\n", ans, *replicas, corrected)
 	case "parallel":
 		ans, err := inst.SolveParallel(core.Options{NativeWorkers: *workers, Tracer: tracer})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(ans)
-	case "pool":
-		ans, err := inst.SolvePool(core.Options{NativeWorkers: *workers, Tracer: tracer})
 		if err != nil {
 			fatal(err)
 		}

@@ -38,9 +38,6 @@ type Instance struct {
 	// SolveParallel runs the native tile engine; opts carries the worker
 	// count and the optional Tracer.
 	SolveParallel func(opts core.Options) (string, error)
-	// SolvePool runs the level-synchronous pool baseline; opts carries
-	// workers, chunk and the optional Tracer.
-	SolvePool func(opts core.Options) (string, error)
 	// SolveSim runs a simulated solver: mode is "cpu", "gpu" or "hetero".
 	SolveSim func(mode string, opts core.Options) (SimInfo, error)
 	// SolveMulti runs the multi-accelerator extension (horizontal-pattern
@@ -88,13 +85,6 @@ func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) 
 	}
 	inst.SolveParallel = func(opts core.Options) (string, error) {
 		g, err := core.SolveParallelOpt(p, opts)
-		if err != nil {
-			return "", err
-		}
-		return answer(g), nil
-	}
-	inst.SolvePool = func(opts core.Options) (string, error) {
-		g, err := core.SolvePool(context.Background(), p, opts)
 		if err != nil {
 			return "", err
 		}

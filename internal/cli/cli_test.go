@@ -30,13 +30,6 @@ func TestBuildInstanceAllNames(t *testing.T) {
 		if par != ans {
 			t.Errorf("%s: parallel answer %q != seq %q", name, par, ans)
 		}
-		pool, err := inst.SolvePool(core.Options{NativeWorkers: 2})
-		if err != nil {
-			t.Fatalf("%s pool: %v", name, err)
-		}
-		if pool != ans {
-			t.Errorf("%s: pool answer %q != seq %q", name, pool, ans)
-		}
 		for _, mode := range []string{"cpu", "gpu", "hetero"} {
 			info, err := inst.SolveSim(mode, core.Options{TSwitch: -1, TShare: -1})
 			if err != nil {

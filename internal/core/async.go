@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -15,7 +16,8 @@ import (
 )
 
 // Dependency-driven tile executor: the engine behind SolveParallel,
-// SolveTiled and every scheduler submission (NewTileWorkload).
+// SolveTiled, SolveParallel3 and every scheduler submission
+// (NewTileWorkload).
 //
 // The table is cut into a grid of th x tw tiles and run as a DAG of
 // tiles, following the frontier scheme of "Parallel and (Nearly)
@@ -31,9 +33,12 @@ import (
 //     below first so it stays on its column band, and queues the rest
 //     (on the engine's ready channel in process, on the submission's
 //     ready queue under the scheduler);
-//   - cells inside a tile run row-major on the flat kernel, which is safe
-//     for every mask (every cell offset points to an earlier row, or left
-//     in the same row).
+//   - cells inside a tile run row-major, one tile row at a time through
+//     the engine's row kernel, which is safe for every mask (every cell
+//     offset points to an earlier row, or left in the same row). The
+//     kernel is all the engine knows of the cell type: the 2-D solvers
+//     pass the flat kernel's row loop, and the 3-D solvers one that fills
+//     each (i, j) cell's whole k-column (solve3.go).
 //
 // Tile columns index either j or, for the six masks that read NE together
 // with W or NW, the wavefront index u = i + j of the anti-diagonal
@@ -61,29 +66,45 @@ import (
 // tile's reads.
 
 // tileShape is the tile extent SolveParallel and NewTileWorkload run a
-// rows x cols table with under mask m on the given worker count. One
-// worker sweeps the whole table as one row-major tile. The six masks that
-// read NE with W or NW get skewed tiles tw u-columns wide and tw/4 rows
-// tall, with tw a sixteenth of a worker's share of the rows + cols - 1
-// wavefront indices but at least 256 (64 x 256 at 1024², best or tied in
-// a sweep of 16-256 rows x 128-1024 columns). The other masks get row
-// segments: without W a row splits into one segment per worker, the
-// column-band partition; with W a segment is a quarter of a worker's
-// share, so a row pipelines across the workers. Either way a segment is
-// no narrower than 256 cells, below which the per-tile hand-off costs
-// more than it overlaps (DESIGN.md §15 gives the sweep).
-func tileShape(m DepMask, rows, cols, workers int) (th, tw int) {
+// rows x cols table with under mask m on the given worker count; depth is
+// the number of cells each grid cell holds (1 in 2-D, the k-column length
+// NZ in 3-D). One worker sweeps the whole table as one row-major tile. The
+// six masks that read NE with W or NW get skewed tiles tw u-columns wide
+// and tw/4 rows tall, with tw a sixteenth of a worker's share of the
+// rows + cols - 1 wavefront indices but at least 256 (64 x 256 at 1024²,
+// best or tied in a sweep of 16-256 rows x 128-1024 columns). The other
+// masks get row segments: without W a row splits into one segment per
+// worker, the column-band partition; with W a segment is a quarter of a
+// worker's share, so a row pipelines across the workers. Either way a
+// segment holds no fewer than 256 cells, below which the per-tile hand-off
+// costs more than it overlaps (DESIGN.md §15 gives the sweep).
+//
+// When one tile column would span the table (a row segment as wide as
+// the table under a mask that reads the row above, or a skewed tile as
+// wide as all rows + cols - 1 wavefront indices), that column is a
+// dependency chain: it gets no parallelism from being cut, only a
+// hand-off per tile, so the table runs as one whole-table tile. {W} keeps
+// its row segments, which wait on nothing.
+func tileShape(m DepMask, rows, cols, depth, workers int) (th, tw int) {
 	if workers <= 1 {
 		return rows, cols
 	}
+	minWidth := ceilDiv(256, depth)
 	if skews(m) {
-		tw = max(256, ceilDiv(rows+cols-1, 4*workers))
+		tw = max(minWidth, ceilDiv(rows+cols-1, 4*workers))
+		if tw >= rows+cols-1 {
+			return rows, cols
+		}
 		return tw / 4, tw
 	}
 	if m.Has(DepW) {
 		workers *= 4
 	}
-	return 1, max(256, ceilDiv(cols, workers))
+	tw = max(minWidth, ceilDiv(cols, workers))
+	if tw >= cols && m&^DepW != 0 {
+		return rows, cols
+	}
+	return 1, tw
 }
 
 // skews reports whether m is one of the six masks the engine cuts in
@@ -93,14 +114,34 @@ func skews(m DepMask) bool { return m.Has(DepNE) && m&(DepW|DepNW) != 0 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
+// defaultWorkers is the documented Options.NativeWorkers default,
+// min(GOMAXPROCS, NumCPU): the engine is compute-bound, so workers beyond
+// the physical cores add no throughput.
+func defaultWorkers() int {
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
+}
+
+// workerLabels is the pprof label set of an engine worker goroutine, so
+// CPU profiles segment by solver, tile shape and worker.
+func workerLabels(solver, executed string, w int) pprof.LabelSet {
+	return pprof.Labels(
+		"lddp_solver", solver,
+		"lddp_phase", executed,
+		"lddp_worker", strconv.Itoa(w),
+	)
+}
+
 // tileEngine is the shared state of one tile-graph solve. It is built
 // once (counters set) and then driven by worker loops: the engine's own
-// goroutines (solveTiles, which owns the ready channel and the fields
-// below it) or scheduler workers running a NewTileWorkload's tiles.
-type tileEngine[T any] struct {
-	k          *flatKernel[T]
+// goroutines (solve, which owns the ready channel and the fields below
+// it) or scheduler workers running a NewTileWorkload's tiles.
+type tileEngine struct {
+	// row fills cells [jLo, jHi) of row i, reading only cells the mask
+	// makes it wait for.
+	row        func(i, jLo, jHi int)
 	mask       DepMask
 	rows, cols int
+	depth      int  // cells per grid cell, for the cell counts
 	th, tw     int  // tile extent: rows x columns, or x u-columns when skewed
 	tr, tc     int  // tile grid extent in tiles
 	skew       bool // tile columns index u = i + j instead of j
@@ -119,59 +160,70 @@ type tileEngine[T any] struct {
 	lanes    []*trace.Lane
 }
 
-// tileEngineFor validates the problem and the options and builds the
-// engine with the worker count and the tile extent they select: square
-// tiles of side tile, or tileShape's when tile == 0.
-func tileEngineFor[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*tileEngine[T], *table.Grid[T], int, error) {
+// gridEngine validates the problem and builds the engine of its 2-D table
+// (see tileEngineFor) with the grid it fills.
+func gridEngine[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*tileEngine, *table.Grid[T], int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, 0, err
 	}
-	if err := opts.Validate(); err != nil {
+	e, workers, err := tileEngineFor(ctx, p.Deps, p.Rows, p.Cols, 1, tile, opts)
+	if err != nil {
 		return nil, nil, 0, err
+	}
+	g := table.NewGrid[T](p.Rows, p.Cols)
+	e.row = newFlatKernel(p, g.RowMajorData(), p.Cols).row
+	return e, g, workers, nil
+}
+
+// tileEngineFor validates the options and builds the engine of a rows x
+// cols grid of depth-cell grid cells under mask m, with the worker count
+// and the tile extent they select: square tiles of side tile, or
+// tileShape's when tile == 0. The caller sets the row kernel.
+func tileEngineFor(ctx context.Context, m DepMask, rows, cols, depth, tile int, opts Options) (*tileEngine, int, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, 0, err
 	}
 	workers := opts.NativeWorkers
 	if workers <= 0 {
-		workers = defaultPoolWorkers()
+		workers = defaultWorkers()
 	}
 	th, tw := tile, tile
 	if tile == 0 {
-		th, tw = tileShape(p.Deps, p.Rows, p.Cols, workers)
+		th, tw = tileShape(m, rows, cols, depth, workers)
 	}
-	return newTileEngine(ctx, p, workers, th, tw)
+	return newTileEngine(ctx, m, rows, cols, depth, workers, th, tw)
 }
 
-// newTileEngine cuts a valid problem into th x tw tiles, allocates the
-// grid, and sets every tile's counter. When the table takes more than one
-// tile, the tiles are skewed (tile columns index u = i + j) for a mask
-// skews names and tw >= 2, and 1-row under any other mask containing NE
-// (a taller tile's NE reads would land in the tile to the east). The
-// extent is clamped to the table (to its rows + cols - 1 wavefront
-// indices when skewed). It returns the engine, the grid it fills, and the
-// worker count capped at the count of tiles that hold a cell.
-func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw int) (*tileEngine[T], *table.Grid[T], int, error) {
-	single := th >= p.Rows && tw >= p.Cols
-	skew := !single && skews(p.Deps) && tw >= 2
-	if !single && !skew && p.Deps.Has(DepNE) {
+// newTileEngine cuts a rows x cols grid under mask m into th x tw tiles
+// and sets every tile's counter; it allocates no cell storage. When the
+// grid takes more than one tile, the tiles are skewed (tile columns index
+// u = i + j) for a mask skews names and tw >= 2, and 1-row under any
+// other mask containing NE (a taller tile's NE reads would land in the
+// tile to the east). The extent is clamped to the grid (to its
+// rows + cols - 1 wavefront indices when skewed). It returns the engine
+// and the worker count capped at the count of tiles that hold a cell.
+func newTileEngine(ctx context.Context, m DepMask, rows, cols, depth, workers, th, tw int) (*tileEngine, int, error) {
+	single := th >= rows && tw >= cols
+	skew := !single && skews(m) && tw >= 2
+	if !single && !skew && m.Has(DepNE) {
 		th = 1
 	}
-	span := p.Cols
+	span := cols
 	if skew {
-		span = p.Rows + p.Cols - 1
+		span = rows + cols - 1
 	}
-	th, tw = min(th, p.Rows), min(tw, span)
-	tr, tc := ceilDiv(p.Rows, th), ceilDiv(span, tw)
+	th, tw = min(th, rows), min(tw, span)
+	tr, tc := ceilDiv(rows, th), ceilDiv(span, tw)
 	tiles := int64(tr) * int64(tc)
 	if tiles > math.MaxInt32 {
 		// Tile indices travel as int32 on the ready queue.
-		return nil, nil, 0, fmt.Errorf("core: tile engine supports at most %d tiles, got %d (%dx%d tiles of %dx%d cells)",
+		return nil, 0, fmt.Errorf("core: tile engine supports at most %d tiles, got %d (%dx%d tiles of %dx%d cells)",
 			math.MaxInt32, tiles, tr, tc, th, tw)
 	}
 
-	g := table.NewGrid[T](p.Rows, p.Cols)
-	e := &tileEngine[T]{
-		k:    newFlatKernel(p, g.RowMajorData(), p.Rows, p.Cols),
-		mask: p.Deps,
-		rows: p.Rows, cols: p.Cols,
+	e := &tileEngine{
+		mask: m,
+		rows: rows, cols: cols, depth: depth,
 		th: th, tw: tw, tr: tr, tc: tc,
 		skew:     skew,
 		counters: make([]atomic.Int32, tiles),
@@ -186,12 +238,12 @@ func newTileEngine[T any](ctx context.Context, p *Problem[T], workers, th, tw in
 		e.live++
 		e.counters[t].Store(int32(e.deps(bi, bj).Count()))
 	}
-	return e, g, min(workers, e.live), nil
+	return e, min(workers, e.live), nil
 }
 
 // sources returns the tiles that wait for nothing, in row-major order.
 // Only valid before any tile has run.
-func (e *tileEngine[T]) sources() []int32 {
+func (e *tileEngine) sources() []int32 {
 	n := 0
 	for t := range e.counters {
 		if e.counters[t].Load() == 0 {
@@ -211,7 +263,7 @@ func (e *tileEngine[T]) sources() []int32 {
 // tile pairs some cell edge crosses. Unskewed, these are the block
 // offsets deriveBlockMask lifts the mask to at the tile's own extent
 // (edge tiles may be smaller), less those outside the tile grid.
-func (e *tileEngine[T]) deps(bi, bj int) DepMask {
+func (e *tileEngine) deps(bi, bj int) DepMask {
 	if e.skew {
 		return e.skewDeps(bi, bj)
 	}
@@ -239,7 +291,7 @@ func (e *tileEngine[T]) deps(bi, bj int) DepMask {
 // tile; reads checks each candidate against the cells both tiles hold,
 // which keeps the count exact on the ragged tiles along the table's
 // edges.
-func (e *tileEngine[T]) skewDeps(bi, bu int) DepMask {
+func (e *tileEngine) skewDeps(bi, bu int) DepMask {
 	var m DepMask
 	for _, o := range cellOffsets {
 		if !e.mask.Has(o.dep) {
@@ -269,7 +321,7 @@ var cellOffsets = [...]struct {
 // (di, dj) neighbour in skewed tile (si, su), both cells inside the table.
 // With (si, su) = (bi, bu) and a zero offset it reports whether the tile
 // holds a cell at all.
-func (e *tileEngine[T]) reads(bi, bu, si, su, di, dj int) bool {
+func (e *tileEngine) reads(bi, bu, si, su, di, dj int) bool {
 	if si < 0 || su < 0 {
 		return false
 	}
@@ -291,7 +343,7 @@ func (e *tileEngine[T]) reads(bi, bu, si, su, di, dj int) bool {
 // stores those that became ready in ready and returns how many it stored.
 // The tile below is checked first, so a worker that continues with
 // ready[0] keeps to its column band.
-func (e *tileEngine[T]) publish(bi, bj int, ready *[4]int32) int {
+func (e *tileEngine) publish(bi, bj int, ready *[4]int32) int {
 	n := 0
 	release := func(ti, tj int, from DepMask) {
 		if ti >= e.tr || tj < 0 || tj >= e.tc || !e.deps(ti, tj).Has(from) {
@@ -313,7 +365,7 @@ func (e *tileEngine[T]) publish(bi, bj int, ready *[4]int32) int {
 // step fills the ready tile t, marks it finished and publishes it (see
 // publish). ok is false, and nothing is published, if the context ended
 // first.
-func (e *tileEngine[T]) step(t int32, ready *[4]int32) (cells, n int, ok bool) {
+func (e *tileEngine) step(t int32, ready *[4]int32) (cells, n int, ok bool) {
 	bi, bj := int(t)/e.tc, int(t)%e.tc
 	if cells, ok = e.runTile(bi, bj); !ok {
 		return 0, 0, false
@@ -322,10 +374,10 @@ func (e *tileEngine[T]) step(t int32, ready *[4]int32) (cells, n int, ok bool) {
 	return cells, e.publish(bi, bj, ready), true
 }
 
-// runTile fills tile (bi, bj) row-major and returns its cell count, or
-// false if the context ended first. The context is polled once per tile
-// row, so even a whole-table tile stays cancellable.
-func (e *tileEngine[T]) runTile(bi, bj int) (int, bool) {
+// runTile fills tile (bi, bj) one row at a time and returns its cell
+// count, or false if the context ended first. The context is polled once
+// per tile row, so even a whole-table tile stays cancellable.
+func (e *tileEngine) runTile(bi, bj int) (int, bool) {
 	iLo, cLo := bi*e.th, bj*e.tw
 	iHi, cHi := min(iLo+e.th, e.rows), cLo+e.tw
 	cells := 0
@@ -337,17 +389,17 @@ func (e *tileEngine[T]) runTile(bi, bj int) (int, bool) {
 		if e.skew {
 			jLo, jHi = max(cLo-i, 0), min(cHi-i, e.cols)
 		}
-		for j := jLo; j < jHi; j++ {
-			e.k.cell(i, j)
+		if jLo < jHi {
+			e.row(i, jLo, jHi)
+			cells += jHi - jLo
 		}
-		cells += max(jHi-jLo, 0)
 	}
-	return cells, true
+	return cells * e.depth, true
 }
 
 // startLoops readies the engine for its own worker loops: every source
 // tile on the ready channel, every live tile left to finish.
-func (e *tileEngine[T]) startLoops() {
+func (e *tileEngine) startLoops() {
 	e.ready = make(chan int32, e.live)
 	e.finished = make(chan struct{})
 	e.left.Store(int64(e.live))
@@ -361,7 +413,7 @@ func (e *tileEngine[T]) startLoops() {
 // work is the in-process worker loop: take a ready tile (the kept
 // dependent, or one off the ready channel), fill it, publish it, repeat
 // until the last tile is done or the context ends.
-func (e *tileEngine[T]) work(w int) {
+func (e *tileEngine) work(w int) {
 	var ln *trace.Lane
 	if e.lanes != nil {
 		ln = e.lanes[w]
@@ -412,7 +464,7 @@ func (e *tileEngine[T]) work(w int) {
 // in (i, u). Every solve builds it, so it is appended into one string
 // rather than formatted: fmt would box each extent of 256 or more into
 // an interface, one allocation apiece.
-func (e *tileEngine[T]) executed() string {
+func (e *tileEngine) executed() string {
 	b := make([]byte, 0, 32)
 	b = strconv.AppendInt(append(b, "tiles "...), int64(e.th), 10)
 	b = strconv.AppendInt(append(b, 'x'), int64(e.tw), 10)
@@ -424,7 +476,7 @@ func (e *tileEngine[T]) executed() string {
 
 // firstUnfinishedRow is Canceled.Front for the tile engine: the first row
 // that holds an unfinished tile. Only called after the worker join.
-func (e *tileEngine[T]) firstUnfinishedRow() int {
+func (e *tileEngine) firstUnfinishedRow() int {
 	for t := range e.counters {
 		if e.counters[t].Load() >= 0 {
 			return t / e.tc * e.th
@@ -434,26 +486,38 @@ func (e *tileEngine[T]) firstUnfinishedRow() int {
 }
 
 // solveTiles is the shared entry of SolveParallel* and SolveTiled*: it
-// builds the engine, runs one worker loop per worker (the caller is worker
-// 0), and wires the Tracer. solver names the executor in the trace and in
-// *Canceled.
+// builds the engine and runs it (see solve). solver names the executor in
+// the trace and in *Canceled.
 func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile int, opts Options) (*table.Grid[T], error) {
-	e, g, workers, err := tileEngineFor(ctx, p, tile, opts)
+	e, g, workers, err := gridEngine(ctx, p, tile, opts)
 	if err != nil {
 		return nil, err
 	}
+	meta := trace.Meta{
+		Solver: solver, Problem: p.Name, Pattern: Classify(p.Deps).String(),
+		Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows,
+	}
+	if err := e.solve(ctx, meta, workers, opts.Tracer); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// solve runs the engine to completion with one worker loop per worker
+// (the caller is worker 0) and wires the Tracer, which gets meta with the
+// tile shape and the worker count filled in. A canceled solve returns a
+// *Canceled naming meta.Solver, whose Front is the first row that holds an
+// unfinished tile.
+func (e *tileEngine) solve(ctx context.Context, meta trace.Meta, workers int, tr *trace.Recorder) error {
 	if isDone(e.done) {
-		return nil, canceledErr(ctx, solver, 0)
+		return canceledErr(ctx, meta.Solver, 0)
 	}
 	e.startLoops()
 
-	executed := e.executed()
-	if tr := opts.Tracer; tr != nil {
-		tr.BeginSolve(trace.Meta{
-			Solver: solver, Problem: p.Name,
-			Pattern: Classify(p.Deps).String(), Executed: executed,
-			Rows: p.Rows, Cols: p.Cols, Fronts: p.Rows, Workers: workers,
-		})
+	solver, executed := meta.Solver, e.executed()
+	if tr != nil {
+		meta.Executed, meta.Workers = executed, workers
+		tr.BeginSolve(meta)
 		defer tr.EndSolve()
 		e.lanes = make([]*trace.Lane, workers)
 		for w := range e.lanes {
@@ -461,20 +525,19 @@ func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile i
 		}
 	}
 
-	cfg := poolConfig{solver: solver, phase: executed, workers: workers}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
 	for w := 1; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			pprof.Do(ctx, cfg.poolLabels(w), func(context.Context) { e.work(w) })
+			pprof.Do(ctx, workerLabels(solver, executed, w), func(context.Context) { e.work(w) })
 		}(w)
 	}
-	pprof.Do(ctx, cfg.poolLabels(0), func(context.Context) { e.work(0) })
+	pprof.Do(ctx, workerLabels(solver, executed, 0), func(context.Context) { e.work(0) })
 	wg.Wait()
 
 	if e.left.Load() > 0 {
-		return nil, canceledErr(ctx, solver, e.firstUnfinishedRow())
+		return canceledErr(ctx, solver, e.firstUnfinishedRow())
 	}
-	return g, nil
+	return nil
 }

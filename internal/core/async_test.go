@@ -31,21 +31,24 @@ func TestAsyncExpiredContext(t *testing.T) {
 
 // TestMidSolveCancelAsync cancels from inside the recurrence and checks
 // the tile-engine workers abort mid-table with Front at the first row
-// that holds an unfinished tile.
+// that holds an unfinished tile. 256x1024 at 4 workers runs on 1x256
+// segments, four per row, which pipeline across the workers.
 func TestMidSolveCancelAsync(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	var cells atomic.Int64
-	p := testProblem(DepW|DepNW|DepN, 256, 256)
+	const rows, cols, workers = 256, 1024, 4
+	var cells, atCancel atomic.Int64
+	p := testProblem(DepW|DepNW|DepN, rows, cols)
 	inner := p.F
 	p.F = func(i, j int, nb Neighbors[int64]) int64 {
 		if cells.Add(1) == 1000 {
 			cancel()
+			atCancel.Store(cells.Load())
 		}
 		return inner(i, j, nb)
 	}
-	g, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4})
+	g, err := SolveParallelContext(ctx, p, Options{NativeWorkers: workers})
 	c := wantCanceled(t, err, nil)
 	if g != nil {
 		t.Error("canceled solve returned a non-nil grid")
@@ -53,28 +56,31 @@ func TestMidSolveCancelAsync(t *testing.T) {
 	if c.Solver != "async" {
 		t.Errorf("Canceled.Solver = %q, want async", c.Solver)
 	}
-	// The 256-cell segments are whole rows, which run one after another.
-	// The row holding the 1000th cell completes (the context is polled
-	// between tile rows), so the first unfinished row is the next one.
-	if want := 1000/256 + 1; c.Front != want {
-		t.Errorf("Canceled.Front = %d, want row %d", c.Front, want)
+	// Every row above Front is finished. The context is polled before
+	// each tile row, here each 256-cell tile, so once the cancel has
+	// happened every worker finishes at most the tile it holds.
+	total := cells.Load()
+	if c.Front < 0 || c.Front >= rows || int64(c.Front*cols) > total {
+		t.Errorf("Canceled.Front = %d, but only %d cells were computed", c.Front, total)
 	}
-	if total := cells.Load(); total >= 256*256 {
+	if after := total - atCancel.Load(); after > workers*256 {
+		t.Errorf("solve computed %d cells after the cancel, want at most %d: one tile per worker", after, workers*256)
+	}
+	if total >= rows*cols {
 		t.Errorf("solve computed all %d cells despite cancellation", total)
 	}
 }
 
 // TestAsyncCanceledSolvesLeakNoGoroutines runs repeated mid-solve
-// cancellations, on whole-row segments (one worker runs the chain, the
-// others wait on the ready queue) and on 8x8 tiles, and checks the
-// goroutine count returns to baseline: a worker blocked on the ready
-// queue must observe the cancel and exit.
+// cancellations, on skewed 64x256 tiles (two tile rows of five) and on
+// 8x8 tiles, and checks the goroutine count returns to baseline: a worker
+// blocked on the ready queue must observe the cancel and exit.
 func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
 	leak := testutil.StartLeakCheck()
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var cells atomic.Int64
-		p := testProblem(DepW|DepNW|DepN|DepNE, 128, 128)
+		p := testProblem(DepW|DepNW|DepN|DepNE, 128, 1024)
 		inner := p.F
 		p.F = func(i, j int, nb Neighbors[int64]) int64 {
 			if cells.Add(1) == int64(100*(iter+1)) {
@@ -104,7 +110,7 @@ func TestAsyncCanceledSolvesLeakNoGoroutines(t *testing.T) {
 // sum to the table.
 func TestAsyncTracerMeta(t *testing.T) {
 	rec := trace.NewRecorder(0)
-	p := testProblem(DepW|DepN, 96, 83)
+	p := testProblem(DepW|DepN, 256, 1024)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -117,8 +123,8 @@ func TestAsyncTracerMeta(t *testing.T) {
 		t.Fatal("traced solve computed a different table")
 	}
 	meta := rec.Meta()
-	if meta.Solver != "async" || meta.Executed != "tiles 1x83" || meta.Workers != 4 {
-		t.Errorf("Meta = %+v, want async on whole-row 1x83 tiles with 4 workers", meta)
+	if meta.Solver != "async" || meta.Executed != "tiles 1x256" || meta.Workers != 4 {
+		t.Errorf("Meta = %+v, want async on 1x256 tiles with 4 workers", meta)
 	}
 	lanes := trace.Analyze(meta, rec.Events(), 0).Workers
 	if len(lanes) != 4 {
@@ -128,17 +134,17 @@ func TestAsyncTracerMeta(t *testing.T) {
 	for _, l := range lanes {
 		cells += l.Cells
 	}
-	if cells != 96*83 {
-		t.Errorf("worker lanes cover %d cells, want %d", cells, 96*83)
+	if cells != 256*1024 {
+		t.Errorf("worker lanes cover %d cells, want %d", cells, 256*1024)
 	}
 }
 
 // TestAsyncTraceEvents checks the Recorder wiring: one KindTask span per
 // tile accounts for every cell exactly once, KindReady queue-depth samples
-// appear, and — the point of the executor — not a single barrier or front
-// event.
+// appear, and nothing else but the solve span is recorded.
 func TestAsyncTraceEvents(t *testing.T) {
-	p := testProblem(DepW|DepNW|DepN, 256, 256)
+	const rows, cols = 256, 1024
+	p := testProblem(DepW|DepNW|DepN, rows, cols)
 	want, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
@@ -156,14 +162,14 @@ func TestAsyncTraceEvents(t *testing.T) {
 		t.Fatalf("trace dropped %d events; grow the test ring", rec.Dropped())
 	}
 	kinds := traceKinds(evs)
-	if kinds[trace.KindBarrier] != 0 || kinds[trace.KindFront] != 0 {
-		t.Errorf("async trace kinds = %v, want zero barrier and front events", kinds)
-	}
-	if kinds[trace.KindTask] != 256 {
+	if kinds[trace.KindTask] != rows*cols/256 {
 		t.Errorf("async trace kinds = %v, want one task span per 1x256 tile", kinds)
 	}
 	if kinds[trace.KindReady] == 0 {
-		t.Errorf("async trace kinds = %v, want ready-queue samples on a %d-cell solve", kinds, 256*256)
+		t.Errorf("async trace kinds = %v, want ready-queue samples on a %d-cell solve", kinds, rows*cols)
+	}
+	if n := kinds[trace.KindSolve] + kinds[trace.KindTask] + kinds[trace.KindReady]; n != len(evs) {
+		t.Errorf("async trace kinds = %v, want only solve, task and ready events", kinds)
 	}
 	var cells int64
 	for _, e := range evs {
@@ -171,18 +177,66 @@ func TestAsyncTraceEvents(t *testing.T) {
 			cells += e.B - e.A
 		}
 	}
-	if cells != 256*256 {
-		t.Errorf("task spans cover %d cells, want %d", cells, 256*256)
+	if cells != rows*cols {
+		t.Errorf("task spans cover %d cells, want %d", cells, rows*cols)
 	}
 	if meta := rec.Meta(); meta.Solver != "async" || meta.Workers != 4 {
 		t.Errorf("meta = %+v, want async solver with 4 workers", meta)
 	}
 	rep := trace.Analyze(rec.Meta(), evs, 0)
-	if rep.Stall.BarrierNS != 0 {
-		t.Errorf("analyzer reports %dns barrier stall on an async trace", rep.Stall.BarrierNS)
+	if rep.Critical.Kind != "async" {
+		t.Errorf("analyzer critical path = %+v, want the async lane bound", rep.Critical)
 	}
 	if rep.Queue.Samples == 0 {
 		t.Error("analyzer folded no ready-queue samples")
+	}
+}
+
+// TestAsyncWholeTableTile pins tileShape's chain rule: a table whose one
+// tile column would span it runs as one whole-table tile on one worker,
+// whether the column is a row segment (the levenshtein mask at 256² on
+// two workers) or a skewed tile (a knight-class mask whose rows + cols - 1
+// wavefront indices fit one tile), while {W}'s row segments, which wait
+// on nothing, stay cut. The conformance matrix's 7x600 and 130x140 shapes
+// still take two or more tile columns under every mask.
+func TestAsyncWholeTableTile(t *testing.T) {
+	for _, tc := range []struct {
+		m          DepMask
+		rows, cols int
+		executed   string
+		workers    int
+	}{
+		{DepW | DepNW | DepN, 256, 256, "tiles 256x256", 1},
+		{DepW | DepNW | DepN | DepNE, 100, 150, "tiles 100x150", 1},
+		{DepN | DepNE, 256, 200, "tiles 256x200", 1},
+		{DepW, 256, 256, "tiles 1x256", 2},
+	} {
+		p := testProblem(tc.m, tc.rows, tc.cols)
+		rec := trace.NewRecorder(0)
+		if _, err := SolveParallelOpt(p, Options{NativeWorkers: 2, Tracer: rec}); err != nil {
+			t.Fatal(err)
+		}
+		if meta := rec.Meta(); meta.Executed != tc.executed || meta.Workers != tc.workers {
+			t.Errorf("mask %s %dx%d on 2 workers ran %q on %d workers, want %q on %d",
+				tc.m, tc.rows, tc.cols, meta.Executed, meta.Workers, tc.executed, tc.workers)
+		}
+	}
+	for _, m := range AllDepMasks() {
+		for _, d := range [][2]int{{7, 600}, {130, 140}} {
+			for _, workers := range []int{2, 4} {
+				th, tw := tileShape(m, d[0], d[1], 1, workers)
+				e, _, err := newTileEngine(context.Background(), m, d[0], d[1], 1, workers, th, tw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d == [2]int{7, 600} && e.tc < 2 {
+					t.Errorf("mask %s %dx%d on %d workers: %s is one tile column", m, d[0], d[1], workers, e.executed())
+				}
+				if skews(m) && d == [2]int{130, 140} && e.tc < 2 {
+					t.Errorf("mask %s %dx%d on %d workers: %s is one tile column", m, d[0], d[1], workers, e.executed())
+				}
+			}
+		}
 	}
 }
 
@@ -269,12 +323,12 @@ func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
 
 // TestAsyncWorkloadCancelUnblocksLoops cancels the workload's context
 // mid-solve and checks the foreign loops stop short of the full table,
-// with Front naming a row inside it.
+// with Front naming a row inside it below which every cell was computed.
 func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var cells atomic.Int64
-	p := testProblem(DepW|DepNW|DepN, 256, 256)
+	p := testProblem(DepW|DepNW|DepN, 256, 1024)
 	inner := p.F
 	p.F = func(i, j int, nb Neighbors[int64]) int64 {
 		if cells.Add(1) == 2000 {
@@ -296,11 +350,12 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("canceled workload loops did not return")
 	}
-	if total := cells.Load(); total >= 256*256 {
+	total := cells.Load()
+	if total >= 256*1024 {
 		t.Errorf("workload computed all %d cells despite cancellation", total)
 	}
-	if f := wl.Front(); f <= 0 || f >= p.Rows {
-		t.Errorf("Front() after cancel = %d, want a row inside (0, %d)", f, p.Rows)
+	if f := wl.Front(); f < 0 || f >= p.Rows || int64(f*p.Cols) > total {
+		t.Errorf("Front() after cancel = %d, want a row inside [0, %d) below which all %d computed cells lie", f, p.Rows, total)
 	}
 }
 
@@ -316,5 +371,68 @@ func TestAsyncRejectsOversizedTables(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "tile engine supports at most") {
 		t.Errorf("error = %v, want the documented tile-count ceiling", err)
+	}
+}
+
+// traceKinds aggregates an event stream by kind.
+func traceKinds(evs []trace.Event) map[trace.Kind]int {
+	m := map[trace.Kind]int{}
+	for _, e := range evs {
+		m[e.Kind]++
+	}
+	return m
+}
+
+// TestTiledTraceSolves checks the tiled executor wires the tracer: one
+// task span per 16x16 tile, covering every cell.
+func TestTiledTraceSolves(t *testing.T) {
+	p := testProblem(DepW|DepNW|DepN, 64, 64)
+	rec := trace.NewRecorder(1 << 12)
+	if _, err := SolveTiledContext(context.Background(), p, 16,
+		Options{NativeWorkers: 2, Tracer: rec}); err != nil {
+		t.Fatal(err)
+	}
+	var tasks, cells int64
+	for _, e := range rec.Events() {
+		if e.Kind == trace.KindTask {
+			tasks++
+			cells += e.B - e.A
+		}
+	}
+	if tasks != 16 || cells != 64*64 {
+		t.Errorf("tiled trace has %d task spans over %d cells, want 16 over %d", tasks, cells, 64*64)
+	}
+	if meta := rec.Meta(); meta.Solver != "tiled" || meta.Executed != "tiles 16x16" {
+		t.Errorf("meta = %+v, want tiled on 16x16 tiles", meta)
+	}
+}
+
+// TestSolveParallelHorizontalBands checks every horizontal-class
+// contributing set — left-only (NW), right-only (NE), both, and none
+// ({N}, where bands run fully independently) — and the vertical ones on
+// the tile engine. It cuts {N}, {NW,N} and {N,NE} into one-row column
+// bands that wait only on their neighbours' previous row (1100 columns
+// give 2, 4 and 5 bands at 2, 4 and 9 workers); the masks that read NW
+// with NE get skewed tiles in (i, u = i + j) instead, one 40-row tile row
+// of 5 tiles at 256 u-columns each.
+func TestSolveParallelHorizontalBands(t *testing.T) {
+	const rows, cols = 40, 1100
+	masks := []DepMask{DepN, DepNW | DepN, DepN | DepNE, DepNW | DepN | DepNE, DepNW | DepNE,
+		DepW, DepW | DepNW}
+	for _, m := range masks {
+		p := testProblem(m, rows, cols)
+		want, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{2, 4, 9} {
+			got, err := SolveParallel(p, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !table.EqualComparable(want, got) {
+				t.Fatalf("mask %s workers=%d: band tiles differ from Solve", m, workers)
+			}
+		}
 	}
 }

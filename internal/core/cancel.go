@@ -18,7 +18,7 @@ import (
 // checkpoint-restart policies.
 type Canceled struct {
 	// Solver names the executor that was interrupted ("async", "tiled",
-	// "pool", "hetero", ...).
+	// "async3", "hetero", ...).
 	Solver string
 	// Front is the index of the first front not known to be fully computed.
 	Front int

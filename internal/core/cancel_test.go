@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -56,8 +55,6 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		run  func() error
 	}{
 		{"sequential", func() error { _, err := SolveContext(ctx, p); return err }},
-		{"pool", func() error { _, err := SolvePool(ctx, p, Options{NativeWorkers: 4}); return err }},
-		{"pool-1worker", func() error { _, err := SolvePool(ctx, p, Options{NativeWorkers: 1}); return err }},
 		{"tiles", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 4}); return err }},
 		{"tiles-1worker", func() error { _, err := SolveParallelContext(ctx, p, Options{NativeWorkers: 1}); return err }},
 		{"bands", func() error { _, err := SolveParallelContext(ctx, ph, Options{NativeWorkers: 4}); return err }},
@@ -79,7 +76,7 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		{"resilient", func() error { _, _, err := SolveResilientContext(ctx, p, 3, nil); return err }},
 		{"lastrow", func() error { _, err := SolveLastRowContext(ctx, p); return err }},
 		{"seq3", func() error { _, err := Solve3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12)); return err }},
-		{"pool3", func() error {
+		{"tiles3", func() error {
 			_, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), 4)
 			return err
 		}},
@@ -103,31 +100,35 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 	}
 }
 
-// TestMidSolveCancelPool cancels from inside the recurrence on an
-// anti-diagonal problem and checks the level-synchronous pool aborts
-// mid-table.
-func TestMidSolveCancelPool(t *testing.T) {
+// TestMidSolveCancel3 cancels from inside a 3-D recurrence and checks
+// the tile engine's k-column workers abort mid-box, with Front an i-layer
+// below which every cell was computed.
+func TestMidSolveCancel3(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	var cells atomic.Int64
-	p := testProblem(DepW|DepNW|DepN, 256, 256)
+	const n = 48
+	p := testProblem3(Dep3X|Dep3Y|Dep3Z, n, n, n)
 	inner := p.F
-	p.F = func(i, j int, nb Neighbors[int64]) int64 {
-		if cells.Add(1) == 1000 {
+	p.F = func(i, j, k int, nb Neighbors3[int64]) int64 {
+		if cells.Add(1) == 5000 {
 			cancel()
 		}
-		return inner(i, j, nb)
+		return inner(i, j, k, nb)
 	}
-	g, err := SolvePool(ctx, p, Options{NativeWorkers: 4, NativeChunk: 16})
+	g, err := SolveParallel3Context(ctx, p, 4)
 	c := wantCanceled(t, err, nil)
 	if g != nil {
 		t.Error("canceled solve returned a non-nil grid")
 	}
-	if c.Solver != "pool" {
-		t.Errorf("Canceled.Solver = %q, want pool", c.Solver)
+	if c.Solver != "async3" {
+		t.Errorf("Canceled.Solver = %q, want async3", c.Solver)
 	}
-	if total := cells.Load(); total >= 256*256 {
+	if c.Front*n*n > int(cells.Load()) {
+		t.Errorf("Canceled.Front = %d, but only %d cells were computed", c.Front, cells.Load())
+	}
+	if total := cells.Load(); total >= n*n*n {
 		t.Errorf("solve computed all %d cells despite cancellation", total)
 	}
 }
@@ -225,53 +226,40 @@ func TestDeadlineExpiryIsCanceled(t *testing.T) {
 }
 
 // TestCanceledSolvesLeakNoGoroutines runs many mid-solve cancellations
-// through the level-synchronous pool and checks the goroutine count
-// returns to its baseline: canceled workers must ride the barrier protocol
-// down, not park forever.
+// of 3-D boxes on 4 workers and checks no goroutine outlives them: a
+// worker waiting on the ready queue for a k-column another worker holds
+// must observe the cancel and exit.
 func TestCanceledSolvesLeakNoGoroutines(t *testing.T) {
-	before := runtime.NumGoroutine()
-
+	leak := testutil.StartLeakCheck()
 	for iter := 0; iter < 20; iter++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		var cells atomic.Int64
-		deps := DepW | DepNW | DepN
+		deps := Dep3X | Dep3Y | Dep3Z
 		if iter%2 == 1 {
-			deps = DepNW | DepN | DepNE
+			deps = Dep3XY | Dep3YZ | Dep3XZ
 		}
-		p := testProblem(deps, 128, 128)
+		p := testProblem3(deps, 24, 24, 24)
 		inner := p.F
-		p.F = func(i, j int, nb Neighbors[int64]) int64 {
+		p.F = func(i, j, k int, nb Neighbors3[int64]) int64 {
 			if cells.Add(1) == int64(100*(iter+1)) {
 				cancel()
 			}
-			return inner(i, j, nb)
+			return inner(i, j, k, nb)
 		}
-		if _, err := SolvePool(ctx, p, Options{NativeWorkers: 4, NativeChunk: 8}); err == nil {
+		if _, err := SolveParallel3Context(ctx, p, 4); err == nil {
 			t.Fatalf("iter %d: expected cancellation error", iter)
 		}
 		cancel()
 	}
-
-	// Workers exit through the barrier after the error returns; give the
-	// scheduler a moment before declaring a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		runtime.GC()
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before, %d after canceled solves", before, after)
-		}
-		time.Sleep(10 * time.Millisecond)
+	if err := leak.Err(2 * time.Second); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // TestCanceledErrorMessage pins the documented error shape.
 func TestCanceledErrorMessage(t *testing.T) {
-	err := &Canceled{Solver: "pool", Front: 7, Err: context.Canceled}
-	want := fmt.Sprintf("core: pool solve canceled at front 7: %v", context.Canceled)
+	err := &Canceled{Solver: "async", Front: 7, Err: context.Canceled}
+	want := fmt.Sprintf("core: async solve canceled at front 7: %v", context.Canceled)
 	if err.Error() != want {
 		t.Errorf("Error() = %q, want %q", err.Error(), want)
 	}

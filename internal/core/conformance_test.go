@@ -1,10 +1,9 @@
 // Differential conformance suite: every public executor path must produce
 // the byte-identical table for every dependency mask on every adversarial
 // shape. The sequential solver is the oracle; the tile engine (SolveParallel
-// on its derived row segments, SolveTiled on square tiles), the
-// level-synchronous SolvePool, and scheduler-submitted tile engines at 1, 2
-// and 4 workers (two solves in flight, so their tiles interleave) are the
-// candidates. Instances are drawn from a seeded wraparound-mixing
+// on its derived tile shapes, SolveTiled on square tiles) and
+// scheduler-submitted tile engines at 1, 2 and 4 workers (two solves in
+// flight, so their tiles interleave) are the candidates. Instances are drawn from a seeded wraparound-mixing
 // generator, so a failure report (mask, shape, executor, seed, first
 // mismatching cell) reproduces the instance exactly.
 //
@@ -65,11 +64,11 @@ func confProblem(seed int64, m core.DepMask, rows, cols int) *core.Problem[int64
 
 // conformanceShapes are the adversarial dimensions: degenerate rows and
 // columns, extreme aspect ratios in both directions, prime dimensions
-// (no alignment with chunk or tile sizes), and a square control.
+// (no alignment with tile sizes), and a square control.
 var conformanceShapes = [][2]int{
 	{1, 1},
 	{1, 33},
-	{1, 257}, // single row wider than every chunk/inline cutoff in the matrix
+	{1, 257}, // single row wider than a 256-cell segment
 	{33, 1},
 	{34, 1},  // knight fronts are empty at odd t; the front scheduler once hung here
 	{101, 1}, // and here, past its publish boundary
@@ -77,7 +76,7 @@ var conformanceShapes = [][2]int{
 	{101, 3}, // cols << rows
 	{31, 37}, // primes
 	{48, 48},
-	{7, 600}, // several derived row segments per row, with and without W
+	{7, 600}, // two or more tile columns under every mask: row segments with and without W, or skewed tiles
 	// Skewed 64x256 tiles in both directions at 2 and 4 workers for the
 	// masks that read NE with W or NW: 3 x 2 tiles holding 8960/0,
 	// 8894/66 and 255/25 cells, so one is empty and several are ragged.
@@ -92,8 +91,8 @@ type executorCase struct {
 
 // conformanceExecutors builds the candidate list; the scheduler rows run
 // on schedulers the test closes at cleanup. Worker counts above the
-// machine's core count and tiny chunks/tiles are deliberate: they force
-// multi-chunk fronts and cross-tile handoff even on small tables.
+// machine's core count and tiny tiles are deliberate: they force
+// cross-tile handoff even on small tables.
 func conformanceExecutors(t *testing.T) []executorCase {
 	cases := []executorCase{
 		{"SolveParallel", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
@@ -104,9 +103,6 @@ func conformanceExecutors(t *testing.T) []executorCase {
 		}},
 		{"SolveParallel/2workers", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
 			return core.SolveParallel(p, 2)
-		}},
-		{"SolvePool/chunk7", func(p *core.Problem[int64]) (*table.Grid[int64], error) {
-			return core.SolvePool(context.Background(), p, core.Options{NativeWorkers: 3, NativeChunk: 7})
 		}},
 	}
 	for _, workers := range []int{1, 2, 4} {

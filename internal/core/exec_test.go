@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/hetsim"
+	"repro/internal/trace"
 )
 
 func newTestExec(t *testing.T, opts Options) *heteroExec[int64] {
@@ -113,5 +114,22 @@ func TestResultStats(t *testing.T) {
 	}
 	if st.CPUCells+st.GPUCells != 64*64 {
 		t.Errorf("stats account for %d cells, want %d", st.CPUCells+st.GPUCells, 64*64)
+	}
+}
+
+// TestSimTraceImportsTimeline checks a simulated solve imports its
+// timeline onto the tracer with the simulated clock.
+func TestSimTraceImportsTimeline(t *testing.T) {
+	p := testProblem(DepW|DepNW|DepN, 64, 64)
+	rec := trace.NewRecorder(1 << 12)
+	if _, err := SolveHetero(p, Options{TSwitch: -1, TShare: -1, Tracer: rec}); err != nil {
+		t.Fatal(err)
+	}
+	if meta := rec.Meta(); meta.Clock != "sim" || meta.Solver != "hetero" {
+		t.Errorf("meta = %+v, want sim-clock hetero trace", rec.Meta())
+	}
+	kinds := traceKinds(rec.Events())
+	if kinds[trace.KindPhase] == 0 {
+		t.Errorf("sim trace kinds = %v, want imported phase spans", kinds)
 	}
 }

@@ -87,10 +87,12 @@ func FuzzAsyncDeps(f *testing.F) {
 			th = 1
 		}
 		p := testProblem(m, rows, cols)
-		e, g, nw, err := newTileEngine(context.Background(), p, int(workers%9)+1, th, tw)
+		e, nw, err := newTileEngine(context.Background(), m, rows, cols, 1, int(workers%9)+1, th, tw)
 		if err != nil {
 			t.Fatal(err)
 		}
+		g := table.NewGrid[int64](rows, cols)
+		e.row = newFlatKernel(p, g.RowMajorData(), cols).row
 
 		// Brute force, on the engine's own geometry: every in-bounds cell
 		// edge whose ends lie in different tiles names one (neighbour
@@ -170,40 +172,6 @@ func FuzzAsyncDeps(f *testing.F) {
 		wg.Wait()
 		if !table.EqualComparable(want, g) {
 			t.Fatalf("mask %s %dx%d %s workers=%d: tile engine differs from oracle", m, rows, cols, e.executed(), nw)
-		}
-	})
-}
-
-// FuzzPoolEquivalence drives the level-synchronous pool — flat kernels,
-// dynamic chunking, epoch barrier, symmetry adapters — with
-// arbitrary masks, grid shapes (including the 1xN, Nx1 and 2x2
-// degenerates), worker counts and chunk sizes, and checks cell-for-cell
-// equality with the sequential reference.
-func FuzzPoolEquivalence(f *testing.F) {
-	f.Add(uint8(3), uint8(9), uint8(9), uint8(4), uint8(8))
-	f.Add(uint8(6), uint8(1), uint8(64), uint8(3), uint8(1))  // 1xN row
-	f.Add(uint8(12), uint8(64), uint8(1), uint8(2), uint8(0)) // Nx1 column
-	f.Add(uint8(9), uint8(2), uint8(2), uint8(7), uint8(255)) // 2x2 minimal
-	f.Fuzz(func(t *testing.T, mi, r, c, workers, chunk uint8) {
-		masks := AllDepMasks()
-		m := masks[int(mi)%len(masks)]
-		rows := int(r%64) + 1
-		cols := int(c%64) + 1
-		p := testProblem(m, rows, cols)
-		want, err := Solve(p)
-		if err != nil {
-			t.Skip()
-		}
-		got, err := SolvePool(context.Background(), p, Options{
-			NativeWorkers: int(workers % 9),
-			NativeChunk:   int(chunk),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !table.EqualComparable(want, got) {
-			t.Fatalf("mask %s %dx%d workers=%d chunk=%d: pool differs",
-				m, rows, cols, workers%9, chunk)
 		}
 	})
 }

@@ -1,12 +1,8 @@
 package core
 
-import (
-	"repro/internal/table"
-)
-
-// Cell kernels shared by the native runtimes: flat-slice cell evaluation
-// (the tile engine, in process and under the scheduler, and the pool) and
-// the front-indexed run(t, lo, hi) closures of the level-synchronous pool.
+// The 2-D cell kernel of the tile engine, in process and under the
+// scheduler: flat-slice cell evaluation, handed to the engine as its row
+// kernel.
 
 // flatKernel evaluates cells straight on a row-major backing slice. The
 // generic gatherNeighbors path costs four non-inlined shape-generic calls
@@ -15,18 +11,26 @@ import (
 // and an interior fast path that skips the per-neighbour bounds checks.
 type flatKernel[T any] struct {
 	data                     []T
-	rows, cols               int
+	cols                     int
 	p                        *Problem[T]
 	hasW, hasNW, hasN, hasNE bool
 }
 
-func newFlatKernel[T any](p *Problem[T], data []T, rows, cols int) *flatKernel[T] {
+func newFlatKernel[T any](p *Problem[T], data []T, cols int) *flatKernel[T] {
 	return &flatKernel[T]{
-		data: data, rows: rows, cols: cols, p: p,
+		data: data, cols: cols, p: p,
 		hasW:  p.Deps.Has(DepW),
 		hasNW: p.Deps.Has(DepNW),
 		hasN:  p.Deps.Has(DepN),
 		hasNE: p.Deps.Has(DepNE),
+	}
+}
+
+// row evaluates cells [jLo, jHi) of row i, left to right: the engine's
+// row kernel.
+func (k *flatKernel[T]) row(i, jLo, jHi int) {
+	for j := jLo; j < jHi; j++ {
+		k.cell(i, j)
 	}
 }
 
@@ -88,57 +92,4 @@ func (k *flatKernel[T]) edgeCell(i, j, base int) {
 		}
 	}
 	k.data[base] = k.p.F(i, j, nb)
-}
-
-// frontRunner builds the run(t, lo, hi) kernel for a canonical wavefront
-// space over a row-major grid. The kernel walks the front with an
-// incremental (i, j) cursor over the flat kernel — Wavefronts.Cell would
-// recompute the front span for every cell, which dominates the per-cell
-// budget for cheap recurrences.
-//
-// The returned closure is safe for concurrent calls on disjoint ranges of
-// one front, which is what lets the pool run chunks of the same front on
-// different workers.
-func frontRunner[T any](p *Problem[T], w Wavefronts, g *table.Grid[T]) func(t, lo, hi int) {
-	k := newFlatKernel(p, g.RowMajorData(), g.Rows(), g.Cols())
-	switch w.Pattern {
-	case AntiDiagonal:
-		return func(t, lo, hi int) {
-			first, _ := table.AntiDiagSpan(w.Rows, w.Cols, t)
-			i, j := first+lo, t-first-lo
-			for n := hi - lo; n > 0; n-- {
-				k.cell(i, j)
-				i++
-				j--
-			}
-		}
-	case Horizontal:
-		return func(t, lo, hi int) {
-			for j := lo; j < hi; j++ {
-				k.cell(t, j)
-			}
-		}
-	case InvertedL:
-		return func(t, lo, hi int) {
-			rowLen := w.Cols - t
-			for n := lo; n < hi; n++ {
-				if n < rowLen {
-					k.cell(t, t+n)
-				} else {
-					k.cell(t+1+(n-rowLen), t)
-				}
-			}
-		}
-	case KnightMove:
-		return func(t, lo, hi int) {
-			first, _ := table.KnightSpan(w.Rows, w.Cols, t)
-			i, j := first+lo, t-2*(first+lo)
-			for n := hi - lo; n > 0; n-- {
-				k.cell(i, j)
-				i++
-				j -= 2
-			}
-		}
-	}
-	panic("core: frontRunner needs a canonical pattern, got " + w.Pattern.String())
 }

@@ -219,3 +219,27 @@ func planLegal(tl hetsim.Timeline, fronts, n int, size func(int) int,
 	}
 	return nil
 }
+
+// forEachPlaneCell enumerates the cells of plane s (i+j+k = s) in
+// (i, then j) order, calling fn for the cell range [lo, hi) of the plane:
+// the order the 3-D simulated plans split a plane's cells in.
+func forEachPlaneCell[T any](p *Problem3[T], s, lo, hi int, fn func(i, j, k int)) {
+	idx := 0
+	for i := max(0, s-(p.NY-1)-(p.NZ-1)); i <= min(p.NX-1, s); i++ {
+		firstJ, count := table.PlaneRowSpan(p.NY, p.NZ, s, i)
+		if idx+count <= lo {
+			idx += count
+			continue
+		}
+		for jj := 0; jj < count; jj++ {
+			if idx >= hi {
+				return
+			}
+			if idx >= lo {
+				j := firstJ + jj
+				fn(i, j, s-i-j)
+			}
+			idx++
+		}
+	}
+}

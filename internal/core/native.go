@@ -16,7 +16,8 @@ import (
 // masks that read NE with W or NW, multi-row tiles skewed along the
 // wavefront index u = i + j — and each tile runs as soon as the neighbour
 // tiles it reads are done: no wavefront barriers and no symmetry
-// reduction. See SolvePool for the level-synchronous baseline.
+// reduction. A table whose one tile column would span it runs as one
+// whole-table tile on one worker.
 //
 // workers <= 0 selects min(runtime.GOMAXPROCS(0), runtime.NumCPU()), the
 // documented NativeWorkers default.

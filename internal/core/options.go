@@ -57,26 +57,17 @@ type Options struct {
 	// autotuner uses this to sweep parameters quickly.
 	SkipCompute bool
 
-	// NativeWorkers is the worker count of the native executors
-	// (SolveParallel, SolveTiled, SolvePool) and of the tile-engine fill
-	// that gives the simulated strategies their cell values. Zero or
+	// NativeWorkers is the worker count of the native tile engine
+	// (SolveParallel, SolveTiled, SolveParallel3) and of the tile-engine
+	// fill that gives the simulated strategies their cell values. Zero or
 	// negative selects the default min(runtime.GOMAXPROCS(0),
-	// runtime.NumCPU()): the executors are compute-bound, so workers beyond
-	// the physical cores add no throughput.
+	// runtime.NumCPU()): the engine is compute-bound, so workers beyond the
+	// physical cores add no throughput.
 	NativeWorkers int
 
-	// NativeChunk is the number of cells a level-synchronous pool worker
-	// (SolvePool, SolveParallel3) claims per atomic cursor bump; it
-	// doubles as the serial cutoff below which a front runs inline on the
-	// advancing worker. Zero or negative selects the default (512).
-	// Smaller chunks balance ragged fronts better; larger chunks amortize
-	// the cursor traffic. The tile engine, and so the scheduler, has no
-	// chunks.
-	NativeChunk int
-
-	// Tracer records per-event runtime traces (front begin/end, chunk
-	// claims, barrier waits, tile tasks, simulated transfers) into
-	// per-worker ring buffers for Perfetto export and stall analysis.
+	// Tracer records per-event runtime traces (tile tasks, ready-queue
+	// samples, simulated phases and transfers) into per-worker ring
+	// buffers for Perfetto export and utilization analysis.
 	// Nil — the default — disables tracing; the hot paths guard every
 	// emission behind one nil test. For the simulated strategies the
 	// Tracer imports the simulated schedule; the table fill that computes
@@ -84,25 +75,19 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-// Native-runtime knob ceilings enforced by Validate. Values past these are
-// configuration mistakes, not tuning choices: no host has 2^10 physical
-// cores to keep busy, and a chunk past 2^26 cells stops being a chunk.
-const (
-	MaxNativeWorkers = 1 << 10
-	MaxNativeChunk   = 1 << 26
-)
+// MaxNativeWorkers is the worker-count ceiling Validate enforces. A value
+// past it is a configuration mistake, not a tuning choice: no host has
+// 2^10 physical cores to keep busy.
+const MaxNativeWorkers = 1 << 10
 
-// Validate checks the native runtime knobs. Zero and negative values are
-// legal (they select the documented defaults, matching the rest of the
-// Options convention); values beyond the Max ceilings return an error.
+// Validate checks the native runtime knob. Zero and negative values are
+// legal (they select the documented default, matching the rest of the
+// Options convention); a value beyond MaxNativeWorkers returns an error.
 // The simulated-platform knobs (TSwitch, TShare) are clamped rather than
 // validated — see the range note at the bottom of this file.
 func (o Options) Validate() error {
 	if o.NativeWorkers > MaxNativeWorkers {
 		return fmt.Errorf("core: NativeWorkers %d exceeds limit %d", o.NativeWorkers, MaxNativeWorkers)
-	}
-	if o.NativeChunk > MaxNativeChunk {
-		return fmt.Errorf("core: NativeChunk %d exceeds limit %d", o.NativeChunk, MaxNativeChunk)
 	}
 	return nil
 }

@@ -37,48 +37,51 @@ func Solve3Context[T any](ctx context.Context, p *Problem3[T]) (*table.Grid3[T],
 	return g, nil
 }
 
-// forEachPlaneCell enumerates the cells of plane s (i+j+k = s) in
-// (i, then j) order, calling fn for the cell range [lo, hi) of the plane.
-func forEachPlaneCell[T any](p *Problem3[T], s, lo, hi int, fn func(i, j, k int)) {
-	idx := 0
-	for i := max(0, s-(p.NY-1)-(p.NZ-1)); i <= min(p.NX-1, s); i++ {
-		firstJ, count := table.PlaneRowSpan(p.NY, p.NZ, s, i)
-		if idx+count <= lo {
-			idx += count
-			continue
-		}
-		for jj := 0; jj < count; jj++ {
-			if idx >= hi {
-				return
-			}
-			if idx >= lo {
-				j := firstJ + jj
-				fn(i, j, s-i-j)
-			}
-			idx++
-		}
-	}
-}
-
-// SolveParallel3 fills the table with real goroutines over anti-diagonal
-// planes: all cells of a plane are mutually independent for every
-// contributing set (each predecessor lowers i+j+k by at least 1).
+// SolveParallel3 fills the table with real goroutines on the tile engine
+// (async.go), run over the NX x NY grid of k-columns: each (i, j) grid
+// cell is its whole column of NZ cells, filled in k order. A column reads
+// only its own earlier cells and the columns (i, j-1), (i-1, j) and
+// (i-1, j-1), so the engine runs under the projection of the mask (see
+// projectDep3): every dependency points to an earlier row or left in the
+// same row, as in 2-D, and a mask reading only Z leaves every column
+// independent. The tile extent is tileShape's, its 256-cell floor counted
+// in cells, so a 2-D table is the NZ = 1 case.
 func SolveParallel3[T any](p *Problem3[T], workers int) (*table.Grid3[T], error) {
 	return SolveParallel3Context(context.Background(), p, workers)
 }
 
-// SolveParallel3Context is SolveParallel3 honoring a context, polled by the
-// pool once per chunk claim. A canceled solve returns a nil grid and a
-// *Canceled error.
+// SolveParallel3Context is SolveParallel3 honoring a context, polled by
+// every worker once per tile row. A canceled solve returns a nil grid and
+// a *Canceled error whose Front is the first i-layer that holds an
+// unfinished tile.
 func SolveParallel3Context[T any](ctx context.Context, p *Problem3[T], workers int) (*table.Grid3[T], error) {
 	return SolveParallel3Opt(ctx, p, Options{NativeWorkers: workers})
 }
 
-// SolveParallel3Opt is SolveParallel3Context with the full Options set:
-// NativeWorkers/NativeChunk sizing plus the Tracer, wired through the
-// pool runtime exactly as in the 2-D executors.
+// SolveParallel3Opt is SolveParallel3Context with the native-runtime
+// fields of Options honored: NativeWorkers and the Tracer, wired through
+// the tile engine exactly as in the 2-D executors.
 func SolveParallel3Opt[T any](ctx context.Context, p *Problem3[T], opts Options) (*table.Grid3[T], error) {
-	return solveParallel3(ctx, "pool3", p, opts)
+	return solveParallel3(ctx, "async3", p, opts)
+}
+
+// projectDep3 is the 2-D mask of the k-column grid: a corner's (i, j) step
+// names the neighbour column it reads (Y and YZ the column to the west, X
+// and XZ the one to the north, XY and XYZ the north-west one), and Z stays
+// inside the column. No corner steps to j + 1, so the projection never
+// contains NE.
+func projectDep3(m Dep3Mask) DepMask {
+	var out DepMask
+	if m&(Dep3Y|Dep3YZ) != 0 {
+		out |= DepW
+	}
+	if m&(Dep3X|Dep3XZ) != 0 {
+		out |= DepN
+	}
+	if m&(Dep3XY|Dep3XYZ) != 0 {
+		out |= DepNW
+	}
+	return out
 }
 
 // solveParallel3 is SolveParallel3Opt naming the solver in the trace and
@@ -87,36 +90,23 @@ func solveParallel3[T any](ctx context.Context, solver string, p *Problem3[T], o
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	workers := opts.NativeWorkers
-	if workers <= 0 {
-		workers = defaultPoolWorkers()
-	}
-	planes := p.Planes()
-	planeSize := func(s int) int { return table.PlaneSize(p.NX, p.NY, p.NZ, s) }
-	if tr := opts.Tracer; tr != nil {
-		tr.BeginSolve(trace.Meta{
-			Solver: solver, Problem: p.Name,
-			Rows: p.NX, Cols: p.NY * p.NZ, Fronts: planes, Workers: workers,
-		})
-		defer tr.EndSolve()
+	e, workers, err := tileEngineFor(ctx, projectDep3(p.Deps), p.NX, p.NY, p.NZ, 0, opts)
+	if err != nil {
+		return nil, err
 	}
 	g := table.NewGrid3[T](p.NX, p.NY, p.NZ)
-	chunk := opts.NativeChunk
-	if chunk <= 0 {
-		chunk = defaultNativeChunk
+	e.row = func(i, jLo, jHi int) {
+		for j := jLo; j < jHi; j++ {
+			for k := 0; k < p.NZ; k++ {
+				g.Set(i, j, k, p.F(i, j, k, gather3(p, g, i, j, k)))
+			}
+		}
 	}
-	// Planes grow and shrink like 2-D anti-diagonals; the pool runtime's
-	// serial cutoff keeps the small end planes on the advancing worker.
-	cfg := poolConfig{
-		solver: solver, phase: "planes", workers: workers, chunk: chunk,
-		rec: opts.Tracer,
+	meta := trace.Meta{
+		Solver: solver, Problem: p.Name,
+		Rows: p.NX, Cols: p.NY * p.NZ, Fronts: p.NX,
 	}
-	err := runWavefronts(ctx, cfg, planes, planeSize, func(s, lo, hi int) {
-		forEachPlaneCell(p, s, lo, hi, func(i, j, k int) {
-			g.Set(i, j, k, p.F(i, j, k, gather3(p, g, i, j, k)))
-		})
-	})
-	if err != nil {
+	if err := e.solve(ctx, meta, workers, opts.Tracer); err != nil {
 		return nil, err
 	}
 	return g, nil
@@ -140,13 +130,13 @@ func (r *Result3[T]) Duration() time.Duration { return r.Timeline.Makespan() }
 // smaller coordinates, so — exactly as in 2-D — the CPU band never reads
 // GPU cells and the boundary traffic is strictly one-way CPU->GPU.
 // The simulated kernels assume the plane-major layout (coalesced fronts).
-// The cell values come from SolveParallel3's plane pool.
+// The cell values come from SolveParallel3's tile engine.
 func SolveHetero3[T any](p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(context.Background(), p, opts, modeHetero)
 }
 
 // SolveHetero3Context is SolveHetero3 honoring a context, polled once per
-// plane while planning and once per chunk while filling the table. A
+// plane while planning and once per tile row while filling the table. A
 // canceled solve returns a nil result and a *Canceled error.
 func SolveHetero3Context[T any](ctx context.Context, p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(ctx, p, opts, modeHetero)
@@ -347,9 +337,9 @@ func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode so
 
 	var g *table.Grid3[T]
 	if !opts.SkipCompute {
-		// The cell values come from the native plane pool, which gets no
+		// The cell values come from the native tile engine, which gets no
 		// Tracer: that describes the simulated schedule.
-		fill := Options{NativeWorkers: opts.NativeWorkers, NativeChunk: opts.NativeChunk}
+		fill := Options{NativeWorkers: opts.NativeWorkers}
 		if g, err = solveParallel3(ctx, solver, p, fill); err != nil {
 			return nil, err
 		}

@@ -107,24 +107,27 @@ func TestPlanesRespectAllDependencies(t *testing.T) {
 	}
 }
 
+// TestSolveParallel3MatchesSequential runs every one of the 127 masks on
+// ragged boxes, one of each degenerate axis plus a wide shallow one whose
+// 300-column rows take several 128-column (256-cell) tiles, at 1, 2 and 4
+// workers.
 func TestSolveParallel3MatchesSequential(t *testing.T) {
-	dims := [][3]int{{1, 1, 1}, {1, 5, 7}, {6, 1, 4}, {5, 5, 5}, {3, 8, 2}}
-	// Exercise the axis masks, corner mask, full mask, and a mixed one.
-	masks := []Dep3Mask{Dep3X, Dep3Z, Dep3X | Dep3Y | Dep3Z, Dep3XYZ, dep3All,
-		Dep3X | Dep3YZ | Dep3XYZ}
-	for _, m := range masks {
+	dims := [][3]int{{1, 300, 3}, {300, 1, 3}, {20, 300, 1}, {3, 300, 2}}
+	for _, m := range all3Masks() {
 		for _, d := range dims {
 			p := testProblem3(m, d[0], d[1], d[2])
 			want, err := Solve3(p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := SolveParallel3(p, 4)
-			if err != nil {
-				t.Fatalf("%s %v: %v", m, d, err)
-			}
-			if !table.Equal3(want, got) {
-				t.Errorf("%s %v: parallel differs from sequential", m, d)
+			for _, workers := range []int{1, 2, 4} {
+				got, err := SolveParallel3(p, workers)
+				if err != nil {
+					t.Fatalf("%s %v workers=%d: %v", m, d, workers, err)
+				}
+				if !table.Equal3(want, got) {
+					t.Errorf("%s %v workers=%d: parallel differs from sequential", m, d, workers)
+				}
 			}
 		}
 	}
@@ -228,8 +231,8 @@ func TestSolveHetero3BeatsGPUOnly(t *testing.T) {
 }
 
 func TestSolveParallel3LargePlanesChunked(t *testing.T) {
-	// Planes large enough to exceed the internal chunk threshold so real
-	// goroutine fan-out happens.
+	// A 40x40 grid of 40-cell k-columns takes many 1x7 tiles at the
+	// default worker count, so real goroutine fan-out happens.
 	p := testProblem3(Dep3X|Dep3Y|Dep3Z, 40, 40, 40)
 	want, err := Solve3(p)
 	if err != nil {
@@ -240,6 +243,6 @@ func TestSolveParallel3LargePlanesChunked(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !table.Equal3(want, got) {
-		t.Error("chunked parallel3 differs from sequential")
+		t.Error("tiled parallel3 differs from sequential")
 	}
 }

@@ -107,8 +107,8 @@ func TestSolveParallelSingleWorker(t *testing.T) {
 }
 
 func TestSolveParallelLargeFronts(t *testing.T) {
-	// Large enough that fronts exceed the internal chunking threshold and
-	// real goroutine fan-out happens.
+	// Wide enough that the table takes several skewed tiles and real
+	// goroutine fan-out happens.
 	p := testProblem(DepNW|DepN|DepNE, 40, 2000)
 	want, _ := Solve(p)
 	got, err := SolveParallel(p, 0) // GOMAXPROCS default
@@ -116,7 +116,7 @@ func TestSolveParallelLargeFronts(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !table.EqualComparable(want, got) {
-		t.Error("chunked parallel solve differs")
+		t.Error("tiled parallel solve differs")
 	}
 }
 

@@ -50,7 +50,7 @@ type Workload struct {
 // workload's grid must be discarded. ctx is polled once per tile row, as
 // in SolveParallelContext.
 func NewTileWorkload[T any](ctx context.Context, p *Problem[T], workers int) (*Workload, func() *table.Grid[T], error) {
-	e, g, _, err := tileEngineFor(ctx, p, 0, Options{NativeWorkers: workers})
+	e, g, _, err := gridEngine(ctx, p, 0, Options{NativeWorkers: workers})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -468,8 +468,8 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		Rows: rows, Cols: cols,
 		Row0: b.lo, Row1: b.hi, Col0: col.lo, Col1: col.hi,
 		Mask: req.Mask, Strategy: req.Strategy,
-		Workload: req.Workload, Chunk: req.Chunk,
-		Trace: &api.TraceContext{FleetID: fleetID, Band: k, Phase: ph},
+		Workload: req.Workload,
+		Trace:    &api.TraceContext{FleetID: fleetID, Band: k, Phase: ph},
 	}
 	h := api.HaloSpec(p.mask, rows, cols, b.lo, b.hi, col.lo, col.hi)
 	if h.NorthLen > 0 {

@@ -124,9 +124,6 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 	if req.Workload.Cells != nil {
 		return 0, fmt.Errorf("inline cells are not valid in band requests; band workloads must be seed-generated")
 	}
-	if req.Chunk < 0 || req.Chunk > api.MaxChunk {
-		return 0, fmt.Errorf("chunk %d outside [0, %d]", req.Chunk, api.MaxChunk)
-	}
 	if req.DeadlineMS < 0 || req.DeadlineMS > MaxDeadlineMS {
 		return 0, fmt.Errorf("deadline_ms %d outside [0, %d]", req.DeadlineMS, MaxDeadlineMS)
 	}

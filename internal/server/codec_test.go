@@ -237,3 +237,57 @@ func TestNegotiationBinaryErrors(t *testing.T) {
 		t.Errorf("binary rejects = %d, want at least 5", stats.BinaryRejects)
 	}
 }
+
+// TestRetiredChunkFieldIsInvalid: the wire chunk field is retired, so a
+// request that still carries it is refused like any other unknown field,
+// 400 invalid, through a JSON body and through a binary frame header,
+// on the solve and the band endpoint alike.
+func TestRetiredChunkFieldIsInvalid(t *testing.T) {
+	_, ts, _ := newTestService(t, server.Config{Workers: 2})
+	docs := map[string]map[string]any{
+		"/v1/solve": {
+			"rows": 4, "cols": 4, "mask": "W,N",
+			"workload": map[string]any{"kind": "mix", "seed": 1}, "chunk": 128,
+		},
+		"/v1/band/solve": {
+			"rows": 4, "cols": 4, "row0": 0, "row1": 4, "col0": 0, "col1": 4, "mask": "W,N",
+			"workload": map[string]any{"kind": "mix", "seed": 1}, "chunk": 128,
+		},
+	}
+	for path, doc := range docs {
+		body, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var frame bytes.Buffer
+		enc := wire.NewEncoder(&frame)
+		if err := enc.Header(doc); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for codec, req := range map[string]struct {
+			contentType string
+			body        []byte
+		}{"json": {"application/json", body}, "binary": {wire.MediaType, frame.Bytes()}} {
+			t.Run(path+"/"+codec, func(t *testing.T) {
+				hresp, err := http.Post(ts.URL+path, req.contentType, bytes.NewReader(req.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer hresp.Body.Close()
+				if hresp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("status %d, want 400", hresp.StatusCode)
+				}
+				var out client.ErrorBody
+				if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
+					t.Fatalf("error body does not decode: %v", err)
+				}
+				if out.Status != "invalid" || !strings.Contains(out.Error, `unknown field "chunk"`) {
+					t.Fatalf("error body = %+v, want status invalid naming the unknown chunk field", out)
+				}
+			})
+		}
+	}
+}

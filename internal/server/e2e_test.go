@@ -165,7 +165,6 @@ func TestE2EDifferentialAllMasks(t *testing.T) {
 						Rows: d[0], Cols: d[1],
 						Mask:     m.String(),
 						Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
-						Chunk:    8,
 					}
 					checkDifferential(t, codec.c, req, seed, m)
 				}
@@ -218,7 +217,6 @@ func TestE2EDifferentialSeedSweep(t *testing.T) {
 				Rows: 29, Cols: 43,
 				Mask:     m.String(),
 				Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
-				Chunk:    8,
 			}
 			checkDifferential(t, c, req, seed, m)
 		}
@@ -290,7 +288,6 @@ func TestE2ECacheReplayDifferential(t *testing.T) {
 		req := &client.SolveRequest{
 			Rows: 31, Cols: 37, Mask: m.String(), ReturnCells: true,
 			Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
-			Chunk:    8,
 		}
 		resp, err := codec.c.Solve(context.Background(), req)
 		if err != nil {

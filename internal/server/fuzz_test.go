@@ -74,7 +74,7 @@ func FuzzSolveRequest(f *testing.F) {
 	// codec paths.
 	valid := []client.SolveRequest{
 		{Rows: 31, Cols: 37, Mask: "W,N", Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: 1}},
-		{Rows: 1, Cols: 33, Mask: "{W,NW,NE}", Workload: client.WorkloadSpec{Kind: client.KindServe}, Chunk: 8},
+		{Rows: 1, Cols: 33, Mask: "{W,NW,NE}", Workload: client.WorkloadSpec{Kind: client.KindServe}},
 		{Rows: 2, Cols: 2, Mask: "N", Workload: client.WorkloadSpec{Kind: client.KindCost, Cells: [][]int64{{1, 2}, {3, 4}}}},
 		{Rows: 33, Cols: 1, Workload: client.WorkloadSpec{Kind: client.KindAlign, Seed: 3}, ReturnCells: true},
 		{Rows: 48, Cols: 48, Mask: "w,nw,n,ne", DeadlineMS: 50, Strategy: "parallel"},

@@ -30,7 +30,7 @@ var goldenDocs = []struct {
 			Kind: api.KindCost, Seed: 42,
 			Cells: [][]int64{{1, 2}, {3, 4}},
 		},
-		Chunk: 128, DeadlineMS: 2500, ReturnCells: true,
+		DeadlineMS: 2500, ReturnCells: true,
 	}},
 	{"solve_response", api.SolveResponse{
 		ID: 7, Status: "done", Cached: true, Rows: 64, Cols: 48,
@@ -44,9 +44,9 @@ var goldenDocs = []struct {
 	{"band_request", api.BandRequest{
 		Rows: 64, Cols: 48, Row0: 16, Row1: 32, Col0: 8, Col1: 24,
 		Mask: "{W,NW,N}", Strategy: "parallel",
-		Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 42},
-		Chunk:    128, DeadlineMS: 2500,
-		HaloNorth: []int64{9, 8, 7}, NorthLo: 7,
+		Workload:   api.WorkloadSpec{Kind: api.KindMix, Seed: 42},
+		DeadlineMS: 2500,
+		HaloNorth:  []int64{9, 8, 7}, NorthLo: 7,
 		HaloWest: []int64{1, 2}, HaloEast: []int64{3, 4},
 		Trace: &api.TraceContext{FleetID: "f1a2b3-4", Band: 1, Phase: 2},
 	}},

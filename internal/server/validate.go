@@ -75,9 +75,6 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 			return fmt.Errorf("inline cost payload %dx%d exceeds the cap of %d cells", req.Rows, req.Cols, s.cfg.MaxInlineCells)
 		}
 	}
-	if req.Chunk < 0 || req.Chunk > api.MaxChunk {
-		return fmt.Errorf("chunk %d outside [0, %d]", req.Chunk, api.MaxChunk)
-	}
 	if req.DeadlineMS < 0 || req.DeadlineMS > MaxDeadlineMS {
 		return fmt.Errorf("deadline_ms %d outside [0, %d]", req.DeadlineMS, MaxDeadlineMS)
 	}

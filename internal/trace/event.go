@@ -1,10 +1,10 @@
 package trace
 
-// Event-level wavefront tracing. The hetsim-facing renderers in this
+// Event-level runtime tracing. The hetsim-facing renderers in this
 // package (Gantt, CSV, HTML) display *simulated* schedules; the Recorder
 // below captures what the *native* runtime actually did, event by event,
-// for the same kind of analysis: per-worker utilization, barrier stalls,
-// and the critical path through the front DAG.
+// for the same kind of analysis: per-worker utilization, ready-queue
+// depth, and a bound on the critical path.
 
 // Kind classifies a trace event.
 type Kind uint8
@@ -12,21 +12,6 @@ type Kind uint8
 const (
 	// KindSolve spans a whole solve, emitted on lane 0 at EndSolve.
 	KindSolve Kind = iota
-	// KindFront spans one wavefront from barrier release to the last
-	// worker's arrival, emitted by the advancing worker. A carries the
-	// front's cell count. Fronts executed inline (serial cutoff) have no
-	// KindFront event — their work appears as KindInline spans instead.
-	KindFront
-	// KindChunk spans one dynamically claimed chunk; A and B carry the
-	// [lo, hi) cell range within the front.
-	KindChunk
-	// KindInline spans a front executed inline by the advancing worker
-	// (at or below one chunk) or by the serial ramp-in loop; A and B carry
-	// the [lo, hi) range, which is the whole front.
-	KindInline
-	// KindBarrier spans one worker's wait at the epoch barrier, from
-	// arrival to gate release. Front is the front the worker arrived from.
-	KindBarrier
 	// KindHandoff spans a wait for a neighbour's data: a fleet band
 	// waiting for its north neighbour's phase (label halo-wait, A the
 	// neighbour band).
@@ -49,9 +34,8 @@ const (
 	KindSteal
 	// KindTask spans one tile run by the dependency-driven tile engine
 	// (it has no fronts, so the tile is its busy unit). A and B carry a
-	// [0, cells) count so Cells accounting matches the chunk convention;
-	// Front is the tile's first row in process and its tile index under
-	// the scheduler (display only).
+	// [0, cells) count; Front is the tile's first row in process and its
+	// tile index under the scheduler (display only).
 	KindTask
 	// KindReady is an instant sampling the tile engine's ready queue when
 	// a worker takes a tile off it: A carries the queue depth, B the
@@ -61,10 +45,6 @@ const (
 
 var kindNames = [...]string{
 	KindSolve:   "solve",
-	KindFront:   "front",
-	KindChunk:   "chunk",
-	KindInline:  "inline",
-	KindBarrier: "barrier",
 	KindHandoff: "handoff",
 	KindPhase:   "phase",
 	KindXferH2D: "h2d",

@@ -15,7 +15,7 @@ const DefaultLaneCap = 1 << 15
 // Meta describes the solve a trace belongs to; it is embedded in the
 // Chrome export and round-tripped by ReadChrome.
 type Meta struct {
-	// Solver is the executor name ("pool", "async", "tiled", "hetero", ...).
+	// Solver is the executor name ("async", "tiled", "async3", "hetero", ...).
 	Solver string `json:"solver"`
 	// Problem is the Problem.Name, may be empty.
 	Problem string `json:"problem,omitempty"`

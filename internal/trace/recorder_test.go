@@ -25,7 +25,7 @@ func TestRecorderRingOverflow(t *testing.T) {
 	ln := r.Lane(0)
 	const emitted = 20
 	for i := 0; i < emitted; i++ {
-		ln.Span(KindChunk, i, 0, 1, int64(i))
+		ln.Span(KindTask, i, 0, 1, int64(i))
 	}
 	if got, want := r.Dropped(), int64(emitted-cap); got != want {
 		t.Fatalf("Dropped() = %d, want %d", got, want)
@@ -46,7 +46,7 @@ func TestRecorderNoOverflowNoDrop(t *testing.T) {
 	r := NewRecorder(16)
 	ln := r.Lane(0)
 	for i := 0; i < 16; i++ {
-		ln.Instant(KindChunk, i, 0, 0)
+		ln.Instant(KindTask, i, 0, 0)
 	}
 	if d := r.Dropped(); d != 0 {
 		t.Fatalf("Dropped() = %d on a full-but-not-overflowed ring", d)
@@ -58,10 +58,10 @@ func TestRecorderNoOverflowNoDrop(t *testing.T) {
 
 func TestRecorderEventsSortedAcrossLanes(t *testing.T) {
 	r := NewRecorder(16)
-	r.Lane(1).Span(KindChunk, 0, 0, 1, 30)
-	r.Lane(0).Span(KindChunk, 0, 0, 1, 10)
-	r.Lane(2).Span(KindChunk, 0, 0, 1, 20)
-	r.Lane(0).Span(KindChunk, 1, 0, 1, 40)
+	r.Lane(1).Span(KindTask, 0, 0, 1, 30)
+	r.Lane(0).Span(KindTask, 0, 0, 1, 10)
+	r.Lane(2).Span(KindTask, 0, 0, 1, 20)
+	r.Lane(0).Span(KindTask, 1, 0, 1, 40)
 	evs := r.Events()
 	for i := 1; i < len(evs); i++ {
 		if evs[i-1].TS > evs[i].TS {
@@ -75,7 +75,7 @@ func TestRecorderEventsSortedAcrossLanes(t *testing.T) {
 
 func TestLaneWorkerStamped(t *testing.T) {
 	r := NewRecorder(8)
-	r.Lane(3).Instant(KindChunk, 0, 0, 0)
+	r.Lane(3).Instant(KindTask, 0, 0, 0)
 	evs := r.Events()
 	if len(evs) != 1 || evs[0].Worker != 3 {
 		t.Fatalf("events = %+v, want one event on worker 3", evs)
@@ -84,8 +84,8 @@ func TestLaneWorkerStamped(t *testing.T) {
 
 func TestBeginEndSolve(t *testing.T) {
 	r := NewRecorder(8)
-	r.BeginSolve(Meta{Solver: "pool", Workers: 2})
-	r.Lane(0).SpanFrom(KindChunk, 0, 0, 4, time.Now())
+	r.BeginSolve(Meta{Solver: "async", Workers: 2})
+	r.Lane(0).SpanFrom(KindTask, 0, 0, 4, time.Now())
 	r.EndSolve()
 	meta := r.Meta()
 	if meta.Clock != "wall" {
@@ -101,8 +101,8 @@ func TestBeginEndSolve(t *testing.T) {
 	if solve == nil {
 		t.Fatal("no KindSolve event after EndSolve")
 	}
-	if solve.Label != "pool" || solve.Worker != 0 {
-		t.Errorf("solve event = %+v, want label pool on lane 0", *solve)
+	if solve.Label != "async" || solve.Worker != 0 {
+		t.Errorf("solve event = %+v, want label async on lane 0", *solve)
 	}
 }
 
@@ -145,13 +145,13 @@ func TestImportTimeline(t *testing.T) {
 func TestChromeRoundTrip(t *testing.T) {
 	r := NewRecorder(32)
 	r.BeginSolve(Meta{
-		Solver: "pool", Problem: "lev", Pattern: "Anti-diagonal",
-		Executed: "Anti-diagonal", Rows: 8, Cols: 8, Fronts: 15, Workers: 2,
+		Solver: "async", Problem: "lev", Pattern: "Anti-diagonal",
+		Executed: "tiles 1x4", Rows: 8, Cols: 8, Fronts: 8, Workers: 2,
 	})
-	r.Lane(0).Span(KindChunk, 3, 0, 512, 1000)
-	r.Lane(1).Span(KindBarrier, 3, 0, 0, 1500)
-	r.Lane(0).Span(KindFront, 3, 512, 0, 900)
-	r.Lane(1).Instant(KindInline, 4, 0, 1)
+	r.Lane(0).Span(KindTask, 3, 0, 512, 1000)
+	r.Lane(1).Span(KindHandoff, 3, 0, 0, 1500)
+	r.Lane(0).Span(KindPhase, 3, 512, 0, 900)
+	r.Lane(1).Instant(KindReady, 4, 0, 1)
 	r.EndSolve()
 
 	var buf bytes.Buffer
@@ -188,8 +188,8 @@ func TestReadChromeSkipsForeignEvents(t *testing.T) {
 		{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker 0"}},
 		{"name":"foreign","ph":"X","ts":1,"dur":2,"pid":9,"tid":9},
 		{"name":"alien","ph":"X","ts":1,"dur":2,"pid":9,"tid":9,"args":{"kind":"martian"}},
-		{"name":"chunk","cat":"chunk","ph":"X","ts":1,"dur":2,"pid":0,"tid":1,
-		 "args":{"kind":"chunk","front":7,"a":0,"b":64,"ts_ns":1000,"dur_ns":2000}}
+		{"name":"task","cat":"task","ph":"X","ts":1,"dur":2,"pid":0,"tid":1,
+		 "args":{"kind":"task","front":7,"a":0,"b":64,"ts_ns":1000,"dur_ns":2000}}
 	],"displayTimeUnit":"ms"}`
 	_, events, err := ReadChrome(bytes.NewReader([]byte(doc)))
 	if err != nil {
@@ -199,7 +199,7 @@ func TestReadChromeSkipsForeignEvents(t *testing.T) {
 		t.Fatalf("parsed %d events, want 1 (foreign records skipped)", len(events))
 	}
 	e := events[0]
-	if e.Kind != KindChunk || e.Front != 7 || e.TS != 1000 || e.Dur != 2000 || e.Worker != 1 {
+	if e.Kind != KindTask || e.Front != 7 || e.TS != 1000 || e.Dur != 2000 || e.Worker != 1 {
 		t.Errorf("parsed event = %+v", e)
 	}
 }
@@ -211,7 +211,7 @@ func TestReadChromeRejectsGarbage(t *testing.T) {
 }
 
 func TestKindStringRoundTrip(t *testing.T) {
-	for k := KindSolve; k <= KindXferD2H; k++ {
+	for k := KindSolve; k <= KindReady; k++ {
 		got, ok := KindFromString(k.String())
 		if !ok || got != k {
 			t.Errorf("KindFromString(%q) = %v, %v", k.String(), got, ok)

@@ -7,8 +7,8 @@ import (
 )
 
 // WriteSummary renders an analyzed report as a plain-text summary: the
-// solve header, per-worker utilization with an ASCII timeline, the
-// barrier-stall breakdown, and the critical-path decomposition. This is
+// solve header, per-worker utilization with an ASCII timeline, hand-off
+// waits, the ready queue, and the critical-path bound. This is
 // the second exporter next to WriteChrome, for terminals and logs.
 func WriteSummary(w io.Writer, rep *Report) error {
 	m := rep.Meta
@@ -38,16 +38,8 @@ func WriteSummary(w io.Writer, rep *Report) error {
 			utilBar(rep.Util[lr.Worker]))
 	}
 
-	st := rep.Stall
-	if st.BarrierNS > 0 || st.HandoffNS > 0 {
-		fmt.Fprintf(w, "stalls: barrier=%s over %d fronts, handoff=%s\n",
-			formatDuration(time.Duration(st.BarrierNS)), st.FrontsWithStall,
-			formatDuration(time.Duration(st.HandoffNS)))
-		for _, fs := range st.Top {
-			fmt.Fprintf(w, "  front %-6d stall=%-10s waiters=%-3d wall=%s\n",
-				fs.Front, formatDuration(time.Duration(fs.StallNS)), fs.Waiters,
-				formatDuration(time.Duration(fs.WallNS)))
-		}
+	if ns := rep.Stall.HandoffNS; ns > 0 {
+		fmt.Fprintf(w, "stalls: handoff=%s\n", formatDuration(time.Duration(ns)))
 	}
 
 	if q := rep.Queue; q.Samples > 0 {
@@ -56,16 +48,9 @@ func WriteSummary(w io.Writer, rep *Report) error {
 	}
 
 	cr := rep.Critical
-	fmt.Fprintf(w, "critical path (%s): steps=%d compute=%s stall=%s inline=%s\n",
-		cr.Kind, cr.Steps,
-		formatDuration(time.Duration(cr.ComputeNS)),
-		formatDuration(time.Duration(cr.StallNS)),
-		formatDuration(time.Duration(cr.InlineNS)))
-	for _, s := range cr.Top {
-		fmt.Fprintf(w, "  front %-6d compute=%-10s stall=%s\n",
-			s.Front, formatDuration(time.Duration(s.ComputeNS)), formatDuration(time.Duration(s.StallNS)))
-	}
-	return nil
+	_, err := fmt.Fprintf(w, "critical path (%s): steps=%d compute=%s\n",
+		cr.Kind, cr.Steps, formatDuration(time.Duration(cr.ComputeNS)))
+	return err
 }
 
 // utilBar renders one lane's utilization timeline as an ASCII bar, one

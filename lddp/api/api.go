@@ -32,10 +32,6 @@ type SolveRequest struct {
 	// seeded "mix" generator.
 	Workload WorkloadSpec `json:"workload"`
 
-	// Chunk is accepted for compatibility and checked against
-	// [0, MaxChunk], but ignored: the scheduler runs tiles, not chunks.
-	Chunk int `json:"chunk,omitempty"`
-
 	// DeadlineMS bounds the solve (queue wait + run) in milliseconds,
 	// enforced server-side; 0 means no deadline beyond the connection's.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -111,10 +107,6 @@ type ErrorBody struct {
 	// resolution.
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
-
-// MaxChunk is the largest chunk field a request may carry (2^26 cells,
-// the ceiling the field had when it still steered the scheduler).
-const MaxChunk = 1 << 26
 
 // Workload kind names accepted by the server.
 const (

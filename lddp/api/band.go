@@ -60,13 +60,12 @@ type BandRequest struct {
 	Col0 int `json:"col0"`
 	Col1 int `json:"col1"`
 
-	// Mask, Strategy, Workload, Chunk and DeadlineMS have SolveRequest
+	// Mask, Strategy, Workload and DeadlineMS have SolveRequest
 	// semantics. Inline workload cells are not valid in band requests —
 	// band workloads must be regenerable from the seed on any node.
 	Mask       string       `json:"mask,omitempty"`
 	Strategy   string       `json:"strategy,omitempty"`
 	Workload   WorkloadSpec `json:"workload"`
-	Chunk      int          `json:"chunk,omitempty"`
 	DeadlineMS int64        `json:"deadline_ms,omitempty"`
 
 	// Trace identifies the originating fleet solve for cross-node trace

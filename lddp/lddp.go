@@ -105,8 +105,8 @@ type Reduction = core.Reduction
 type Canceled = core.Canceled
 
 // Tracer is the per-worker ring-buffer event recorder; attach one with
-// WithTracer to capture timestamped runtime events (front begin/end,
-// chunk claims, barrier waits, tile tasks, simulated transfers).
+// WithTracer to capture timestamped runtime events (tile tasks,
+// ready-queue samples, simulated phases and transfers).
 // A nil Tracer disables tracing at zero overhead. Export
 // a finished trace with WriteTrace (Chrome/Perfetto JSON) or
 // WriteTraceSummary (plain text); the lddptrace command analyzes the
@@ -120,8 +120,8 @@ type TraceEvent = trace.Event
 type TraceMeta = trace.Meta
 
 // TraceReport is the analyzed view of a trace: per-worker utilization
-// timelines, barrier-stall breakdown, and the critical path through the
-// front DAG.
+// timelines, hand-off waits, the ready-queue depth, and the busiest
+// lane's bound on the critical path.
 type TraceReport = trace.Report
 
 // NewTracer returns a Tracer with the default per-worker ring capacity
@@ -139,8 +139,8 @@ func NewTracerCap(laneCap int) *Tracer { return trace.NewRecorder(laneCap) }
 func WriteTrace(w io.Writer, t *Tracer) error { return trace.WriteChrome(w, t) }
 
 // WriteTraceSummary writes the analyzed trace as a plain-text summary:
-// per-worker utilization with ASCII timelines, barrier-stall breakdown,
-// and the critical-path decomposition.
+// per-worker utilization with ASCII timelines, hand-off waits, the ready
+// queue, and the critical-path bound.
 func WriteTraceSummary(w io.Writer, t *Tracer) error {
 	return trace.WriteSummary(w, AnalyzeTrace(t, 0))
 }

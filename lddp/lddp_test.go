@@ -280,7 +280,7 @@ func TestMetricsPhaseCountsMatchTableII(t *testing.T) {
 // per worker, with utilization in [0, 1] and tile cells that cover the
 // table exactly once.
 func TestMetricsWorkerStats(t *testing.T) {
-	const rows, cols, workers = 128, 128, 4
+	const rows, cols, workers = 256, 1024, 4
 	tr := lddp.NewTracer()
 	_, err := lddp.Solve(context.Background(), testProblem(lddp.DepW|lddp.DepN, rows, cols),
 		lddp.WithWorkers(workers), lddp.WithTracer(tr))
