@@ -75,7 +75,8 @@ trace:
 
 # Scheduler smoke: drive 16 concurrent solves through the shared
 # scheduler via the load driver (exit 1 on any unexpected outcome), then
-# a mixed batch with deadlines exercising cancellation and rejection.
+# a mixed batch with deadlines exercising cancellation and rejection. CI
+# runs this target.
 sched-smoke:
 	$(GO) run ./cmd/lddpserve -mode compare -solves 16 -size 512
 	$(GO) run ./cmd/lddpserve -mix -solves 32 -size 400 -timeout 50ms
@@ -180,9 +181,10 @@ bench-wire:
 
 # Wire-boundary differential suite: all 15 masks x adversarial shapes
 # through lddpd's handler stack and the public client, exact equality
-# against the sequential oracle, under the race detector.
+# against the sequential oracle, plus the seed corpora of the solve and
+# band request fuzzers, under the race detector. CI runs this target.
 e2e:
-	$(GO) test -race -run 'E2EDifferential|DrainSoak|FuzzSolveRequest' -timeout 10m ./internal/server/
+	$(GO) test -race -run 'E2EDifferential|DrainSoak|FuzzSolveRequest|FuzzBandRequest' -timeout 10m ./internal/server/
 
 # Extended randomized scheduler soak under the race detector (the short
 # soak runs in the normal test pass; this is the long opt-in variant).
@@ -203,9 +205,10 @@ soak-sim:
 # Cross-executor differential conformance suite: all 15 masks x every
 # public executor path (the tile engine in process at 1, 2 and 4 workers
 # and on square tiles, the scheduler's tile engines at 1, 2 and 4
-# workers) x adversarial shapes, under the race detector.
+# workers) x adversarial shapes, plus the randomized scheduler soak,
+# under the race detector. CI runs this target.
 conformance:
-	$(GO) test -race -run 'Conformance|Metamorphic' -timeout 10m ./internal/core/ ./internal/sched/
+	$(GO) test -race -run 'Conformance|Metamorphic|SchedulerSoak' -timeout 10m ./internal/core/ ./internal/sched/
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt bench_masks_output.txt bench_server_output.txt trace.json async_trace.json async_trace_summary.txt serve_metrics.json lddpd.bin lddppromlint.bin lddptrace.bin fleet_trace_summary.txt sim_oplog.json

@@ -172,39 +172,11 @@ func BenchmarkSolveTiledLevenshtein1k(b *testing.B) {
 	for _, tile := range []int{16, 64, 256, 1024} {
 		b.Run(fmt.Sprintf("tile%d", tile), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SolveTiled(p, tile, 0); err != nil {
+				if _, err := core.SolveTiledContext(context.Background(), p, tile, core.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-	}
-}
-
-// Affine-gap (Gotoh) alignment: the multi-state cell type end to end.
-func BenchmarkAffineAlign512(b *testing.B) {
-	a, s := workload.SimilarStrings(5, 511, workload.DNAAlphabet, 0.2)
-	p := problems.AffineAlign(a, s, problems.DefaultAffineScores())
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Solve(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// Traceback cost on a solved table.
-func BenchmarkLevenshteinScript4k(b *testing.B) {
-	a, s := workload.SimilarStrings(9, 4095, workload.ASCIIAlphabet, 0.2)
-	g, err := core.Solve(problems.Levenshtein(a, s))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ops := problems.LevenshteinScript(g, a, s)
-		if len(ops) == 0 {
-			b.Fatal("empty script")
-		}
 	}
 }
 

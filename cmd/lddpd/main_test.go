@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -52,7 +53,7 @@ func TestRunServeAndDrain(t *testing.T) {
 	if err := c.Ready(context.Background()); err != nil {
 		t.Fatalf("readyz while serving: %v", err)
 	}
-	resp, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 16, Cols: 16, Mask: "W,N"})
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 16, Cols: 16, Mask: "W,N"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/server"
 	"repro/lddp"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -304,10 +305,10 @@ func runRemote(opts options, items []workItem, out io.Writer) error {
 		wg.Add(1)
 		go func(it workItem) {
 			defer wg.Done()
-			req := &client.SolveRequest{
+			req := &api.SolveRequest{
 				Rows: it.rows, Cols: it.cols,
 				Mask:       it.mask.String(),
-				Workload:   client.WorkloadSpec{Kind: client.KindServe},
+				Workload:   api.WorkloadSpec{Kind: api.KindServe},
 				DeadlineMS: opts.timeout.Milliseconds(),
 			}
 			_, err := c.Solve(context.Background(), req)
@@ -416,10 +417,10 @@ func runFleet(opts options, items []workItem, out io.Writer) error {
 		wg.Add(1)
 		go func(it workItem) {
 			defer wg.Done()
-			req := &client.SolveRequest{
+			req := &api.SolveRequest{
 				Rows: it.rows, Cols: it.cols,
 				Mask:       it.mask.String(),
-				Workload:   client.WorkloadSpec{Kind: client.KindServe},
+				Workload:   api.WorkloadSpec{Kind: api.KindServe},
 				DeadlineMS: opts.timeout.Milliseconds(),
 			}
 			fres, err := coord.Solve(context.Background(), req)

@@ -69,27 +69,22 @@ func TestExpiredContextAllExecutors(t *testing.T) {
 		{"gpu-only", func() error { _, err := SolveGPUOnlyContext(ctx, p, opts); return err }},
 		{"multi", func() error { _, err := SolveHeteroMultiContext(ctx, ph, opts, []Accelerator{accel}, nil); return err }},
 		{"tiled", func() error { _, err := SolveTiledContext(ctx, p, 8, Options{NativeWorkers: 2}); return err }},
-		{"banded", func() error {
-			_, err := SolveBandedContext(ctx, p, 8, func(i, j int) int64 { return 1 << 30 })
-			return err
-		}},
 		{"resilient", func() error { _, _, err := SolveResilientContext(ctx, p, 3, nil); return err }},
-		{"lastrow", func() error { _, err := SolveLastRowContext(ctx, p); return err }},
 		{"seq3", func() error { _, err := Solve3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12)); return err }},
 		{"tiles3", func() error {
 			_, err := SolveParallel3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), 4)
 			return err
 		}},
 		{"hetero3", func() error {
-			_, err := SolveHetero3Context(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
+			_, err := solveSim3(ctx, testProblem3(Dep3X|Dep3Y|Dep3Z, 12, 12, 12), Options{TSwitch: -1, TShare: -1}, modeHetero)
 			return err
 		}},
 		{"cpu-only3", func() error {
-			_, err := SolveCPUOnly3Context(ctx, testProblem3(Dep3X, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
+			_, err := solveSim3(ctx, testProblem3(Dep3X, 12, 12, 12), Options{TSwitch: -1, TShare: -1}, modeCPUOnly)
 			return err
 		}},
 		{"gpu-only3", func() error {
-			_, err := SolveGPUOnly3Context(ctx, testProblem3(Dep3X, 12, 12, 12), Options{TSwitch: -1, TShare: -1})
+			_, err := solveSim3(ctx, testProblem3(Dep3X, 12, 12, 12), Options{TSwitch: -1, TShare: -1}, modeGPUOnly)
 			return err
 		}},
 	}

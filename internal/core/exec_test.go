@@ -41,8 +41,8 @@ func TestExecEmptyRangesAreNoOps(t *testing.T) {
 	if id := e.bulk(hetsim.ResCopyD2H, 0, "x"); id != hetsim.NoOp {
 		t.Error("zero-byte bulk should be NoOp")
 	}
-	if e.sim.NumOps() != 0 {
-		t.Errorf("no-ops submitted %d operations", e.sim.NumOps())
+	if n := len(e.sim.Timeline().Records); n != 0 {
+		t.Errorf("no-ops submitted %d operations", n)
 	}
 }
 
@@ -108,7 +108,7 @@ func TestResultStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats()
+	st := res.Timeline.Summarize()
 	if st.Makespan != res.Time {
 		t.Errorf("Stats.Makespan %v != Result.Time %v", st.Makespan, res.Time)
 	}

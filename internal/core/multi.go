@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"time"
 
 	"repro/internal/hetsim"
 	"repro/internal/table"
@@ -40,9 +39,6 @@ type MultiResult[T any] struct {
 	Shares   []int
 	Timeline hetsim.Timeline
 }
-
-// Duration returns the simulated wall-clock time of the solve.
-func (r *MultiResult[T]) Duration() time.Duration { return r.Timeline.Makespan() }
 
 // SolveHeteroMulti executes a horizontal-pattern problem across the
 // platform CPU plus the given accelerators. shares assigns a column span

@@ -211,17 +211,3 @@ func TestSolveHeteroMultiExplicitShares(t *testing.T) {
 		t.Error("zero-share solve differs")
 	}
 }
-
-func TestMultiResultDuration(t *testing.T) {
-	p := testProblem(DepN, 5, 10)
-	res, err := SolveHeteroMulti(p, Options{SkipCompute: true}, testAccels(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Duration() != res.Timeline.Makespan() {
-		t.Error("Duration should equal the timeline makespan")
-	}
-	if p.Pattern() != Horizontal {
-		t.Error("Pattern accessor wrong")
-	}
-}

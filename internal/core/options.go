@@ -58,11 +58,12 @@ type Options struct {
 	SkipCompute bool
 
 	// NativeWorkers is the worker count of the native tile engine
-	// (SolveParallel, SolveTiled, SolveParallel3) and of the tile-engine
-	// fill that gives the simulated strategies their cell values. Zero or
-	// negative selects the default min(runtime.GOMAXPROCS(0),
-	// runtime.NumCPU()): the engine is compute-bound, so workers beyond the
-	// physical cores add no throughput.
+	// (SolveParallel, SolveTiledContext, SolveParallel3) and of the
+	// tile-engine fill that gives the simulated strategies their cell
+	// values. Zero or negative selects the default
+	// min(runtime.GOMAXPROCS(0), runtime.NumCPU()): the engine is
+	// compute-bound, so workers beyond the physical cores add no
+	// throughput.
 	NativeWorkers int
 
 	// Tracer records per-event runtime traces (tile tasks, ready-queue

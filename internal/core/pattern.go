@@ -23,8 +23,6 @@ const (
 	// MInvertedL is the mirrored Inverted-L (Figure 2f): cells with equal
 	// min(i, cols-1-j). Symmetric to InvertedL under column reflection.
 	MInvertedL
-
-	numPatterns
 )
 
 // String returns the paper's name for the pattern.

@@ -35,6 +35,3 @@ type Result[T any] struct {
 	// makespan, in execution order (see hetsim.Sim.CriticalPath).
 	Critical []hetsim.OpRecord
 }
-
-// Stats summarizes the timeline.
-func (r *Result[T]) Stats() hetsim.Stats { return r.Timeline.Summarize() }

@@ -135,31 +135,14 @@ func SolveHetero3[T any](p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(context.Background(), p, opts, modeHetero)
 }
 
-// SolveHetero3Context is SolveHetero3 honoring a context, polled once per
-// plane while planning and once per tile row while filling the table. A
-// canceled solve returns a nil result and a *Canceled error.
-func SolveHetero3Context[T any](ctx context.Context, p *Problem3[T], opts Options) (*Result3[T], error) {
-	return solveSim3(ctx, p, opts, modeHetero)
-}
-
 // SolveCPUOnly3 is the 3-D multicore baseline.
 func SolveCPUOnly3[T any](p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(context.Background(), p, opts, modeCPUOnly)
 }
 
-// SolveCPUOnly3Context is SolveCPUOnly3 honoring a context.
-func SolveCPUOnly3Context[T any](ctx context.Context, p *Problem3[T], opts Options) (*Result3[T], error) {
-	return solveSim3(ctx, p, opts, modeCPUOnly)
-}
-
 // SolveGPUOnly3 is the 3-D pure-accelerator baseline.
 func SolveGPUOnly3[T any](p *Problem3[T], opts Options) (*Result3[T], error) {
 	return solveSim3(context.Background(), p, opts, modeGPUOnly)
-}
-
-// SolveGPUOnly3Context is SolveGPUOnly3 honoring a context.
-func SolveGPUOnly3Context[T any](ctx context.Context, p *Problem3[T], opts Options) (*Result3[T], error) {
-	return solveSim3(ctx, p, opts, modeGPUOnly)
 }
 
 func solveSim3[T any](ctx context.Context, p *Problem3[T], opts Options, mode solveMode) (res *Result3[T], err error) {

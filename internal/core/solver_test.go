@@ -287,7 +287,7 @@ func TestHeteroUsesBothDevices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats()
+	st := res.Timeline.Summarize()
 	if st.CPUCells == 0 || st.GPUCells == 0 {
 		t.Errorf("hetero run used cpu=%d gpu=%d cells; want both > 0", st.CPUCells, st.GPUCells)
 	}
@@ -302,7 +302,7 @@ func TestGPUOnlyCountsAllCells(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Stats().GPUCells; got != 1000 {
+	if got := res.Timeline.Summarize().GPUCells; got != 1000 {
 		t.Errorf("GPU computed %d cells, want 1000", got)
 	}
 }

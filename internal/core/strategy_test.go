@@ -170,7 +170,7 @@ func TestHeteroCellAccountingProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		st := res.Stats()
+		st := res.Timeline.Summarize()
 		return st.CPUCells+st.GPUCells == rows*cols
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/table"
 )
 
-// SolveTiled fills the DP table with square tiles of side tile, the
+// SolveTiledContext fills the DP table with square tiles of side tile, the
 // cache-efficient tiled scheme of the CPU-only line of work the paper
 // builds on (Chowdhury & Ramachandran's CMP algorithms): each tile is
 // filled row-major for locality, and tiles run on the dependency-driven
@@ -19,15 +19,10 @@ import (
 // masks containing NE, {NE} and {N,NE}, get 1 x tile strips. A tile that
 // covers the whole table runs as one tile under every mask.
 //
-// workers <= 0 selects min(GOMAXPROCS, NumCPU).
-func SolveTiled[T any](p *Problem[T], tile, workers int) (*table.Grid[T], error) {
-	return SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: workers})
-}
-
-// SolveTiledContext is SolveTiled honoring a context (polled once per
-// tile row) and an Options carrying the worker count
-// (Options.NativeWorkers), which Validate checks, and the optional
-// Tracer. A canceled solve returns a nil grid and a *Canceled error.
+// The context is polled once per tile row. Options carries the worker
+// count (Options.NativeWorkers; zero selects min(GOMAXPROCS, NumCPU)),
+// which Validate checks, and the optional Tracer. A canceled solve
+// returns a nil grid and a *Canceled error.
 func SolveTiledContext[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*table.Grid[T], error) {
 	if tile < 1 {
 		return nil, fmt.Errorf("core: tile size %d < 1", tile)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -146,4 +147,9 @@ func TestDeriveBlockMaskPanicsOnTallNETiles(t *testing.T) {
 		}
 	}()
 	deriveBlockMask(DepNE, 4, 4)
+}
+
+// SolveTiled is SolveTiledContext without a deadline, on workers workers.
+func SolveTiled[T any](p *Problem[T], tile, workers int) (*table.Grid[T], error) {
+	return SolveTiledContext(context.Background(), p, tile, Options{NativeWorkers: workers})
 }

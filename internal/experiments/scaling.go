@@ -59,34 +59,3 @@ func RunExtScaling(cfg Config) ([]Table, error) {
 	}
 	return tables, nil
 }
-
-// ScalingExponents returns the fitted exponents (cpu, gpu, framework) of
-// the Levenshtein series, for tests.
-func ScalingExponents(cfg Config, sizes []int) (cpu, gpu, fw float64, err error) {
-	plat := hetsim.HeteroHigh()
-	xs := make([]float64, len(sizes))
-	var cs, gs, fs []float64
-	for i, n := range sizes {
-		xs[i] = float64(n)
-		tri, err := triMeasure(Fig10Problem(cfg.Seed, n), plat)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		cs = append(cs, tri.CPU.Seconds())
-		gs = append(gs, tri.GPU.Seconds())
-		fs = append(fs, tri.Framework.Seconds())
-	}
-	fc, err := stats.FitPower(xs, cs)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	fg, err := stats.FitPower(xs, gs)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	ff, err := stats.FitPower(xs, fs)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	return fc.Alpha, fg.Alpha, ff.Alpha, nil
-}

@@ -54,16 +54,6 @@ func (c CPUModel) RegionDuration(cells int, contiguous bool) time.Duration {
 	return c.DispatchOverhead + compute
 }
 
-// SequentialDuration returns the time of one thread computing the cells
-// with no dispatch overhead: the cost of CPU work inside an already-running
-// region, used when the framework keeps a single core warm on tiny fronts.
-func (c CPUModel) SequentialDuration(cells int, contiguous bool) time.Duration {
-	if cells <= 0 {
-		return 0
-	}
-	return time.Duration(float64(cells) * float64(c.CellCost) * c.stridePenalty(contiguous))
-}
-
 // ThreadPerCellDuration returns the simulated time of a parallel region that
 // spawns one task per cell (paper §IV-A's rejected strategy): every cell
 // pays SpawnCost on top of the chunked compute time.

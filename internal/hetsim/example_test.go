@@ -16,7 +16,7 @@ func ExampleSim() {
 	up2 := s.Submit(hetsim.Op{Resource: hetsim.ResCopyH2D, Duration: 3 * time.Microsecond, Label: "h2d:2"})
 	k2 := s.Submit(hetsim.Op{Resource: hetsim.ResGPU, Duration: 5 * time.Microsecond, Label: "k2"}, up2)
 	_ = k1
-	fmt.Println(s.EndOf(k2), s.Makespan())
+	fmt.Println(s.Timeline().Records[k2].End, s.Makespan())
 	// Output:
 	// 13µs 13µs
 }

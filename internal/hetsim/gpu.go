@@ -57,13 +57,6 @@ func (g GPUModel) KernelDuration(cells int, coalesced bool) time.Duration {
 	return g.LaunchLatency + time.Duration(waves*per)
 }
 
-// MarginalCellCostNs returns the asymptotic per-cell cost of large
-// coalesced kernels in (fractional) nanoseconds. Wide devices push this
-// below one nanosecond, so it cannot be a time.Duration.
-func (g GPUModel) MarginalCellCostNs() float64 {
-	return float64(g.WaveCost) / float64(g.Lanes())
-}
-
 // Throughput returns the asymptotic throughput in cells per second for
 // large coalesced kernels.
 func (g GPUModel) Throughput() float64 {

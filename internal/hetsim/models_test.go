@@ -1,6 +1,7 @@
 package hetsim
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 	"time"
@@ -50,13 +51,6 @@ func TestCPUThreadPerCellCostsMore(t *testing.T) {
 	perCell := c.ThreadPerCellDuration(1000, true)
 	if perCell <= chunked {
 		t.Errorf("thread-per-cell %v should exceed chunked %v", perCell, chunked)
-	}
-}
-
-func TestCPUSequentialDurationNoDispatch(t *testing.T) {
-	c := CPUModel{Threads: 8, CellCost: 7, DispatchOverhead: 1000}
-	if got, want := c.SequentialDuration(10, true), time.Duration(70); got != want {
-		t.Errorf("SequentialDuration = %v, want %v", got, want)
 	}
 }
 
@@ -357,7 +351,7 @@ func TestHeteroModernPreset(t *testing.T) {
 
 func TestPlatformJSONRoundTrip(t *testing.T) {
 	for _, p := range append(Platforms(), HeteroPhi(), HeteroModern()) {
-		data, err := DumpPlatform(p)
+		data, err := json.Marshal(p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -252,8 +252,3 @@ func LoadPlatform(data []byte) (*Platform, error) {
 	}
 	return &p, nil
 }
-
-// DumpPlatform renders a platform as indented JSON.
-func DumpPlatform(p *Platform) ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
-}

@@ -47,6 +47,3 @@ func (r Resource) String() string {
 		return fmt.Sprintf("resource(%d)", int(r))
 	}
 }
-
-// IsCopy reports whether the resource is a DMA copy engine.
-func (r Resource) IsCopy() bool { return r == ResCopyH2D || r == ResCopyD2H }

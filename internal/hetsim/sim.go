@@ -60,15 +60,6 @@ func NewSim(p *Platform) *Sim {
 	return s
 }
 
-// Platform returns the platform this simulator was created for.
-func (s *Sim) Platform() *Platform { return s.platform }
-
-// NewStream allocates an additional in-order queue (an extra CUDA stream).
-// Operations on distinct streams only order through explicit dependencies.
-func (s *Sim) NewStream() Resource {
-	return s.NewNamedStream("")
-}
-
 // NewNamedStream allocates an additional in-order queue carrying a display
 // name, used for extra accelerators in multi-device configurations. The
 // name surfaces through Timeline.NameOf.
@@ -155,15 +146,6 @@ func (s *Sim) SubmitFront(op Op, front int, deps ...OpID) OpID {
 	return id
 }
 
-// EndOf returns the end time of a previously submitted operation.
-// EndOf(NoOp) returns 0.
-func (s *Sim) EndOf(id OpID) time.Duration {
-	if id == NoOp {
-		return 0
-	}
-	return s.ops[id].end
-}
-
 // Makespan returns the completion time of the last-finishing operation, that
 // is, the simulated wall-clock duration of the whole computation.
 func (s *Sim) Makespan() time.Duration {
@@ -175,9 +157,6 @@ func (s *Sim) Makespan() time.Duration {
 	}
 	return m
 }
-
-// NumOps returns the number of operations submitted so far.
-func (s *Sim) NumOps() int { return len(s.ops) }
 
 // Timeline snapshots the schedule resolved so far. The returned Timeline is
 // independent of the Sim and safe to retain.

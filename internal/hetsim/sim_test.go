@@ -6,15 +6,18 @@ import (
 	"time"
 )
 
+// endOf returns the simulated end time of op id.
+func endOf(s *Sim, id OpID) time.Duration { return s.Timeline().Records[id].End }
+
 func TestSubmitSequentialOnOneResource(t *testing.T) {
 	s := NewSim(HeteroHigh())
 	a := s.Submit(Op{Resource: ResCPU, Duration: 10 * time.Microsecond, Label: "a"})
 	b := s.Submit(Op{Resource: ResCPU, Duration: 5 * time.Microsecond, Label: "b"})
-	if got := s.EndOf(a); got != 10*time.Microsecond {
-		t.Errorf("EndOf(a) = %v, want 10us", got)
+	if got := endOf(s, a); got != 10*time.Microsecond {
+		t.Errorf("endOf(a) = %v, want 10us", got)
 	}
-	if got := s.EndOf(b); got != 15*time.Microsecond {
-		t.Errorf("EndOf(b) = %v, want 15us (FIFO on same resource)", got)
+	if got := endOf(s, b); got != 15*time.Microsecond {
+		t.Errorf("endOf(b) = %v, want 15us (FIFO on same resource)", got)
 	}
 }
 
@@ -31,16 +34,16 @@ func TestSubmitDependencyDelaysStart(t *testing.T) {
 	s := NewSim(HeteroHigh())
 	a := s.Submit(Op{Resource: ResCPU, Duration: 10 * time.Microsecond})
 	b := s.Submit(Op{Resource: ResGPU, Duration: 4 * time.Microsecond}, a)
-	if got := s.EndOf(b); got != 14*time.Microsecond {
-		t.Errorf("EndOf(b) = %v, want 14us (starts after a)", got)
+	if got := endOf(s, b); got != 14*time.Microsecond {
+		t.Errorf("endOf(b) = %v, want 14us (starts after a)", got)
 	}
 }
 
 func TestSubmitNoOpDependencyIgnored(t *testing.T) {
 	s := NewSim(HeteroHigh())
 	b := s.Submit(Op{Resource: ResGPU, Duration: 4 * time.Microsecond}, NoOp, NoOp)
-	if got := s.EndOf(b); got != 4*time.Microsecond {
-		t.Errorf("EndOf(b) = %v, want 4us (NoOp deps ignored)", got)
+	if got := endOf(s, b); got != 4*time.Microsecond {
+		t.Errorf("endOf(b) = %v, want 4us (NoOp deps ignored)", got)
 	}
 }
 
@@ -51,8 +54,8 @@ func TestSubmitDiamondDependency(t *testing.T) {
 	c := s.Submit(Op{Resource: ResCopyH2D, Duration: 1 * time.Microsecond}, a)
 	d := s.Submit(Op{Resource: ResCPU, Duration: 1 * time.Microsecond}, b, c)
 	// d starts at max(end(b)=8us, end(c)=3us, cpu free at 2us) = 8us.
-	if got := s.EndOf(d); got != 9*time.Microsecond {
-		t.Errorf("EndOf(d) = %v, want 9us", got)
+	if got := endOf(s, d); got != 9*time.Microsecond {
+		t.Errorf("endOf(d) = %v, want 9us", got)
 	}
 }
 
@@ -61,8 +64,8 @@ func TestCopyEngineFoldingOnSingleEnginePlatform(t *testing.T) {
 	s := NewSim(low)
 	a := s.Submit(Op{Resource: ResCopyH2D, Duration: 5 * time.Microsecond})
 	b := s.Submit(Op{Resource: ResCopyD2H, Duration: 5 * time.Microsecond})
-	if got := s.EndOf(b); got != 10*time.Microsecond {
-		t.Errorf("EndOf(b) = %v, want 10us (transfers serialized on one engine)", got)
+	if got := endOf(s, b); got != 10*time.Microsecond {
+		t.Errorf("endOf(b) = %v, want 10us (transfers serialized on one engine)", got)
 	}
 	_ = a
 
@@ -70,18 +73,18 @@ func TestCopyEngineFoldingOnSingleEnginePlatform(t *testing.T) {
 	s2 := NewSim(high)
 	s2.Submit(Op{Resource: ResCopyH2D, Duration: 5 * time.Microsecond})
 	b2 := s2.Submit(Op{Resource: ResCopyD2H, Duration: 5 * time.Microsecond})
-	if got := s2.EndOf(b2); got != 5*time.Microsecond {
-		t.Errorf("EndOf(b2) = %v, want 5us (transfers overlap on two engines)", got)
+	if got := endOf(s2, b2); got != 5*time.Microsecond {
+		t.Errorf("endOf(b2) = %v, want 5us (transfers overlap on two engines)", got)
 	}
 }
 
 func TestNewStreamIsIndependentQueue(t *testing.T) {
 	s := NewSim(HeteroHigh())
-	st := s.NewStream()
+	st := s.NewNamedStream("")
 	s.Submit(Op{Resource: ResGPU, Duration: 10 * time.Microsecond})
 	b := s.Submit(Op{Resource: st, Duration: 3 * time.Microsecond})
-	if got := s.EndOf(b); got != 3*time.Microsecond {
-		t.Errorf("EndOf(stream op) = %v, want 3us (no implicit ordering vs GPU)", got)
+	if got := endOf(s, b); got != 3*time.Microsecond {
+		t.Errorf("endOf(stream op) = %v, want 3us (no implicit ordering vs GPU)", got)
 	}
 }
 
@@ -101,12 +104,6 @@ func TestSubmitPanicsOnForwardDependency(t *testing.T) {
 		}
 	}()
 	NewSim(HeteroHigh()).Submit(Op{Resource: ResCPU, Duration: 1}, OpID(3))
-}
-
-func TestEndOfNoOpIsZero(t *testing.T) {
-	if got := NewSim(HeteroHigh()).EndOf(NoOp); got != 0 {
-		t.Errorf("EndOf(NoOp) = %v, want 0", got)
-	}
 }
 
 func TestMakespanEmpty(t *testing.T) {
@@ -194,32 +191,10 @@ func TestTimelineSnapshotIsIndependent(t *testing.T) {
 	}
 }
 
-func TestSimAccessors(t *testing.T) {
-	p := HeteroHigh()
-	s := NewSim(p)
-	if s.Platform() != p {
-		t.Error("Platform accessor wrong")
-	}
-	if s.NumOps() != 0 {
-		t.Error("fresh sim should have 0 ops")
-	}
-	s.Submit(Op{Resource: ResCPU, Duration: 1})
-	if s.NumOps() != 1 {
-		t.Error("NumOps should count submissions")
-	}
-	if !ResCopyH2D.IsCopy() || !ResCopyD2H.IsCopy() || ResCPU.IsCopy() || ResGPU.IsCopy() {
-		t.Error("IsCopy wrong")
-	}
-	// The K20's per-cell marginal is sub-nanosecond: 300ns / 2496 lanes.
-	if got := p.GPU.MarginalCellCostNs(); got <= 0 || got >= 1 {
-		t.Errorf("MarginalCellCostNs = %v, want in (0,1)", got)
-	}
-}
-
 func TestTimelineNameOf(t *testing.T) {
 	s := NewSim(HeteroHigh())
 	named := s.NewNamedStream("phi")
-	anon := s.NewStream()
+	anon := s.NewNamedStream("")
 	s.Submit(Op{Resource: named, Duration: 1})
 	s.Submit(Op{Resource: anon, Duration: 1})
 	tl := s.Timeline()

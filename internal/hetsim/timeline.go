@@ -85,16 +85,6 @@ func (t Timeline) BusyTime(res Resource) time.Duration {
 	return b
 }
 
-// Utilization returns BusyTime(res)/Makespan in [0,1]. It returns 0 for an
-// empty timeline.
-func (t Timeline) Utilization(res Resource) float64 {
-	m := t.Makespan()
-	if m == 0 {
-		return 0
-	}
-	return float64(t.BusyTime(res)) / float64(m)
-}
-
 // CellsOn returns the total number of cells computed on the resource.
 func (t Timeline) CellsOn(res Resource) int {
 	n := 0

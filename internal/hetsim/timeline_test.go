@@ -32,17 +32,6 @@ func TestTimelineBusyTime(t *testing.T) {
 	}
 }
 
-func TestTimelineUtilization(t *testing.T) {
-	tl := buildTimeline(t)
-	if got := tl.Utilization(ResGPU); got < 0.66 || got > 0.67 {
-		t.Errorf("Utilization(gpu) = %v, want ~2/3", got)
-	}
-	var empty Timeline
-	if empty.Utilization(ResCPU) != 0 {
-		t.Error("empty timeline utilization should be 0")
-	}
-}
-
 func TestTimelineCellsAndBytes(t *testing.T) {
 	tl := buildTimeline(t)
 	if got := tl.CellsOn(ResCPU); got != 100 {

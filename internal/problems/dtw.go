@@ -56,17 +56,3 @@ func DTWRef(x, y []float64) float64 {
 	}
 	return prev[m]
 }
-
-// DTWBanded computes the warping distance under a Sakoe-Chiba band of
-// half-width band: warping paths may deviate at most band steps from the
-// diagonal, the standard constraint in speech processing. The result is
-// exact when the unconstrained optimal path stays within the band, and an
-// upper bound otherwise; cost drops to O(n*band).
-func DTWBanded(x, y []float64, band int) (float64, error) {
-	p := DTW(x, y)
-	g, err := core.SolveBanded(p, band, func(i, j int) float64 { return math.Inf(1) })
-	if err != nil {
-		return 0, err
-	}
-	return g.At(len(x), len(y)), nil
-}

@@ -22,27 +22,6 @@ func ExampleLevenshtein() {
 	// 3
 }
 
-// Traceback recovers an actual edit script, not just the distance.
-func ExampleLevenshteinScript() {
-	a, b := "flaw", "lawn"
-	g, _ := core.Solve(problems.Levenshtein(a, b))
-	ops := problems.LevenshteinScript(g, a, b)
-	fmt.Println(problems.ScriptCost(ops))
-	fmt.Println(problems.ApplyScript(a, b, ops))
-	// Output:
-	// 2
-	// lawn
-}
-
-// Hirschberg's algorithm recovers an LCS string in linear space. (Several
-// optimal subsequences exist for this classic pair; this implementation
-// deterministically returns "BDAB".)
-func ExampleHirschbergLCS() {
-	fmt.Println(problems.HirschbergLCS("ABCBDAB", "BDCABA"))
-	// Output:
-	// BDAB
-}
-
 // The checkerboard problem of §VI-C through the heterogeneous framework.
 func ExampleCheckerboard() {
 	cost := [][]int32{
@@ -59,15 +38,4 @@ func ExampleCheckerboard() {
 	// Output:
 	// 2 way
 	// 3
-}
-
-// The adaptive banded solver computes exact distances in O(n*d).
-func ExampleLevenshteinAdaptive() {
-	d, err := problems.LevenshteinAdaptive("intention", "execution")
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(d)
-	// Output:
-	// 5
 }

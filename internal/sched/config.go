@@ -226,10 +226,6 @@ func (h *Hist) Observe(ns int64) {
 	h.MaxNS = max(h.MaxNS, ns)
 }
 
-// IsZero reports whether the histogram has no observations; it makes
-// empty histograms disappear from JSON under omitzero.
-func (h Hist) IsZero() bool { return h.Count == 0 }
-
 // WorkerLoad is one scheduler worker's cumulative load.
 type WorkerLoad struct {
 	// Tiles counts the tiles run; Cells the cells computed; Busy the

@@ -144,11 +144,6 @@ func (h *Handle) ID() int64 { return h.j.id }
 // state; Err is valid after that.
 func (h *Handle) Done() <-chan struct{} { return h.j.done }
 
-// Err returns the submission's outcome: nil (done), *core.Canceled
-// (interrupted mid-run), or *Rejected (never ran). Only valid after Done
-// is closed.
-func (h *Handle) Err() error { return h.j.err }
-
 // Wait blocks until the submission reaches its end state and returns its
 // outcome. If the submission's context ends first, Wait cancels the
 // submission (a queued one is rejected immediately; a running one stops

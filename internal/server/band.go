@@ -103,7 +103,7 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 	if req.Rows <= 0 || req.Cols <= 0 {
 		return 0, fmt.Errorf("table size %dx%d invalid: rows and cols must be positive", req.Rows, req.Cols)
 	}
-	if int64(req.Rows)*int64(req.Cols) > s.cfg.MaxCells {
+	if tooManyCells(req.Rows, req.Cols, s.cfg.MaxCells) {
 		return 0, fmt.Errorf("table size %dx%d exceeds the per-request cap of %d cells", req.Rows, req.Cols, s.cfg.MaxCells)
 	}
 	if req.Row0 < 0 || req.Row0 >= req.Row1 || req.Row1 > req.Rows ||

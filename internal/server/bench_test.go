@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/server"
 	"repro/lddp"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -111,9 +112,9 @@ func runWireBatch(b *testing.B, c *client.Client, batch, size int) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			_, errs[k] = c.Solve(context.Background(), &client.SolveRequest{
+			_, errs[k] = c.Solve(context.Background(), &api.SolveRequest{
 				Rows: size, Cols: size, Mask: "W,N",
-				Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: int64(k)},
+				Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: int64(k)},
 			})
 		}(k)
 	}

@@ -14,11 +14,12 @@ import (
 
 	"repro/internal/server"
 	"repro/lddp"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
 // solveOnce runs one request (with cells) and fails the test on error.
-func solveOnce(t *testing.T, c *client.Client, req *client.SolveRequest) *client.SolveResponse {
+func solveOnce(t *testing.T, c *client.Client, req *api.SolveRequest) *api.SolveResponse {
 	t.Helper()
 	req.ReturnCells = true
 	resp, err := c.Solve(context.Background(), req)
@@ -28,10 +29,10 @@ func solveOnce(t *testing.T, c *client.Client, req *client.SolveRequest) *client
 	return resp
 }
 
-func mixReq(seed int64, rows, cols int) *client.SolveRequest {
-	return &client.SolveRequest{
+func mixReq(seed int64, rows, cols int) *api.SolveRequest {
+	return &api.SolveRequest{
 		Rows: rows, Cols: cols, Mask: "W,N",
-		Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
+		Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: seed},
 	}
 }
 
@@ -119,11 +120,11 @@ func TestCacheKeySeparation(t *testing.T) {
 	_, _, c := newTestService(t, server.Config{Workers: 2})
 	base := solveOnce(t, c, mixReq(5, 16, 16))
 
-	variants := []*client.SolveRequest{
-		{Rows: 16, Cols: 16, Mask: "W,N", Workload: client.WorkloadSpec{Kind: client.KindCost, Seed: 5}},
-		{Rows: 16, Cols: 16, Mask: "W,N", Workload: client.WorkloadSpec{Kind: client.KindServe}},
-		{Rows: 16, Cols: 16, Mask: "W,NW", Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: 5}},
-		{Rows: 16, Cols: 16, Mask: "W,N", Strategy: "parallel", Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: 5}},
+	variants := []*api.SolveRequest{
+		{Rows: 16, Cols: 16, Mask: "W,N", Workload: api.WorkloadSpec{Kind: api.KindCost, Seed: 5}},
+		{Rows: 16, Cols: 16, Mask: "W,N", Workload: api.WorkloadSpec{Kind: api.KindServe}},
+		{Rows: 16, Cols: 16, Mask: "W,NW", Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 5}},
+		{Rows: 16, Cols: 16, Mask: "W,N", Strategy: "parallel", Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 5}},
 		mixReq(6, 16, 16),
 	}
 	for _, req := range variants {
@@ -134,9 +135,9 @@ func TestCacheKeySeparation(t *testing.T) {
 	// The strategy variant computes the same table; everything else must
 	// also produce its own digest or, for equal-result variants, at least
 	// its own entry. Spot-check the kind collision, the dangerous one.
-	cost := solveOnce(t, c, &client.SolveRequest{
+	cost := solveOnce(t, c, &api.SolveRequest{
 		Rows: 16, Cols: 16, Mask: "W,N",
-		Workload: client.WorkloadSpec{Kind: client.KindCost, Seed: 5},
+		Workload: api.WorkloadSpec{Kind: api.KindCost, Seed: 5},
 	})
 	if !cost.Cached {
 		t.Fatalf("repeat of the cost request missed its own entry")
@@ -153,10 +154,10 @@ func TestCacheInlineCellsContentAddressed(t *testing.T) {
 	_, _, c := newTestService(t, server.Config{Workers: 2})
 	gridA := [][]int64{{1, 2}, {3, 4}}
 	gridB := [][]int64{{1, 2}, {3, 5}}
-	reqFor := func(cells [][]int64) *client.SolveRequest {
-		return &client.SolveRequest{
+	reqFor := func(cells [][]int64) *api.SolveRequest {
+		return &api.SolveRequest{
 			Rows: 2, Cols: 2, Mask: "W,N",
-			Workload: client.WorkloadSpec{Kind: client.KindCost, Cells: cells},
+			Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: cells},
 		}
 	}
 	a := solveOnce(t, c, reqFor(gridA))
@@ -178,7 +179,7 @@ func TestCacheInlineCellsContentAddressed(t *testing.T) {
 // no-store skips both.
 func TestCacheControlBypassAndNoStore(t *testing.T) {
 	srv, ts, _ := newTestService(t, server.Config{Workers: 2})
-	post := func(cacheControl string, req *client.SolveRequest) (*http.Response, *client.SolveResponse) {
+	post := func(cacheControl string, req *api.SolveRequest) (*http.Response, *api.SolveResponse) {
 		t.Helper()
 		doc, err := json.Marshal(req)
 		if err != nil {
@@ -200,7 +201,7 @@ func TestCacheControlBypassAndNoStore(t *testing.T) {
 		if hresp.StatusCode != http.StatusOK {
 			t.Fatalf("status %d", hresp.StatusCode)
 		}
-		var out client.SolveResponse
+		var out api.SolveResponse
 		if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,9 @@ func ParseBinaryRequest(r io.Reader, maxInline int) (req *api.SolveRequest, rele
 		wire.PutCells(flat)
 		return nil, nil, fmt.Errorf("request carries cells both in the frame header and the cell section")
 	}
-	if req.Rows <= 0 || req.Cols <= 0 || int64(req.Rows)*int64(req.Cols) != int64(len(flat)) {
+	// Divide rather than multiply: the product of two huge sides wraps,
+	// and a wrapped product can equal the cell count.
+	if req.Rows <= 0 || req.Cols <= 0 || len(flat)%req.Cols != 0 || len(flat)/req.Cols != req.Rows {
 		wire.PutCells(flat)
 		return nil, nil, fmt.Errorf("frame carries %d cells for a %dx%d request", len(flat), req.Rows, req.Cols)
 	}

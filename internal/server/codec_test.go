@@ -13,7 +13,7 @@ import (
 
 	"repro/internal/server"
 	"repro/internal/wire"
-	"repro/lddp/client"
+	"repro/lddp/api"
 )
 
 // postSolve sends a raw body with explicit codec headers.
@@ -37,7 +37,7 @@ func postSolve(t *testing.T, url string, contentType, accept string, body []byte
 }
 
 // frameRequest renders req as a binary wire frame.
-func frameRequest(t *testing.T, req *client.SolveRequest) []byte {
+func frameRequest(t *testing.T, req *api.SolveRequest) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
@@ -61,7 +61,7 @@ func frameRequest(t *testing.T, req *client.SolveRequest) []byte {
 	return buf.Bytes()
 }
 
-func jsonBody(t *testing.T, req *client.SolveRequest) []byte {
+func jsonBody(t *testing.T, req *api.SolveRequest) []byte {
 	t.Helper()
 	doc, err := json.Marshal(req)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestNegotiationResponseCodec(t *testing.T) {
 				if err != nil {
 					t.Fatalf("decoding frame header: %v", err)
 				}
-				var out client.SolveResponse
+				var out api.SolveResponse
 				if err := json.Unmarshal(hdr, &out); err != nil {
 					t.Fatalf("frame header is not a SolveResponse: %v", err)
 				}
@@ -135,20 +135,20 @@ func TestNegotiationResponseCodec(t *testing.T) {
 // and produces identical results to its JSON twin.
 func TestNegotiationBinaryRequest(t *testing.T) {
 	_, ts, _ := newTestService(t, server.Config{Workers: 2, CacheBytes: -1})
-	req := &client.SolveRequest{
+	req := &api.SolveRequest{
 		Rows: 3, Cols: 3, Mask: "W,N", ReturnCells: true,
-		Workload: client.WorkloadSpec{Kind: client.KindCost, Cells: [][]int64{
+		Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: [][]int64{
 			{1, 2, 3}, {4, 5, 6}, {7, 8, 9},
 		}},
 	}
-	decode := func(hresp *http.Response) *client.SolveResponse {
+	decode := func(hresp *http.Response) *api.SolveResponse {
 		t.Helper()
 		defer hresp.Body.Close()
 		if hresp.StatusCode != http.StatusOK {
 			raw, _ := io.ReadAll(hresp.Body)
 			t.Fatalf("status %d: %s", hresp.StatusCode, raw)
 		}
-		var out client.SolveResponse
+		var out api.SolveResponse
 		if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 			t.Fatal(err)
 		}
@@ -180,7 +180,7 @@ func TestNegotiationBinaryErrors(t *testing.T) {
 		if ct := hresp.Header.Get("Content-Type"); ct != "application/json" {
 			t.Fatalf("error Content-Type %q, want application/json", ct)
 		}
-		var out client.ErrorBody
+		var out api.ErrorBody
 		if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 			t.Fatalf("error body does not decode: %v", err)
 		}
@@ -204,9 +204,9 @@ func TestNegotiationBinaryErrors(t *testing.T) {
 		checkInvalid(t, frame[:len(frame)-3])
 	})
 	t.Run("corrupt-digest", func(t *testing.T) {
-		req := &client.SolveRequest{
+		req := &api.SolveRequest{
 			Rows: 2, Cols: 2, Mask: "W",
-			Workload: client.WorkloadSpec{Kind: client.KindCost, Cells: [][]int64{{1, 2}, {3, 4}}},
+			Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: [][]int64{{1, 2}, {3, 4}}},
 		}
 		frame := frameRequest(t, req)
 		frame[len(frame)-1] ^= 0x40
@@ -215,9 +215,9 @@ func TestNegotiationBinaryErrors(t *testing.T) {
 	t.Run("cells-in-header-and-section", func(t *testing.T) {
 		// Hand-build a frame whose header keeps inline cells AND whose
 		// cell section carries a payload: ambiguous, must be rejected.
-		req := &client.SolveRequest{
+		req := &api.SolveRequest{
 			Rows: 2, Cols: 2, Mask: "W",
-			Workload: client.WorkloadSpec{Kind: client.KindCost, Cells: [][]int64{{1, 2}, {3, 4}}},
+			Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: [][]int64{{1, 2}, {3, 4}}},
 		}
 		var buf bytes.Buffer
 		enc := wire.NewEncoder(&buf)
@@ -280,7 +280,7 @@ func TestRetiredChunkFieldIsInvalid(t *testing.T) {
 				if hresp.StatusCode != http.StatusBadRequest {
 					t.Fatalf("status %d, want 400", hresp.StatusCode)
 				}
-				var out client.ErrorBody
+				var out api.ErrorBody
 				if err := json.NewDecoder(hresp.Body).Decode(&out); err != nil {
 					t.Fatalf("error body does not decode: %v", err)
 				}

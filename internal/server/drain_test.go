@@ -13,6 +13,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/testutil"
 	"repro/lddp"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -71,10 +72,10 @@ func runDrainSoak(t *testing.T, n, maxDim int, seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed + int64(k)))
 			m := masks[rng.Intn(len(masks))]
-			req := &client.SolveRequest{
+			req := &api.SolveRequest{
 				Rows: 1 + rng.Intn(maxDim), Cols: 1 + rng.Intn(maxDim),
 				Mask:     m.String(),
-				Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
+				Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: seed},
 			}
 			ctx := context.Background()
 			var cancel context.CancelFunc
@@ -127,8 +128,8 @@ func runDrainSoak(t *testing.T, n, maxDim int, seed int64) {
 		t.Errorf("outcomes %d done + %d timeout + %d rejected + %d drained != %d requests",
 			done, timedOut, rejected, drained, n)
 	}
-	if srv.ActiveRequests() != 0 {
-		t.Errorf("drained server reports %d active requests", srv.ActiveRequests())
+	if srv.ActiveRequestsForTest() != 0 {
+		t.Errorf("drained server reports %d active requests", srv.ActiveRequestsForTest())
 	}
 	t.Logf("drain soak: %d done, %d timeout, %d rejected, %d drained", done, timedOut, rejected, drained)
 
@@ -168,17 +169,17 @@ func TestDrainBoundExpires(t *testing.T) {
 	finished := make(chan error, 1)
 	go func() {
 		close(started)
-		_, err := c.Solve(context.Background(), &client.SolveRequest{
+		_, err := c.Solve(context.Background(), &api.SolveRequest{
 			Rows: 2048, Cols: 2048, Mask: "W,N", DeadlineMS: 5000,
 		})
 		finished <- err
 	}()
 	<-started
 	// Wait until the request is inside the handler.
-	for i := 0; i < 1000 && srv.ActiveRequests() == 0; i++ {
+	for i := 0; i < 1000 && srv.ActiveRequestsForTest() == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if srv.ActiveRequests() == 0 {
+	if srv.ActiveRequestsForTest() == 0 {
 		t.Fatal("request never became active")
 	}
 	// A pre-expired bound: Drain must report the failure immediately

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/lddp"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -100,7 +101,7 @@ func reportMismatch(t *testing.T, what string, seed int64, m lddp.DepMask, rows,
 // checkDifferential runs one request through the wire and demands exact
 // equality (cells and digest) against the sequential oracle of the
 // identical server-side instance.
-func checkDifferential(t *testing.T, c *client.Client, req *client.SolveRequest, seed int64, m lddp.DepMask) {
+func checkDifferential(t *testing.T, c *client.Client, req *api.SolveRequest, seed int64, m lddp.DepMask) {
 	t.Helper()
 	req.ReturnCells = true
 	resp, err := c.Solve(context.Background(), req)
@@ -140,7 +141,7 @@ func checkDifferential(t *testing.T, c *client.Client, req *client.SolveRequest,
 }
 
 // mustBuild rebuilds the server-side instance locally for the oracle.
-func mustBuild(t *testing.T, req *client.SolveRequest) *lddp.Problem[int64] {
+func mustBuild(t *testing.T, req *api.SolveRequest) *lddp.Problem[int64] {
 	t.Helper()
 	p, err := server.BuildProblem(req)
 	if err != nil {
@@ -161,10 +162,10 @@ func TestE2EDifferentialAllMasks(t *testing.T) {
 		t.Run(codec.name, func(t *testing.T) {
 			for _, m := range lddp.AllDepMasks() {
 				for _, d := range e2eShapes {
-					req := &client.SolveRequest{
+					req := &api.SolveRequest{
 						Rows: d[0], Cols: d[1],
 						Mask:     m.String(),
-						Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
+						Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: seed},
 					}
 					checkDifferential(t, codec.c, req, seed, m)
 				}
@@ -189,11 +190,11 @@ func TestE2EDifferentialAsyncStrategy(t *testing.T) {
 	const seed = int64(0xa51c)
 	for _, m := range lddp.AllDepMasks() {
 		for _, d := range [][2]int{{1, 33}, {31, 37}, {101, 3}} {
-			req := &client.SolveRequest{
+			req := &api.SolveRequest{
 				Rows: d[0], Cols: d[1],
 				Mask:     m.String(),
 				Strategy: "async",
-				Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
+				Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: seed},
 			}
 			checkDifferential(t, c, req, seed, m)
 		}
@@ -213,10 +214,10 @@ func TestE2EDifferentialSeedSweep(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		for _, m := range masks {
-			req := &client.SolveRequest{
+			req := &api.SolveRequest{
 				Rows: 29, Cols: 43,
 				Mask:     m.String(),
-				Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
+				Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: seed},
 			}
 			checkDifferential(t, c, req, seed, m)
 		}
@@ -240,9 +241,9 @@ func TestE2EDifferentialOtherKinds(t *testing.T) {
 			_, _, c := newTestService(t, server.Config{Workers: 4, CacheBytes: -1}, opts...)
 			t.Run("serve", func(t *testing.T) {
 				for _, m := range []lddp.DepMask{lddp.DepW | lddp.DepN, lddp.DepNE} {
-					req := &client.SolveRequest{
+					req := &api.SolveRequest{
 						Rows: 31, Cols: 37, Mask: m.String(),
-						Workload: client.WorkloadSpec{Kind: client.KindServe},
+						Workload: api.WorkloadSpec{Kind: api.KindServe},
 					}
 					checkDifferential(t, c, req, 0, m)
 				}
@@ -250,24 +251,24 @@ func TestE2EDifferentialOtherKinds(t *testing.T) {
 			t.Run("cost-inline", func(t *testing.T) {
 				m := lddp.DepW | lddp.DepNW | lddp.DepN
 				cells := server.GeneratedCostCells(7, 19, 23)
-				req := &client.SolveRequest{
+				req := &api.SolveRequest{
 					Rows: 19, Cols: 23, Mask: m.String(),
-					Workload: client.WorkloadSpec{Kind: client.KindCost, Cells: cells},
+					Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: cells},
 				}
 				checkDifferential(t, c, req, 7, m)
 			})
 			t.Run("cost-generated", func(t *testing.T) {
 				m := lddp.DepN | lddp.DepNE
-				req := &client.SolveRequest{
+				req := &api.SolveRequest{
 					Rows: 23, Cols: 19, Mask: m.String(),
-					Workload: client.WorkloadSpec{Kind: client.KindCost, Seed: 11},
+					Workload: api.WorkloadSpec{Kind: api.KindCost, Seed: 11},
 				}
 				checkDifferential(t, c, req, 11, m)
 			})
 			t.Run("align", func(t *testing.T) {
-				req := &client.SolveRequest{
+				req := &api.SolveRequest{
 					Rows: 40, Cols: 40,
-					Workload: client.WorkloadSpec{Kind: client.KindAlign, Seed: 3},
+					Workload: api.WorkloadSpec{Kind: api.KindAlign, Seed: 3},
 				}
 				checkDifferential(t, c, req, 3, server.AlignMask)
 			})
@@ -283,11 +284,11 @@ func TestE2ECacheReplayDifferential(t *testing.T) {
 	codecs := e2eCodecs(t, ts)
 	m := lddp.DepW | lddp.DepNW | lddp.DepNE
 	seed := int64(99)
-	var cold *client.SolveResponse
+	var cold *api.SolveResponse
 	for i, codec := range codecs {
-		req := &client.SolveRequest{
+		req := &api.SolveRequest{
 			Rows: 31, Cols: 37, Mask: m.String(), ReturnCells: true,
-			Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: seed},
+			Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: seed},
 		}
 		resp, err := codec.c.Solve(context.Background(), req)
 		if err != nil {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/promlint"
 	"repro/internal/server"
 	"repro/lddp"
-	"repro/lddp/client"
+	"repro/lddp/api"
 )
 
 // pinProblem is a small W,N recurrence whose cell (1, 0) calls hook, so a
@@ -81,7 +81,7 @@ func TestMetricsPinnedSequence(t *testing.T) {
 	}
 
 	// 5. One solve through the HTTP handler.
-	if _, err := c.Solve(ctx, &client.SolveRequest{Rows: 16, Cols: 16, Mask: "W,N"}); err != nil {
+	if _, err := c.Solve(ctx, &api.SolveRequest{Rows: 16, Cols: 16, Mask: "W,N"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -60,7 +60,7 @@ func promValue(t *testing.T, doc, name string) float64 {
 
 func TestPrometheusExposition(t *testing.T) {
 	_, ts, c := newTestService(t, server.Config{Workers: 2})
-	if _, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 16, Cols: 16, Mask: "W,N"}); err != nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 16, Cols: 16, Mask: "W,N"}); err != nil {
 		t.Fatal(err)
 	}
 	doc := scrapeProm(t, ts.URL)
@@ -124,9 +124,9 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 		go func(seed int) {
 			defer solveWG.Done()
 			for i := 0; i < solvesEach; i++ {
-				_, err := c.Solve(context.Background(), &client.SolveRequest{
+				_, err := c.Solve(context.Background(), &api.SolveRequest{
 					Rows: 64, Cols: 64, Mask: "W,N",
-					Workload: client.WorkloadSpec{Kind: client.KindMix, Seed: int64(seed*100 + i)},
+					Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: int64(seed*100 + i)},
 				})
 				if err != nil {
 					errc <- fmt.Errorf("solver %d: %w", seed, err)

@@ -282,13 +282,6 @@ func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
 // Idempotent.
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// ActiveRequests returns the number of solve requests currently being
-// served (admitted past the limiter, response not yet written).
-func (s *Server) ActiveRequests() int { return int(s.active.Load()) }
-
 // Drain flips the server into draining and waits until every in-flight
 // solve request has finished, or ctx ends — the bounded-drain step
 // between "stop accepting" and Close. It returns ctx's cause when the
@@ -458,7 +451,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if err := s.ValidateRequest(req); err != nil {
 		releaseInline()
 		code := http.StatusBadRequest
-		if int64(req.Rows)*int64(req.Cols) > s.cfg.MaxCells && req.Rows > 0 && req.Cols > 0 {
+		if req.Rows > 0 && req.Cols > 0 && tooManyCells(req.Rows, req.Cols, s.cfg.MaxCells) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		s.writeError(w, code, "invalid", 0, err.Error())

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/server"
+	"repro/lddp/api"
 	"repro/lddp/client"
 )
 
@@ -26,9 +27,9 @@ func postJSON(t *testing.T, url, body string) *http.Response {
 }
 
 // decodeErrorBody decodes the typed error payload every non-2xx carries.
-func decodeErrorBody(t *testing.T, resp *http.Response) client.ErrorBody {
+func decodeErrorBody(t *testing.T, resp *http.Response) api.ErrorBody {
 	t.Helper()
-	var body client.ErrorBody
+	var body api.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("error body is not JSON: %v", err)
 	}
@@ -39,7 +40,7 @@ func TestSolveStatusMapping(t *testing.T) {
 	srv, ts, c := newTestService(t, server.Config{Workers: 2, MaxInflight: 1})
 
 	t.Run("done", func(t *testing.T) {
-		resp, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 8, Cols: 8, Mask: "W,N"})
+		resp, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 8, Cols: 8, Mask: "W,N"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +121,7 @@ func TestSolveStatusMapping(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c2.Close()
-		_, err = c2.Solve(context.Background(), &client.SolveRequest{Rows: 4, Cols: 4})
+		_, err = c2.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 		if !errors.Is(err, client.ErrOverloaded) {
 			t.Errorf("client error = %v, want ErrOverloaded", err)
 		}
@@ -129,7 +130,7 @@ func TestSolveStatusMapping(t *testing.T) {
 	t.Run("deadline", func(t *testing.T) {
 		// 1 ms against a million-cell table cannot finish: the deadline
 		// expires queued or mid-run, either way a 408 on the wire.
-		_, err := c.Solve(context.Background(), &client.SolveRequest{
+		_, err := c.Solve(context.Background(), &api.SolveRequest{
 			Rows: 1024, Cols: 1024, Mask: "W,N", DeadlineMS: 1,
 		})
 		if !errors.Is(err, client.ErrTimeout) {
@@ -150,7 +151,7 @@ func TestHealthReadyMetricsEndpoints(t *testing.T) {
 	if err := c.Ready(context.Background()); err != nil {
 		t.Errorf("readyz before drain: %v", err)
 	}
-	if _, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 16, Cols: 16}); err != nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 16, Cols: 16}); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := c.Metrics(context.Background())
@@ -170,7 +171,7 @@ func TestHealthReadyMetricsEndpoints(t *testing.T) {
 	if err := c.Health(context.Background()); err != nil {
 		t.Errorf("healthz during drain: %v", err)
 	}
-	_, err = c.Solve(context.Background(), &client.SolveRequest{Rows: 4, Cols: 4})
+	_, err = c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, client.ErrUnavailable) {
 		t.Errorf("solve during drain = %v, want ErrUnavailable", err)
 	}
@@ -186,16 +187,16 @@ func TestSolveIDHeaderEchoed(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var out client.SolveResponse
+	var out api.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	hdr := resp.Header.Get(client.SolveIDHeader)
+	hdr := resp.Header.Get(api.SolveIDHeader)
 	if hdr == "" {
-		t.Fatalf("response missing %s header", client.SolveIDHeader)
+		t.Fatalf("response missing %s header", api.SolveIDHeader)
 	}
 	if hdr != jsonNumber(out.ID) {
-		t.Errorf("header %s = %s, body id = %d", client.SolveIDHeader, hdr, out.ID)
+		t.Errorf("header %s = %s, body id = %d", api.SolveIDHeader, hdr, out.ID)
 	}
 }
 
@@ -208,7 +209,7 @@ func jsonNumber(v int64) string {
 func TestTraceDirWiring(t *testing.T) {
 	dir := t.TempDir()
 	_, _, c := newTestService(t, server.Config{Workers: 2, TraceDir: dir})
-	resp, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 32, Cols: 32, Mask: "W,N"})
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 32, Cols: 32, Mask: "W,N"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +227,7 @@ func TestTraceDirWiring(t *testing.T) {
 func TestResponseCellCap(t *testing.T) {
 	_, _, c := newTestService(t, server.Config{Workers: 2, MaxResponseCells: 64})
 	// Under the cap: cells come back.
-	small, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 8, Cols: 8, ReturnCells: true})
+	small, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 8, Cols: 8, ReturnCells: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestResponseCellCap(t *testing.T) {
 		t.Errorf("under-cap solve returned %d rows of cells, want 8", len(small.Cells))
 	}
 	// Over the cap: digest only, no error.
-	big, err := c.Solve(context.Background(), &client.SolveRequest{Rows: 16, Cols: 16, ReturnCells: true})
+	big, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 16, Cols: 16, ReturnCells: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,10 +53,10 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 	if req.Rows <= 0 || req.Cols <= 0 {
 		return fmt.Errorf("table size %dx%d invalid: rows and cols must be positive", req.Rows, req.Cols)
 	}
-	cells := int64(req.Rows) * int64(req.Cols)
-	if cells > s.cfg.MaxCells {
+	if tooManyCells(req.Rows, req.Cols, s.cfg.MaxCells) {
 		return fmt.Errorf("table size %dx%d exceeds the per-request cap of %d cells", req.Rows, req.Cols, s.cfg.MaxCells)
 	}
+	cells := int64(req.Rows) * int64(req.Cols)
 	switch req.Strategy {
 	case "", "auto", "parallel", "async":
 	default:
@@ -79,4 +79,12 @@ func (s *Server) ValidateRequest(req *api.SolveRequest) error {
 		return fmt.Errorf("deadline_ms %d outside [0, %d]", req.DeadlineMS, MaxDeadlineMS)
 	}
 	return nil
+}
+
+// tooManyCells reports whether a table of positive sides rows and cols
+// holds more than maxCells cells. It divides rather than multiplies: the
+// int64 product of two sides past 2^31.5 wraps, and a wrapped product
+// would pass the cap.
+func tooManyCells(rows, cols int, maxCells int64) bool {
+	return int64(rows) > maxCells/int64(cols)
 }

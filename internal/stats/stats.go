@@ -1,69 +1,11 @@
-// Package stats provides the small numerical toolkit the experiment
-// analyses need: summary statistics and least-squares power-law fits for
-// scaling analysis of measured series.
+// Package stats provides the least-squares power-law fits the scaling
+// analysis (ext-scaling) applies to measured series.
 package stats
 
 import (
 	"errors"
 	"math"
-	"sort"
 )
-
-// Summary holds order statistics of a sample.
-type Summary struct {
-	N        int
-	Min, Max float64
-	Mean     float64
-	Median   float64
-	StdDev   float64
-	P25, P75 float64
-}
-
-// Summarize computes order statistics; it returns an error on an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, errors.New("stats: empty sample")
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	var sum, sumSq float64
-	for _, v := range s {
-		sum += v
-		sumSq += v * v
-	}
-	n := float64(len(s))
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return Summary{
-		N:      len(s),
-		Min:    s[0],
-		Max:    s[len(s)-1],
-		Mean:   mean,
-		Median: quantileSorted(s, 0.5),
-		StdDev: math.Sqrt(variance),
-		P25:    quantileSorted(s, 0.25),
-		P75:    quantileSorted(s, 0.75),
-	}, nil
-}
-
-// quantileSorted interpolates the q-quantile of a sorted sample.
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 1 {
-		return s[0]
-	}
-	pos := q * float64(len(s)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(s) {
-		return s[len(s)-1]
-	}
-	return s[lo]*(1-frac) + s[lo+1]*frac
-}
 
 // PowerFit is the least-squares fit of y = C * x^Alpha.
 type PowerFit struct {
@@ -123,34 +65,4 @@ func linearFit(xs, ys []float64) (slope, intercept, r2 float64) {
 	}
 	r2 = 1 - ssRes/ssTot
 	return slope, intercept, r2
-}
-
-// Speedup returns a/b elementwise; series must have equal lengths.
-func Speedup(a, b []float64) ([]float64, error) {
-	if len(a) != len(b) {
-		return nil, errors.New("stats: mismatched series lengths")
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		if b[i] == 0 {
-			return nil, errors.New("stats: division by zero")
-		}
-		out[i] = a[i] / b[i]
-	}
-	return out, nil
-}
-
-// GeoMean returns the geometric mean of a positive sample.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("stats: empty sample")
-	}
-	var sum float64
-	for _, v := range xs {
-		if v <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		sum += math.Log(v)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }

@@ -8,38 +8,6 @@ import (
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{4, 1, 3, 2, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Min != 1 || s.Max != 5 {
-		t.Errorf("N/Min/Max = %d/%v/%v", s.N, s.Min, s.Max)
-	}
-	if s.Mean != 3 || s.Median != 3 {
-		t.Errorf("Mean/Median = %v/%v", s.Mean, s.Median)
-	}
-	if !approx(s.StdDev, math.Sqrt(2), 1e-12) {
-		t.Errorf("StdDev = %v, want sqrt(2)", s.StdDev)
-	}
-	if s.P25 != 2 || s.P75 != 4 {
-		t.Errorf("quartiles = %v/%v", s.P25, s.P75)
-	}
-}
-
-func TestSummarizeSingleton(t *testing.T) {
-	s, err := Summarize([]float64{7})
-	if err != nil || s.Median != 7 || s.P25 != 7 || s.StdDev != 0 {
-		t.Errorf("singleton summary = %+v, %v", s, err)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if _, err := Summarize(nil); err == nil {
-		t.Error("expected error")
-	}
-}
-
 func TestFitPowerExact(t *testing.T) {
 	// y = 3 x^2 exactly.
 	xs := []float64{1, 2, 4, 8, 16}
@@ -104,32 +72,6 @@ func TestFitPowerRecoveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSpeedup(t *testing.T) {
-	s, err := Speedup([]float64{4, 9}, []float64{2, 3})
-	if err != nil || s[0] != 2 || s[1] != 3 {
-		t.Errorf("speedup = %v, %v", s, err)
-	}
-	if _, err := Speedup([]float64{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch should error")
-	}
-	if _, err := Speedup([]float64{1}, []float64{0}); err == nil {
-		t.Error("zero divisor should error")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || !approx(g, 4, 1e-12) {
-		t.Errorf("geomean = %v, %v", g, err)
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty should error")
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative should error")
 	}
 }
 

@@ -9,7 +9,10 @@
 // values are filled by the host's tile engine, which reads them row-major.
 package table
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Grid is a dense rows x cols table of T stored row-major: cell (i, j)
 // lives at index i*cols+j of one flat slice.
@@ -55,61 +58,8 @@ func (g *Grid[T]) InBounds(i, j int) bool {
 	return i >= 0 && i < g.rows && j >= 0 && j < g.cols
 }
 
-// Fill sets every cell to f(i, j). A nil f zeroes the grid.
-func (g *Grid[T]) Fill(f func(i, j int) T) {
-	if f == nil {
-		clear(g.data)
-		return
-	}
-	for i := 0; i < g.rows; i++ {
-		for j := 0; j < g.cols; j++ {
-			g.Set(i, j, f(i, j))
-		}
-	}
-}
-
-// Clone returns a deep copy.
-func (g *Grid[T]) Clone() *Grid[T] {
-	c := &Grid[T]{rows: g.rows, cols: g.cols, data: make([]T, len(g.data))}
-	copy(c.data, g.data)
-	return c
-}
-
-// Row returns a freshly allocated copy of row i in column order.
-func (g *Grid[T]) Row(i int) []T {
-	out := make([]T, g.cols)
-	for j := 0; j < g.cols; j++ {
-		out[j] = g.At(i, j)
-	}
-	return out
-}
-
-// Col returns a freshly allocated copy of column j in row order.
-func (g *Grid[T]) Col(j int) []T {
-	out := make([]T, g.rows)
-	for i := 0; i < g.rows; i++ {
-		out[i] = g.At(i, j)
-	}
-	return out
-}
-
-// Equal reports whether two grids have identical dimensions and cell
-// values under eq.
-func Equal[T any](a, b *Grid[T], eq func(x, y T) bool) bool {
-	if a.rows != b.rows || a.cols != b.cols {
-		return false
-	}
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			if !eq(a.At(i, j), b.At(i, j)) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// EqualComparable is Equal specialized for comparable cell types.
+// EqualComparable reports whether two grids have identical dimensions and
+// cell values.
 func EqualComparable[T comparable](a, b *Grid[T]) bool {
-	return Equal(a, b, func(x, y T) bool { return x == y })
+	return a.rows == b.rows && a.cols == b.cols && slices.Equal(a.data, b.data)
 }

@@ -18,15 +18,6 @@ func NewGrid3[T any](nx, ny, nz int) *Grid3[T] {
 	return &Grid3[T]{nx: nx, ny: ny, nz: nz, data: make([]T, nx*ny*nz)}
 }
 
-// NX returns the first dimension.
-func (g *Grid3[T]) NX() int { return g.nx }
-
-// NY returns the second dimension.
-func (g *Grid3[T]) NY() int { return g.ny }
-
-// NZ returns the third dimension.
-func (g *Grid3[T]) NZ() int { return g.nz }
-
 // Len returns the total cell count.
 func (g *Grid3[T]) Len() int { return g.nx * g.ny * g.nz }
 

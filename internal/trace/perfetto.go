@@ -15,8 +15,7 @@ import (
 // the original []Event without the microsecond rounding of the ts/dur
 // display fields.
 
-// spanEvent is one trace-event record of the recorder export (distinct
-// from chrome.go's chromeEvent, which renders hetsim timelines).
+// spanEvent is one trace-event record of the recorder export.
 type spanEvent struct {
 	Name string          `json:"name"`
 	Cat  string          `json:"cat,omitempty"`

@@ -158,10 +158,6 @@ func (r *Recorder) SetFleetTag(fleetID string, band, phase int) {
 	r.fleetID, r.band, r.phase = fleetID, band, phase
 }
 
-// Epoch returns the recorder's construction time — the zero point of
-// every event timestamp.
-func (r *Recorder) Epoch() time.Time { return r.epoch }
-
 // Lane returns worker w's lane, creating lanes as needed. Callers fetch
 // their lane once per solve, not per event.
 func (r *Recorder) Lane(w int) *Lane {
@@ -254,12 +250,8 @@ func (l *Lane) SpanFrom(k Kind, front int, a, b int64, t0 time.Time) {
 	})
 }
 
-// Span records a span from a timestamp previously taken with Clock.
-func (l *Lane) Span(k Kind, front int, a, b, startNS int64) {
-	l.put(Event{TS: startNS, Dur: l.now() - startNS, A: a, B: b, Front: int32(front), Kind: k})
-}
-
-// SpanLabel is Span carrying a (static) label.
+// SpanLabel records a span from a timestamp previously taken with Clock,
+// carrying a (static) label.
 func (l *Lane) SpanLabel(k Kind, label string, front int, a, b, startNS int64) {
 	l.put(Event{TS: startNS, Dur: l.now() - startNS, A: a, B: b, Front: int32(front), Kind: k, Label: label})
 }

@@ -1,12 +1,17 @@
-// Package trace renders hetsim timelines for humans and tools: ASCII Gantt
-// charts for quick inspection, CSV for plotting, and compact stat lines for
-// experiment tables.
+// Package trace records and renders what a solve did. The Recorder
+// captures a native solve's events in per-worker ring buffers;
+// Recorder.ImportTimeline brings a simulated hetsim schedule into the same
+// event form. WriteChrome exports either as Chrome/Perfetto JSON,
+// ReadChrome reads it back, WriteFleetChrome stitches the traces of a
+// fleet solve into one document, and Analyze and AnalyzeFleet fold the
+// events into utilization, hand-off and critical-path reports. For
+// simulated timelines the package also draws ASCII and HTML Gantt charts,
+// writes CSV and one-line stats, and attributes the critical path.
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -85,23 +90,6 @@ func StatsLine(t hetsim.Timeline) string {
 		s.CPUCells, s.GPUCells, s.Transfers, s.BytesMoved)
 }
 
-// BusiestOps returns the n ops with the longest durations, for hotspot
-// inspection.
-func BusiestOps(t hetsim.Timeline, n int) []hetsim.OpRecord {
-	recs := make([]hetsim.OpRecord, len(t.Records))
-	copy(recs, t.Records)
-	sort.Slice(recs, func(i, j int) bool {
-		if d1, d2 := recs[i].Duration(), recs[j].Duration(); d1 != d2 {
-			return d1 > d2
-		}
-		return recs[i].ID < recs[j].ID
-	})
-	if n > len(recs) {
-		n = len(recs)
-	}
-	return recs[:n]
-}
-
 // formatDuration renders a duration with 3 significant decimals at a
 // human-appropriate unit, stable across magnitudes (unlike
 // Duration.String, which switches formats).
@@ -120,29 +108,6 @@ func formatDuration(d time.Duration) string {
 
 // FormatDuration exposes the stable rendering for experiment tables.
 func FormatDuration(d time.Duration) string { return formatDuration(d) }
-
-// PhaseBreakdown aggregates op durations by the phase encoded in their
-// labels (the text between the first and second ':', e.g. "cpu:p2:t=9" ->
-// "p2"; label without a second ':' uses everything after the first).
-// Transfer ops group under their direction prefix ("h2d", "d2h").
-func PhaseBreakdown(t hetsim.Timeline) map[string]time.Duration {
-	out := map[string]time.Duration{}
-	for _, r := range t.Records {
-		key := r.Label
-		if i := strings.IndexByte(key, ':'); i >= 0 {
-			rest := key[i+1:]
-			if r.Kind == hetsim.OpTransfer {
-				key = key[:i]
-			} else if j := strings.IndexByte(rest, ':'); j >= 0 {
-				key = rest[:j]
-			} else {
-				key = rest
-			}
-		}
-		out[key] += r.Duration()
-	}
-	return out
-}
 
 // AttributeCriticalPath decomposes a critical path (hetsim.Sim.CriticalPath)
 // into the overhead and work classes that compose the makespan:

@@ -72,23 +72,6 @@ func TestStatsLine(t *testing.T) {
 	}
 }
 
-func TestBusiestOps(t *testing.T) {
-	top := BusiestOps(sampleTimeline(), 2)
-	if len(top) != 2 {
-		t.Fatalf("got %d ops", len(top))
-	}
-	if top[0].Label != "gpu:p2" {
-		t.Errorf("busiest = %q, want gpu:p2", top[0].Label)
-	}
-	if top[0].Duration() < top[1].Duration() {
-		t.Error("not sorted by duration")
-	}
-	all := BusiestOps(sampleTimeline(), 99)
-	if len(all) != 3 {
-		t.Errorf("over-request returned %d", len(all))
-	}
-}
-
 func TestFormatDuration(t *testing.T) {
 	cases := []struct {
 		d    time.Duration
@@ -103,19 +86,6 @@ func TestFormatDuration(t *testing.T) {
 		if got := FormatDuration(c.d); got != c.want {
 			t.Errorf("FormatDuration(%v) = %q, want %q", c.d, got, c.want)
 		}
-	}
-}
-
-func TestPhaseBreakdown(t *testing.T) {
-	s := hetsim.NewSim(hetsim.HeteroHigh())
-	s.Submit(hetsim.Op{Resource: hetsim.ResCPU, Kind: hetsim.OpCompute, Duration: 10, Label: "cpu:p1:t=0"})
-	s.Submit(hetsim.Op{Resource: hetsim.ResCPU, Kind: hetsim.OpCompute, Duration: 20, Label: "cpu:p1:t=1"})
-	s.Submit(hetsim.Op{Resource: hetsim.ResGPU, Kind: hetsim.OpCompute, Duration: 30, Label: "gpu:p2:t=2"})
-	s.Submit(hetsim.Op{Resource: hetsim.ResCopyH2D, Kind: hetsim.OpTransfer, Duration: 5, Label: "h2d:boundary"})
-	s.Submit(hetsim.Op{Resource: hetsim.ResCPU, Kind: hetsim.OpCompute, Duration: 7, Label: "plain"})
-	b := PhaseBreakdown(s.Timeline())
-	if b["p1"] != 30 || b["p2"] != 30 || b["h2d"] != 5 || b["plain"] != 7 {
-		t.Errorf("breakdown = %v", b)
 	}
 }
 

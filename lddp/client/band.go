@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/wire"
+	"repro/lddp/api"
 )
 
 // SolveBand submits one band solve (POST /v1/band/solve) and returns
@@ -19,7 +20,7 @@ import (
 // typed error immediately. The fleet coordinator layers node relocation
 // on top of this — a SolveBand that exhausts its retry budget against
 // one node is the signal to try the next.
-func (c *Client) SolveBand(ctx context.Context, req *BandRequest) (*BandResponse, error) {
+func (c *Client) SolveBand(ctx context.Context, req *api.BandRequest) (*api.BandResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("lddp client: nil band request")
 	}
@@ -64,7 +65,7 @@ func (c *Client) SolveBand(ctx context.Context, req *BandRequest) (*BandResponse
 // encodeBandRequest renders req under the client's codec into a pooled
 // buffer. The binary frame's header is the request document minus the
 // halo arrays, which travel as tagged halo sections.
-func (c *Client) encodeBandRequest(req *BandRequest) (*bytes.Buffer, error) {
+func (c *Client) encodeBandRequest(req *api.BandRequest) (*bytes.Buffer, error) {
 	buf := encodeBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if c.codec != CodecBinary {
@@ -109,7 +110,7 @@ func (c *Client) encodeBandRequest(req *BandRequest) (*bytes.Buffer, error) {
 
 // trySolveBand performs one POST /v1/band/solve round trip of req,
 // encoded in body, refusing a response for any other block.
-func (c *Client) trySolveBand(ctx context.Context, req *BandRequest, body *pooledBody) (*BandResponse, error) {
+func (c *Client) trySolveBand(ctx context.Context, req *api.BandRequest, body *pooledBody) (*api.BandResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/band/solve", nil)
 	if err != nil {
 		return nil, err
@@ -130,7 +131,7 @@ func (c *Client) trySolveBand(ctx context.Context, req *BandRequest, body *poole
 	if responseIsBinary(hresp) {
 		return decodeBinaryBandResponse(hresp, req)
 	}
-	var out BandResponse
+	var out api.BandResponse
 	if err := json.NewDecoder(io.LimitReader(hresp.Body, 64<<20)).Decode(&out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band response: %w", err)
 	}
@@ -150,7 +151,7 @@ func (c *Client) trySolveBand(ctx context.Context, req *BandRequest, body *poole
 }
 
 // checkBlock refuses a band response for any block but the requested one.
-func checkBlock(out *BandResponse, req *BandRequest) error {
+func checkBlock(out *api.BandResponse, req *api.BandRequest) error {
 	if out.Row0 != req.Row0 || out.Row1 != req.Row1 || out.Col0 != req.Col0 || out.Col1 != req.Col1 {
 		return fmt.Errorf("%w: band response for rows [%d,%d) x cols [%d,%d), requested rows [%d,%d) x cols [%d,%d)",
 			ErrMismatch, out.Row0, out.Row1, out.Col0, out.Col1, req.Row0, req.Row1, req.Col0, req.Col1)
@@ -163,7 +164,7 @@ func checkBlock(out *BandResponse, req *BandRequest) error {
 // carries the solved block, row-major. The block lands in one buffer
 // sized from the request's own block extent, which the client can trust
 // unlike the response header.
-func decodeBinaryBandResponse(hresp *http.Response, req *BandRequest) (*BandResponse, error) {
+func decodeBinaryBandResponse(hresp *http.Response, req *api.BandRequest) (*api.BandResponse, error) {
 	d := wire.NewDecoder(io.LimitReader(hresp.Body, 64<<20))
 	defer d.Release()
 	hdr, err := d.Header()
@@ -173,7 +174,7 @@ func decodeBinaryBandResponse(hresp *http.Response, req *BandRequest) (*BandResp
 		}
 		return nil, fmt.Errorf("lddp client: decoding band frame: %w", err)
 	}
-	var out BandResponse
+	var out api.BandResponse
 	if err := json.Unmarshal(hdr, &out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding band frame header: %w", err)
 	}

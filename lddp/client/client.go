@@ -1,3 +1,10 @@
+// Package client is the Go client of the lddpd network solve service
+// (cmd/lddpd): POST /v1/solve and the band-solve peer protocol, context
+// support, and retry with exponential backoff + jitter that honors the
+// server's Retry-After pushback. The wire protocol is documented in
+// DESIGN.md §10–§12; the request and response documents live in
+// repro/lddp/api, the neutral contract package this package and
+// internal/server both depend on.
 package client
 
 import (
@@ -16,6 +23,7 @@ import (
 
 	"repro/internal/trace"
 	"repro/lddp"
+	"repro/lddp/api"
 )
 
 // Sentinel errors matching the server's status mapping; match them with
@@ -194,7 +202,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 // are decoded by their Content-Type, so a JSON answer from a
 // binary-negotiating exchange still decodes. A binary response frame in
 // a version this client does not speak fails with ErrWireVersion.
-func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+func (c *Client) Solve(ctx context.Context, req *api.SolveRequest) (*api.SolveResponse, error) {
 	if req == nil {
 		return nil, fmt.Errorf("lddp client: nil request")
 	}
@@ -246,7 +254,7 @@ func (c *Client) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, 
 
 // trySolve performs one POST /v1/solve round trip of req, encoded in
 // body.
-func (c *Client) trySolve(ctx context.Context, req *SolveRequest, body *pooledBody) (*SolveResponse, error) {
+func (c *Client) trySolve(ctx context.Context, req *api.SolveRequest, body *pooledBody) (*api.SolveResponse, error) {
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/solve", nil)
 	if err != nil {
 		return nil, err
@@ -274,7 +282,7 @@ func (c *Client) trySolve(ctx context.Context, req *SolveRequest, body *pooledBo
 	if responseIsBinary(hresp) {
 		return decodeBinaryResponse(hresp, req)
 	}
-	var out SolveResponse
+	var out api.SolveResponse
 	if err := json.NewDecoder(io.LimitReader(hresp.Body, 64<<20)).Decode(&out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding response: %w", err)
 	}
@@ -286,7 +294,7 @@ func (c *Client) trySolve(ctx context.Context, req *SolveRequest, body *pooledBo
 func decodeError(hresp *http.Response) *APIError {
 	apiErr := &APIError{HTTPStatus: hresp.StatusCode, Status: "error"}
 	raw, _ := io.ReadAll(io.LimitReader(hresp.Body, 1<<20))
-	var body ErrorBody
+	var body api.ErrorBody
 	if json.Unmarshal(raw, &body) == nil && body.Error != "" {
 		apiErr.Status = body.Status
 		apiErr.Message = body.Error

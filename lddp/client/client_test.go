@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/lddp/api"
 )
 
 // scriptedServer answers /v1/solve from a fixed status script, then 200s.
@@ -31,7 +33,7 @@ func newScriptedServer(t *testing.T, script ...scriptedStep) *scriptedServer {
 		n := int(s.hits.Add(1)) - 1
 		if n >= len(s.script) {
 			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(SolveResponse{ID: int64(n + 1), Status: "done", Digest: "feed"})
+			json.NewEncoder(w).Encode(api.SolveResponse{ID: int64(n + 1), Status: "done", Digest: "feed"})
 			return
 		}
 		step := s.script[n]
@@ -40,7 +42,7 @@ func newScriptedServer(t *testing.T, script ...scriptedStep) *scriptedServer {
 		}
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(step.status)
-		body := ErrorBody{Status: "scripted", Error: "scripted failure"}
+		body := api.ErrorBody{Status: "scripted", Error: "scripted failure"}
 		if step.retryAfterMS > 0 && !step.headerOnly {
 			body.RetryAfterMS = step.retryAfterMS
 		}
@@ -75,7 +77,7 @@ func TestSolveRetriesUntilSuccess(t *testing.T) {
 	)
 	var slept []time.Duration
 	c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 4, BaseDelay: 80 * time.Millisecond, MaxDelay: time.Second}, &slept)
-	resp, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +102,7 @@ func TestSolveRetryAfterHeaderFallback(t *testing.T) {
 	srv := newScriptedServer(t, scriptedStep{status: 429, retryAfterMS: 1000, headerOnly: true})
 	var slept []time.Duration
 	c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 2, BaseDelay: 10 * time.Millisecond}, &slept)
-	if _, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4}); err != nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if len(slept) != 1 || slept[0] != time.Second {
@@ -119,7 +121,7 @@ func TestSolveBudgetExhaustionReturnsLastTypedError(t *testing.T) {
 	)
 	var slept []time.Duration
 	c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 3, BaseDelay: 10 * time.Millisecond}, &slept)
-	_, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	_, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("error = %v, want ErrOverloaded", err)
 	}
@@ -146,7 +148,7 @@ func TestSolveNonRetryableReturnsImmediately(t *testing.T) {
 	)
 	var slept []time.Duration
 	c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 4, BaseDelay: 10 * time.Millisecond}, &slept)
-	_, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	_, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("error = %v, want ErrInvalid", err)
 	}
@@ -165,7 +167,7 @@ func TestSolveTimeoutNotRetried(t *testing.T) {
 		srv := newScriptedServer(t, scriptedStep{status: status})
 		var slept []time.Duration
 		c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 4}, &slept)
-		_, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+		_, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 		if !errors.Is(err, ErrTimeout) {
 			t.Errorf("status %d: error = %v, want ErrTimeout", status, err)
 		}
@@ -189,7 +191,7 @@ func TestSolveCancelDuringBackoff(t *testing.T) {
 		cancel() // the caller gives up mid-backoff
 		return context.Cause(ctx)
 	}
-	_, err := c.Solve(ctx, &SolveRequest{Rows: 4, Cols: 4})
+	_, err := c.Solve(ctx, &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
 	}

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/wire"
+	"repro/lddp/api"
 )
 
 // Codec selects the solve-request wire encoding.
@@ -64,7 +65,7 @@ var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // encodeRequest renders req under the client's codec into a pooled
 // buffer; the caller must hand the buffer back via putEncodeBuf once no
 // retry can re-read it.
-func (c *Client) encodeRequest(req *SolveRequest) (*bytes.Buffer, error) {
+func (c *Client) encodeRequest(req *api.SolveRequest) (*bytes.Buffer, error) {
 	buf := encodeBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	if c.codec != CodecBinary {
@@ -198,7 +199,7 @@ func responseIsBinary(hresp *http.Response) bool {
 // total client memory even against a server that streams garbage
 // framing. The cells land in one buffer sized from the request's own
 // rows x cols, allocated only if the frame carries cells.
-func decodeBinaryResponse(hresp *http.Response, req *SolveRequest) (*SolveResponse, error) {
+func decodeBinaryResponse(hresp *http.Response, req *api.SolveRequest) (*api.SolveResponse, error) {
 	d := wire.NewDecoder(io.LimitReader(hresp.Body, 64<<20))
 	defer d.Release()
 	hdr, err := d.Header()
@@ -208,7 +209,7 @@ func decodeBinaryResponse(hresp *http.Response, req *SolveRequest) (*SolveRespon
 		}
 		return nil, fmt.Errorf("lddp client: decoding response frame: %w", err)
 	}
-	var out SolveResponse
+	var out api.SolveResponse
 	if err := json.Unmarshal(hdr, &out); err != nil {
 		return nil, fmt.Errorf("lddp client: decoding response header: %w", err)
 	}

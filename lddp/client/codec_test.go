@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/wire"
+	"repro/lddp/api"
 )
 
 // TestEncodeRequestJSONDefault: the default codec sends a JSON document
@@ -26,7 +27,7 @@ func TestEncodeRequestJSONDefault(t *testing.T) {
 		buf.ReadFrom(r.Body)
 		gotBody = buf.Bytes()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(SolveResponse{ID: 1, Status: "done", Digest: "feed"})
+		json.NewEncoder(w).Encode(api.SolveResponse{ID: 1, Status: "done", Digest: "feed"})
 	}))
 	defer ts.Close()
 	c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 1}))
@@ -34,13 +35,13 @@ func TestEncodeRequestJSONDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4}); err != nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if gotCT != "application/json" || gotAccept != "application/json" {
 		t.Errorf("headers Content-Type=%q Accept=%q, want application/json for both", gotCT, gotAccept)
 	}
-	var req SolveRequest
+	var req api.SolveRequest
 	if err := json.Unmarshal(gotBody, &req); err != nil || req.Rows != 4 {
 		t.Errorf("body is not the JSON request: %v (%q)", err, gotBody)
 	}
@@ -53,7 +54,7 @@ func TestWithCacheControlHeader(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		got = r.Header.Get("Cache-Control")
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(SolveResponse{ID: 1, Status: "done", Digest: "feed"})
+		json.NewEncoder(w).Encode(api.SolveResponse{ID: 1, Status: "done", Digest: "feed"})
 	}))
 	defer ts.Close()
 	c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 1}), WithCacheControl("no-store"))
@@ -61,7 +62,7 @@ func TestWithCacheControlHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4}); err != nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got != "no-store" {
@@ -88,7 +89,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			t.Errorf("decoding request frame: %v", err)
 			return
 		}
-		var req SolveRequest
+		var req api.SolveRequest
 		if err := json.Unmarshal(hdr, &req); err != nil {
 			t.Errorf("request header: %v", err)
 			return
@@ -117,7 +118,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 
 		w.Header().Set("Content-Type", wire.MediaType)
 		enc := wire.NewEncoder(w)
-		enc.Header(SolveResponse{ID: 7, Status: "done", Rows: 2, Cols: 3, Digest: "feed"})
+		enc.Header(api.SolveResponse{ID: 7, Status: "done", Rows: 2, Cols: 3, Digest: "feed"})
 		enc.Cells(result)
 		if err := enc.Close(); err != nil {
 			t.Errorf("encoding response: %v", err)
@@ -130,9 +131,9 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Solve(context.Background(), &SolveRequest{
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{
 		Rows: 2, Cols: 3, ReturnCells: true,
-		Workload: WorkloadSpec{Kind: KindCost, Cells: inline},
+		Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: inline},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +162,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 func TestBinaryCodecJSONResponseFallback(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(SolveResponse{ID: 3, Status: "done", Digest: "beef"})
+		json.NewEncoder(w).Encode(api.SolveResponse{ID: 3, Status: "done", Digest: "beef"})
 	}))
 	defer ts.Close()
 	c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 1}), WithCodec(CodecBinary))
@@ -169,7 +170,7 @@ func TestBinaryCodecJSONResponseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	resp, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,7 @@ func TestBinaryCodecErrorBodyStaysTyped(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusBadRequest)
-		json.NewEncoder(w).Encode(ErrorBody{Status: "invalid", Error: "bad mask"})
+		json.NewEncoder(w).Encode(api.ErrorBody{Status: "invalid", Error: "bad mask"})
 	}))
 	defer ts.Close()
 	c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 3}), WithCodec(CodecBinary))
@@ -192,7 +193,7 @@ func TestBinaryCodecErrorBodyStaysTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	_, err = c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, ErrInvalid) {
 		t.Fatalf("err = %v, want ErrInvalid", err)
 	}
@@ -214,7 +215,7 @@ func TestWireVersionMismatchNotRetried(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	_, err = c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, ErrWireVersion) {
 		t.Fatalf("err = %v, want ErrWireVersion", err)
 	}
@@ -229,7 +230,7 @@ func TestBinaryCodecShapeMismatchRejected(t *testing.T) {
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", wire.MediaType)
 		enc := wire.NewEncoder(w)
-		enc.Header(SolveResponse{ID: 1, Status: "done", Rows: 2, Cols: 3, Digest: "feed"})
+		enc.Header(api.SolveResponse{ID: 1, Status: "done", Rows: 2, Cols: 3, Digest: "feed"})
 		enc.Cells([]int64{1, 2, 3, 4}) // 4 cells for a 2x3 table
 		enc.Close()
 	}))
@@ -239,7 +240,7 @@ func TestBinaryCodecShapeMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Solve(context.Background(), &SolveRequest{Rows: 2, Cols: 3, ReturnCells: true}); err == nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 2, Cols: 3, ReturnCells: true}); err == nil {
 		t.Fatal("shape-mismatched frame decoded without error")
 	}
 }
@@ -255,10 +256,10 @@ func TestEncodeRequestReusableAcrossRetries(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		if len(bodies) == 1 {
 			w.WriteHeader(http.StatusTooManyRequests)
-			json.NewEncoder(w).Encode(ErrorBody{Status: "rejected", Error: "busy", RetryAfterMS: 1})
+			json.NewEncoder(w).Encode(api.ErrorBody{Status: "rejected", Error: "busy", RetryAfterMS: 1})
 			return
 		}
-		json.NewEncoder(w).Encode(SolveResponse{ID: 2, Status: "done", Digest: "feed"})
+		json.NewEncoder(w).Encode(api.SolveResponse{ID: 2, Status: "done", Digest: "feed"})
 	}))
 	defer ts.Close()
 	c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 2}), WithCodec(CodecBinary))
@@ -267,9 +268,9 @@ func TestEncodeRequestReusableAcrossRetries(t *testing.T) {
 	}
 	defer c.Close()
 	c.sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
-	resp, err := c.Solve(context.Background(), &SolveRequest{
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{
 		Rows: 2, Cols: 2,
-		Workload: WorkloadSpec{Kind: KindCost, Cells: [][]int64{{1, 2}, {3, 4}}},
+		Workload: api.WorkloadSpec{Kind: api.KindCost, Cells: [][]int64{{1, 2}, {3, 4}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +338,7 @@ func TestSolveBodyContentLength(t *testing.T) {
 		buf.ReadFrom(r.Body)
 		gotBody = buf.Len()
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(SolveResponse{ID: 1, Status: "done", Digest: "feed"})
+		json.NewEncoder(w).Encode(api.SolveResponse{ID: 1, Status: "done", Digest: "feed"})
 	}))
 	defer ts.Close()
 	c, err := New(ts.URL, WithRetry(RetryPolicy{MaxAttempts: 1}))
@@ -345,7 +346,7 @@ func TestSolveBodyContentLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if _, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4}); err != nil {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if gotLen <= 0 || int64(gotBody) != gotLen {

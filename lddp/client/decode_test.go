@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/wire"
+	"repro/lddp/api"
 )
 
 // fakeResponse is what a fake node answers to one request: a header
@@ -59,7 +60,7 @@ func seq(n int) []int64 {
 // ErrMismatch, refused after one attempt; a frame carrying more or fewer
 // cells than the request's rows x cols is a decode error.
 func TestSolveDecodeChecksRequest(t *testing.T) {
-	req := &SolveRequest{Rows: 3, Cols: 4, ReturnCells: true}
+	req := &api.SolveRequest{Rows: 3, Cols: 4, ReturnCells: true}
 	cases := []struct {
 		name     string
 		resp     fakeResponse
@@ -67,13 +68,13 @@ func TestSolveDecodeChecksRequest(t *testing.T) {
 		fail     bool
 		cells    int
 	}{
-		{name: "cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(12)}, cells: 12},
-		{name: "no cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}}},
-		{name: "rows differ", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 4, Cols: 4}, cells: seq(16)}, mismatch: true},
-		{name: "cols differ", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 3}}, mismatch: true},
-		{name: "transposed", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 4, Cols: 3}, cells: seq(12)}, mismatch: true},
-		{name: "too many cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(13)}, fail: true},
-		{name: "too few cells", resp: fakeResponse{header: SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(11)}, fail: true},
+		{name: "cells", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(12)}, cells: 12},
+		{name: "no cells", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 3, Cols: 4}}},
+		{name: "rows differ", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 4, Cols: 4}, cells: seq(16)}, mismatch: true},
+		{name: "cols differ", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 3, Cols: 3}}, mismatch: true},
+		{name: "transposed", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 4, Cols: 3}, cells: seq(12)}, mismatch: true},
+		{name: "too many cells", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(13)}, fail: true},
+		{name: "too few cells", resp: fakeResponse{header: api.SolveResponse{Status: "done", Rows: 3, Cols: 4}, cells: seq(11)}, fail: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -122,9 +123,9 @@ func TestSolveDecodeChecksRequest(t *testing.T) {
 // otherwise accept — is an ErrMismatch on both codecs, refused after one
 // attempt; one whose cells do not fill the block is a decode error.
 func TestSolveBandDecodeChecksBlock(t *testing.T) {
-	req := &BandRequest{Rows: 16, Cols: 16, Row0: 4, Row1: 8, Col0: 2, Col1: 5, Workload: WorkloadSpec{Kind: KindMix}}
-	block := func(r0, r1, c0, c1 int) BandResponse {
-		return BandResponse{Status: "done", Row0: r0, Row1: r1, Col0: c0, Col1: c1}
+	req := &api.BandRequest{Rows: 16, Cols: 16, Row0: 4, Row1: 8, Col0: 2, Col1: 5, Workload: api.WorkloadSpec{Kind: api.KindMix}}
+	block := func(r0, r1, c0, c1 int) api.BandResponse {
+		return api.BandResponse{Status: "done", Row0: r0, Row1: r1, Col0: c0, Col1: c1}
 	}
 	cases := []struct {
 		name     string
@@ -133,16 +134,16 @@ func TestSolveBandDecodeChecksBlock(t *testing.T) {
 		fail     bool
 	}{
 		{name: "binary", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(12)}},
-		{name: "json", resp: fakeResponse{header: BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
+		{name: "json", resp: fakeResponse{header: api.BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
 			Cells: [][]int64{{1, 4, 7}, {10, 13, 16}, {19, 22, 25}, {28, 31, 34}}}, json: true}},
 		{name: "binary shifted rows", resp: fakeResponse{header: block(5, 9, 2, 5), cells: seq(12)}, mismatch: true},
 		{name: "binary shifted cols", resp: fakeResponse{header: block(4, 8, 3, 6), cells: seq(12)}, mismatch: true},
 		{name: "binary row1 differs", resp: fakeResponse{header: block(4, 9, 2, 5), cells: seq(15)}, mismatch: true},
 		{name: "json row0 differs", resp: fakeResponse{header: block(0, 8, 2, 5), json: true}, mismatch: true},
 		{name: "json col1 differs", resp: fakeResponse{header: block(4, 8, 2, 6), json: true}, mismatch: true},
-		{name: "json missing row", resp: fakeResponse{header: BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
+		{name: "json missing row", resp: fakeResponse{header: api.BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
 			Cells: [][]int64{{1, 4, 7}, {10, 13, 16}, {19, 22, 25}}}, json: true}, fail: true},
-		{name: "json short row", resp: fakeResponse{header: BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
+		{name: "json short row", resp: fakeResponse{header: api.BandResponse{Status: "done", Row0: 4, Row1: 8, Col0: 2, Col1: 5,
 			Cells: [][]int64{{1, 4, 7}, {10, 13}, {19, 22, 25}, {28, 31, 34}}}, json: true}, fail: true},
 		{name: "binary too many cells", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(13)}, fail: true},
 		{name: "binary too few cells", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(11)}, fail: true},
@@ -182,11 +183,11 @@ func TestSolveBandDecodeChecksBlock(t *testing.T) {
 }
 
 // bandFrame encodes the binary band response of req's block.
-func bandFrame(tb testing.TB, req *BandRequest) []byte {
+func bandFrame(tb testing.TB, req *api.BandRequest) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
-	if err := enc.Header(BandResponse{ID: 1, Status: "done", Row0: req.Row0, Row1: req.Row1,
+	if err := enc.Header(api.BandResponse{ID: 1, Status: "done", Row0: req.Row0, Row1: req.Row1,
 		Col0: req.Col0, Col1: req.Col1, Mask: "{W,N}", Digest: "0123456789abcdef"}); err != nil {
 		tb.Fatal(err)
 	}
@@ -204,7 +205,7 @@ func bandFrame(tb testing.TB, req *BandRequest) []byte {
 // make bench-wire gates its allocs/op: the block lands in one buffer
 // sized from the request, so the count does not grow with the block.
 func BenchmarkBandResponseDecode512x256(b *testing.B) {
-	req := &BandRequest{Rows: 1024, Cols: 1024, Row0: 512, Row1: 1024, Col0: 256, Col1: 512}
+	req := &api.BandRequest{Rows: 1024, Cols: 1024, Row0: 512, Row1: 1024, Col0: 256, Col1: 512}
 	frame := bandFrame(b, req)
 	body := bytes.NewReader(frame)
 	hresp := &http.Response{Body: io.NopCloser(body)}

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/lddp/api"
 )
 
 // A sustained 429 storm: every attempt in the budget is pushed back
@@ -31,7 +33,7 @@ func TestRetryAfterStormHonoredVerbatim(t *testing.T) {
 	var slept []time.Duration
 	c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 4, BaseDelay: 80 * time.Millisecond, MaxDelay: time.Second}, &slept)
 
-	_, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	_, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("storm outcome = %v, want ErrOverloaded", err)
 	}
@@ -68,7 +70,7 @@ func TestRetryAfterStormClears(t *testing.T) {
 	)
 	var slept []time.Duration
 	c := newTestClient(t, srv.ts.URL, RetryPolicy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond}, &slept)
-	resp, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4})
+	resp, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4})
 	if err != nil {
 		t.Fatalf("storm that clears within budget must succeed, got %v", err)
 	}
@@ -98,7 +100,7 @@ func (tr *storm429Transport) RoundTrip(req *http.Request) (*http.Response, error
 		io.Copy(io.Discard, req.Body)
 		req.Body.Close()
 	}
-	body, _ := json.Marshal(ErrorBody{Status: "rejected", Error: "storm", RetryAfterMS: 6})
+	body, _ := json.Marshal(api.ErrorBody{Status: "rejected", Error: "storm", RetryAfterMS: 6})
 	return &http.Response{
 		StatusCode: http.StatusTooManyRequests,
 		Header:     http.Header{"Content-Type": []string{"application/json"}},
@@ -121,7 +123,7 @@ func TestRetryAfterStormThroughInjectedTransport(t *testing.T) {
 		slept = append(slept, d)
 		return ctx.Err()
 	}
-	if _, err := c.Solve(context.Background(), &SolveRequest{Rows: 4, Cols: 4}); !errors.Is(err, ErrOverloaded) {
+	if _, err := c.Solve(context.Background(), &api.SolveRequest{Rows: 4, Cols: 4}); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("storm outcome = %v, want ErrOverloaded", err)
 	}
 	if got := tr.hits.Load(); got != 3 {
