@@ -119,7 +119,7 @@ serve-smoke:
 # stitched timeline must report per-node lanes, halo spans, and a fleet
 # critical path.
 fleet-smoke:
-	$(GO) test -race -run 'TestFleetKillNodeMidSolve|TestFleetSpreadsWork|TestFleetTraceStitching' -count=1 ./internal/fleet/
+	$(GO) test -race -run 'TestFleetKillNodeMidSolve|TestFleetSpreadsWork|TestFleetTraceStitching|TestFleetRoute' -count=1 ./internal/fleet/
 	$(GO) build -o lddpd.bin ./cmd/lddpd
 	$(GO) build -o lddppromlint.bin ./cmd/lddppromlint
 	$(GO) build -o lddptrace.bin ./cmd/lddptrace

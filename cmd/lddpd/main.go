@@ -146,7 +146,7 @@ func run(ctx context.Context, opts options, out io.Writer, addrCh chan<- string)
 	handler := srv.Handler()
 	if coord != nil {
 		mux := http.NewServeMux()
-		mux.Handle("/v1/fleet/solve", fleet.NewHandler(coord, nil))
+		mux.Handle("/v1/fleet/solve", fleet.NewHandler(coord, srv, nil))
 		mux.Handle("/", handler)
 		handler = mux
 		fmt.Fprintf(out, "lddpd: fleet coordinator over %d peers\n", peerCount)

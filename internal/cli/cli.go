@@ -13,6 +13,7 @@ import (
 	"repro/internal/problems"
 	"repro/internal/table"
 	"repro/internal/workload"
+	"repro/lddp"
 )
 
 // SimInfo summarizes a simulated solve for printing.
@@ -52,21 +53,6 @@ type Instance struct {
 	SolveResilient func(replicas, ratePercent int, seed uint64) (answer string, corrected int, err error)
 	// Tune runs the §V-A parameter search.
 	Tune func(opts core.Options) (*core.TuneResult, error)
-}
-
-// AcceleratorByName resolves the accelerator models available to the CLI:
-// "k20", "gt650m", and "phi".
-func AcceleratorByName(name string) (core.Accelerator, error) {
-	switch name {
-	case "k20":
-		return core.Accelerator{Name: name, Model: hetsim.HeteroHigh().GPU}, nil
-	case "gt650m":
-		return core.Accelerator{Name: name, Model: hetsim.HeteroLow().GPU}, nil
-	case "phi":
-		return core.Accelerator{Name: name, Model: hetsim.HeteroPhi().GPU}, nil
-	default:
-		return core.Accelerator{}, fmt.Errorf("cli: unknown accelerator %q (want k20, gt650m or phi)", name)
-	}
 }
 
 func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) string) *Instance {
@@ -123,7 +109,7 @@ func makeInstance[T comparable](p *core.Problem[T], answer func(*table.Grid[T]) 
 	inst.SolveMulti = func(accelNames []string, opts core.Options) (SimInfo, error) {
 		accels := make([]core.Accelerator, 0, len(accelNames))
 		for _, n := range accelNames {
-			a, err := AcceleratorByName(n)
+			a, err := lddp.AcceleratorByName(n)
 			if err != nil {
 				return SimInfo{}, err
 			}

@@ -135,15 +135,3 @@ func TestSolveMultiHorizontalProblem(t *testing.T) {
 		t.Error("unknown accelerator should error")
 	}
 }
-
-func TestAcceleratorByName(t *testing.T) {
-	for _, n := range []string{"k20", "gt650m", "phi"} {
-		a, err := AcceleratorByName(n)
-		if err != nil || a.Name != n {
-			t.Errorf("AcceleratorByName(%s) = %v, %v", n, a, err)
-		}
-	}
-	if _, err := AcceleratorByName("nope"); err == nil {
-		t.Error("unknown name should error")
-	}
-}

@@ -153,22 +153,15 @@ type Result struct {
 	Stats     Stats
 }
 
-// At reads the assembled table.
-func (r *Result) At(i, j int) int64 { return r.Cells[i*r.Cols+j] }
-
 // Coordinator runs band-sharded solves over a fixed node set. Safe for
 // concurrent use; each Solve builds its own plan and scratch state.
 // A traced coordinator detaches its per-solve trace stitching; call
 // Close before exiting (or before reading stitched files) to wait for
 // those fetches.
 type Coordinator struct {
-	cfg Config
-	// counters is a pointer so the Handler's per-request ?bands= copy
-	// keeps accumulating into the same totals. stitches is a pointer for
-	// the same reason — the copies must account detached trace fetches
-	// into the same wait group (and a WaitGroup must not be copied).
-	counters *counters
-	stitches *sync.WaitGroup
+	cfg      Config
+	counters counters
+	stitches sync.WaitGroup // detached trace stitches, awaited by Close
 }
 
 // counters are the coordinator's lifetime totals, exported into the
@@ -192,7 +185,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.MaxBlockAttempts == 0 {
 		cfg.MaxBlockAttempts = 2 * len(cfg.Nodes)
 	}
-	return &Coordinator{cfg: cfg, counters: &counters{}, stitches: &sync.WaitGroup{}}, nil
+	return &Coordinator{cfg: cfg}, nil
 }
 
 // Close waits for the coordinator's detached work — the best-effort

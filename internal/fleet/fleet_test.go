@@ -93,14 +93,17 @@ func checkFleetDifferential(t *testing.T, coord *fleet.Coordinator, req *api.Sol
 	}
 	for i := 0; i < req.Rows; i++ {
 		for j := 0; j < req.Cols; j++ {
-			if res.At(i, j) != oracle.At(i, j) {
+			if resultAt(res, i, j) != oracle.At(i, j) {
 				t.Fatalf("mask=%s shape=%dx%d: cell (%d,%d): fleet %d, oracle %d",
-					m, req.Rows, req.Cols, i, j, res.At(i, j), oracle.At(i, j))
+					m, req.Rows, req.Cols, i, j, resultAt(res, i, j), oracle.At(i, j))
 			}
 		}
 	}
 	return res
 }
+
+// resultAt reads cell (i, j) of an assembled fleet table.
+func resultAt(r *fleet.Result, i, j int) int64 { return r.Cells[i*r.Cols+j] }
 
 // TestFleetDifferentialAllMasks is the full fleet matrix: 2- and 3-node
 // fleets x all 15 dependency masks x the adversarial shapes, with a

@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log"
 	"net/http"
 	"strconv"
 
+	"repro/internal/server"
 	"repro/lddp/api"
 	"repro/lddp/client"
 )
@@ -24,52 +24,31 @@ const (
 	RelocationsHeader = "X-Lddp-Fleet-Relocations"
 )
 
-// Handler serves POST /v1/fleet/solve over a Coordinator: the body is a
-// standard SolveRequest (inline cells refused), the optional ?bands=N
-// query overrides the configured band count for this solve, and the 200
-// body is a standard SolveResponse whose digest is the assembled-table
-// digest — directly comparable to a single-node solve of the same
-// request. cmd/lddpd mounts it beside the node mux when -peers is set,
-// which keeps the coordinator layered strictly above the node service:
-// the server package never learns the fleet exists.
-type Handler struct {
+// NewHandler returns the POST /v1/fleet/solve handler: coord behind
+// node's request pipeline (server.Admit), which admits, decodes and
+// validates the body as a standard SolveRequest before any block is
+// planned, and holds one of node's in-flight slots for the whole fleet
+// solve. The 200 body is a standard SolveResponse whose digest is the
+// assembled-table digest — directly comparable to a single-node solve
+// of the same request. cmd/lddpd mounts it beside the node mux when
+// -peers is set, which keeps the coordinator layered strictly above
+// the node service: the server package never learns the fleet exists.
+// A nil errorLog selects log.Default().
+func NewHandler(coord *Coordinator, node *server.Server, errorLog *log.Logger) http.Handler {
+	if errorLog == nil {
+		errorLog = log.Default()
+	}
+	h := &handler{coord: coord, errorLog: errorLog}
+	return node.Admit(h.serve)
+}
+
+type handler struct {
 	coord    *Coordinator
 	errorLog *log.Logger
 }
 
-// NewHandler wraps a Coordinator. A nil errorLog selects log.Default().
-func NewHandler(coord *Coordinator, errorLog *log.Logger) *Handler {
-	if errorLog == nil {
-		errorLog = log.Default()
-	}
-	return &Handler{coord: coord, errorLog: errorLog}
-}
-
-func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		h.writeError(w, http.StatusMethodNotAllowed, "invalid", "POST required")
-		return
-	}
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	var req api.SolveRequest
-	if err := dec.Decode(&req); err != nil {
-		h.writeError(w, http.StatusBadRequest, "invalid", fmt.Sprintf("decoding request: %v", err))
-		return
-	}
-	coord := h.coord
-	if v := r.URL.Query().Get("bands"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			h.writeError(w, http.StatusBadRequest, "invalid", fmt.Sprintf("bands=%q is not a positive integer", v))
-			return
-		}
-		c2 := *coord
-		c2.cfg.Bands = n
-		coord = &c2
-	}
-	res, err := coord.Solve(r.Context(), &req)
+func (h *handler) serve(w http.ResponseWriter, r *http.Request, req *api.SolveRequest) {
+	res, err := h.coord.Solve(r.Context(), req)
 	if err != nil {
 		h.writeSolveError(w, r, err)
 		return
@@ -96,7 +75,7 @@ func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // mistakes stay 400, a deadline the caller set maps to 408, and
 // anything else — nodes unreachable, relocation budget exhausted — is
 // 503, the fleet-level "try again later".
-func (h *Handler) writeSolveError(w http.ResponseWriter, r *http.Request, err error) {
+func (h *handler) writeSolveError(w http.ResponseWriter, r *http.Request, err error) {
 	var planErr *PlanError
 	switch {
 	case errors.As(err, &planErr), errors.Is(err, client.ErrInvalid):
@@ -110,7 +89,7 @@ func (h *Handler) writeSolveError(w http.ResponseWriter, r *http.Request, err er
 	}
 }
 
-func (h *Handler) writeError(w http.ResponseWriter, code int, status, msg string) {
+func (h *handler) writeError(w http.ResponseWriter, code int, status, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	if err := json.NewEncoder(w).Encode(api.ErrorBody{Status: status, Error: msg}); err != nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/internal/wire"
@@ -75,107 +76,122 @@ const CacheHeader = api.CacheHeader
 // request's inline cells anymore (after the solve completes), and never
 // on paths where the solve may still be running.
 func ParseBinaryRequest(r io.Reader, maxInline int) (req *api.SolveRequest, release func(), err error) {
+	req = new(api.SolveRequest)
+	flat, err := decodeFrame(r, maxInline, "request", req, wire.GetCells(0), nil)
+	switch {
+	case err != nil:
+	case len(flat) == 0:
+		wire.PutCells(flat)
+		return req, func() {}, nil
+	case req.Workload.Cells != nil:
+		err = fmt.Errorf("request carries cells both in the frame header and the cell section")
+	// Divide rather than multiply: the product of two huge sides wraps,
+	// and a wrapped product can equal the cell count.
+	case req.Rows <= 0 || req.Cols <= 0 || len(flat)%req.Cols != 0 || len(flat)/req.Cols != req.Rows:
+		err = fmt.Errorf("frame carries %d cells for a %dx%d request", len(flat), req.Rows, req.Cols)
+	default:
+		req.Workload.Cells = rowsOf(flat, req.Cols)
+		return req, func() { wire.PutCells(flat) }, nil
+	}
+	wire.PutCells(flat)
+	return nil, nil, err
+}
+
+// decodeFrame decodes one request frame: the header, strictly, into
+// hdr; the cell section onto cells; and, for a band request, the tagged
+// halo sections a band frame always carries, each into the request
+// field halos holds at its tag. maxCells caps every cell the frame
+// holds. The returned cells are the caller's even on error.
+func decodeFrame(r io.Reader, maxCells int, what string, hdr any, cells []int64, halos *[4]*[]int64) ([]int64, error) {
 	d := wire.NewDecoder(r)
 	defer d.Release()
 	d.SetMaxHeaderBytes(1 << 20)
-	d.SetMaxCells(int64(maxInline))
-	hdr, err := d.Header()
+	d.SetMaxCells(int64(maxCells))
+	raw, err := d.Header()
 	if err != nil {
-		return nil, nil, fmt.Errorf("decoding request frame: %w", err)
+		return cells, fmt.Errorf("decoding %s frame: %w", what, err)
 	}
-	req = new(api.SolveRequest)
-	dec := json.NewDecoder(bytes.NewReader(hdr))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(req); err != nil {
-		return nil, nil, fmt.Errorf("decoding request header: %w", err)
+	if err := decodeStrict(bytes.NewReader(raw), hdr, what); err != nil {
+		return cells, err
 	}
-	if dec.More() {
-		return nil, nil, fmt.Errorf("request header holds more than one JSON document")
+	if cells, err = d.Cells(cells); err != nil {
+		return cells, fmt.Errorf("decoding %s frame cells: %w", what, err)
 	}
-	flat, err := d.Cells(wire.GetCells(0))
-	if err != nil {
-		wire.PutCells(flat)
-		return nil, nil, fmt.Errorf("decoding request cells: %w", err)
+	for halos != nil {
+		tag, halo, err := d.Section(nil)
+		switch {
+		case err != nil:
+			return cells, fmt.Errorf("decoding %s frame halo section: %w", what, err)
+		case tag == 0:
+			halos = nil
+		case tag >= uint64(len(halos)) || halos[tag] == nil:
+			return cells, fmt.Errorf("%s frame holds unknown halo section tag %d", what, tag)
+		case *halos[tag] != nil:
+			return cells, fmt.Errorf("%s frame repeats halo section tag %d", what, tag)
+		default:
+			*halos[tag] = halo
+		}
 	}
 	if err := d.Close(); err != nil {
-		wire.PutCells(flat)
-		return nil, nil, fmt.Errorf("verifying request frame: %w", err)
+		return cells, fmt.Errorf("verifying %s frame: %w", what, err)
 	}
-	if len(flat) == 0 {
-		wire.PutCells(flat)
-		return req, func() {}, nil
-	}
-	if req.Workload.Cells != nil {
-		wire.PutCells(flat)
-		return nil, nil, fmt.Errorf("request carries cells both in the frame header and the cell section")
-	}
-	// Divide rather than multiply: the product of two huge sides wraps,
-	// and a wrapped product can equal the cell count.
-	if req.Rows <= 0 || req.Cols <= 0 || len(flat)%req.Cols != 0 || len(flat)/req.Cols != req.Rows {
-		wire.PutCells(flat)
-		return nil, nil, fmt.Errorf("frame carries %d cells for a %dx%d request", len(flat), req.Rows, req.Cols)
-	}
-	cells := make([][]int64, req.Rows)
-	for i := range cells {
-		cells[i] = flat[i*req.Cols : (i+1)*req.Cols]
-	}
-	req.Workload.Cells = cells
-	return req, func() { wire.PutCells(flat) }, nil
+	return cells, nil
 }
 
-// writeSolveResponse renders one successful solve under the negotiated
-// codec. flat is the row-major result table (may outlive the call when
-// it is a cache entry's payload — the writers only read it); cells are
-// included only when the request asked and the table is under the
-// response cap. Write failures after the status line can only be logged
-// and the response aborted — the client is gone or the connection is
-// broken, and a half-written body must not be "repaired" with more
-// writes.
-func (s *Server) writeSolveResponse(w http.ResponseWriter, neg negotiation, resp *api.SolveResponse, flat []int64, includeCells bool) {
-	w.Header().Set(api.SolveIDHeader, fmt.Sprint(resp.ID))
+// rowsOf returns row headers over a row-major table of the given column
+// count: one allocation instead of a copy per row.
+func rowsOf(flat []int64, cols int) [][]int64 {
+	rows := make([][]int64, len(flat)/cols)
+	for i := range rows {
+		rows[i] = flat[i*cols : (i+1)*cols]
+	}
+	return rows
+}
+
+// writeResult renders one completed solve or band solve under the
+// negotiated codec. doc is the response document with its Cells field
+// (which cells points at) empty: a frame header is the document as is
+// and the frame's cell section carries flat, while JSON fills the Cells
+// field with rows of cols over flat. flat is nil when the response
+// carries no cells, and may be a cache entry's payload — the writer
+// only reads it. Write failures after the status line can only be
+// logged and the response aborted — the client is gone or the
+// connection is broken, and a half-written body must not be "repaired"
+// with more writes.
+func (s *Server) writeResult(w http.ResponseWriter, neg negotiation, id int64, doc any, cells *[][]int64, flat []int64, cols int) {
+	w.Header().Set(api.SolveIDHeader, strconv.FormatInt(id, 10))
+	var err error
 	if neg.binaryResponse {
 		s.wireStats.binaryResponses.Add(1)
 		w.Header().Set("Content-Type", wire.MediaType)
 		enc := wire.NewEncoder(w)
-		if includeCells && len(flat) > wire.ChunkCells {
+		if len(flat) > wire.ChunkCells {
 			if f, ok := w.(http.Flusher); ok {
 				enc.SetFlush(f.Flush)
 			}
 		}
-		// The frame header is the response document minus the cell
-		// payload; cells travel in the chunked cell section.
-		hdr := *resp
-		hdr.Cells = nil
-		err := enc.Header(hdr)
-		if err == nil && includeCells {
+		if err = enc.Header(doc); err == nil {
 			err = enc.Cells(flat)
 		}
-		if err != nil {
+		if err == nil {
+			err = enc.Close()
+		} else {
 			// A failed or half-written frame must not be capped with an
 			// end marker + trailer — the client would read the stray bytes
 			// as a bogus frame instead of a truncated one.
 			enc.Abort()
-			s.logf("solve %d: writing binary response: %v", resp.ID, err)
-			return
 		}
-		if err := enc.Close(); err != nil {
-			s.logf("solve %d: writing binary response: %v", resp.ID, err)
+	} else {
+		s.wireStats.jsonResponses.Add(1)
+		if flat != nil {
+			// json.Encoder reads the row headers synchronously, so aliasing
+			// the (immutable) result is safe.
+			*cells = rowsOf(flat, cols)
 		}
-		return
+		w.Header().Set("Content-Type", "application/json")
+		err = json.NewEncoder(w).Encode(doc)
 	}
-	s.wireStats.jsonResponses.Add(1)
-	if includeCells {
-		// Row headers over the flat payload: one allocation instead of
-		// rows+1 copies — json.Encoder reads them synchronously, so
-		// aliasing the (immutable) result is safe.
-		rows := make([][]int64, resp.Rows)
-		for i := range rows {
-			rows[i] = flat[i*resp.Cols : (i+1)*resp.Cols]
-		}
-		resp.Cells = rows
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		s.logf("solve %d: writing response: %v", resp.ID, err)
+	if err != nil {
+		s.logf("solve %d: writing response: %v", id, err)
 	}
 }

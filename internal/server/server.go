@@ -63,8 +63,8 @@ type Config struct {
 	// ExtraMetrics, when non-nil, runs at /metrics scrape time to fill
 	// snapshot sections owned outside the server — the fleet
 	// coordinator's counters on nodes running one (cmd/lddpd wires
-	// fleet.Handler's snapshot through here, keeping the server free of
-	// a fleet dependency).
+	// the coordinator's snapshot through here, keeping the server free
+	// of a fleet dependency).
 	ExtraMetrics func(*lddp.MetricsSnapshot)
 
 	// Hooks are deterministic fault points for tests and the scenario
@@ -81,9 +81,9 @@ type Config struct {
 // request (and its limiter slot) by exactly that long, which is the
 // point.
 type Hooks struct {
-	// OnSolveAdmitted runs after a solve or band-solve request clears
-	// the in-flight limiter, before parsing; band reports which handler
-	// admitted it.
+	// OnSolveAdmitted runs after a request on any POST route clears
+	// the in-flight limiter, before parsing; band is true only for a
+	// band solve.
 	OnSolveAdmitted func(band bool)
 }
 
@@ -385,10 +385,114 @@ func (s *Server) writeError(w http.ResponseWriter, code int, status string, id i
 	}
 }
 
-// handleSolve runs one POST /v1/solve request end to end: limiter,
-// codec negotiation, decode, validate, build, result-cache lookup,
-// submit with the request context (plus the optional deadline), and map
-// the scheduler's outcome trichotomy onto the wire:
+// Admit serves a route whose body is one JSON SolveRequest through the
+// node's request pipeline: the admission front (POST only, drain, the
+// in-flight limiter, the body cap and the wire counters), the
+// strict decoder and ValidateRequest, with a table over the cell cap
+// answered 413. serve runs with a validated request and holds the
+// in-flight slot until it returns. cmd/lddpd mounts the fleet
+// coordinator's POST /v1/fleet/solve through it, so a fleet solve is
+// admitted and bounded like any other solve on its node.
+func (s *Server) Admit(serve func(http.ResponseWriter, *http.Request, *api.SolveRequest)) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w, _, ok := s.admit(w, r, false)
+		if !ok {
+			return
+		}
+		defer s.release()
+		if req, _, ok := s.decodeSolve(w, r, false); ok {
+			serve(w, r, req)
+		}
+	})
+}
+
+// admit is the admission front of every POST route: method, drain, the
+// in-flight limiter (which sits in front of scheduler admission, so a
+// saturated service answers immediately instead of stacking HTTP
+// handlers behind the scheduler queue), the admission hook, and the
+// wrappers that count the body bytes both ways and cap the request
+// body. It answers the request itself and returns false on a refusal;
+// otherwise the caller holds one in-flight slot and must call release.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, band bool) (http.ResponseWriter, negotiation, bool) {
+	if r.Method != http.MethodPost {
+		w.Header().Set("Allow", http.MethodPost)
+		s.writeError(w, http.StatusMethodNotAllowed, "invalid", 0, "POST required")
+		return w, negotiation{}, false
+	}
+	if s.draining.Load() {
+		s.writeError(w, http.StatusServiceUnavailable, "draining", 0, "server is draining")
+		return w, negotiation{}, false
+	}
+	select {
+	case s.inflight <- struct{}{}:
+	default:
+		s.writeError(w, http.StatusTooManyRequests, "rejected", 0,
+			fmt.Sprintf("server at its in-flight limit (%d)", s.cfg.MaxInflight))
+		return w, negotiation{}, false
+	}
+	s.active.Add(1)
+	if s.cfg.Hooks.OnSolveAdmitted != nil {
+		s.cfg.Hooks.OnSolveAdmitted(band)
+	}
+	w = &countingResponseWriter{ResponseWriter: w, n: &s.wireStats.responseBytes}
+	r.Body = &countingReader{
+		r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes),
+		n: &s.wireStats.requestBytes,
+	}
+	return w, negotiate(r), true
+}
+
+// release frees the in-flight slot admit took.
+func (s *Server) release() {
+	s.active.Add(-1)
+	<-s.inflight
+}
+
+// countRequest counts one decoded request body, and a frame's decode
+// failure, in the wire counters, passing err through.
+func (s *Server) countRequest(binary bool, err error) error {
+	if !binary {
+		s.wireStats.jsonRequests.Add(1)
+		return err
+	}
+	s.wireStats.binaryRequests.Add(1)
+	if err != nil {
+		s.wireStats.binaryRejects.Add(1)
+	}
+	return err
+}
+
+// decodeSolve decodes a solve request body under the request codec and
+// validates it, answering 400 itself when either fails — 413 for a
+// table over the cell cap. release returns a frame's pooled inline
+// cells (see ParseBinaryRequest).
+func (s *Server) decodeSolve(w http.ResponseWriter, r *http.Request, binary bool) (req *api.SolveRequest, release func(), ok bool) {
+	var err error
+	release = func() {}
+	if binary {
+		req, release, err = ParseBinaryRequest(r.Body, s.cfg.MaxInlineCells)
+	} else {
+		req, err = ParseSolveRequest(r.Body)
+	}
+	if err = s.countRequest(binary, err); err != nil {
+		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
+		return nil, nil, false
+	}
+	if err := s.ValidateRequest(req); err != nil {
+		release()
+		code := http.StatusBadRequest
+		if req.Rows > 0 && req.Cols > 0 && tooManyCells(req.Rows, req.Cols, s.cfg.MaxCells) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.writeError(w, code, "invalid", 0, err.Error())
+		return nil, nil, false
+	}
+	return req, release, true
+}
+
+// handleSolve runs one POST /v1/solve request through the pipeline —
+// admit, decode, validate, build, result-cache lookup, run, respond —
+// where run maps the scheduler's outcome trichotomy onto the wire:
 //
 //	done                          -> 200 SolveResponse
 //	*Rejected (queue full)        -> 429 + Retry-After
@@ -397,64 +501,13 @@ func (s *Server) writeError(w http.ResponseWriter, code int, status string, id i
 //	*Canceled (deadline mid-run)  -> 408
 //	*Canceled (caller went away)  -> 499 (best-effort; nobody is reading)
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "invalid", 0, "POST required")
+	w, neg, ok := s.admit(w, r, false)
+	if !ok {
 		return
 	}
-	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "draining", 0, "server is draining")
-		return
-	}
-	// The in-flight limiter sits in front of scheduler admission: a
-	// saturated service answers immediately instead of stacking HTTP
-	// handlers behind the scheduler queue.
-	select {
-	case s.inflight <- struct{}{}:
-	default:
-		s.writeError(w, http.StatusTooManyRequests, "rejected", 0,
-			fmt.Sprintf("server at its in-flight limit (%d)", s.cfg.MaxInflight))
-		return
-	}
-	s.active.Add(1)
-	defer func() {
-		s.active.Add(-1)
-		<-s.inflight
-	}()
-	if s.cfg.Hooks.OnSolveAdmitted != nil {
-		s.cfg.Hooks.OnSolveAdmitted(false)
-	}
-
-	w = &countingResponseWriter{ResponseWriter: w, n: &s.wireStats.responseBytes}
-	neg := negotiate(r)
-	r.Body = &countingReader{
-		r: http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes),
-		n: &s.wireStats.requestBytes,
-	}
-	var req *api.SolveRequest
-	var err error
-	releaseInline := func() {}
-	if neg.binaryRequest {
-		s.wireStats.binaryRequests.Add(1)
-		req, releaseInline, err = ParseBinaryRequest(r.Body, s.cfg.MaxInlineCells)
-		if err != nil {
-			s.wireStats.binaryRejects.Add(1)
-		}
-	} else {
-		s.wireStats.jsonRequests.Add(1)
-		req, err = ParseSolveRequest(r.Body)
-	}
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
-		return
-	}
-	if err := s.ValidateRequest(req); err != nil {
-		releaseInline()
-		code := http.StatusBadRequest
-		if req.Rows > 0 && req.Cols > 0 && tooManyCells(req.Rows, req.Cols, s.cfg.MaxCells) {
-			code = http.StatusRequestEntityTooLarge
-		}
-		s.writeError(w, code, "invalid", 0, err.Error())
+	defer s.release()
+	req, releaseInline, ok := s.decodeSolve(w, r, neg.binaryRequest)
+	if !ok {
 		return
 	}
 	problem, err := BuildProblem(req)
@@ -483,50 +536,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 				Mask: e.mask, Pattern: e.pattern, Digest: e.digest,
 				ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 			}
-			s.writeSolveResponse(w, neg, resp, e.cells, includeCells)
+			s.writeResult(w, neg, e.id, resp, &resp.Cells, cellsIf(includeCells, e.cells), resp.Cols)
 			return
 		} else {
 			w.Header().Set(CacheHeader, "miss")
 		}
 	}
 
-	ctx := r.Context()
-	if req.DeadlineMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
-		defer cancel()
-	}
-	opts := []lddp.Option{}
-	switch req.Strategy {
-	case "parallel":
-		opts = append(opts, lddp.WithStrategy(lddp.Parallel))
-	case "async":
-		opts = append(opts, lddp.WithStrategy(lddp.Async))
-	}
-	var tracer *lddp.Tracer
-	if s.cfg.TraceDir != "" {
-		tracer = lddp.NewTracer()
-		opts = append(opts, lddp.WithTracer(tracer))
-	}
-
-	sub, err := lddp.Submit(ctx, s.sched, problem, opts...)
-	if err != nil {
-		s.writeSubmitError(w, r, err)
+	// No releaseInline when run fails: on a cancellation the scheduler's
+	// workers may still be quiescing against the problem's inline cells,
+	// so the buffer is left to the garbage collector.
+	id, flat, ok := s.run(w, r, problem, req.Strategy, req.DeadlineMS, nil)
+	if !ok {
 		return
 	}
-	id := sub.ID()
-	grid, err := sub.Wait()
-	if tracer != nil {
-		s.writeTraceFile(id, tracer)
-	}
-	if err != nil {
-		// No releaseInline here: on a cancellation the scheduler's
-		// workers may still be quiescing against the problem's inline
-		// cells, so the buffer is left to the garbage collector.
-		s.writeOutcomeError(w, r, id, err)
-		return
-	}
-	flat := grid.RowMajorData()
 	digest := DigestCells(problem.Rows, problem.Cols, flat)
 	releaseInline()
 	elapsed := time.Since(start)
@@ -549,7 +572,65 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 			digest: digest, pattern: resp.Pattern, mask: resp.Mask,
 		})
 	}
-	s.writeSolveResponse(w, neg, resp, flat, includeCells)
+	s.writeResult(w, neg, id, resp, &resp.Cells, cellsIf(includeCells, flat), resp.Cols)
+}
+
+// cellsIf returns flat when a response includes its cells, nil otherwise.
+func cellsIf(include bool, flat []int64) []int64 {
+	if include {
+		return flat
+	}
+	return nil
+}
+
+// run submits problem to the scheduler under the request's deadline and
+// strategy and waits for it, writing its trace file when the server
+// records traces — tagged with, and indexed under, the fleet solve tag
+// names. On success it returns the solve ID and the row-major result;
+// otherwise it has answered the request itself and ok is false.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Problem[int64], strategy string, deadlineMS int64, tag *api.TraceContext) (id int64, flat []int64, ok bool) {
+	ctx := r.Context()
+	if deadlineMS > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, time.Duration(deadlineMS)*time.Millisecond)
+		defer cancel()
+	}
+	opts := []lddp.Option{}
+	switch strategy {
+	case "parallel":
+		opts = append(opts, lddp.WithStrategy(lddp.Parallel))
+	case "async":
+		opts = append(opts, lddp.WithStrategy(lddp.Async))
+	}
+	var tracer *lddp.Tracer
+	if s.cfg.TraceDir != "" {
+		tracer = lddp.NewTracer()
+		if tag != nil {
+			// The fleet tag rides every export of this trace, which is
+			// what lets GET /v1/trace/{fleetID} and the coordinator's
+			// stitcher attribute the block to its originating solve.
+			tracer.SetFleetTag(tag.FleetID, tag.Band, tag.Phase)
+		}
+		opts = append(opts, lddp.WithTracer(tracer))
+	}
+	sub, err := lddp.Submit(ctx, s.sched, problem, opts...)
+	if err != nil {
+		s.writeSubmitError(w, r, err)
+		return 0, nil, false
+	}
+	id = sub.ID()
+	grid, err := sub.Wait()
+	if tracer != nil {
+		path := s.writeTraceFile(id, tracer)
+		if path != "" && tag != nil && s.traces != nil {
+			s.traces.add(tag.FleetID, blockRef{solveID: id, band: tag.Band, phase: tag.Phase, path: path})
+		}
+	}
+	if err != nil {
+		s.writeOutcomeError(w, r, id, err)
+		return id, nil, false
+	}
+	return id, grid.RowMajorData(), true
 }
 
 // writeSubmitError maps a synchronous Submit refusal onto the wire.

@@ -32,18 +32,27 @@ const (
 // rejected — a misspelled knob silently ignored would run the wrong
 // solve. The returned error is always a client error (400 material).
 func ParseSolveRequest(r io.Reader) (*api.SolveRequest, error) {
+	req := new(api.SolveRequest)
+	if err := decodeStrict(r, req, "request"); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// decodeStrict decodes exactly one JSON document into v: the one JSON
+// decoder of every request body and frame header. Unknown fields are
+// refused, and a second document is a framing error, not trailing noise
+// to ignore.
+func decodeStrict(r io.Reader, v any, what string) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	var req api.SolveRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("decoding request: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return fmt.Errorf("decoding %s: %w", what, err)
 	}
-	// A second document in the body is a framing error, not trailing
-	// noise to ignore.
 	if dec.More() {
-		return nil, fmt.Errorf("request body holds more than one JSON document")
+		return fmt.Errorf("%s holds more than one JSON document", what)
 	}
-	return &req, nil
+	return nil
 }
 
 // ValidateRequest checks a decoded request against the server's caps.

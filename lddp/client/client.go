@@ -8,6 +8,7 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -206,15 +207,42 @@ func (c *Client) Solve(ctx context.Context, req *api.SolveRequest) (*api.SolveRe
 	if req == nil {
 		return nil, fmt.Errorf("lddp client: nil request")
 	}
-	buf, err := c.encodeRequest(req)
+	buf, err := c.encode(req, func() any {
+		// The frame header omits the inline cells, which travel in the
+		// cell section.
+		hdr := *req
+		hdr.Workload.Cells = nil
+		return &hdr
+	}, req.Workload.Cells, nil)
 	if err != nil {
 		return nil, err
 	}
-	// The encoded body lives in a pooled buffer for the whole retry
-	// loop (every attempt re-reads the same bytes). The buffer returns
-	// to the pool only after the loop ends AND the transport has closed
-	// every body reader handed to it — an abandoned attempt's write
-	// loop can outlive Do on context cancellation (see pooledBody).
+	var resp *api.SolveResponse
+	err = c.post(ctx, "/v1/solve", c.cacheControl, buf, func(hresp *http.Response) error {
+		out := new(api.SolveResponse)
+		err := decodeResult(hresp, out, &out.Cells, req.Rows, req.Cols, func() error {
+			if out.Rows != req.Rows || out.Cols != req.Cols {
+				return fmt.Errorf("%w: response frame header is %dx%d for a %dx%d request", ErrMismatch, out.Rows, out.Cols, req.Rows, req.Cols)
+			}
+			return nil
+		})
+		resp = out
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// post sends one encoded request to path under the retry policy and
+// hands each 200 response to decode. The encoded body lives in a pooled
+// buffer for the whole retry loop (every attempt re-reads the same
+// bytes). The buffer returns to the pool only after the loop ends AND
+// the transport has closed every body reader handed to it — an
+// abandoned attempt's write loop can outlive Do on context cancellation
+// (see pooledBody). cacheControl, when set, rides every attempt.
+func (c *Client) post(ctx context.Context, path, cacheControl string, buf *bytes.Buffer, decode func(*http.Response) error) error {
 	body := newPooledBody(buf)
 	defer body.release()
 	var last error
@@ -225,39 +253,32 @@ func (c *Client) Solve(ctx context.Context, req *api.SolveRequest) (*api.SolveRe
 			if errors.As(last, &apiErr) {
 				retryAfter = apiErr.RetryAfter
 			}
-			d := backoffDelay(c.policy, attempt-1, retryAfter, c.rnd())
-			if err := c.sleep(ctx, d); err != nil {
-				return nil, err
+			if err := c.sleep(ctx, backoffDelay(c.policy, attempt-1, retryAfter, c.rnd())); err != nil {
+				return err
 			}
 		}
-		resp, err := c.trySolve(ctx, req, body)
-		if err == nil {
-			return resp, nil
+		if last = c.roundTrip(ctx, path, cacheControl, body, decode); last == nil {
+			return nil
 		}
-		last = err
 		var apiErr *APIError
-		if errors.As(err, &apiErr) && !apiErr.retryable() {
-			return nil, err
+		if errors.As(last, &apiErr) && !apiErr.retryable() {
+			return last
 		}
-		if errors.Is(err, ErrWireVersion) || errors.Is(err, ErrMismatch) {
-			// A version mismatch is deterministic, and a server answering
-			// another table is broken; retrying resends the same frame at
-			// the same server.
-			return nil, err
-		}
-		if ctx.Err() != nil {
-			return nil, last
+		// A version mismatch is deterministic, and a server answering
+		// another table or block is broken; retrying resends the same
+		// frame at the same server.
+		if errors.Is(last, ErrWireVersion) || errors.Is(last, ErrMismatch) || ctx.Err() != nil {
+			return last
 		}
 	}
-	return nil, last
+	return last
 }
 
-// trySolve performs one POST /v1/solve round trip of req, encoded in
-// body.
-func (c *Client) trySolve(ctx context.Context, req *api.SolveRequest, body *pooledBody) (*api.SolveResponse, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/solve", nil)
+// roundTrip performs one POST attempt of body to path.
+func (c *Client) roundTrip(ctx context.Context, path, cacheControl string, body *pooledBody, decode func(*http.Response) error) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Hand the transport a refcounted reader (it closes every request
 	// body, even on error/cancel paths) so the pooled bytes stay alive
@@ -268,25 +289,18 @@ func (c *Client) trySolve(ctx context.Context, req *api.SolveRequest, body *pool
 	hreq.GetBody = func() (io.ReadCloser, error) { return body.reader(), nil }
 	hreq.Header.Set("Content-Type", c.contentType())
 	hreq.Header.Set("Accept", c.accept())
-	if c.cacheControl != "" {
-		hreq.Header.Set("Cache-Control", c.cacheControl)
+	if cacheControl != "" {
+		hreq.Header.Set("Cache-Control", cacheControl)
 	}
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
-		return nil, fmt.Errorf("lddp client: %w", err)
+		return fmt.Errorf("lddp client: %w", err)
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
+		return decodeError(hresp)
 	}
-	if responseIsBinary(hresp) {
-		return decodeBinaryResponse(hresp, req)
-	}
-	var out api.SolveResponse
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, 64<<20)).Decode(&out); err != nil {
-		return nil, fmt.Errorf("lddp client: decoding response: %w", err)
-	}
-	return &out, nil
+	return decode(hresp)
 }
 
 // decodeError builds the *APIError of a non-2xx response, surviving
@@ -326,21 +340,9 @@ func (c *Client) Ready(ctx context.Context) error {
 
 // Metrics fetches the server's metrics snapshot (GET /v1/metrics).
 func (c *Client) Metrics(ctx context.Context) (*lddp.MetricsSnapshot, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	hresp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, fmt.Errorf("lddp client: %w", err)
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
-	}
 	var snap lddp.MetricsSnapshot
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, 16<<20)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("lddp client: decoding metrics: %w", err)
+	if err := c.getJSON(ctx, "/v1/metrics", 16<<20, &snap); err != nil {
+		return nil, err
 	}
 	return &snap, nil
 }
@@ -351,23 +353,32 @@ func (c *Client) Metrics(ctx context.Context) (*lddp.MetricsSnapshot, error) {
 // which surfaces as an *APIError; fleet-side callers treat that as "no
 // lanes from this node", not a failure.
 func (c *Client) Trace(ctx context.Context, fleetID string) (*trace.NodeTrace, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/trace/"+url.PathEscape(fleetID), nil)
-	if err != nil {
+	var nt trace.NodeTrace
+	if err := c.getJSON(ctx, "/v1/trace/"+url.PathEscape(fleetID), 64<<20, &nt); err != nil {
 		return nil, err
+	}
+	return &nt, nil
+}
+
+// getJSON fetches path and decodes its 200 JSON body, read up to limit
+// bytes, into out.
+func (c *Client) getJSON(ctx context.Context, path string, limit int64, out any) error {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	if err != nil {
+		return err
 	}
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
-		return nil, fmt.Errorf("lddp client: %w", err)
+		return fmt.Errorf("lddp client: %w", err)
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		return nil, decodeError(hresp)
+		return decodeError(hresp)
 	}
-	var nt trace.NodeTrace
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, 64<<20)).Decode(&nt); err != nil {
-		return nil, fmt.Errorf("lddp client: decoding trace: %w", err)
+	if err := json.NewDecoder(io.LimitReader(hresp.Body, limit)).Decode(out); err != nil {
+		return fmt.Errorf("lddp client: decoding %s: %w", path, err)
 	}
-	return &nt, nil
+	return nil
 }
 
 // Base returns the client's base URL — fleet-side observability labels

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/wire"
-	"repro/lddp/api"
 )
 
 // Codec selects the solve-request wire encoding.
@@ -62,45 +61,52 @@ func WithCacheControl(v string) Option {
 // same bytes) finishes.
 var encodeBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// encodeRequest renders req under the client's codec into a pooled
-// buffer; the caller must hand the buffer back via putEncodeBuf once no
-// retry can re-read it.
-func (c *Client) encodeRequest(req *api.SolveRequest) (*bytes.Buffer, error) {
+// encode renders one request under the client's codec into a pooled
+// buffer: doc as JSON, or a frame whose header is hdr() — the document
+// minus its payload — followed by rows, flattened into the cell
+// section, and, for a band request, a section list of the non-empty
+// halos, each under its index as the section tag. Band frames always
+// carry a section list, even an empty one: the server drains it
+// unconditionally. The caller must hand the buffer back via
+// putEncodeBuf once no retry can re-read it.
+func (c *Client) encode(doc any, hdr func() any, rows [][]int64, halos *[4][]int64) (*bytes.Buffer, error) {
 	buf := encodeBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
+	var err error
 	if c.codec != CodecBinary {
-		if err := json.NewEncoder(buf).Encode(req); err != nil {
-			encodeBufPool.Put(buf)
-			return nil, fmt.Errorf("lddp client: encoding request: %w", err)
+		err = json.NewEncoder(buf).Encode(doc)
+	} else {
+		enc := wire.NewEncoder(buf)
+		err = enc.Header(hdr())
+		if err == nil && len(rows) > 0 {
+			n := 0
+			for _, row := range rows {
+				n += len(row)
+			}
+			flat := wire.GetCells(n)
+			for _, row := range rows {
+				flat = append(flat, row...)
+			}
+			err = enc.Cells(flat)
+			wire.PutCells(flat)
 		}
-		return buf, nil
-	}
-	// Binary frame: the header is the request document minus the inline
-	// cells, which travel flattened in the cell section.
-	hdr := *req
-	hdr.Workload.Cells = nil
-	enc := wire.NewEncoder(buf)
-	err := enc.Header(&hdr)
-	if err == nil && len(req.Workload.Cells) > 0 {
-		n := 0
-		for _, row := range req.Workload.Cells {
-			n += len(row)
+		if err == nil && halos != nil {
+			err = enc.BeginSections()
+			for tag, halo := range halos {
+				if err == nil && len(halo) > 0 {
+					err = enc.Section(uint64(tag), halo)
+				}
+			}
 		}
-		flat := wire.GetCells(n)
-		for _, row := range req.Workload.Cells {
-			flat = append(flat, row...)
+		if err == nil {
+			err = enc.Close()
+		} else {
+			enc.Abort()
 		}
-		err = enc.Cells(flat)
-		wire.PutCells(flat)
 	}
 	if err != nil {
-		enc.Abort()
 		encodeBufPool.Put(buf)
-		return nil, fmt.Errorf("lddp client: encoding request frame: %w", err)
-	}
-	if err := enc.Close(); err != nil {
-		encodeBufPool.Put(buf)
-		return nil, fmt.Errorf("lddp client: encoding request frame: %w", err)
+		return nil, fmt.Errorf("lddp client: encoding request: %w", err)
 	}
 	return buf, nil
 }
@@ -193,46 +199,56 @@ func responseIsBinary(hresp *http.Response) bool {
 	return strings.EqualFold(strings.TrimSpace(ct), wire.MediaType)
 }
 
-// decodeBinaryResponse decodes a 200 wire-frame response body to req.
-// The body is capped at the same 64MB as the JSON path — the decoder's
-// own header/cell caps bound each section, and the outer limit bounds
-// total client memory even against a server that streams garbage
-// framing. The cells land in one buffer sized from the request's own
-// rows x cols, allocated only if the frame carries cells.
-func decodeBinaryResponse(hresp *http.Response, req *api.SolveRequest) (*api.SolveResponse, error) {
-	d := wire.NewDecoder(io.LimitReader(hresp.Body, 64<<20))
+// decodeResult decodes a 200 response into out by its Content-Type. A
+// JSON body is the whole document. A frame's header is out, refused by
+// check before any cell is read, and its cell section — capped at the
+// request's own rows x cols, which the client can trust unlike the
+// header — fills *cells with rows of cols over one flat buffer,
+// allocated only if the frame carries cells. The body is capped at
+// 64MB on both codecs: the decoder's own caps bound each frame section,
+// and the outer limit bounds total client memory even against a server
+// that streams garbage framing.
+func decodeResult(hresp *http.Response, out any, cells *[][]int64, rows, cols int, check func() error) error {
+	body := io.LimitReader(hresp.Body, 64<<20)
+	if !responseIsBinary(hresp) {
+		if err := json.NewDecoder(body).Decode(out); err != nil {
+			return fmt.Errorf("lddp client: decoding response: %w", err)
+		}
+		return nil
+	}
+	d := wire.NewDecoder(body)
 	defer d.Release()
 	hdr, err := d.Header()
 	if err != nil {
 		if errors.Is(err, wire.ErrVersion) {
-			return nil, fmt.Errorf("%w: %v", ErrWireVersion, err)
+			return fmt.Errorf("%w: %v", ErrWireVersion, err)
 		}
-		return nil, fmt.Errorf("lddp client: decoding response frame: %w", err)
+		return fmt.Errorf("lddp client: decoding response frame: %w", err)
 	}
-	var out api.SolveResponse
-	if err := json.Unmarshal(hdr, &out); err != nil {
-		return nil, fmt.Errorf("lddp client: decoding response header: %w", err)
+	if err := json.Unmarshal(hdr, out); err != nil {
+		return fmt.Errorf("lddp client: decoding response header: %w", err)
 	}
-	if out.Rows != req.Rows || out.Cols != req.Cols {
-		return nil, fmt.Errorf("%w: response frame header is %dx%d for a %dx%d request", ErrMismatch, out.Rows, out.Cols, req.Rows, req.Cols)
+	if err := check(); err != nil {
+		return err
 	}
-	flat, err := d.CellsSized(req.Rows * req.Cols)
+	flat, err := d.CellsSized(rows * cols)
 	if err != nil {
-		return nil, fmt.Errorf("lddp client: decoding response cells: %w", err)
+		return fmt.Errorf("lddp client: decoding response cells: %w", err)
 	}
 	if err := d.Close(); err != nil {
-		return nil, fmt.Errorf("lddp client: verifying response frame: %w", err)
+		return fmt.Errorf("lddp client: verifying response frame: %w", err)
 	}
-	if len(flat) > 0 {
-		if len(flat) != req.Rows*req.Cols {
-			return nil, fmt.Errorf("lddp client: response frame carries %d cells for a %dx%d table", len(flat), out.Rows, out.Cols)
-		}
-		// One flat backing plus row headers: two allocations for the
-		// whole table, owned by the caller.
-		out.Cells = make([][]int64, out.Rows)
-		for i := range out.Cells {
-			out.Cells[i] = flat[i*out.Cols : (i+1)*out.Cols]
-		}
+	if len(flat) == 0 {
+		return nil
 	}
-	return &out, nil
+	if len(flat) != rows*cols {
+		return fmt.Errorf("lddp client: response frame carries %d cells for a %dx%d table", len(flat), rows, cols)
+	}
+	// One flat backing plus row headers: two allocations for the whole
+	// table, owned by the caller.
+	*cells = make([][]int64, rows)
+	for i := range *cells {
+		(*cells)[i] = flat[i*cols : (i+1)*cols]
+	}
+	return nil
 }

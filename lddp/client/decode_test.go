@@ -208,13 +208,13 @@ func BenchmarkBandResponseDecode512x256(b *testing.B) {
 	req := &api.BandRequest{Rows: 1024, Cols: 1024, Row0: 512, Row1: 1024, Col0: 256, Col1: 512}
 	frame := bandFrame(b, req)
 	body := bytes.NewReader(frame)
-	hresp := &http.Response{Body: io.NopCloser(body)}
+	hresp := &http.Response{Header: http.Header{"Content-Type": {wire.MediaType}}, Body: io.NopCloser(body)}
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body.Reset(frame)
-		resp, err := decodeBinaryBandResponse(hresp, req)
+		resp, err := decodeBand(hresp, req)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -99,6 +99,20 @@ func TestSolveMultiStrategy(t *testing.T) {
 	}
 }
 
+// TestAcceleratorByName resolves each named accelerator model and
+// refuses an unknown name.
+func TestAcceleratorByName(t *testing.T) {
+	for _, n := range []string{"k20", "gt650m", "phi"} {
+		a, err := lddp.AcceleratorByName(n)
+		if err != nil || a.Name != n {
+			t.Errorf("AcceleratorByName(%s) = %v, %v", n, a, err)
+		}
+	}
+	if _, err := lddp.AcceleratorByName("nope"); err == nil {
+		t.Error("unknown name should error")
+	}
+}
+
 // TestSolveOptionErrors checks option failures surface before any work.
 func TestSolveOptionErrors(t *testing.T) {
 	p := testProblem(lddp.DepN, 8, 8)

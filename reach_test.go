@@ -23,8 +23,6 @@ import (
 // but that stay, each with the reason it stays. An entry that a program
 // reaches, or that is no longer declared, fails TestInternalReachable.
 var reachAllowlist = map[string]string{
-	"internal/fleet.Result.At": "fleet_test.go reads the assembled table through it; internal/fleet stays as it is until the coordinator is re-planned on the tile engine's geometry",
-
 	"internal/problems.DTWRef":             "the straight-line oracle problems_test.go checks DTW's framework formulation against; every problem ships one beside its constructor (package doc)",
 	"internal/problems.LCSRef":             "the straight-line oracle problems_test.go checks LCS's framework formulation against; every problem ships one beside its constructor (package doc)",
 	"internal/problems.NeedlemanWunschRef": "the straight-line oracle problems_test.go checks Needleman-Wunsch's framework formulation against; every problem ships one beside its constructor (package doc)",
