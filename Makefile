@@ -165,8 +165,9 @@ bench-server:
 # allocation budgets asserted (exit 1 on regression). Budgets: the cold
 # binary batch (8 HTTP round trips; ~180 allocs each, nearly all
 # net/http), the pure frame codec (pooled; single digits) and the
-# client's decode of one 512x256 fleet block (15 allocs into a buffer
-# sized from the request; 48 when the cells were appended onto nil).
+# client's decode of one 512x256 fleet block straight into its rectangle
+# of the assembled table (12 allocs and about 600 B; gated at 4 KiB, so
+# a decode that buffers the block, 1 MiB, fails).
 # 30 iterations, not 3: the first op pays the cold sync.Pool fills, so
 # short runs over-report allocs/op by hundreds and flake the gate.
 bench-wire:
@@ -176,7 +177,7 @@ bench-wire:
 	$(GO) run ./cmd/benchjson \
 	  -desc "Server-mode reference run: wire (json/binary/cached) vs direct batch throughput, plus the frame codec and the client's band decode. Regenerate with \`make bench-wire\`." \
 	  -assert 'wire-binary<=1600' -assert 'EncodeDecode512x512<=64' -assert 'HaloEncodeDecode2048<=16' \
-	  -assert 'BandResponseDecode512x256<=32' \
+	  -assert 'BandResponseDecode512x256<=32' -assert 'BandResponseDecode512x256:B/op<=4096' \
 	  < bench_server_output.txt > BENCH_server.json
 
 # Wire-boundary differential suite: all 15 masks x adversarial shapes

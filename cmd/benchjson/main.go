@@ -11,7 +11,8 @@
 // when any of them exceeds the limit in allocs/op — the CI hook that
 // keeps a perf-sensitive path from silently regressing its allocation
 // budget. "substring:unit<=limit" gates a custom b.ReportMetric column
-// instead, such as an interleaved time ratio. A pattern matching no
+// instead, such as an interleaved time ratio, or, with the unit B/op,
+// the -benchmem bytes per op. A pattern matching no
 // benchmark is also an error, and so is a matched benchmark that does not
 // report the unit: a renamed benchmark or metric must not turn the gate
 // into a no-op.
@@ -38,6 +39,9 @@ type result struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds the custom b.ReportMetric columns by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
+	// hasBytes: the line reported B/op (the run had -benchmem), so a
+	// BytesPerOp of 0 is a measurement, not an absent column.
+	hasBytes bool
 }
 
 type report struct {
@@ -111,10 +115,10 @@ func main() {
 }
 
 // checkAssert evaluates one 'substring<=limit' (allocs/op) or
-// 'substring:unit<=limit' (custom metric) budget against the parsed
-// results and returns one message per violation (malformed spec, no
-// match and a matched benchmark without the unit are violations too — a
-// silent gate is worse than none).
+// 'substring:unit<=limit' (B/op, or a custom metric) budget against the
+// parsed results and returns one message per violation (malformed spec,
+// no match and a matched benchmark without the unit are violations too
+// — a silent gate is worse than none).
 func checkAssert(spec string, benchmarks []result) []string {
 	name, limitStr, ok := strings.Cut(spec, "<=")
 	if !ok {
@@ -136,7 +140,11 @@ func checkAssert(spec string, benchmarks []result) []string {
 		}
 		matched = true
 		v, ok := float64(r.AllocsPerOp), true
-		if custom {
+		switch {
+		case !custom:
+		case unit == "B/op":
+			v, ok = float64(r.BytesPerOp), r.hasBytes
+		default:
 			v, ok = r.Metrics[unit]
 		}
 		switch {
@@ -203,7 +211,7 @@ func parseLine(line string) (result, bool) {
 		case "ns/op":
 			r.NsPerOp = v
 		case "B/op":
-			r.BytesPerOp = int64(v)
+			r.BytesPerOp, r.hasBytes = int64(v), true
 		case "allocs/op":
 			r.AllocsPerOp = int64(v)
 		default:

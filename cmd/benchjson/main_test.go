@@ -33,6 +33,8 @@ func TestCheckAssert(t *testing.T) {
 		{Name: "BenchmarkServerSolveBatch8x512/wire-8", NsPerOp: 5e7, AllocsPerOp: 1300},
 		{Name: "BenchmarkServerSolveBatch8x512/wire-binary-8", NsPerOp: 5e7, AllocsPerOp: 1450},
 		{Name: "BenchmarkServerSolveBatch8x512/direct-8", NsPerOp: 5e7},
+		{Name: "BenchmarkBandResponseDecode512x256-2", NsPerOp: 5e5, BytesPerOp: 618, AllocsPerOp: 12, hasBytes: true},
+		{Name: "BenchmarkEncodeDecode512x512-2", NsPerOp: 1e6, hasBytes: true},
 	}
 	if msgs := checkAssert("wire-binary<=1600", benchmarks); len(msgs) != 0 {
 		t.Errorf("within-budget assert failed: %v", msgs)
@@ -53,6 +55,23 @@ func TestCheckAssert(t *testing.T) {
 	}
 	if msgs := checkAssert("wire<=not-a-number", benchmarks); len(msgs) != 1 {
 		t.Errorf("bad-limit assert produced %v, want one parse error", msgs)
+	}
+	// The unit B/op gates the -benchmem bytes column; a measured 0
+	// passes, and a matched line that reported no B/op fails.
+	if msgs := checkAssert("BandResponseDecode512x256:B/op<=4096", benchmarks); len(msgs) != 0 {
+		t.Errorf("within-budget B/op assert failed: %v", msgs)
+	}
+	if msgs := checkAssert("BandResponseDecode512x256:B/op<=512", benchmarks); len(msgs) != 1 || !strings.Contains(msgs[0], "618 B/op") {
+		t.Errorf("over-budget B/op assert produced %v, want one violation at 618 B/op", msgs)
+	}
+	if msgs := checkAssert("EncodeDecode:B/op<=0", benchmarks); len(msgs) != 0 {
+		t.Errorf("zero-byte B/op assert failed: %v", msgs)
+	}
+	if msgs := checkAssert("wire-binary:B/op<=4096", benchmarks); len(msgs) != 1 || !strings.Contains(msgs[0], "reports no B/op") {
+		t.Errorf("B/op assert on a line without -benchmem produced %v, want one missing-unit error", msgs)
+	}
+	if r, ok := parseLine("BenchmarkX-2   100   548855 ns/op   1910.85 MB/s   618 B/op   12 allocs/op"); !ok || !r.hasBytes || r.BytesPerOp != 618 {
+		t.Errorf("parseLine = %+v, %v; want 618 B/op recorded", r, ok)
 	}
 }
 

@@ -161,16 +161,22 @@ type tileEngine struct {
 }
 
 // gridEngine validates the problem and builds the engine of its 2-D table
-// (see tileEngineFor) with the grid it fills.
-func gridEngine[T any](ctx context.Context, p *Problem[T], tile int, opts Options) (*tileEngine, *table.Grid[T], int, error) {
+// (see tileEngineFor) with the grid it fills: one over cells, which must
+// hold exactly Rows*Cols cells, or a fresh one when cells is nil. The
+// engine writes every cell before any cell reads it, and reads outside
+// the table go to the boundary, so cells may hold stale values.
+func gridEngine[T any](ctx context.Context, p *Problem[T], tile int, opts Options, cells []T) (*tileEngine, *table.Grid[T], int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, nil, 0, err
+	}
+	if cells != nil && len(cells) != p.Rows*p.Cols {
+		return nil, nil, 0, fmt.Errorf("core: %d cells of storage for a %dx%d table", len(cells), p.Rows, p.Cols)
 	}
 	e, workers, err := tileEngineFor(ctx, p.Deps, p.Rows, p.Cols, 1, tile, opts)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	g := table.NewGrid[T](p.Rows, p.Cols)
+	g := table.GridOver(p.Rows, p.Cols, cells)
 	e.row = newFlatKernel(p, g.RowMajorData(), p.Cols).row
 	return e, g, workers, nil
 }
@@ -489,7 +495,7 @@ func (e *tileEngine) firstUnfinishedRow() int {
 // builds the engine and runs it (see solve). solver names the executor in
 // the trace and in *Canceled.
 func solveTiles[T any](ctx context.Context, solver string, p *Problem[T], tile int, opts Options) (*table.Grid[T], error) {
-	e, g, workers, err := gridEngine(ctx, p, tile, opts)
+	e, g, workers, err := gridEngine(ctx, p, tile, opts, nil)
 	if err != nil {
 		return nil, err
 	}

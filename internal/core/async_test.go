@@ -301,7 +301,7 @@ func TestAsyncWorkloadRunsOnForeignWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wl, finish, err := NewTileWorkload(context.Background(), p, 4)
+	wl, finish, err := NewTileWorkload(context.Background(), p, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestAsyncWorkloadCancelUnblocksLoops(t *testing.T) {
 		}
 		return inner(i, j, nb)
 	}
-	wl, _, err := NewTileWorkload(ctx, p, 4)
+	wl, _, err := NewTileWorkload(ctx, p, 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

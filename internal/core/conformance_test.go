@@ -137,7 +137,7 @@ func schedPair(s *sched.Scheduler, p *core.Problem[int64]) (*table.Grid[int64], 
 	var hs [2]*sched.Handle
 	var grids [2]func() *table.Grid[int64]
 	for k, prob := range []*core.Problem[int64]{p, &q} {
-		wl, finish, err := core.NewTileWorkload(ctx, prob, s.Config().Workers)
+		wl, finish, err := core.NewTileWorkload(ctx, prob, s.Config().Workers, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -45,12 +45,15 @@ type Workload struct {
 // NewTileWorkload builds the Workload of a problem's tile-engine solve at
 // tileShape's tile extent for the given worker count (one worker gets the
 // whole-table row-major sweep as a single tile), together with the
-// function that returns the computed grid. The grid is only valid after
-// the scheduler reports the submission done; an abandoned or canceled
-// workload's grid must be discarded. ctx is polled once per tile row, as
-// in SolveParallelContext.
-func NewTileWorkload[T any](ctx context.Context, p *Problem[T], workers int) (*Workload, func() *table.Grid[T], error) {
-	e, g, _, err := gridEngine(ctx, p, 0, Options{NativeWorkers: workers})
+// function that returns the computed grid. The grid is built over cells,
+// the caller's row-major storage of exactly Rows*Cols cells, whose old
+// values are never read; nil allocates a fresh grid. The grid is only
+// valid after the scheduler reports the submission done; an abandoned or
+// canceled workload's grid must be discarded, and its storage may still
+// be written by workers finishing their tiles. ctx is polled once per
+// tile row, as in SolveParallelContext.
+func NewTileWorkload[T any](ctx context.Context, p *Problem[T], workers int, cells []T) (*Workload, func() *table.Grid[T], error) {
+	e, g, _, err := gridEngine(ctx, p, 0, Options{NativeWorkers: workers}, cells)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -138,6 +138,9 @@ type Result struct {
 	// Coordinator.Close.
 	FleetID   string
 	TracePath string
+	// ID is the fleet solve's process-wide sequence number, above 0: the
+	// hex suffix of FleetID, and the id of POST /v1/fleet/solve's answer.
+	ID int64
 
 	Rows, Cols int
 	// Cells is the full table, row-major.
@@ -146,8 +149,9 @@ type Result struct {
 	// same fold a single node computes for the whole solve, so fleet
 	// and single-node digests are directly comparable.
 	Digest string
-	// Mask is the resolved contributing set.
-	Mask string
+	// Mask is the resolved contributing set, and Pattern its wavefront
+	// pattern (lddp.Classify).
+	Mask, Pattern string
 	// ElapsedMS is the coordinator wall time.
 	ElapsedMS float64
 	Stats     Stats
@@ -212,12 +216,13 @@ func (c *Coordinator) MetricsSnapshot() lddp.FleetSnapshot {
 // fleetSeq disambiguates fleet IDs minted in the same nanosecond.
 var fleetSeq atomic.Int64
 
-// newFleetID mints a process-unique fleet solve identifier. It is the
-// join key of the whole observability layer: block requests carry it,
-// node trace dumps index under it, and the stitched trace file is named
-// by it.
-func newFleetID() string {
-	return fmt.Sprintf("f%x-%x", time.Now().UnixNano(), fleetSeq.Add(1))
+// newFleetID mints a process-unique fleet solve identifier and returns
+// it with its sequence number. The identifier is the join key of the
+// whole observability layer: block requests carry it, node trace dumps
+// index under it, and the stitched trace file is named by it.
+func newFleetID() (string, int64) {
+	seq := fleetSeq.Add(1)
+	return fmt.Sprintf("f%x-%x", time.Now().UnixNano(), seq), seq
 }
 
 // PlanError is a request the coordinator itself refused before
@@ -303,7 +308,6 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 	ctx, fail := context.WithCancelCause(ctx)
 	defer fail(nil)
 
-	table := make([]int64, req.Rows*req.Cols)
 	// done[k][p] closes when block (band k, processing phase p) is in
 	// the table; a close happens-before the dependent bands' reads of
 	// the block's cells, so halo slicing below needs no extra locking.
@@ -325,7 +329,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 	// Every fleet solve gets an ID and propagates it in each block's
 	// trace context — nodes running with -tracedir tag and index their
 	// dumps under it whether or not the coordinator itself records.
-	fleetID := newFleetID()
+	fleetID, id := newFleetID()
 	var rec *trace.Recorder
 	if c.cfg.TraceDir != "" {
 		// Coordinator lanes carry ~3 spans per block, so a small ring
@@ -344,6 +348,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 		})
 	}
 
+	tab := &assembly{ready: make(chan struct{})}
 	var wg sync.WaitGroup
 	for k := range p.bands {
 		wg.Add(1)
@@ -370,7 +375,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 					}
 				}
 				var err error
-				node, err = c.solveBlock(ctx, req, p, table, k, ph, node, fleetID, lane, &mu, &stats)
+				node, err = c.solveBlock(ctx, req, p, tab, k, ph, node, fleetID, lane, &mu, &stats)
 				if err != nil {
 					fail(fmt.Errorf("fleet: band %d phase %d: %w", k, ph, err))
 					return
@@ -382,16 +387,33 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 			}
 		}(k)
 	}
+	// The table is allocated beside the first round trip: no block of
+	// band 0's first phase reads a halo, so its request is already out
+	// while make clears the table.
+	tab.cells = make([]int64, req.Rows*req.Cols)
+	close(tab.ready)
+	// The digest folds band by band, in row-major order, as each band's
+	// last block lands — the fold CellsDigest makes over the whole
+	// table — so only the last band's fold follows the last block.
+	h := wire.DigestWord(wire.DigestInit(), uint64(req.Rows)<<32|uint64(req.Cols))
+	last := len(p.phases) - 1
+	for k, b := range p.bands {
+		if !landed(ctx, done[k][last]) {
+			break // a failed solve: Cause(ctx) reports it below
+		}
+		h = wire.FoldCells(h, tab.cells[b.lo*req.Cols:b.hi*req.Cols])
+	}
 	wg.Wait()
 	if err := context.Cause(ctx); err != nil {
 		return nil, err
 	}
 	c.counters.solves.Add(1)
 	res := &Result{
-		FleetID: fleetID,
-		Rows:    req.Rows, Cols: req.Cols, Cells: table,
-		Digest:    fmt.Sprintf("%016x", wire.CellsDigest(req.Rows, req.Cols, table)),
+		FleetID: fleetID, ID: id,
+		Rows: req.Rows, Cols: req.Cols, Cells: tab.cells,
+		Digest:    fmt.Sprintf("%016x", h),
 		Mask:      p.mask.String(),
+		Pattern:   lddp.Classify(p.mask).String(),
 		ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 		Stats:     stats,
 	}
@@ -413,6 +435,36 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 		}()
 	}
 	return res, nil
+}
+
+// assembly is one solve's table. cells is set once, beside the first
+// block's round trip; ready closes after it, and a block waits on ready
+// only to slice a halo or to land its cells.
+type assembly struct {
+	cells []int64
+	ready chan struct{}
+}
+
+// table waits for the table and returns it.
+func (a *assembly) table() []int64 {
+	<-a.ready
+	return a.cells
+}
+
+// landed waits until block is done or ctx ends, and reports whether the
+// block is done: a closed done channel wins over an ended context.
+func landed(ctx context.Context, block <-chan struct{}) bool {
+	select {
+	case <-block:
+		return true
+	case <-ctx.Done():
+		select {
+		case <-block:
+			return true
+		default:
+			return false
+		}
+	}
 }
 
 // stitchTrace fetches every node's block trace dumps for one completed
@@ -449,12 +501,15 @@ func (c *Coordinator) stitchTrace(ctx context.Context, fleetID string, rec *trac
 }
 
 // solveBlock ships one block to its band's node, relocating on failure,
-// and writes the returned cells into the assembled table. It returns
-// the node that completed the block (the band's node from here on).
-// When the coordinator records a trace, lane is band k's lane and gets
-// one round-trip span per completed block plus a derived halo-transfer
-// span (round trip minus node-reported compute).
-func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *plan, table []int64, k, ph, node int, fleetID string, lane *trace.Lane, mu *sync.Mutex, stats *Stats) (int, error) {
+// and lands the returned cells in the assembled table. It returns the
+// node that completed the block (the band's node from here on). A
+// failed attempt may leave unverified cells in the block's rectangle;
+// nothing reads them before the block's done channel closes, and the
+// next attempt overwrites them. When the coordinator records a trace,
+// lane is band k's lane and gets one round-trip span per completed
+// block plus a derived halo-transfer span (round trip minus
+// node-reported compute).
+func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *plan, tab *assembly, k, ph, node int, fleetID string, lane *trace.Lane, mu *sync.Mutex, stats *Stats) (int, error) {
 	rows, cols := req.Rows, req.Cols
 	b, col := p.bands[k], p.phases[ph]
 	breq := &api.BandRequest{
@@ -465,6 +520,10 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		Trace:    &api.TraceContext{FleetID: fleetID, Band: k, Phase: ph},
 	}
 	h := api.HaloSpec(p.mask, rows, cols, b.lo, b.hi, col.lo, col.hi)
+	var table []int64
+	if h.NorthLen+h.WestLen+h.EastLen > 0 {
+		table = tab.table()
+	}
 	if h.NorthLen > 0 {
 		breq.NorthLo = h.NorthLo
 		breq.HaloNorth = table[(b.lo-1)*cols+h.NorthLo : (b.lo-1)*cols+h.NorthLo+h.NorthLen]
@@ -486,6 +545,7 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		c.counters.haloValues.Add(haloValues)
 		c.counters.haloBytes.Add(haloValues * 8)
 	}
+	dst := func() ([]int64, int) { return tab.table()[b.lo*cols+col.lo:], cols }
 	var last error
 	for attempt := 0; attempt < c.cfg.MaxBlockAttempts; attempt++ {
 		if attempt > 0 {
@@ -499,7 +559,7 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		if lane != nil {
 			t0 = lane.Clock()
 		}
-		resp, err := c.cfg.Nodes[node].SolveBand(ctx, breq)
+		resp, err := c.cfg.Nodes[node].SolveBand(ctx, breq, dst)
 		if err != nil {
 			last = err
 			if ctx.Err() != nil || !relocatable(err) {
@@ -517,11 +577,6 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 			if over := rtt - int64(resp.ElapsedMS*1e6); over > 0 {
 				lane.SpanAt(trace.KindXferH2D, trace.LabelHaloXfer, ph, haloValues, haloValues*8, t0, over)
 			}
-		}
-		// SolveBand refuses any response but the requested block, filled
-		// exactly, so the rows copy in place.
-		for i, row := range resp.Cells {
-			copy(table[(b.lo+i)*cols+col.lo:(b.lo+i)*cols+col.hi], row)
 		}
 		c.counters.blocks.Add(1)
 		mu.Lock()

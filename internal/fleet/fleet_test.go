@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/server"
+	"repro/internal/testutil"
 	"repro/lddp"
 	"repro/lddp/api"
 	"repro/lddp/client"
@@ -41,6 +42,8 @@ type testFleet struct {
 	coord   *fleet.Coordinator
 }
 
+// newTestFleet boots n nodes behind a coordinator whose node clients
+// speak the binary codec unless copts say otherwise.
 func newTestFleet(t *testing.T, n int, cfg fleet.Config, copts ...client.Option) *testFleet {
 	t.Helper()
 	f := &testFleet{}
@@ -52,8 +55,8 @@ func newTestFleet(t *testing.T, n int, cfg fleet.Config, copts ...client.Option)
 		ts := httptest.NewServer(srv.Handler())
 		t.Cleanup(func() { ts.Close(); srv.Close() })
 		f.servers = append(f.servers, ts)
-		copts = append(copts[:len(copts):len(copts)], client.WithCodec(client.CodecBinary))
-		c, err := client.New(ts.URL, copts...)
+		// Binary unless copts pick the codec.
+		c, err := client.New(ts.URL, append([]client.Option{client.WithCodec(client.CodecBinary)}, copts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,13 +109,17 @@ func checkFleetDifferential(t *testing.T, coord *fleet.Coordinator, req *api.Sol
 func resultAt(r *fleet.Result, i, j int) int64 { return r.Cells[i*r.Cols+j] }
 
 // TestFleetDifferentialAllMasks is the full fleet matrix: 2- and 3-node
-// fleets x all 15 dependency masks x the adversarial shapes, with a
-// deliberately tiny phase width so even small tables run many phases
-// (halo hand-off on every boundary). Every mask exercises the direction
-// policy its contributing set forces.
+// fleets x both codecs x all 15 dependency masks x the adversarial
+// shapes, with a deliberately tiny phase width so even small tables run
+// many phases (halo hand-off on every boundary). Binary blocks decode
+// straight into the assembled table, JSON ones are copied there. Every
+// mask exercises the direction policy its contributing set forces.
 func TestFleetDifferentialAllMasks(t *testing.T) {
-	for _, nodes := range []int{2, 3} {
-		f := newTestFleet(t, nodes, fleet.Config{PhaseCols: 7})
+	for _, fc := range []struct {
+		nodes int
+		codec client.Codec
+	}{{2, client.CodecBinary}, {3, client.CodecBinary}, {2, client.CodecJSON}, {3, client.CodecJSON}} {
+		f := newTestFleet(t, fc.nodes, fleet.Config{PhaseCols: 7}, client.WithCodec(fc.codec))
 		for _, m := range lddp.AllDepMasks() {
 			for _, d := range fleetShapes {
 				req := &api.SolveRequest{
@@ -221,7 +228,10 @@ func TestFleetKillNodeMidSolve(t *testing.T) {
 
 // TestFleetFatalErrorAborts pins the non-relocatable path: an invalid
 // request must fail the solve without burning relocation attempts.
+// Leak-checked: no band goroutine, nor Solve's table allocation and
+// digest fold, outlives a failed Solve.
 func TestFleetFatalErrorAborts(t *testing.T) {
+	checkLeaks(t)
 	f := newTestFleet(t, 2, fleet.Config{})
 	req := &api.SolveRequest{
 		Rows: 10, Cols: 10, Mask: "W,N",
@@ -261,4 +271,16 @@ func TestDirectionForAllMasks(t *testing.T) {
 			t.Errorf("mask %s: direction %s, want %s", m, got, want)
 		}
 	}
+}
+
+// checkLeaks fails t if goroutines outlive it: the check runs after
+// every cleanup registered later, so the fleet's nodes and clients are
+// torn down first.
+func checkLeaks(t *testing.T) {
+	leak := testutil.StartLeakCheck()
+	t.Cleanup(func() {
+		if err := leak.Err(2 * time.Second); err != nil {
+			t.Error(err)
+		}
+	})
 }

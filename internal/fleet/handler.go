@@ -30,20 +30,24 @@ const (
 // planned, and holds one of node's in-flight slots for the whole fleet
 // solve. The 200 body is a standard SolveResponse whose digest is the
 // assembled-table digest — directly comparable to a single-node solve
-// of the same request. cmd/lddpd mounts it beside the node mux when
-// -peers is set, which keeps the coordinator layered strictly above
-// the node service: the server package never learns the fleet exists.
-// A nil errorLog selects log.Default().
+// of the same request — and whose id, echoed in X-Lddp-Solve-Id, is the
+// fleet solve's sequence number (Result.ID). Errors go through node's
+// error writer, so a 503 carries node's Retry-After like every other
+// refusal. cmd/lddpd mounts it beside the node mux when -peers is set,
+// which keeps the coordinator layered strictly above the node service:
+// the server package never learns the fleet exists. A nil errorLog
+// selects log.Default().
 func NewHandler(coord *Coordinator, node *server.Server, errorLog *log.Logger) http.Handler {
 	if errorLog == nil {
 		errorLog = log.Default()
 	}
-	h := &handler{coord: coord, errorLog: errorLog}
+	h := &handler{coord: coord, node: node, errorLog: errorLog}
 	return node.Admit(h.serve)
 }
 
 type handler struct {
 	coord    *Coordinator
+	node     *server.Server
 	errorLog *log.Logger
 }
 
@@ -55,9 +59,10 @@ func (h *handler) serve(w http.ResponseWriter, r *http.Request, req *api.SolveRe
 	}
 	w.Header().Set(BandsHeader, strconv.Itoa(res.Stats.Bands))
 	w.Header().Set(RelocationsHeader, strconv.Itoa(res.Stats.Relocations))
+	w.Header().Set(api.SolveIDHeader, strconv.FormatInt(res.ID, 10))
 	resp := &api.SolveResponse{
-		Status: "done", Rows: res.Rows, Cols: res.Cols,
-		Mask: res.Mask, Digest: res.Digest, ElapsedMS: res.ElapsedMS,
+		ID: res.ID, Status: "done", Rows: res.Rows, Cols: res.Cols,
+		Mask: res.Mask, Pattern: res.Pattern, Digest: res.Digest, ElapsedMS: res.ElapsedMS,
 	}
 	if req.ReturnCells {
 		resp.Cells = make([][]int64, res.Rows)
@@ -79,20 +84,12 @@ func (h *handler) writeSolveError(w http.ResponseWriter, r *http.Request, err er
 	var planErr *PlanError
 	switch {
 	case errors.As(err, &planErr), errors.Is(err, client.ErrInvalid):
-		h.writeError(w, http.StatusBadRequest, "invalid", err.Error())
+		h.node.WriteError(w, http.StatusBadRequest, "invalid", 0, err.Error())
 	case errors.Is(err, client.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
-		h.writeError(w, http.StatusRequestTimeout, "canceled", err.Error())
+		h.node.WriteError(w, http.StatusRequestTimeout, "canceled", 0, err.Error())
 	case r.Context().Err() != nil:
-		h.writeError(w, 499, "canceled", err.Error())
+		h.node.WriteError(w, 499, "canceled", 0, err.Error())
 	default:
-		h.writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
-	}
-}
-
-func (h *handler) writeError(w http.ResponseWriter, code int, status, msg string) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(api.ErrorBody{Status: status, Error: msg}); err != nil {
-		h.errorLog.Printf("fleet: writing %d error body: %v", code, err)
+		h.node.WriteError(w, http.StatusServiceUnavailable, "unavailable", 0, err.Error())
 	}
 }

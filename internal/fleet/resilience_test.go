@@ -124,7 +124,7 @@ func TestFleetStitchDetached(t *testing.T) {
 // TestFleetRelocationExhaustion pins the all-nodes-dead contract: a
 // fleet solve whose every relocation target is gone must return a typed
 // exhaustion error naming the per-block attempt bound — within the
-// bound, never hanging on a dead fleet.
+// bound, never hanging on a dead fleet — and leave no goroutine behind.
 func TestFleetRelocationExhaustion(t *testing.T) {
 	cases := []struct {
 		name     string
@@ -139,6 +139,7 @@ func TestFleetRelocationExhaustion(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			checkLeaks(t)
 			var killAll func()
 			var once sync.Once
 			cfg := fleet.Config{PhaseCols: 5, MaxBlockAttempts: tc.attempts}

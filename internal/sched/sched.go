@@ -220,7 +220,7 @@ func (s *Scheduler) refusalLocked(j *job) error {
 // *core.Canceled, *Rejected, or a validation error from the problem
 // itself.
 func Solve[T any](ctx context.Context, s *Scheduler, p *core.Problem[T], opts SubmitOptions) (*table.Grid[T], error) {
-	wl, finish, err := core.NewTileWorkload(ctx, p, s.cfg.Workers)
+	wl, finish, err := core.NewTileWorkload(ctx, p, s.cfg.Workers, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -147,7 +147,10 @@ func BlockProblem(base *lddp.Problem[int64], req *api.BandRequest, mask lddp.Dep
 // protocol's unit of work, through the solve pipeline. It never touches
 // the result cache — a block's halos make it context-dependent, so
 // caching would trade correctness for nothing — and every refusal
-// before the run, the cell cap included, is a 400.
+// before the run, the cell cap included, is a 400. The block is
+// computed into a pooled buffer (wire.GetCells), which goes back to the
+// pool once the response is written; a run that fails keeps it out of
+// the pool for good, like the inline cells of a failed /v1/solve.
 func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 	w, neg, ok := s.admit(w, r, true)
 	if !ok {
@@ -171,7 +174,7 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		base, err = BuildProblem(&table)
 	}
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
+		s.WriteError(w, http.StatusBadRequest, "invalid", 0, err.Error())
 		return
 	}
 	if n := len(req.HaloNorth) + len(req.HaloWest) + len(req.HaloEast); n > 0 {
@@ -180,10 +183,12 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	block := BlockProblem(base, req, mask)
 	start := time.Now()
-	id, flat, ok := s.run(w, r, block, req.Strategy, req.DeadlineMS, req.Trace)
+	n := block.Rows * block.Cols
+	id, flat, ok := s.run(w, r, block, req.Strategy, req.DeadlineMS, req.Trace, wire.GetCells(n)[:n])
 	if !ok {
 		return
 	}
+	defer wire.PutCells(flat)
 	// The block's cells are always included — the coordinator needs
 	// every block to assemble the table — so the binary codec is
 	// strongly preferred for non-trivial bands.

@@ -191,6 +191,12 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 	}
 }
 
+// blockBuffer is a band solve's destination when only the response
+// matters: a fresh buffer of n cells at row stride cols.
+func blockBuffer(n, cols int) client.BlockDest {
+	return func() ([]int64, int) { return make([]int64, n), cols }
+}
+
 // bandReqAtOrigin builds a halo-free band request: the block at (0,0)
 // under mask W,N needs no inbound halos.
 func bandReqAtOrigin(fleetID string, band, phase int) *api.BandRequest {
@@ -215,7 +221,7 @@ func TestTraceEndpoint(t *testing.T) {
 		id          string
 		band, phase int
 	}{{"f-test", 0, 0}, {"f-test", 0, 1}, {"f-other", 1, 0}} {
-		if _, err := c.SolveBand(context.Background(), bandReqAtOrigin(bp.id, bp.band, bp.phase)); err != nil {
+		if _, err := c.SolveBand(context.Background(), bandReqAtOrigin(bp.id, bp.band, bp.phase), blockBuffer(64, 8)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,7 +269,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 func TestTraceEndpointWithoutTraceDir(t *testing.T) {
 	_, _, c := newTestService(t, server.Config{Workers: 2})
-	if _, err := c.SolveBand(context.Background(), bandReqAtOrigin("f-x", 0, 0)); err != nil {
+	if _, err := c.SolveBand(context.Background(), bandReqAtOrigin("f-x", 0, 0), blockBuffer(64, 8)); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.Trace(context.Background(), "f-x")

@@ -272,7 +272,7 @@ func (s *Server) Handler() http.Handler {
 // handleNotFound is the mux fallback: a JSON ErrorBody 404 naming the
 // unmatched path.
 func (s *Server) handleNotFound(w http.ResponseWriter, r *http.Request) {
-	s.writeError(w, http.StatusNotFound, "not_found", 0,
+	s.WriteError(w, http.StatusNotFound, "not_found", 0,
 		fmt.Sprintf("no route %s %s", r.Method, r.URL.Path))
 }
 
@@ -363,10 +363,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeError renders one ErrorBody with the mapped HTTP status; 429 and
+// WriteError renders one ErrorBody with the mapped HTTP status; 429 and
 // 503 carry the Retry-After pushback in both header (whole seconds,
-// rounded up) and body (milliseconds).
-func (s *Server) writeError(w http.ResponseWriter, code int, status string, id int64, msg string) {
+// rounded up) and body (milliseconds), and a nonzero id rides the body
+// and the X-Lddp-Solve-Id header. It is the one error writer of every
+// route the node serves, the fleet route mounted through Admit
+// included.
+func (s *Server) WriteError(w http.ResponseWriter, code int, status string, id int64, msg string) {
 	body := api.ErrorBody{Status: status, Error: msg, ID: id}
 	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
 		body.RetryAfterMS = s.cfg.RetryAfter.Milliseconds()
@@ -416,17 +419,17 @@ func (s *Server) Admit(serve func(http.ResponseWriter, *http.Request, *api.Solve
 func (s *Server) admit(w http.ResponseWriter, r *http.Request, band bool) (http.ResponseWriter, negotiation, bool) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
-		s.writeError(w, http.StatusMethodNotAllowed, "invalid", 0, "POST required")
+		s.WriteError(w, http.StatusMethodNotAllowed, "invalid", 0, "POST required")
 		return w, negotiation{}, false
 	}
 	if s.draining.Load() {
-		s.writeError(w, http.StatusServiceUnavailable, "draining", 0, "server is draining")
+		s.WriteError(w, http.StatusServiceUnavailable, "draining", 0, "server is draining")
 		return w, negotiation{}, false
 	}
 	select {
 	case s.inflight <- struct{}{}:
 	default:
-		s.writeError(w, http.StatusTooManyRequests, "rejected", 0,
+		s.WriteError(w, http.StatusTooManyRequests, "rejected", 0,
 			fmt.Sprintf("server at its in-flight limit (%d)", s.cfg.MaxInflight))
 		return w, negotiation{}, false
 	}
@@ -475,7 +478,7 @@ func (s *Server) decodeSolve(w http.ResponseWriter, r *http.Request, binary bool
 		req, err = ParseSolveRequest(r.Body)
 	}
 	if err = s.countRequest(binary, err); err != nil {
-		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
+		s.WriteError(w, http.StatusBadRequest, "invalid", 0, err.Error())
 		return nil, nil, false
 	}
 	if err := s.ValidateRequest(req); err != nil {
@@ -484,7 +487,7 @@ func (s *Server) decodeSolve(w http.ResponseWriter, r *http.Request, binary bool
 		if req.Rows > 0 && req.Cols > 0 && tooManyCells(req.Rows, req.Cols, s.cfg.MaxCells) {
 			code = http.StatusRequestEntityTooLarge
 		}
-		s.writeError(w, code, "invalid", 0, err.Error())
+		s.WriteError(w, code, "invalid", 0, err.Error())
 		return nil, nil, false
 	}
 	return req, release, true
@@ -513,7 +516,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	problem, err := BuildProblem(req)
 	if err != nil {
 		releaseInline()
-		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
+		s.WriteError(w, http.StatusBadRequest, "invalid", 0, err.Error())
 		return
 	}
 	includeCells := req.ReturnCells && int64(problem.Rows)*int64(problem.Cols) <= int64(s.cfg.MaxResponseCells)
@@ -546,7 +549,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// No releaseInline when run fails: on a cancellation the scheduler's
 	// workers may still be quiescing against the problem's inline cells,
 	// so the buffer is left to the garbage collector.
-	id, flat, ok := s.run(w, r, problem, req.Strategy, req.DeadlineMS, nil)
+	id, flat, ok := s.run(w, r, problem, req.Strategy, req.DeadlineMS, nil, nil)
 	if !ok {
 		return
 	}
@@ -586,9 +589,10 @@ func cellsIf(include bool, flat []int64) []int64 {
 // run submits problem to the scheduler under the request's deadline and
 // strategy and waits for it, writing its trace file when the server
 // records traces — tagged with, and indexed under, the fleet solve tag
-// names. On success it returns the solve ID and the row-major result;
-// otherwise it has answered the request itself and ok is false.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Problem[int64], strategy string, deadlineMS int64, tag *api.TraceContext) (id int64, flat []int64, ok bool) {
+// names. The solve computes into cells (nil allocates; see
+// lddp.SubmitInto). On success it returns the solve ID and the row-major
+// result; otherwise it has answered the request itself and ok is false.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Problem[int64], strategy string, deadlineMS int64, tag *api.TraceContext, cells []int64) (id int64, flat []int64, ok bool) {
 	ctx := r.Context()
 	if deadlineMS > 0 {
 		var cancel context.CancelFunc
@@ -613,7 +617,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Probl
 		}
 		opts = append(opts, lddp.WithTracer(tracer))
 	}
-	sub, err := lddp.Submit(ctx, s.sched, problem, opts...)
+	sub, err := lddp.SubmitInto(ctx, s.sched, problem, cells, opts...)
 	if err != nil {
 		s.writeSubmitError(w, r, err)
 		return 0, nil, false
@@ -644,16 +648,16 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, r *http.Request, err er
 			id = rej.ID
 			msg = fmt.Sprintf("admission queue full (depth %d)", rej.QueueDepth)
 		}
-		s.writeError(w, http.StatusTooManyRequests, "rejected", id, msg)
+		s.WriteError(w, http.StatusTooManyRequests, "rejected", id, msg)
 	case errors.Is(err, lddp.ErrSchedulerClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "draining", 0, "scheduler closed")
+		s.WriteError(w, http.StatusServiceUnavailable, "draining", 0, "scheduler closed")
 	case errors.As(err, &rej):
 		// Rejected for a context cause: the deadline (or the caller)
 		// ended the request before admission.
 		s.writeTimeout(w, r, rej.ID, "rejected", err)
 	default:
 		// Validation errors from the problem or options.
-		s.writeError(w, http.StatusBadRequest, "invalid", 0, err.Error())
+		s.WriteError(w, http.StatusBadRequest, "invalid", 0, err.Error())
 	}
 }
 
@@ -664,15 +668,15 @@ func (s *Server) writeOutcomeError(w http.ResponseWriter, r *http.Request, id in
 	var can *lddp.Canceled
 	switch {
 	case errors.Is(err, lddp.ErrQueueFull):
-		s.writeError(w, http.StatusTooManyRequests, "rejected", id, err.Error())
+		s.WriteError(w, http.StatusTooManyRequests, "rejected", id, err.Error())
 	case errors.Is(err, lddp.ErrSchedulerClosed):
-		s.writeError(w, http.StatusServiceUnavailable, "draining", id, "scheduler closed")
+		s.WriteError(w, http.StatusServiceUnavailable, "draining", id, "scheduler closed")
 	case errors.As(err, &can):
 		s.writeTimeout(w, r, id, "canceled", err)
 	case errors.As(err, &rej):
 		s.writeTimeout(w, r, id, "rejected", err)
 	default:
-		s.writeError(w, http.StatusInternalServerError, "error", id, err.Error())
+		s.WriteError(w, http.StatusInternalServerError, "error", id, err.Error())
 	}
 }
 
@@ -685,7 +689,7 @@ func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, id int64, 
 	if r.Context().Err() != nil && !errors.Is(err, context.DeadlineExceeded) {
 		code = 499
 	}
-	s.writeError(w, code, status, id, err.Error())
+	s.WriteError(w, code, status, id, err.Error())
 }
 
 // writeTraceFile persists one solve's trace, best-effort: a full disk or

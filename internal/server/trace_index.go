@@ -74,12 +74,12 @@ func (t *traceIndex) size() int {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
-		s.writeError(w, http.StatusMethodNotAllowed, "invalid", 0, "GET required")
+		s.WriteError(w, http.StatusMethodNotAllowed, "invalid", 0, "GET required")
 		return
 	}
 	fleetID := strings.TrimPrefix(r.URL.Path, "/v1/trace/")
 	if fleetID == "" || strings.Contains(fleetID, "/") {
-		s.writeError(w, http.StatusNotFound, "not_found", 0,
+		s.WriteError(w, http.StatusNotFound, "not_found", 0,
 			fmt.Sprintf("no route %s %s", r.Method, r.URL.Path))
 		return
 	}
@@ -88,7 +88,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		refs = s.traces.get(fleetID)
 	}
 	if len(refs) == 0 {
-		s.writeError(w, http.StatusNotFound, "not_found", 0,
+		s.WriteError(w, http.StatusNotFound, "not_found", 0,
 			fmt.Sprintf("no traces recorded for fleet solve %q (tracing requires -tracedir)", fleetID))
 		return
 	}

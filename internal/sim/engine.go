@@ -517,8 +517,15 @@ func (e *engine) runProm(ctx context.Context, res *opResult) {
 	}
 	lint, err := promlint.Lint(resp.Body)
 	if err != nil {
-		e.violate("op %d: prom exposition unreadable: %v", op.ID, err)
-	} else if lerr := lint.Err(); lerr != nil {
+		// The body broke off mid-read: a transport failure, excused
+		// exactly as one from Do is — a planned kill explains both.
+		if !e.allowedTransport(op) {
+			e.violate("op %d: prom exposition unreadable: %v", op.ID, err)
+		}
+		e.finish(res, classTransport, nil, nil, err)
+		return
+	}
+	if lerr := lint.Err(); lerr != nil {
 		e.violate("op %d: prom exposition fails lint: %v", op.ID, lerr)
 	}
 	e.finish(res, classOK, nil, nil, nil)

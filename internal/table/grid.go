@@ -31,6 +31,21 @@ func NewGrid[T any](rows, cols int) *Grid[T] {
 	return &Grid[T]{rows: rows, cols: cols, data: make([]T, rows*cols)}
 }
 
+// GridOver returns a rows x cols grid over data, row-major, without
+// copying or clearing it: writes through the grid are writes to data.
+// A nil data allocates a zeroed grid, as NewGrid does. GridOver panics
+// on non-positive dimensions and on a non-nil data whose length is not
+// rows*cols.
+func GridOver[T any](rows, cols int, data []T) *Grid[T] {
+	if data == nil {
+		return NewGrid[T](rows, cols)
+	}
+	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("table: %d cells for a %dx%d grid", len(data), rows, cols))
+	}
+	return &Grid[T]{rows: rows, cols: cols, data: data}
+}
+
 // Rows returns the number of rows.
 func (g *Grid[T]) Rows() int { return g.rows }
 

@@ -52,6 +52,23 @@ func decodeBand(frame []byte) (bandFrame, error) {
 	}
 }
 
+// sectionSeeds are FuzzSections' seed frames: band frames with and
+// without a cell section, one cut inside its digest trailer, and one
+// repeating a section tag.
+func sectionSeeds(tb testing.TB) [][]byte {
+	halo := encodeHaloFrame(tb, testHeader{Name: "halo", N: 3}, []int64{10, 20, 30},
+		map[uint64][]int64{SectionNorth: {1, -2, 3, 4}, SectionWest: {-9, 8}, SectionEast: {7}},
+		[]uint64{SectionNorth, SectionWest, SectionEast})
+	return [][]byte{
+		halo,
+		encodeHaloFrame(tb, testHeader{Name: "req"}, nil,
+			map[uint64][]int64{SectionNorth: {5, 6}}, []uint64{SectionNorth}),
+		halo[:len(halo)-3], // truncated digest trailer
+		encodeHaloFrame(tb, testHeader{Name: "twice"}, []int64{1},
+			map[uint64][]int64{SectionWest: {2, 3}}, []uint64{SectionWest, SectionWest}),
+	}
+}
+
 // FuzzSections feeds arbitrary bytes through the band-frame decode path.
 // The decoder must never panic, every error must be one of the typed
 // decode failures, and it must never hand back more cells than the cap.
@@ -60,15 +77,9 @@ func decodeBand(frame []byte) (bandFrame, error) {
 // The decoder hands the header back raw for the caller to unmarshal, so
 // only a JSON header is re-encoded; the encoder writes it compacted.
 func FuzzSections(f *testing.F) {
-	halo := encodeHaloFrame(f, testHeader{Name: "halo", N: 3}, []int64{10, 20, 30},
-		map[uint64][]int64{SectionNorth: {1, -2, 3, 4}, SectionWest: {-9, 8}, SectionEast: {7}},
-		[]uint64{SectionNorth, SectionWest, SectionEast})
-	f.Add(halo)
-	f.Add(encodeHaloFrame(f, testHeader{Name: "req"}, nil,
-		map[uint64][]int64{SectionNorth: {5, 6}}, []uint64{SectionNorth}))
-	f.Add(halo[:len(halo)-3]) // truncated digest trailer
-	f.Add(encodeHaloFrame(f, testHeader{Name: "twice"}, []int64{1},
-		map[uint64][]int64{SectionWest: {2, 3}}, []uint64{SectionWest, SectionWest}))
+	for _, frame := range sectionSeeds(f) {
+		f.Add(frame)
+	}
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		got, err := decodeBand(frame)
 		n := len(got.cells)

@@ -38,6 +38,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -110,7 +111,12 @@ func DigestWord(h, w uint64) uint64 {
 // given row-major cells: dimensions folded as one word, then every cell
 // word-wise. internal/server renders it as the hex digest of a solve.
 func CellsDigest(rows, cols int, cells []int64) uint64 {
-	h := DigestWord(fnvOffset64, uint64(rows)<<32|uint64(cols))
+	return FoldCells(DigestWord(fnvOffset64, uint64(rows)<<32|uint64(cols)), cells)
+}
+
+// FoldCells folds cells word-wise into h, in order: folding a table's
+// rows in row-major order, however they are split, gives CellsDigest.
+func FoldCells(h uint64, cells []int64) uint64 {
 	for _, v := range cells {
 		h = DigestWord(h, uint64(v))
 	}
@@ -440,7 +446,9 @@ func (d *Decoder) Header() ([]byte, error) {
 // (pass a pooled or preallocated buffer to avoid growth) and returning
 // the extended slice.
 func (d *Decoder) Cells(dst []int64) ([]int64, error) {
-	return d.cells(dst, 0)
+	c := cellDst{dst: dst, grow: true}
+	err := d.cells(&c)
+	return c.dst, err
 }
 
 // CellsSized reads the cell section like Cells into one buffer of
@@ -449,65 +457,112 @@ func (d *Decoder) Cells(dst []int64) ([]int64, error) {
 // on the cell count, never a value read from the frame: it lowers the
 // SetMaxCells cap to n, so a frame carrying more fails with ErrFrame
 // instead of growing the buffer (and the buffer never exceeds the cap).
+// It is CellsInto's one-row case over a buffer of its own.
 func (d *Decoder) CellsSized(n int) ([]int64, error) {
 	d.maxCells = max(min(d.maxCells, int64(n)), 0)
-	return d.cells(nil, int(d.maxCells))
+	c := cellDst{cols: int(d.maxCells), stride: int(d.maxCells), alloc: true}
+	err := d.cells(&c)
+	return c.dst[:c.n], err
 }
 
-// cells reads the cell section onto dst; a positive size allocates dst
-// at that capacity when the first chunk arrives.
-func (d *Decoder) cells(dst []int64, size int) ([]int64, error) {
+// CellsInto reads the cell section into a rows x cols rectangle of dst,
+// row-major: row r of the rectangle is dst[r*stride : r*stride+cols], so
+// stride is the row length of the table the rectangle sits in. It
+// lowers the SetMaxCells cap to rows*cols, so a frame carrying more
+// fails with ErrFrame, and it never writes a cell of dst outside the
+// rectangle. It returns how many cells landed, also on error. Cells land
+// before the trailer is read: until Close returns nil they are
+// unverified, and on any error the rectangle holds an unknown mix of old
+// and new cells.
+func (d *Decoder) CellsInto(dst []int64, rows, cols, stride int) (int, error) {
+	if rows < 0 || cols < 0 || stride < cols || (rows > 0 && cols > 0 && len(dst) < (rows-1)*stride+cols) {
+		return 0, fmt.Errorf("wire: a %dx%d rectangle at row stride %d does not fit %d cells", rows, cols, stride, len(dst))
+	}
+	d.maxCells = max(min(d.maxCells, int64(rows)*int64(cols)), 0)
+	c := cellDst{dst: dst, cols: cols, stride: stride}
+	err := d.cells(&c)
+	return c.n, err
+}
+
+// cells reads the cell section into c.
+func (d *Decoder) cells(c *cellDst) error {
 	if d.state != 1 {
-		return dst, errors.New("wire: Cells outside Header..Close")
+		return errors.New("wire: Cells outside Header..Close")
 	}
 	d.state = 2
 	for {
 		n, err := d.readUvarint()
 		if err != nil {
-			return dst, fmt.Errorf("%w: reading chunk count: %v", ErrFrame, err)
+			return fmt.Errorf("%w: reading chunk count: %v", ErrFrame, err)
 		}
 		if n == 0 {
-			return dst, nil
+			return nil
 		}
-		if dst == nil && size > 0 {
-			dst = make([]int64, 0, size)
+		if c.alloc && c.dst == nil {
+			c.dst = make([]int64, c.cols)
 		}
-		dst, err = d.readCellRun(dst, n, "cell chunk")
-		if err != nil {
-			return dst, err
+		if err := d.readCellRun(c, n, "cell chunk"); err != nil {
+			return err
 		}
 	}
 }
 
+// cellDst is where decoded cells land: the end of dst, which grows to
+// take them (grow), or a rectangle of dst — rows of cols cells, each row
+// stride cells after the one before — filled row-major, whose row count
+// the decoder's cell cap enforces. alloc makes a one-row rectangle
+// allocate dst, cols cells, when the first chunk arrives. n counts the
+// cells landed.
+type cellDst struct {
+	dst             []int64
+	cols, stride, n int
+	grow, alloc     bool
+}
+
+// next returns where the next at most k cells land: k new cells at the
+// end of a growing dst, or the rest of the rectangle's current row.
+func (c *cellDst) next(k int) []int64 {
+	if c.grow {
+		l := len(c.dst)
+		c.dst = slices.Grow(c.dst, k)[:l+k]
+		return c.dst[l:]
+	}
+	i, j := c.n/c.cols, c.n%c.cols
+	at := i*c.stride + j
+	return c.dst[at : at+min(k, c.cols-j)]
+}
+
 // readCellRun consumes n cells against the shared cell budget, folding
-// each into the digest and appending onto dst.
-func (d *Decoder) readCellRun(dst []int64, n uint64, what string) ([]int64, error) {
+// each into the digest and landing it in c: the decoder's one cell loop.
+func (d *Decoder) readCellRun(c *cellDst, n uint64, what string) error {
 	// The count is untrusted: compare in unsigned space first, so a
 	// count near 2^64 cannot wrap a signed sum past the cap. After the
 	// first two checks, n fits in int64 and total <= maxCells holds, so
 	// the subtraction cannot overflow.
 	if d.maxCells < 0 || n > uint64(d.maxCells) || int64(n) > d.maxCells-d.total {
-		return dst, fmt.Errorf("%w: cell payload exceeds the %d-cell cap", ErrFrame, d.maxCells)
+		return fmt.Errorf("%w: cell payload exceeds the %d-cell cap", ErrFrame, d.maxCells)
 	}
 	d.total += int64(n)
 	buf := (*d.scratch)[:cap(*d.scratch)]
 	for n > 0 {
-		c := uint64(len(buf) / 8)
-		if c > n {
-			c = n
-		}
-		p := buf[:c*8]
+		k := min(n, uint64(len(buf)/8))
+		p := buf[:k*8]
 		if _, err := io.ReadFull(d.r, p); err != nil {
-			return dst, fmt.Errorf("%w: truncated %s: %v", ErrFrame, what, err)
+			return fmt.Errorf("%w: truncated %s: %v", ErrFrame, what, err)
 		}
-		for i := uint64(0); i < c; i++ {
-			w := binary.LittleEndian.Uint64(p[i*8:])
-			d.h = DigestWord(d.h, w)
-			dst = append(dst, int64(w))
+		for len(p) > 0 {
+			seg := c.next(len(p) / 8)
+			for x := range seg {
+				w := binary.LittleEndian.Uint64(p[x*8:])
+				d.h = DigestWord(d.h, w)
+				seg[x] = int64(w)
+			}
+			p = p[len(seg)*8:]
+			c.n += len(seg)
 		}
-		n -= c
+		n -= k
 	}
-	return dst, nil
+	return nil
 }
 
 // Section reads the next halo section, appending its cells onto dst and
@@ -536,11 +591,11 @@ func (d *Decoder) Section(dst []int64) (uint64, []int64, error) {
 		return 0, dst, fmt.Errorf("%w: reading section count: %v", ErrFrame, err)
 	}
 	d.h = DigestWord(d.h, tag)
-	dst, err = d.readCellRun(dst, n, "halo section")
-	if err != nil {
-		return 0, dst, err
+	c := cellDst{dst: dst, grow: true}
+	if err := d.readCellRun(&c, n, "halo section"); err != nil {
+		return 0, c.dst, err
 	}
-	return tag, dst, nil
+	return tag, c.dst, nil
 }
 
 // Close reads and verifies the digest trailer.

@@ -9,15 +9,29 @@ import (
 	"repro/lddp/api"
 )
 
-// SolveBand submits one band solve (POST /v1/band/solve) and returns
-// the decoded block. Retry semantics match Solve: 429/503 and transport
-// errors retry under the client's policy, everything else returns a
-// typed error immediately. The fleet coordinator layers node relocation
-// on top of this — a SolveBand that exhausts its retry budget against
-// one node is the signal to try the next.
-func (c *Client) SolveBand(ctx context.Context, req *api.BandRequest) (*api.BandResponse, error) {
-	if req == nil {
-		return nil, fmt.Errorf("lddp client: nil band request")
+// BlockDest resolves where a band response's cells land: cells holds the
+// block's first cell at index 0, and row i of the block starts at index
+// i*stride (stride >= the block's column count). A caller assembling a
+// table passes the block's corner of it and the table's row length.
+// SolveBand calls it only for a response whose header names the
+// requested block, so the destination need not exist when the request
+// goes out.
+type BlockDest func() (cells []int64, stride int)
+
+// SolveBand submits one band solve (POST /v1/band/solve) and lands the
+// block's cells in the rectangle dst resolves: a frame's cells are
+// decoded straight into it, and a JSON body's rows are copied there.
+// The returned response carries no Cells. A frame's cells land before
+// its trailer is verified, so after an error the rectangle holds
+// unverified cells: a caller reads it only after SolveBand returns nil.
+// Retry semantics match Solve: 429/503 and transport errors retry
+// under the client's policy, everything else returns a typed error
+// immediately. The fleet coordinator layers node relocation on top of
+// this — a SolveBand that exhausts its retry budget against one node is
+// the signal to try the next.
+func (c *Client) SolveBand(ctx context.Context, req *api.BandRequest, dst BlockDest) (*api.BandResponse, error) {
+	if req == nil || dst == nil {
+		return nil, fmt.Errorf("lddp client: nil band request or destination")
 	}
 	buf, err := c.encode(req, func() any {
 		// The frame header omits the halos, which travel as tagged halo
@@ -33,7 +47,7 @@ func (c *Client) SolveBand(ctx context.Context, req *api.BandRequest) (*api.Band
 	}
 	var resp *api.BandResponse
 	err = c.post(ctx, "/v1/band/solve", "", buf, func(hresp *http.Response) (err error) {
-		resp, err = decodeBand(hresp, req)
+		resp, err = decodeBand(hresp, req, dst)
 		return err
 	})
 	if err != nil {
@@ -42,9 +56,10 @@ func (c *Client) SolveBand(ctx context.Context, req *api.BandRequest) (*api.Band
 	return resp, nil
 }
 
-// decodeBand decodes a 200 band response to req, refusing a response
-// for any other block and one whose cells do not fill the block.
-func decodeBand(hresp *http.Response, req *api.BandRequest) (*api.BandResponse, error) {
+// decodeBand decodes a 200 band response to req into dst's rectangle,
+// refusing a response for any other block, before any cell lands, and
+// one whose cells do not fill the block.
+func decodeBand(hresp *http.Response, req *api.BandRequest, dst BlockDest) (*api.BandResponse, error) {
 	out := new(api.BandResponse)
 	bRows, bCols := req.Row1-req.Row0, req.Col1-req.Col0
 	checkBlock := func() error {
@@ -54,22 +69,47 @@ func decodeBand(hresp *http.Response, req *api.BandRequest) (*api.BandResponse, 
 		}
 		return nil
 	}
-	err := decodeResult(hresp, out, &out.Cells, bRows, bCols, checkBlock)
-	if err == nil {
+	landed := 0
+	frame, err := decodeResult(hresp, out, checkBlock, func(d *wire.Decoder) (err error) {
+		cells, stride := dst()
+		landed, err = d.CellsInto(cells, bRows, bCols, stride)
+		return err
+	})
+	if err == nil && !frame {
 		// decodeResult checks only a frame's header; a JSON body is
-		// checked here.
-		err = checkBlock()
+		// checked here, and copied into the rectangle once it fills the
+		// block.
+		if err = checkBlock(); err == nil {
+			landed, err = landRows(out.Cells, bRows, bCols, dst)
+		}
+		out.Cells = nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(out.Cells) != bRows {
-		return nil, fmt.Errorf("lddp client: band response carries %d rows for a %dx%d block", len(out.Cells), bRows, bCols)
-	}
-	for _, row := range out.Cells {
-		if len(row) != bCols {
-			return nil, fmt.Errorf("lddp client: band response carries a %d-cell row for a %dx%d block", len(row), bRows, bCols)
-		}
+	if landed != bRows*bCols {
+		return nil, fmt.Errorf("lddp client: band response carries %d cells for a %dx%d block", landed, bRows, bCols)
 	}
 	return out, nil
+}
+
+// landRows copies a JSON band response's rows into dst's rectangle,
+// refusing rows that do not fill a rows x cols block.
+func landRows(src [][]int64, rows, cols int, dst BlockDest) (int, error) {
+	if len(src) != rows {
+		return 0, fmt.Errorf("lddp client: band response carries %d rows for a %dx%d block", len(src), rows, cols)
+	}
+	for _, row := range src {
+		if len(row) != cols {
+			return 0, fmt.Errorf("lddp client: band response carries a %d-cell row for a %dx%d block", len(row), rows, cols)
+		}
+	}
+	cells, stride := dst()
+	if stride < cols || len(cells) < (rows-1)*stride+cols {
+		return 0, fmt.Errorf("lddp client: a %dx%d block at row stride %d does not fit %d cells", rows, cols, stride, len(cells))
+	}
+	for i, row := range src {
+		copy(cells[i*stride:i*stride+cols], row)
+	}
+	return rows * cols, nil
 }

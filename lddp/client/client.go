@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/lddp"
 	"repro/lddp/api"
 )
@@ -220,13 +221,32 @@ func (c *Client) Solve(ctx context.Context, req *api.SolveRequest) (*api.SolveRe
 	var resp *api.SolveResponse
 	err = c.post(ctx, "/v1/solve", c.cacheControl, buf, func(hresp *http.Response) error {
 		out := new(api.SolveResponse)
-		err := decodeResult(hresp, out, &out.Cells, req.Rows, req.Cols, func() error {
+		resp = out
+		// A frame's cell section is capped at the request's own rows x
+		// cols, which the client can trust unlike the header, and lands
+		// in one buffer, allocated only if the frame carries cells.
+		var flat []int64
+		_, err := decodeResult(hresp, out, func() error {
 			if out.Rows != req.Rows || out.Cols != req.Cols {
 				return fmt.Errorf("%w: response frame header is %dx%d for a %dx%d request", ErrMismatch, out.Rows, out.Cols, req.Rows, req.Cols)
 			}
 			return nil
+		}, func(d *wire.Decoder) (err error) {
+			flat, err = d.CellsSized(req.Rows * req.Cols)
+			return err
 		})
-		resp = out
+		switch {
+		case err != nil || len(flat) == 0:
+		case len(flat) != req.Rows*req.Cols:
+			err = fmt.Errorf("lddp client: response frame carries %d cells for a %dx%d table", len(flat), req.Rows, req.Cols)
+		default:
+			// One flat backing plus row headers: two allocations for the
+			// whole table, owned by the caller.
+			out.Cells = make([][]int64, req.Rows)
+			for i := range out.Cells {
+				out.Cells[i] = flat[i*req.Cols : (i+1)*req.Cols]
+			}
+		}
 		return err
 	})
 	if err != nil {

@@ -199,56 +199,43 @@ func responseIsBinary(hresp *http.Response) bool {
 	return strings.EqualFold(strings.TrimSpace(ct), wire.MediaType)
 }
 
-// decodeResult decodes a 200 response into out by its Content-Type. A
-// JSON body is the whole document. A frame's header is out, refused by
-// check before any cell is read, and its cell section — capped at the
-// request's own rows x cols, which the client can trust unlike the
-// header — fills *cells with rows of cols over one flat buffer,
-// allocated only if the frame carries cells. The body is capped at
-// 64MB on both codecs: the decoder's own caps bound each frame section,
-// and the outer limit bounds total client memory even against a server
+// decodeResult decodes a 200 response into out by its Content-Type and
+// reports whether the body was a frame. A JSON body is the whole
+// document. A frame's header is out, refused by check before any cell
+// is read; read then takes the decoder through the cell section, and
+// the digest trailer is verified after it, so any cells read lands stay
+// unverified until decodeResult returns nil. The body is capped at 64MB
+// on both codecs: the decoder's own caps bound each frame section, and
+// the outer limit bounds total client memory even against a server
 // that streams garbage framing.
-func decodeResult(hresp *http.Response, out any, cells *[][]int64, rows, cols int, check func() error) error {
+func decodeResult(hresp *http.Response, out any, check func() error, read func(*wire.Decoder) error) (frame bool, err error) {
 	body := io.LimitReader(hresp.Body, 64<<20)
 	if !responseIsBinary(hresp) {
 		if err := json.NewDecoder(body).Decode(out); err != nil {
-			return fmt.Errorf("lddp client: decoding response: %w", err)
+			return false, fmt.Errorf("lddp client: decoding response: %w", err)
 		}
-		return nil
+		return false, nil
 	}
 	d := wire.NewDecoder(body)
 	defer d.Release()
 	hdr, err := d.Header()
 	if err != nil {
 		if errors.Is(err, wire.ErrVersion) {
-			return fmt.Errorf("%w: %v", ErrWireVersion, err)
+			return true, fmt.Errorf("%w: %v", ErrWireVersion, err)
 		}
-		return fmt.Errorf("lddp client: decoding response frame: %w", err)
+		return true, fmt.Errorf("lddp client: decoding response frame: %w", err)
 	}
 	if err := json.Unmarshal(hdr, out); err != nil {
-		return fmt.Errorf("lddp client: decoding response header: %w", err)
+		return true, fmt.Errorf("lddp client: decoding response header: %w", err)
 	}
 	if err := check(); err != nil {
-		return err
+		return true, err
 	}
-	flat, err := d.CellsSized(rows * cols)
-	if err != nil {
-		return fmt.Errorf("lddp client: decoding response cells: %w", err)
+	if err := read(d); err != nil {
+		return true, fmt.Errorf("lddp client: decoding response cells: %w", err)
 	}
 	if err := d.Close(); err != nil {
-		return fmt.Errorf("lddp client: verifying response frame: %w", err)
+		return true, fmt.Errorf("lddp client: verifying response frame: %w", err)
 	}
-	if len(flat) == 0 {
-		return nil
-	}
-	if len(flat) != rows*cols {
-		return fmt.Errorf("lddp client: response frame carries %d cells for a %dx%d table", len(flat), rows, cols)
-	}
-	// One flat backing plus row headers: two allocations for the whole
-	// table, owned by the caller.
-	*cells = make([][]int64, rows)
-	for i := range *cells {
-		(*cells)[i] = flat[i*cols : (i+1)*cols]
-	}
-	return nil
+	return true, nil
 }

@@ -21,6 +21,7 @@ type fakeResponse struct {
 	header any
 	cells  []int64
 	json   bool
+	cut    int // bytes cut off the end of the frame
 }
 
 // fakeNode serves resp to every request and counts the requests.
@@ -36,12 +37,14 @@ func fakeNode(t *testing.T, resp fakeResponse) (*httptest.Server, *atomic.Int64)
 			return
 		}
 		w.Header().Set("Content-Type", wire.MediaType)
-		enc := wire.NewEncoder(w)
+		var frame bytes.Buffer
+		enc := wire.NewEncoder(&frame)
 		enc.Header(resp.header)
 		if len(resp.cells) > 0 {
 			enc.Cells(resp.cells)
 		}
 		enc.Close()
+		w.Write(frame.Bytes()[:frame.Len()-resp.cut])
 	}))
 	t.Cleanup(ts.Close)
 	return ts, &hits
@@ -121,7 +124,11 @@ func TestSolveDecodeChecksRequest(t *testing.T) {
 // TestSolveBandDecodeChecksBlock: a band response for any block but the
 // requested one — even one of the same size, which assembly would
 // otherwise accept — is an ErrMismatch on both codecs, refused after one
-// attempt; one whose cells do not fill the block is a decode error.
+// attempt and before the destination is resolved, so no cell of the
+// table changes; one whose cells do not fill the block, or whose frame
+// is cut short, is a decode error. A good response lands the same cells
+// in the block's rectangle of the table on both codecs, and nothing
+// outside it.
 func TestSolveBandDecodeChecksBlock(t *testing.T) {
 	req := &api.BandRequest{Rows: 16, Cols: 16, Row0: 4, Row1: 8, Col0: 2, Col1: 5, Workload: api.WorkloadSpec{Kind: api.KindMix}}
 	block := func(r0, r1, c0, c1 int) api.BandResponse {
@@ -148,7 +155,10 @@ func TestSolveBandDecodeChecksBlock(t *testing.T) {
 		{name: "binary too many cells", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(13)}, fail: true},
 		{name: "binary too few cells", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(11)}, fail: true},
 		{name: "binary no cells", resp: fakeResponse{header: block(4, 8, 2, 5)}, fail: true},
+		{name: "binary cut mid-cell", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(12), cut: 8 + 1 + 4}, fail: true},
+		{name: "binary cut trailer", resp: fakeResponse{header: block(4, 8, 2, 5), cells: seq(12), cut: 3}, fail: true},
 	}
+	const guard = -1
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ts, hits := fakeNode(t, tc.resp)
@@ -157,7 +167,15 @@ func TestSolveBandDecodeChecksBlock(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Close()
-			resp, err := c.SolveBand(context.Background(), req)
+			table := make([]int64, req.Rows*req.Cols)
+			for i := range table {
+				table[i] = guard
+			}
+			resolved := 0
+			resp, err := c.SolveBand(context.Background(), req, func() ([]int64, int) {
+				resolved++
+				return table[req.Row0*req.Cols+req.Col0:], req.Cols
+			})
 			switch {
 			case tc.mismatch:
 				if !errors.Is(err, ErrMismatch) {
@@ -165,6 +183,14 @@ func TestSolveBandDecodeChecksBlock(t *testing.T) {
 				}
 				if n := hits.Load(); n != 1 {
 					t.Errorf("server saw %d attempts, want 1 (a mismatch must not retry)", n)
+				}
+				if resolved != 0 {
+					t.Errorf("destination resolved %d times for a mismatched block, want 0", resolved)
+				}
+				for i, v := range table {
+					if v != guard {
+						t.Fatalf("table cell %d = %d after a mismatched block, want it untouched", i, v)
+					}
 				}
 			case tc.fail:
 				if err == nil || errors.Is(err, ErrMismatch) {
@@ -174,8 +200,19 @@ func TestSolveBandDecodeChecksBlock(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(resp.Cells) != 4 || len(resp.Cells[3]) != 3 || resp.Cells[3][2] != 34 {
-					t.Errorf("block cells = %v, want the 4x3 block ending in 34", resp.Cells)
+				if resp.Cells != nil {
+					t.Errorf("response carries %d rows; the block belongs in the table", len(resp.Cells))
+				}
+				for i := 0; i < req.Rows; i++ {
+					for j := 0; j < req.Cols; j++ {
+						want := int64(guard)
+						if i >= req.Row0 && i < req.Row1 && j >= req.Col0 && j < req.Col1 {
+							want = int64(3*((i-req.Row0)*(req.Col1-req.Col0)+j-req.Col0) + 1)
+						}
+						if got := table[i*req.Cols+j]; got != want {
+							t.Fatalf("table cell (%d,%d) = %d, want %d", i, j, got, want)
+						}
+					}
 				}
 			}
 		})
@@ -201,25 +238,29 @@ func bandFrame(tb testing.TB, req *api.BandRequest) []byte {
 }
 
 // BenchmarkBandResponseDecode512x256 decodes one 512x256 band frame the
-// way SolveBand does: the coordinator's receive cost per fleet block.
-// make bench-wire gates its allocs/op: the block lands in one buffer
-// sized from the request, so the count does not grow with the block.
+// way SolveBand does, into the block's rectangle of a 1024x1024 table:
+// the coordinator's receive cost per fleet block. make bench-wire gates
+// its allocs/op and B/op: the block lands in the caller's table, so
+// neither grows with the block.
 func BenchmarkBandResponseDecode512x256(b *testing.B) {
 	req := &api.BandRequest{Rows: 1024, Cols: 1024, Row0: 512, Row1: 1024, Col0: 256, Col1: 512}
 	frame := bandFrame(b, req)
 	body := bytes.NewReader(frame)
 	hresp := &http.Response{Header: http.Header{"Content-Type": {wire.MediaType}}, Body: io.NopCloser(body)}
+	table := make([]int64, req.Rows*req.Cols)
+	dst := func() ([]int64, int) { return table[req.Row0*req.Cols+req.Col0:], req.Cols }
+	last := (req.Row1-1)*req.Cols + req.Col1 - 1
 	b.SetBytes(int64(len(frame)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		body.Reset(frame)
-		resp, err := decodeBand(hresp, req)
-		if err != nil {
+		table[last] = 0
+		if _, err := decodeBand(hresp, req, dst); err != nil {
 			b.Fatal(err)
 		}
-		if len(resp.Cells) != 512 {
-			b.Fatalf("decoded %d rows, want 512", len(resp.Cells))
+		if want := int64(3*(512*256-1) + 1); table[last] != want {
+			b.Fatalf("block's last cell = %d, want %d", table[last], want)
 		}
 	}
 }

@@ -125,6 +125,18 @@ func (s *Submission[T]) Wait() (*Grid[T], error) {
 // the submission without running it, expiry mid-run cancels the solve at
 // tile-row granularity.
 func Submit[T any](ctx context.Context, s *Scheduler, p *Problem[T], options ...Option) (*Submission[T], error) {
+	return SubmitInto(ctx, s, p, nil, options...)
+}
+
+// SubmitInto is Submit computing into cells, the caller's row-major
+// storage of exactly p.Rows*p.Cols cells, which the returned grid is
+// built over; nil allocates a fresh grid, which is Submit. The old
+// values in cells are never read: every cell is written before any cell
+// reads it. Only a successful Wait hands cells back: the caller may
+// reuse them once Wait returns the grid. A failed Wait promises nothing
+// about workers still inside the table, so after one the caller leaves
+// cells to the garbage collector.
+func SubmitInto[T any](ctx context.Context, s *Scheduler, p *Problem[T], cells []T, options ...Option) (*Submission[T], error) {
 	cfg := config{strategy: Auto, opts: core.Options{TSwitch: -1, TShare: -1}}
 	for _, o := range options {
 		o(&cfg)
@@ -138,7 +150,7 @@ func Submit[T any](ctx context.Context, s *Scheduler, p *Problem[T], options ...
 	if err := cfg.opts.Validate(); err != nil {
 		return nil, err
 	}
-	wl, finish, err := core.NewTileWorkload(ctx, p, s.Config().Workers)
+	wl, finish, err := core.NewTileWorkload(ctx, p, s.Config().Workers, cells)
 	if err != nil {
 		return nil, err
 	}
