@@ -39,9 +39,9 @@ type result struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 	// Metrics holds the custom b.ReportMetric columns by unit.
 	Metrics map[string]float64 `json:"metrics,omitempty"`
-	// hasBytes: the line reported B/op (the run had -benchmem), so a
-	// BytesPerOp of 0 is a measurement, not an absent column.
-	hasBytes bool
+	// hasBytes and hasAllocs: the line reported B/op and allocs/op (the
+	// run had -benchmem), so a 0 is a measurement, not an absent column.
+	hasBytes, hasAllocs bool
 }
 
 type report struct {
@@ -139,9 +139,11 @@ func checkAssert(spec string, benchmarks []result) []string {
 			continue
 		}
 		matched = true
-		v, ok := float64(r.AllocsPerOp), true
+		var v float64
+		var ok bool
 		switch {
 		case !custom:
+			v, ok = float64(r.AllocsPerOp), r.hasAllocs
 		case unit == "B/op":
 			v, ok = float64(r.BytesPerOp), r.hasBytes
 		default:
@@ -213,7 +215,7 @@ func parseLine(line string) (result, bool) {
 		case "B/op":
 			r.BytesPerOp, r.hasBytes = int64(v), true
 		case "allocs/op":
-			r.AllocsPerOp = int64(v)
+			r.AllocsPerOp, r.hasAllocs = int64(v), true
 		default:
 			if r.Metrics == nil {
 				r.Metrics = map[string]float64{}

@@ -30,11 +30,11 @@ func TestParseLine(t *testing.T) {
 
 func TestCheckAssert(t *testing.T) {
 	benchmarks := []result{
-		{Name: "BenchmarkServerSolveBatch8x512/wire-8", NsPerOp: 5e7, AllocsPerOp: 1300},
-		{Name: "BenchmarkServerSolveBatch8x512/wire-binary-8", NsPerOp: 5e7, AllocsPerOp: 1450},
+		{Name: "BenchmarkServerSolveBatch8x512/wire-8", NsPerOp: 5e7, AllocsPerOp: 1300, hasAllocs: true},
+		{Name: "BenchmarkServerSolveBatch8x512/wire-binary-8", NsPerOp: 5e7, AllocsPerOp: 1450, hasAllocs: true},
 		{Name: "BenchmarkServerSolveBatch8x512/direct-8", NsPerOp: 5e7},
-		{Name: "BenchmarkBandResponseDecode512x256-2", NsPerOp: 5e5, BytesPerOp: 618, AllocsPerOp: 12, hasBytes: true},
-		{Name: "BenchmarkEncodeDecode512x512-2", NsPerOp: 1e6, hasBytes: true},
+		{Name: "BenchmarkBandResponseDecode512x256-2", NsPerOp: 5e5, BytesPerOp: 618, AllocsPerOp: 12, hasBytes: true, hasAllocs: true},
+		{Name: "BenchmarkEncodeDecode512x512-2", NsPerOp: 1e6, hasBytes: true, hasAllocs: true},
 	}
 	if msgs := checkAssert("wire-binary<=1600", benchmarks); len(msgs) != 0 {
 		t.Errorf("within-budget assert failed: %v", msgs)
@@ -72,6 +72,21 @@ func TestCheckAssert(t *testing.T) {
 	}
 	if r, ok := parseLine("BenchmarkX-2   100   548855 ns/op   1910.85 MB/s   618 B/op   12 allocs/op"); !ok || !r.hasBytes || r.BytesPerOp != 618 {
 		t.Errorf("parseLine = %+v, %v; want 618 B/op recorded", r, ok)
+	}
+	// The allocs/op gate likewise: a measured 0 passes, and a line run
+	// without -benchmem fails instead of reading as 0 allocs.
+	if msgs := checkAssert("EncodeDecode<=0", benchmarks); len(msgs) != 0 {
+		t.Errorf("zero-alloc allocs/op assert failed: %v", msgs)
+	}
+	noMem, ok := parseLine("BenchmarkNoMem-2   100   5000 ns/op")
+	if !ok || noMem.hasAllocs {
+		t.Fatalf("parseLine = %+v, %v; want a line without allocs/op", noMem, ok)
+	}
+	if msgs := checkAssert("NoMem<=1", []result{noMem}); len(msgs) != 1 || !strings.Contains(msgs[0], "reports no allocs/op") {
+		t.Errorf("allocs/op assert on a line without -benchmem produced %v, want one missing-unit error", msgs)
+	}
+	if msgs := checkAssert("direct<=10", benchmarks); len(msgs) != 1 || !strings.Contains(msgs[0], "reports no allocs/op") {
+		t.Errorf("allocs/op assert on a result without the column produced %v, want one missing-unit error", msgs)
 	}
 }
 

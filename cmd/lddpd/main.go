@@ -197,9 +197,6 @@ func run(ctx context.Context, opts options, out io.Writer, addrCh chan<- string)
 	defer cancel()
 	shutdownErr := hs.Shutdown(shCtx)
 	if coord != nil {
-		// Detached trace stitches may still be fetching from peers; wait
-		// them out so shutdown leaves no goroutine behind and every
-		// stitched file announced to clients is on disk.
 		coord.Close()
 	}
 	srv.Close()

@@ -404,6 +404,7 @@ func runFleet(opts options, items []workItem, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	defer coord.Close()
 	var (
 		res         outcome
 		relocations int
@@ -459,10 +460,6 @@ func runFleet(opts options, items []workItem, out io.Writer) error {
 		}(it)
 	}
 	wg.Wait()
-	// Stitching runs detached from each Solve; wait it out so every
-	// TracePath counted below is actually on disk before we report (and
-	// before fleet-smoke lists the directory).
-	coord.Close()
 	res.elapsed = time.Since(start)
 	fmt.Fprintf(out, "fleet: %d solves over %d nodes, %d done, %d canceled, %d rejected, %d relocations, %.3gs, %.3g cells/s\n",
 		opts.solves, len(nodes), res.done, res.canceled, res.rejected, relocations, res.elapsed.Seconds(), res.throughput())

@@ -2,9 +2,9 @@
 // engine (repro/internal/sim): it boots -nodes in-process lddpd
 // serving stacks, drives a randomized operation mix (solves across
 // workload kinds and dependency masks, fleet band solves, cache
-// replays, metrics/Prometheus/trace scrapes) while injecting faults
-// (node kills, drains, response delay/drop/truncation, context
-// cancellations, admission saturation), and verifies the run's
+// replays, metrics/Prometheus scrapes, stitched-trace checks) while
+// injecting faults (node kills, drains, response delay/drop/truncation,
+// context cancellations, admission saturation), and verifies the run's
 // invariants: oracle digest equality for every 200, typed errors only,
 // Retry-After honored on the wire, readiness flipping before listeners
 // close, lint-clean Prometheus output, relocation accounting, zero

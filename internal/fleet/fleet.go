@@ -104,14 +104,12 @@ type Config struct {
 
 	// TraceDir, when non-empty, records a coordinator-side trace of
 	// every fleet solve (one lane per band: halo-wait, round-trip and
-	// halo-transfer spans), fetches each node's block trace dumps
-	// afterwards (GET /v1/trace/{fleetID}), and writes the stitched
-	// multi-process timeline as <TraceDir>/fleet-<fleetID>.json — the
+	// halo-transfer spans), stitches it with the block traces the band
+	// responses carry, and writes the multi-process timeline as
+	// <TraceDir>/fleet-<fleetID>.json before Solve returns — the
 	// cmd/lddptrace fleet input. Node lanes appear only for nodes that
 	// themselves run with -tracedir; the coordinator lanes never depend
-	// on node support. The fetch-and-write runs detached from Solve
-	// (a solve never waits on trace collection); Close waits for all
-	// outstanding ones.
+	// on node support.
 	TraceDir string
 }
 
@@ -132,10 +130,8 @@ type Stats struct {
 type Result struct {
 	// FleetID is the coordinator-assigned solve identifier, propagated
 	// to every block as its trace context. TracePath is the stitched
-	// multi-node trace file, written only when the coordinator has a
-	// TraceDir; the write is detached from the solve, so the file is
-	// guaranteed on disk (or definitively absent) only after
-	// Coordinator.Close.
+	// multi-node trace file, on disk when Solve returns; it is empty when
+	// the coordinator has no TraceDir or the write failed.
 	FleetID   string
 	TracePath string
 	// ID is the fleet solve's process-wide sequence number, above 0: the
@@ -159,13 +155,9 @@ type Result struct {
 
 // Coordinator runs band-sharded solves over a fixed node set. Safe for
 // concurrent use; each Solve builds its own plan and scratch state.
-// A traced coordinator detaches its per-solve trace stitching; call
-// Close before exiting (or before reading stitched files) to wait for
-// those fetches.
 type Coordinator struct {
 	cfg      Config
 	counters counters
-	stitches sync.WaitGroup // detached trace stitches, awaited by Close
 }
 
 // counters are the coordinator's lifetime totals, exported into the
@@ -192,13 +184,10 @@ func New(cfg Config) (*Coordinator, error) {
 	return &Coordinator{cfg: cfg}, nil
 }
 
-// Close waits for the coordinator's detached work — the best-effort
-// node trace fetches launched after each traced solve — to finish, so
-// shutdown paths and leak checks can account for every goroutine and
-// stitched files are complete on disk before anyone reads them. Each
-// fetch bounds itself to ten seconds, so Close is bounded too. The
-// coordinator stays usable afterwards; Close is safe to call again.
-func (c *Coordinator) Close() { c.stitches.Wait() }
+// Close releases the coordinator. It has nothing to wait for: a Solve
+// writes its trace before it returns and leaves no goroutine behind.
+// The coordinator stays usable afterwards; Close is safe to call again.
+func (c *Coordinator) Close() {}
 
 // MetricsSnapshot returns the coordinator's lifetime counters in the
 // metrics snapshot's Fleet shape; cmd/lddpd wires it into the node's
@@ -218,8 +207,9 @@ var fleetSeq atomic.Int64
 
 // newFleetID mints a process-unique fleet solve identifier and returns
 // it with its sequence number. The identifier is the join key of the
-// whole observability layer: block requests carry it, node trace dumps
-// index under it, and the stitched trace file is named by it.
+// whole observability layer: block requests carry it, node trace files
+// and block traces are tagged with it, and the stitched trace file is
+// named by it.
 func newFleetID() (string, int64) {
 	seq := fleetSeq.Add(1)
 	return fmt.Sprintf("f%x-%x", time.Now().UnixNano(), seq), seq
@@ -319,19 +309,23 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 		}
 	}
 
-	var mu sync.Mutex // guards stats counters below
-	stats := Stats{
+	t := &tally{stats: Stats{
 		Bands: len(p.bands), Phases: len(p.phases),
 		Blocks: len(p.bands) * len(p.phases), Direction: p.dir,
 		NodeBlocks: make([]int, len(c.cfg.Nodes)),
-	}
+	}}
 
 	// Every fleet solve gets an ID and propagates it in each block's
-	// trace context — nodes running with -tracedir tag and index their
-	// dumps under it whether or not the coordinator itself records.
+	// trace context — nodes running with -tracedir tag their trace files
+	// with it and return the block's trace, whether or not the
+	// coordinator itself records.
 	fleetID, id := newFleetID()
 	var rec *trace.Recorder
 	if c.cfg.TraceDir != "" {
+		t.nodes = make([]trace.NodeTrace, len(c.cfg.Nodes))
+		for n, node := range c.cfg.Nodes {
+			t.nodes[n].Node = node.Base()
+		}
 		// Coordinator lanes carry ~3 spans per block, so a small ring
 		// suffices; lane k is written only by band k's goroutine,
 		// preserving the recorder's single-owner contract.
@@ -375,7 +369,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 					}
 				}
 				var err error
-				node, err = c.solveBlock(ctx, req, p, tab, k, ph, node, fleetID, lane, &mu, &stats)
+				node, err = c.solveBlock(ctx, req, p, tab, k, ph, node, fleetID, lane, t)
 				if err != nil {
 					fail(fmt.Errorf("fleet: band %d phase %d: %w", k, ph, err))
 					return
@@ -415,26 +409,22 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 		Mask:      p.mask.String(),
 		Pattern:   lddp.Classify(p.mask).String(),
 		ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-		Stats:     stats,
+		Stats:     t.stats,
 	}
 	if rec != nil {
 		rec.EndSolve()
-		// Stitching fetches every node's dumps over the wire — up to ten
-		// seconds against a dead node — and the solve's caller should not
-		// pay that: detach it, tracked by the stitches group so Close can
-		// wait. TracePath is the deterministic destination; the file
-		// appears there once the fetch completes (Close synchronizes),
-		// and on a write failure not at all — trace collection stays
-		// best-effort either way.
-		res.TracePath = filepath.Join(c.cfg.TraceDir, fmt.Sprintf("fleet-%s.json", fleetID))
-		sctx := context.WithoutCancel(ctx)
-		c.stitches.Add(1)
-		go func() {
-			defer c.stitches.Done()
-			c.stitchTrace(sctx, fleetID, rec)
-		}()
+		res.TracePath = c.writeTrace(fleetID, rec, t.nodes)
 	}
 	return res, nil
+}
+
+// tally is what one solve's band goroutines record, under mu: the
+// solve's stats and, on a traced coordinator, the block traces each
+// node returned (nodes[n] is node n's; nil when untraced).
+type tally struct {
+	mu    sync.Mutex
+	stats Stats
+	nodes []trace.NodeTrace
 }
 
 // assembly is one solve's table. cells is set once, beside the first
@@ -467,37 +457,28 @@ func landed(ctx context.Context, block <-chan struct{}) bool {
 	}
 }
 
-// stitchTrace fetches every node's block trace dumps for one completed
-// fleet solve and writes the merged multi-process timeline into the
-// coordinator's TraceDir, best-effort: trace collection must never fail
-// the solve it describes. It runs detached from Solve (see the launch
-// site) under the stitches group.
-func (c *Coordinator) stitchTrace(ctx context.Context, fleetID string, rec *trace.Recorder) {
-	// The solve's own deadline may be (nearly) spent; trace collection
-	// gets a short budget of its own instead of inheriting cancellation
-	// (the caller already detached ctx from the solve's).
-	fctx, cancel := context.WithTimeout(ctx, 10*time.Second)
-	defer cancel()
-	nodes := make([]trace.NodeTrace, len(c.cfg.Nodes))
-	for n, node := range c.cfg.Nodes {
-		nodes[n].FleetID = fleetID
-		nodes[n].Node = node.Base()
-		if nt, err := node.Trace(fctx, fleetID); err == nil {
-			nodes[n].Blocks = nt.Blocks
-		}
-		// A 404 is a node without tracing (or without blocks of this
-		// solve): it keeps its (empty) process lane so PIDs stay aligned
-		// with node indices.
-	}
+// writeTrace stitches a completed fleet solve's coordinator trace with
+// the block traces its nodes returned, writes the multi-process timeline
+// into the coordinator's TraceDir and returns its path. It is
+// best-effort: a failed write returns "" and never fails the solve it
+// describes. A node that returned no block trace (it runs without
+// -tracedir, or completed no block) keeps its empty process lane, so
+// PIDs stay aligned with node indices.
+func (c *Coordinator) writeTrace(fleetID string, rec *trace.Recorder, nodes []trace.NodeTrace) string {
 	path := filepath.Join(c.cfg.TraceDir, fmt.Sprintf("fleet-%s.json", fleetID))
 	f, err := os.Create(path)
 	if err != nil {
-		return
+		return ""
 	}
-	defer f.Close()
-	if err := trace.WriteFleetChrome(f, rec.Meta(), rec.Events(), nodes); err != nil {
+	err = trace.WriteFleetChrome(f, rec.Meta(), rec.Events(), nodes)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(path)
+		return ""
 	}
+	return path
 }
 
 // solveBlock ships one block to its band's node, relocating on failure,
@@ -508,8 +489,10 @@ func (c *Coordinator) stitchTrace(ctx context.Context, fleetID string, rec *trac
 // next attempt overwrites them. When the coordinator records a trace,
 // lane is band k's lane and gets one round-trip span per completed
 // block plus a derived halo-transfer span (round trip minus
-// node-reported compute).
-func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *plan, tab *assembly, k, ph, node int, fleetID string, lane *trace.Lane, mu *sync.Mutex, stats *Stats) (int, error) {
+// node-reported compute), and the block trace the node returned joins
+// t.nodes. A failed attempt returns no response, so its partial node
+// trace is not stitched.
+func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *plan, tab *assembly, k, ph, node int, fleetID string, lane *trace.Lane, t *tally) (int, error) {
 	rows, cols := req.Rows, req.Cols
 	b, col := p.bands[k], p.phases[ph]
 	breq := &api.BandRequest{
@@ -551,9 +534,9 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		if attempt > 0 {
 			node = (node + 1) % len(c.cfg.Nodes)
 			c.counters.relocations.Add(1)
-			mu.Lock()
-			stats.Relocations++
-			mu.Unlock()
+			t.mu.Lock()
+			t.stats.Relocations++
+			t.mu.Unlock()
 		}
 		var t0 int64
 		if lane != nil {
@@ -579,9 +562,12 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 			}
 		}
 		c.counters.blocks.Add(1)
-		mu.Lock()
-		stats.NodeBlocks[node]++
-		mu.Unlock()
+		t.mu.Lock()
+		t.stats.NodeBlocks[node]++
+		if t.nodes != nil && resp.Trace != nil {
+			t.nodes[node].Blocks = append(t.nodes[node].Blocks, *resp.Trace)
+		}
+		t.mu.Unlock()
 		return node, nil
 	}
 	return node, fmt.Errorf("block failed on %d nodes: %w", c.cfg.MaxBlockAttempts, last)

@@ -9,8 +9,10 @@ package fleet_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,19 +42,40 @@ var fleetShapes = [][2]int{
 type testFleet struct {
 	servers []*httptest.Server
 	coord   *fleet.Coordinator
+	// traceDirs[n] is node n's TraceDir (traced fleets only), and gets
+	// counts the GET requests the nodes received.
+	traceDirs []string
+	gets      atomic.Int64
 }
 
 // newTestFleet boots n nodes behind a coordinator whose node clients
 // speak the binary codec unless copts say otherwise.
 func newTestFleet(t *testing.T, n int, cfg fleet.Config, copts ...client.Option) *testFleet {
+	return bootFleet(t, n, false, cfg, copts...)
+}
+
+// bootFleet is newTestFleet whose nodes, when traced, each record their
+// solves' traces into a TraceDir of their own.
+func bootFleet(t *testing.T, n int, traced bool, cfg fleet.Config, copts ...client.Option) *testFleet {
 	t.Helper()
 	f := &testFleet{}
 	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Config{Workers: 2})
+		scfg := server.Config{Workers: 2}
+		if traced {
+			scfg.TraceDir = t.TempDir()
+			f.traceDirs = append(f.traceDirs, scfg.TraceDir)
+		}
+		srv, err := server.New(scfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodGet {
+				f.gets.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
 		t.Cleanup(func() { ts.Close(); srv.Close() })
 		f.servers = append(f.servers, ts)
 		// Binary unless copts pick the codec.

@@ -1,48 +1,46 @@
-// Fleet trace stitching end to end: traced node servers plus a traced
-// coordinator produce one stitched multi-node timeline, and the fleet
+// Fleet trace stitching end to end: traced node servers return each
+// block's trace in its band response, a traced coordinator stitches them
+// into one multi-node timeline before Solve returns, and the fleet
 // analyzer finds the node lanes, halo spans, and a critical path in it.
 package fleet_test
 
 import (
+	"cmp"
 	"context"
 	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
-	"repro/internal/server"
 	"repro/internal/trace"
 	"repro/lddp/api"
 	"repro/lddp/client"
-
-	"net/http/httptest"
 )
 
 // newTracedFleet is newTestFleet with per-node -tracedir wiring: every
-// node records block traces, and the coordinator stitches them.
-func newTracedFleet(t *testing.T, n int, cfg fleet.Config) *testFleet {
+// node records block traces and returns them in its band responses, and
+// the coordinator stitches them.
+func newTracedFleet(t *testing.T, n int, cfg fleet.Config, copts ...client.Option) *testFleet {
+	return bootFleet(t, n, true, cfg, copts...)
+}
+
+// readStitched parses a fleet solve's stitched trace file.
+func readStitched(t *testing.T, res *fleet.Result) *trace.FleetDoc {
 	t.Helper()
-	f := &testFleet{}
-	for i := 0; i < n; i++ {
-		srv, err := server.New(server.Config{Workers: 2, TraceDir: t.TempDir()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(srv.Handler())
-		t.Cleanup(func() { ts.Close(); srv.Close() })
-		f.servers = append(f.servers, ts)
-		c, err := client.New(ts.URL, client.WithCodec(client.CodecBinary))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(c.Close)
-		cfg.Nodes = append(cfg.Nodes, c)
-	}
-	coord, err := fleet.New(cfg)
+	fh, err := os.Open(res.TracePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.coord = coord
-	return f
+	defer fh.Close()
+	doc, err := trace.ReadFleetChrome(fh)
+	if err != nil {
+		t.Fatalf("stitched timeline does not parse: %v", err)
+	}
+	return doc
 }
 
 func TestFleetTraceStitching(t *testing.T) {
@@ -63,19 +61,7 @@ func TestFleetTraceStitching(t *testing.T) {
 	if res.TracePath == "" {
 		t.Fatal("traced coordinator produced no stitched TracePath")
 	}
-	// Stitching is detached from Solve; Close synchronizes with the
-	// write before the file is read.
-	f.coord.Close()
-
-	fh, err := os.Open(res.TracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fh.Close()
-	doc, err := trace.ReadFleetChrome(fh)
-	if err != nil {
-		t.Fatalf("stitched timeline does not parse: %v", err)
-	}
+	doc := readStitched(t, res)
 	if !trace.IsFleetDoc(doc.Meta) {
 		t.Fatalf("stitched doc meta carries no fleet_id: %+v", doc.Meta)
 	}
@@ -170,16 +156,7 @@ func TestFleetTraceUntracedNodes(t *testing.T) {
 	if res.TracePath == "" {
 		t.Fatal("no stitched trace written")
 	}
-	f.coord.Close()
-	fh, err := os.Open(res.TracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fh.Close()
-	doc, err := trace.ReadFleetChrome(fh)
-	if err != nil {
-		t.Fatal(err)
-	}
+	doc := readStitched(t, res)
 	if len(doc.Procs) != 3 {
 		t.Fatalf("procs = %d, want 3 (coordinator + 2 empty node lanes)", len(doc.Procs))
 	}
@@ -209,5 +186,143 @@ func TestFleetUntracedCoordinator(t *testing.T) {
 	}
 	if res.FleetID == "" {
 		t.Error("fleet solve without a FleetID; node traces cannot be tagged")
+	}
+}
+
+// sortedEvents returns events in one total order, so two copies of a
+// trace compare equal whatever order their timestamp ties took.
+func sortedEvents(events []trace.Event) []trace.Event {
+	out := slices.Clone(events)
+	slices.SortFunc(out, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Worker, b.Worker),
+			cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Front, b.Front),
+			cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B), cmp.Compare(a.Dur, b.Dur),
+			strings.Compare(a.Label, b.Label))
+	})
+	return out
+}
+
+// nodeFileEvents reads back the trace files one node wrote under dir for
+// the blocks of fleet solve fleetID, their events rebased onto the
+// clock of the stitched document whose epoch is base.
+func nodeFileEvents(t *testing.T, dir, fleetID string, base int64) []trace.Event {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "solve-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []trace.Event
+	for _, path := range paths {
+		fh, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		meta, events, err := trace.ReadChrome(fh)
+		fh.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if meta.FleetID != fleetID {
+			continue
+		}
+		for _, e := range events {
+			e.TS += meta.EpochUnixNS - base
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestFleetTracePushed is the push path end to end: a traced 2-node
+// solve's stitched file is on disk when Solve returns, without Close;
+// both nodes have lanes; no node receives a GET; and each node lane
+// holds exactly the events the node's own trace files record for the
+// solve's blocks, so the band responses carry what the node wrote.
+// Leak-checked: a traced solve leaves no goroutine behind.
+func TestFleetTracePushed(t *testing.T) {
+	checkLeaks(t)
+	const nodes = 2
+	f := newTracedFleet(t, nodes, fleet.Config{TraceDir: t.TempDir(), PhaseCols: 16})
+	res, err := f.coord.Solve(context.Background(), &api.SolveRequest{
+		Rows: 40, Cols: 48, Mask: "W,N",
+		Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 9},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(res.TracePath); err != nil {
+		t.Fatalf("stitched trace not on disk when Solve returned: %v", err)
+	}
+	if n := f.gets.Load(); n != 0 {
+		t.Errorf("nodes received %d GET requests during a traced solve, want 0", n)
+	}
+	doc := readStitched(t, res)
+	if len(doc.Procs) != nodes+1 {
+		t.Fatalf("stitched doc has %d procs, want %d", len(doc.Procs), nodes+1)
+	}
+	for n := 0; n < nodes; n++ {
+		p := doc.Procs[n+1]
+		if p.PID != n+1 || len(p.Events) == 0 {
+			t.Errorf("node %d: proc PID %d with %d events, want PID %d with events", n, p.PID, len(p.Events), n+1)
+			continue
+		}
+		want := nodeFileEvents(t, f.traceDirs[n], res.FleetID, doc.Meta.EpochUnixNS)
+		if !slices.Equal(sortedEvents(p.Events), sortedEvents(want)) {
+			t.Errorf("node %d: stitched lane holds %d events, its trace files %d, and they differ", n, len(p.Events), len(want))
+		}
+	}
+}
+
+// TestFleetTraceKilledNode: a node killed after its first block still
+// has that block in the stitched trace, and the solve's trace is written
+// although its blocks moved to the surviving node. The victim's later,
+// failed attempts returned no response, so they add nothing.
+func TestFleetTraceKilledNode(t *testing.T) {
+	const victim = 1
+	var once sync.Once
+	var f *testFleet // assigned below; the hook closure reads it at run time
+	f = newTracedFleet(t, 2,
+		fleet.Config{
+			TraceDir: t.TempDir(), PhaseCols: 8,
+			OnBlockDone: func(band, phase, node int) {
+				if node == victim {
+					once.Do(func() {
+						f.servers[victim].CloseClientConnections()
+						f.servers[victim].Close()
+					})
+				}
+			},
+		},
+		client.WithRetry(client.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}),
+	)
+	res, err := f.coord.Solve(context.Background(), &api.SolveRequest{
+		Rows: 32, Cols: 40, Mask: "W,N",
+		Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 13},
+	})
+	if err != nil {
+		t.Fatalf("fleet solve with killed node: %v", err)
+	}
+	if res.Stats.Relocations == 0 || res.Stats.NodeBlocks[victim] == 0 {
+		t.Fatalf("relocations %d, node blocks %v: the kill did not land after the victim's first block",
+			res.Stats.Relocations, res.Stats.NodeBlocks)
+	}
+	doc := readStitched(t, res)
+	for n, blocks := range res.Stats.NodeBlocks {
+		if events := len(doc.Procs[n+1].Events); blocks > 0 && events == 0 {
+			t.Errorf("node %d completed %d blocks but its lane has no events", n, blocks)
+		}
+	}
+	// The victim's lane holds the blocks it completed and nothing else.
+	var solves int
+	for _, e := range doc.Procs[victim+1].Events {
+		if e.Kind == trace.KindSolve {
+			solves++
+		}
+	}
+	if solves != res.Stats.NodeBlocks[victim] {
+		t.Errorf("victim lane holds %d block solves, it completed %d blocks", solves, res.Stats.NodeBlocks[victim])
+	}
+	if rep := trace.AnalyzeFleet(doc); rep.Blocks != res.Stats.Blocks {
+		t.Errorf("stitched trace shows %d block round trips, the plan ran %d", rep.Blocks, res.Stats.Blocks)
 	}
 }

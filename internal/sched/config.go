@@ -21,7 +21,7 @@
 // and small solves may jump a bounded number of queue positions so an 8k
 // x 8k table does not starve interactive-sized tables (fairness is
 // preserved: the jump is bounded, so every submission is admitted after
-// at most SmallBoost later-arriving small solves).
+// at most DefaultSmallBoost later-arriving small solves).
 package sched
 
 import (
@@ -42,26 +42,27 @@ const (
 	MaxQueueBound = 1 << 20
 	// MaxActiveBound bounds the concurrently-executing solve count.
 	MaxActiveBound = 1 << 14
-	// MaxSmallBoost bounds the queue positions a small solve may jump.
-	MaxSmallBoost = 1 << 20
 )
 
-// Defaults selected by zero/negative Config fields.
 const (
-	// DefaultQueueBound is the admission queue depth.
+	// DefaultQueueBound is the admission queue depth a zero or negative
+	// QueueBound selects.
 	DefaultQueueBound = 256
 	// DefaultSmallCells is the cell count at or below which a submission
 	// counts as small for admission priority (a 256 x 256 table).
 	DefaultSmallCells = 1 << 16
 	// DefaultSmallBoost is the number of queue positions a small
-	// submission may jump.
+	// submission may jump. Fairness bound: a large submission is passed
+	// by at most the small solves that arrive within DefaultSmallBoost
+	// positions of it.
 	DefaultSmallBoost = 8
 )
 
 // Config configures a Scheduler. The zero value selects all defaults:
 // min(GOMAXPROCS, NumCPU) workers, twice that many concurrently active
-// solves, a 256-deep admission queue, and small-solve priority at the
-// 256x256 threshold with a bounded 8-position jump.
+// solves and a 256-deep admission queue. Small-solve priority is fixed:
+// a solve of at most DefaultSmallCells cells overtakes the large solves
+// that arrived fewer than DefaultSmallBoost positions before it.
 type Config struct {
 	// Workers is the shared pool size, and the worker count every
 	// submission's tile shape is cut for. <= 0 selects
@@ -79,18 +80,6 @@ type Config struct {
 	// solve's dependency stalls, so the default is 2*Workers. <= 0
 	// selects the default.
 	MaxActive int
-
-	// SmallCells is the total-cell threshold at or below which a
-	// submission counts as small for admission priority. <= 0 selects
-	// DefaultSmallCells.
-	SmallCells int64
-
-	// SmallBoost is the number of arrival positions a small submission
-	// may jump in the admission queue; 0 or negative selects
-	// DefaultSmallBoost. Fairness bound: a large submission is passed by
-	// at most the small solves that arrive within SmallBoost positions
-	// of it.
-	SmallBoost int
 }
 
 // Validate checks the configuration. Zero and negative values are legal
@@ -106,9 +95,6 @@ func (c Config) Validate() error {
 	if c.MaxActive > MaxActiveBound {
 		return fmt.Errorf("sched: MaxActive %d exceeds limit %d", c.MaxActive, MaxActiveBound)
 	}
-	if c.SmallBoost > MaxSmallBoost {
-		return fmt.Errorf("sched: SmallBoost %d exceeds limit %d", c.SmallBoost, MaxSmallBoost)
-	}
 	return nil
 }
 
@@ -122,12 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxActive <= 0 {
 		c.MaxActive = 2 * c.Workers
-	}
-	if c.SmallCells <= 0 {
-		c.SmallCells = DefaultSmallCells
-	}
-	if c.SmallBoost <= 0 {
-		c.SmallBoost = DefaultSmallBoost
 	}
 	return c
 }

@@ -15,19 +15,12 @@ import (
 // folded into a small positive range before New so the fuzzer cannot ask
 // for millions of OS threads; everything else is passed through raw.
 func FuzzConfig(f *testing.F) {
-	f.Add(0, 0, 0, int64(0), 0)
-	f.Add(4, 256, 8, int64(1<<16), 8)
-	f.Add(-1, -1, -1, int64(-1), -1)
-	f.Add(sched.MaxWorkers+1, sched.MaxQueueBound+1, sched.MaxActiveBound+1,
-		int64(1), sched.MaxSmallBoost+1)
-	f.Fuzz(func(t *testing.T, workers, queue, active int, smallCells int64, boost int) {
-		cfg := sched.Config{
-			Workers:    workers,
-			QueueBound: queue,
-			MaxActive:  active,
-			SmallCells: smallCells,
-			SmallBoost: boost,
-		}
+	f.Add(0, 0, 0)
+	f.Add(4, 256, 8)
+	f.Add(-1, -1, -1)
+	f.Add(sched.MaxWorkers+1, sched.MaxQueueBound+1, sched.MaxActiveBound+1)
+	f.Fuzz(func(t *testing.T, workers, queue, active int) {
+		cfg := sched.Config{Workers: workers, QueueBound: queue, MaxActive: active}
 		verr := cfg.Validate()
 		if workers > 0 {
 			cfg.Workers = 1 + workers%4

@@ -182,7 +182,7 @@ func (s *Scheduler) Submit(ctx context.Context, wl *core.Workload, opts SubmitOp
 	s.nextID++
 	j.id = s.nextID
 	j.seq = s.nextID
-	j.small = wl.TotalCells <= s.cfg.SmallCells
+	j.small = wl.TotalCells <= DefaultSmallCells
 	if reason := s.refusalLocked(j); reason != nil {
 		depth := len(s.queue)
 		s.stats.Rejected++
@@ -382,16 +382,16 @@ func (s *Scheduler) admitLocked(w int) *job {
 // pickLocked removes and returns the queued submission with the smallest
 // admission score: arrival order, minus a bounded jump for small solves.
 // A large solve is therefore passed by at most the small solves arriving
-// within SmallBoost positions of it — FIFO with bounded inversion, never
-// starvation.
+// within DefaultSmallBoost positions of it — FIFO with bounded
+// inversion, never starvation.
 func (s *Scheduler) pickLocked() *job {
 	if len(s.queue) == 0 {
 		return nil
 	}
 	best := 0
-	bestKey := s.queue[0].score(s.cfg.SmallBoost)
+	bestKey := s.queue[0].score()
 	for i := 1; i < len(s.queue); i++ {
-		if k := s.queue[i].score(s.cfg.SmallBoost); k < bestKey {
+		if k := s.queue[i].score(); k < bestKey {
 			best, bestKey = i, k
 		}
 	}
@@ -401,12 +401,11 @@ func (s *Scheduler) pickLocked() *job {
 }
 
 // score is the admission priority key (smaller runs sooner).
-func (j *job) score(boost int) int64 {
-	k := j.seq
+func (j *job) score() int64 {
 	if j.small {
-		k -= int64(boost)
+		return j.seq - DefaultSmallBoost
 	}
-	return k
+	return j.seq
 }
 
 // activateLocked moves a picked submission into the running set, counts

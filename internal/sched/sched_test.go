@@ -320,23 +320,22 @@ func TestSchedulerCancelWhileRunning(t *testing.T) {
 
 // With the only worker pinned, a small solve queued after a large one must
 // be admitted first (bounded jump), and Stats must count the full
-// lifecycle of all three solves.
+// lifecycle of all three solves. Small means at most DefaultSmallCells
+// cells: the two solves sit on either side of the threshold.
 func TestSchedulerSmallSolvePriorityAndStats(t *testing.T) {
 	log := &runLog{}
-	s := newScheduler(t, sched.Config{
-		Workers: 1, MaxActive: 1, SmallCells: 100, SmallBoost: 8,
-	})
+	s := newScheduler(t, sched.Config{Workers: 1, MaxActive: 1})
 	started, gate := make(chan struct{}), make(chan struct{})
 	hGate, err := s.Submit(context.Background(), gateWorkload(started, gate), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	hBig, err := s.Submit(context.Background(), sizedWorkload("big", 1_000_000, log), sched.SubmitOptions{})
+	hBig, err := s.Submit(context.Background(), sizedWorkload("big", sched.DefaultSmallCells+1, log), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hSmall, err := s.Submit(context.Background(), sizedWorkload("small", 10, log), sched.SubmitOptions{})
+	hSmall, err := s.Submit(context.Background(), sizedWorkload("small", sched.DefaultSmallCells, log), sched.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,13 +365,12 @@ func TestSchedulerSmallSolvePriorityAndStats(t *testing.T) {
 	}
 }
 
-// A large submission is passed by at most SmallBoost later small ones:
-// the boost is a bounded jump, not a separate priority class.
+// A large submission is passed by fewer than DefaultSmallBoost later
+// small ones: the boost is a bounded jump, not a separate priority
+// class.
 func TestSchedulerSmallBoostIsBounded(t *testing.T) {
 	log := &runLog{}
-	s := newScheduler(t, sched.Config{
-		Workers: 1, MaxActive: 1, SmallCells: 100, SmallBoost: 2,
-	})
+	s := newScheduler(t, sched.Config{Workers: 1, MaxActive: 1})
 	started, gate := make(chan struct{}), make(chan struct{})
 	hGate, err := s.Submit(context.Background(), gateWorkload(started, gate), sched.SubmitOptions{})
 	if err != nil {
@@ -385,7 +383,7 @@ func TestSchedulerSmallBoostIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	handles = append(handles, hBig)
-	for k := 0; k < 4; k++ {
+	for k := 0; k < sched.DefaultSmallBoost+2; k++ {
 		h, err := s.Submit(context.Background(), sizedWorkload(fmt.Sprintf("small%d", k), 10, log), sched.SubmitOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -408,11 +406,11 @@ func TestSchedulerSmallBoostIsBounded(t *testing.T) {
 			pos = i
 		}
 	}
-	// After the gate, with boost 2, only small0 (arrival distance 1,
-	// strictly inside the boost) jumps the big solve — small1 ties on
-	// score and the tie goes to the earlier arrival.
-	if pos != 1 {
-		t.Errorf("big solve ran at position %d (order %v), want 1", pos, order)
+	// After the gate, with a boost of 8, only small0..small6 (arrival
+	// distance 1 to 7, strictly inside the boost) jump the big solve —
+	// small7 ties on score and the tie goes to the earlier arrival.
+	if want := sched.DefaultSmallBoost - 1; pos != want {
+		t.Errorf("big solve ran at position %d (order %v), want %d", pos, order, want)
 	}
 }
 
@@ -485,7 +483,6 @@ func TestConfigValidate(t *testing.T) {
 		{Workers: sched.MaxWorkers + 1},
 		{QueueBound: sched.MaxQueueBound + 1},
 		{MaxActive: sched.MaxActiveBound + 1},
-		{SmallBoost: sched.MaxSmallBoost + 1},
 	}
 	for i, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -496,7 +493,7 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// Zero and negative values select defaults.
-	for _, cfg := range []sched.Config{{}, {Workers: -1, QueueBound: -1, MaxActive: -1, SmallCells: -1, SmallBoost: -1}} {
+	for _, cfg := range []sched.Config{{}, {Workers: -1, QueueBound: -1, MaxActive: -1}} {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("default-selecting config rejected: %v", err)
 		}

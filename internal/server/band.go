@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"time"
 
+	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/lddp"
 	"repro/lddp/api"
@@ -150,7 +151,8 @@ func BlockProblem(base *lddp.Problem[int64], req *api.BandRequest, mask lddp.Dep
 // before the run, the cell cap included, is a 400. The block is
 // computed into a pooled buffer (wire.GetCells), which goes back to the
 // pool once the response is written; a run that fails keeps it out of
-// the pool for good, like the inline cells of a failed /v1/solve.
+// the pool for good, like the inline cells of a failed /v1/solve. A
+// traced block's response carries its trace (blockTrace).
 func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 	w, neg, ok := s.admit(w, r, true)
 	if !ok {
@@ -184,7 +186,8 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 	block := BlockProblem(base, req, mask)
 	start := time.Now()
 	n := block.Rows * block.Cols
-	id, flat, ok := s.run(w, r, block, req.Strategy, req.DeadlineMS, req.Trace, wire.GetCells(n)[:n])
+	tracer := s.tracer(req.Trace)
+	id, flat, ok := s.run(w, r, block, req.Strategy, req.DeadlineMS, tracer, wire.GetCells(n)[:n])
 	if !ok {
 		return
 	}
@@ -199,5 +202,26 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		Digest:    DigestCells(block.Rows, block.Cols, flat),
 		ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 	}
+	if tracer != nil && req.Trace != nil {
+		resp.Trace = blockTrace(id, req.Trace, tracer)
+	}
 	s.writeResult(w, neg, id, resp, &resp.Cells, flat, block.Cols)
+}
+
+// maxBlockTraceBytes bounds the JSON of the trace a band response
+// carries. A frame's header is the whole response document, and the
+// client's decoder refuses a header past wire.MaxHeaderBytes; the rest
+// of the document takes a few hundred bytes.
+const maxBlockTraceBytes = wire.MaxHeaderBytes - 4<<10
+
+// blockTrace is a finished band solve's trace as its response carries
+// it: the tracer's meta (fleet tags, epoch, ring drops) and its newest
+// events up to maxBlockTraceBytes, so a large trace never fails the
+// block it describes. The node's trace file keeps them all.
+func blockTrace(id int64, tag *api.TraceContext, tracer *lddp.Tracer) *trace.BlockTrace {
+	meta := tracer.Meta()
+	meta.Dropped = tracer.Dropped()
+	bt := &trace.BlockTrace{SolveID: id, Band: tag.Band, Phase: tag.Phase, Meta: meta, Events: tracer.Events()}
+	bt.Fit(maxBlockTraceBytes)
+	return bt
 }

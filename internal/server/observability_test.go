@@ -1,15 +1,21 @@
 // Observability surface tests: the Prometheus exposition of
 // /v1/metrics (validated by the strict internal/promlint checker),
-// concurrent scrapes racing active solves, and the /v1/trace/{fleetID}
-// collection endpoint that the fleet coordinator stitches from.
+// concurrent scrapes racing active solves, and the block trace a traced
+// node returns in its band response for the fleet coordinator to
+// stitch.
 package server_test
 
 import (
+	"cmp"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -17,6 +23,8 @@ import (
 
 	"repro/internal/promlint"
 	"repro/internal/server"
+	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/lddp/api"
 	"repro/lddp/client"
 )
@@ -191,19 +199,14 @@ func TestMetricsConcurrentScrapes(t *testing.T) {
 	}
 }
 
-// blockBuffer is a band solve's destination when only the response
-// matters: a fresh buffer of n cells at row stride cols.
-func blockBuffer(n, cols int) client.BlockDest {
-	return func() ([]int64, int) { return make([]int64, n), cols }
-}
-
-// bandReqAtOrigin builds a halo-free band request: the block at (0,0)
-// under mask W,N needs no inbound halos.
-func bandReqAtOrigin(fleetID string, band, phase int) *api.BandRequest {
+// bandAtOrigin builds the band request for the block at (0,0) that
+// spans a whole rows x cols table, so it reads no halo. A non-empty
+// fleetID attaches a trace context naming block (band, phase).
+func bandAtOrigin(rows, cols int, mask, fleetID string, band, phase int) *api.BandRequest {
 	req := &api.BandRequest{
-		Rows: 8, Cols: 8,
-		Row0: 0, Row1: 8, Col0: 0, Col1: 8,
-		Mask:     "W,N",
+		Rows: rows, Cols: cols,
+		Row0: 0, Row1: rows, Col0: 0, Col1: cols,
+		Mask:     mask,
 		Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 7},
 	}
 	if fleetID != "" {
@@ -212,69 +215,154 @@ func bandReqAtOrigin(fleetID string, band, phase int) *api.BandRequest {
 	return req
 }
 
-func TestTraceEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	_, _, c := newTestService(t, server.Config{Workers: 2, TraceDir: dir})
-
-	// Two blocks of the same fleet solve, one of another.
-	for _, bp := range []struct {
-		id          string
-		band, phase int
-	}{{"f-test", 0, 0}, {"f-test", 0, 1}, {"f-other", 1, 0}} {
-		if _, err := c.SolveBand(context.Background(), bandReqAtOrigin(bp.id, bp.band, bp.phase), blockBuffer(64, 8)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	nt, err := c.Trace(context.Background(), "f-test")
+// solveBand solves req through c, landing the block in a fresh buffer.
+func solveBand(t *testing.T, c *client.Client, req *api.BandRequest) *api.BandResponse {
+	t.Helper()
+	cols := req.Col1 - req.Col0
+	resp, err := c.SolveBand(context.Background(), req, func() ([]int64, int) {
+		return make([]int64, (req.Row1-req.Row0)*cols), cols
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nt.FleetID != "f-test" {
-		t.Errorf("NodeTrace.FleetID = %q, want f-test", nt.FleetID)
-	}
-	if len(nt.Blocks) != 2 {
-		t.Fatalf("collected %d blocks for f-test, want 2", len(nt.Blocks))
-	}
-	for i, b := range nt.Blocks {
-		if b.Meta.FleetID != "f-test" {
-			t.Errorf("block %d meta fleet_id = %q, want f-test", i, b.Meta.FleetID)
-		}
-		if b.Meta.EpochUnixNS == 0 {
-			t.Errorf("block %d meta epoch is zero; stitching cannot align it", i)
-		}
-		if len(b.Events) == 0 {
-			t.Errorf("block %d carries no events", i)
-		}
-	}
-	// Band/phase tags round-tripped through the recorder meta.
-	phases := map[int]bool{}
-	for _, b := range nt.Blocks {
-		phases[b.Phase] = true
-		if b.Band != 0 {
-			t.Errorf("block band = %d, want 0", b.Band)
-		}
-	}
-	if !phases[0] || !phases[1] {
-		t.Errorf("phases collected = %v, want {0,1}", phases)
-	}
+	return resp
+}
 
-	// Unknown fleet IDs are a typed 404.
-	_, err = c.Trace(context.Background(), "f-missing")
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.HTTPStatus != http.StatusNotFound {
-		t.Errorf("Trace(unknown) = %v, want HTTP 404", err)
+// codecClients returns the test service's JSON client c and a binary
+// client of the same service.
+func codecClients(t *testing.T, ts *httptest.Server, c *client.Client) []*client.Client {
+	return []*client.Client{c, newCodecClient(t, ts, client.WithCodec(client.CodecBinary))}
+}
+
+// readTraceFile reads solve id's trace file back from a node's TraceDir.
+func readTraceFile(t *testing.T, dir string, id int64) (trace.Meta, []trace.Event) {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, fmt.Sprintf("solve-%d.json", id)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	meta, events, err := trace.ReadChrome(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return meta, events
+}
+
+// sortedEvents returns events in one total order, so two copies of a
+// trace compare equal whatever order their timestamp ties took.
+func sortedEvents(events []trace.Event) []trace.Event {
+	out := slices.Clone(events)
+	slices.SortFunc(out, func(a, b trace.Event) int {
+		return cmp.Or(cmp.Compare(a.TS, b.TS), cmp.Compare(a.Worker, b.Worker),
+			cmp.Compare(a.Kind, b.Kind), cmp.Compare(a.Front, b.Front),
+			cmp.Compare(a.A, b.A), cmp.Compare(a.B, b.B), cmp.Compare(a.Dur, b.Dur),
+			strings.Compare(a.Label, b.Label))
+	})
+	return out
+}
+
+// TestBandResponseCarriesTrace: a node with a TraceDir answers a band
+// request that carries a trace context with the block's trace, under
+// both codecs. Its meta names the fleet block and the recorder's epoch,
+// its task spans cover the block's cells, and its events are the ones
+// the node's trace file holds for the same solve.
+func TestBandResponseCarriesTrace(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, c := newTestService(t, server.Config{Workers: 2, TraceDir: dir})
+	for i, cl := range codecClients(t, ts, c) {
+		t.Run([]string{"json", "binary"}[i], func(t *testing.T) {
+			const rows, cols = 24, 40
+			resp := solveBand(t, cl, bandAtOrigin(rows, cols, "W,N", "f-push", 1, 2))
+			bt := resp.Trace
+			if bt == nil {
+				t.Fatal("traced band solve answered without a trace")
+			}
+			if bt.SolveID != resp.ID || bt.Band != 1 || bt.Phase != 2 {
+				t.Errorf("trace names solve %d block (%d,%d), want solve %d block (1,2)", bt.SolveID, bt.Band, bt.Phase, resp.ID)
+			}
+			if m := bt.Meta; m.FleetID != "f-push" || m.Band != 1 || m.Phase != 2 || m.EpochUnixNS == 0 {
+				t.Errorf("trace meta fleet_id %q band %d phase %d epoch %d, want f-push, 1, 2 and an epoch",
+					m.FleetID, m.Band, m.Phase, m.EpochUnixNS)
+			}
+			var cells int64
+			for _, e := range bt.Events {
+				if e.Kind == trace.KindTask {
+					cells += e.B
+				}
+			}
+			if cells != rows*cols {
+				t.Errorf("task spans cover %d cells, want %d", cells, rows*cols)
+			}
+			meta, events := readTraceFile(t, dir, resp.ID)
+			if meta.FleetID != "f-push" || meta.EpochUnixNS != bt.Meta.EpochUnixNS {
+				t.Errorf("trace file meta %+v does not match the response's %+v", meta, bt.Meta)
+			}
+			if !slices.Equal(sortedEvents(events), sortedEvents(bt.Events)) {
+				t.Errorf("response carries %d events, the trace file %d, and they differ", len(bt.Events), len(events))
+			}
+		})
 	}
 }
 
-func TestTraceEndpointWithoutTraceDir(t *testing.T) {
-	_, _, c := newTestService(t, server.Config{Workers: 2})
-	if _, err := c.SolveBand(context.Background(), bandReqAtOrigin("f-x", 0, 0), blockBuffer(64, 8)); err != nil {
-		t.Fatal(err)
+// TestBandResponseWithoutTrace: a band response carries a trace only
+// when the node records traces and the request carries a trace context.
+func TestBandResponseWithoutTrace(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		traceDir bool
+		fleetID  string
+	}{
+		{"no tracedir", false, "f-x"},
+		{"no trace context", true, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := server.Config{Workers: 2}
+			if tc.traceDir {
+				cfg.TraceDir = t.TempDir()
+			}
+			_, ts, c := newTestService(t, cfg)
+			for i, cl := range codecClients(t, ts, c) {
+				if resp := solveBand(t, cl, bandAtOrigin(8, 8, "W,N", tc.fleetID, 0, 0)); resp.Trace != nil {
+					t.Errorf("%s response carries a trace of %d events", []string{"json", "binary"}[i], len(resp.Trace.Events))
+				}
+			}
+		})
 	}
-	_, err := c.Trace(context.Background(), "f-x")
-	var apiErr *client.APIError
-	if !errors.As(err, &apiErr) || apiErr.HTTPStatus != http.StatusNotFound {
-		t.Errorf("Trace without -tracedir = %v, want HTTP 404", err)
+}
+
+// TestBandResponseTraceOverCap: a block whose trace would push a frame
+// header past wire.MaxHeaderBytes, the client's cap, still solves. The
+// response carries the newest events that fit, and Meta.Dropped counts
+// the rest. The node cuts the trace before it picks the codec, so the
+// frame codec, the one with a header cap, covers both. A {W} block 4096
+// rows tall and 640 columns wide runs as 12288 one-row tiles of at most
+// 256 cells on four workers: about 16,000 events, 1.3 MB of JSON.
+func TestBandResponseTraceOverCap(t *testing.T) {
+	dir := t.TempDir()
+	_, ts, _ := newTestService(t, server.Config{Workers: 4, TraceDir: dir})
+	c := newCodecClient(t, ts, client.WithCodec(client.CodecBinary))
+	resp := solveBand(t, c, bandAtOrigin(4096, 640, "W", "f-big", 0, 0))
+	meta, events := readTraceFile(t, dir, resp.ID)
+	if full, _ := json.Marshal(trace.BlockTrace{Meta: meta, Events: events}); len(full) <= wire.MaxHeaderBytes {
+		t.Fatalf("the block's trace takes %d bytes, within the %d-byte header cap; the test needs a bigger block", len(full), wire.MaxHeaderBytes)
+	}
+	bt := resp.Trace
+	if bt == nil {
+		t.Fatal("traced band solve answered without a trace")
+	}
+	if doc, _ := json.Marshal(bt); len(doc) > wire.MaxHeaderBytes {
+		t.Errorf("response trace takes %d bytes, over the %d-byte header cap", len(doc), wire.MaxHeaderBytes)
+	}
+	if bt.Meta.Dropped == 0 {
+		t.Error("a trace cut to fit counts no dropped events")
+	}
+	if got, want := int64(len(bt.Events))+bt.Meta.Dropped, int64(len(events))+meta.Dropped; got != want {
+		t.Errorf("response keeps %d events and drops %d, the node recorded %d and dropped %d",
+			len(bt.Events), bt.Meta.Dropped, len(events), meta.Dropped)
+	}
+	// The newest events stay: the kept ones span the file's tail.
+	if k := len(bt.Events); k == 0 || bt.Events[0].TS != events[len(events)-k].TS || bt.Events[k-1].TS != events[len(events)-1].TS {
+		t.Errorf("response keeps %d events that are not the newest of the %d recorded", k, len(events))
 	}
 }

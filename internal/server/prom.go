@@ -61,7 +61,6 @@ func (s *Server) writePromMetrics(w http.ResponseWriter, snap *lddp.MetricsSnaps
 	p.gauge("lddpd_draining", "1 once drain began, 0 while serving.", float64(snap.Server.Draining))
 	p.counter("lddpd_trace_dropped_events_total", "Trace events lost to ring-buffer overwrites.", float64(snap.Server.TraceDroppedEvents))
 	p.counter("lddpd_trace_solves_total", "Solve trace files written to -tracedir.", float64(snap.Server.TraceSolves))
-	p.gauge("lddpd_trace_fleets", "Fleet solves currently indexed for /v1/trace.", float64(snap.Server.TraceFleets))
 
 	p.counter("lddpd_fleet_solves_total", "Fleet solves coordinated by this node.", float64(snap.Fleet.Solves))
 	p.counter("lddpd_fleet_blocks_total", "Block round trips issued by this node's coordinator.", float64(snap.Fleet.Blocks))

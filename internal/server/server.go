@@ -57,7 +57,9 @@ type Config struct {
 
 	// TraceDir, when non-empty, records a runtime trace of every solve
 	// and writes it as <TraceDir>/solve-<id>.json (Chrome/Perfetto
-	// trace-event JSON, the lddptrace input format).
+	// trace-event JSON, the lddptrace input format). A band solve whose
+	// request carries a trace context also returns its trace in the
+	// response, for the fleet coordinator to stitch.
 	TraceDir string
 
 	// ExtraMetrics, when non-nil, runs at /metrics scrape time to fill
@@ -127,7 +129,6 @@ type Server struct {
 	draining  atomic.Bool
 	wireStats wireStats
 
-	traces       *traceIndex // nil when TraceDir is empty
 	traceSolves  atomic.Int64
 	traceDropped atomic.Int64
 }
@@ -219,16 +220,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 4 * s.Config().Workers
 	}
-	srv := &Server{
+	return &Server{
 		cfg:      cfg,
 		sched:    s,
 		cache:    newResultCache(cfg.CacheBytes),
 		inflight: make(chan struct{}, cfg.MaxInflight),
-	}
-	if cfg.TraceDir != "" {
-		srv.traces = newTraceIndex()
-	}
-	return srv, nil
+	}, nil
 }
 
 // CacheStats returns the result cache's counters (all-zero when the
@@ -247,10 +244,9 @@ func (s *Server) Metrics() *lddp.Metrics { return lddp.NewMetrics(s.sched) }
 // Handler returns the service mux. Every endpoint lives under the /v1
 // prefix — POST /v1/solve, POST /v1/band/solve, GET /v1/healthz,
 // GET /v1/readyz, GET /v1/metrics (JSON by default,
-// ?format=prometheus for text exposition), GET /v1/trace/{fleetID} —
-// with the pre-versioning operational
-// paths (/healthz, /readyz, /metrics) kept as aliases so existing
-// probes and scrapers keep working. Unknown paths answer a JSON
+// ?format=prometheus for text exposition) — with the pre-versioning
+// operational paths (/healthz, /readyz, /metrics) kept as aliases so
+// existing probes and scrapers keep working. Unknown paths answer a JSON
 // ErrorBody 404, not the text/plain default: every consumer of this
 // service parses ErrorBody on failure, and a route typo should produce
 // the same shape as every other refusal.
@@ -261,7 +257,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/healthz", s.handleHealthz)
 	mux.HandleFunc("/v1/readyz", s.handleReadyz)
 	mux.HandleFunc("/v1/metrics", s.handleMetrics)
-	mux.HandleFunc("/v1/trace/", s.handleTrace)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/readyz", s.handleReadyz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -341,9 +336,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.draining.Load() {
 		snap.Server.Draining = 1
-	}
-	if s.traces != nil {
-		snap.Server.TraceFleets = int64(s.traces.size())
 	}
 	if s.cfg.ExtraMetrics != nil {
 		s.cfg.ExtraMetrics(&snap)
@@ -549,7 +541,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// No releaseInline when run fails: on a cancellation the scheduler's
 	// workers may still be quiescing against the problem's inline cells,
 	// so the buffer is left to the garbage collector.
-	id, flat, ok := s.run(w, r, problem, req.Strategy, req.DeadlineMS, nil, nil)
+	id, flat, ok := s.run(w, r, problem, req.Strategy, req.DeadlineMS, s.tracer(nil), nil)
 	if !ok {
 		return
 	}
@@ -586,13 +578,28 @@ func cellsIf(include bool, flat []int64) []int64 {
 	return nil
 }
 
+// tracer returns a fresh tracer for one solve when the server records
+// traces, nil otherwise. A band request's trace context tags it with the
+// fleet block it solves, so its trace file and the trace its response
+// carries both name their fleet solve.
+func (s *Server) tracer(tag *api.TraceContext) *lddp.Tracer {
+	if s.cfg.TraceDir == "" {
+		return nil
+	}
+	t := lddp.NewTracer()
+	if tag != nil {
+		t.SetFleetTag(tag.FleetID, tag.Band, tag.Phase)
+	}
+	return t
+}
+
 // run submits problem to the scheduler under the request's deadline and
-// strategy and waits for it, writing its trace file when the server
-// records traces — tagged with, and indexed under, the fleet solve tag
-// names. The solve computes into cells (nil allocates; see
-// lddp.SubmitInto). On success it returns the solve ID and the row-major
-// result; otherwise it has answered the request itself and ok is false.
-func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Problem[int64], strategy string, deadlineMS int64, tag *api.TraceContext, cells []int64) (id int64, flat []int64, ok bool) {
+// strategy and waits for it, recording into tracer (nil records
+// nothing) and writing its trace file. The solve computes into cells
+// (nil allocates; see lddp.SubmitInto). On success it returns the solve
+// ID and the row-major result; otherwise it has answered the request
+// itself and ok is false.
+func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Problem[int64], strategy string, deadlineMS int64, tracer *lddp.Tracer, cells []int64) (id int64, flat []int64, ok bool) {
 	ctx := r.Context()
 	if deadlineMS > 0 {
 		var cancel context.CancelFunc
@@ -606,15 +613,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Probl
 	case "async":
 		opts = append(opts, lddp.WithStrategy(lddp.Async))
 	}
-	var tracer *lddp.Tracer
-	if s.cfg.TraceDir != "" {
-		tracer = lddp.NewTracer()
-		if tag != nil {
-			// The fleet tag rides every export of this trace, which is
-			// what lets GET /v1/trace/{fleetID} and the coordinator's
-			// stitcher attribute the block to its originating solve.
-			tracer.SetFleetTag(tag.FleetID, tag.Band, tag.Phase)
-		}
+	if tracer != nil {
 		opts = append(opts, lddp.WithTracer(tracer))
 	}
 	sub, err := lddp.SubmitInto(ctx, s.sched, problem, cells, opts...)
@@ -625,10 +624,7 @@ func (s *Server) run(w http.ResponseWriter, r *http.Request, problem *lddp.Probl
 	id = sub.ID()
 	grid, err := sub.Wait()
 	if tracer != nil {
-		path := s.writeTraceFile(id, tracer)
-		if path != "" && tag != nil && s.traces != nil {
-			s.traces.add(tag.FleetID, blockRef{solveID: id, band: tag.Band, phase: tag.Phase, path: path})
-		}
+		s.writeTraceFile(id, tracer)
 	}
 	if err != nil {
 		s.writeOutcomeError(w, r, id, err)
@@ -696,19 +692,15 @@ func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, id int64, 
 // bad TraceDir must not fail the solve that produced the trace. It also
 // feeds the trace-loss counter — ring overwrites are invisible in the
 // file itself until an analysis comes up short, so they surface in the
-// metrics snapshot instead. Returns the file path ("" when nothing was
-// written) so band solves can index it under their fleet ID.
-func (s *Server) writeTraceFile(id int64, tracer *lddp.Tracer) string {
+// metrics snapshot instead.
+func (s *Server) writeTraceFile(id int64, tracer *lddp.Tracer) {
 	s.traceDropped.Add(tracer.Dropped())
-	path := filepath.Join(s.cfg.TraceDir, fmt.Sprintf("solve-%d.json", id))
-	f, err := os.Create(path)
+	f, err := os.Create(filepath.Join(s.cfg.TraceDir, fmt.Sprintf("solve-%d.json", id)))
 	if err != nil {
-		return ""
+		return
 	}
-	defer f.Close()
-	if err := lddp.WriteTrace(f, tracer); err != nil {
-		return ""
+	err = lddp.WriteTrace(f, tracer)
+	if cerr := f.Close(); err == nil && cerr == nil {
+		s.traceSolves.Add(1)
 	}
-	s.traceSolves.Add(1)
-	return path
 }

@@ -132,8 +132,9 @@ type cluster struct {
 }
 
 // bootCluster starts s.Nodes real serving stacks on loopback. traceDir
-// gives each node its own trace directory (node-<i> subdirectories) so
-// fleet trace stitching has real node dumps to fetch.
+// gives each node its own trace directory (node-<i> subdirectories), so
+// every node traces and its band responses carry block traces for the
+// coordinator to stitch.
 func bootCluster(s *Schedule, traceDir string) (*cluster, error) {
 	c := &cluster{t0: time.Now()}
 	for i := 0; i < s.Nodes; i++ {

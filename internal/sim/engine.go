@@ -25,6 +25,7 @@ import (
 	"repro/internal/promlint"
 	"repro/internal/server"
 	"repro/internal/testutil"
+	"repro/internal/trace"
 	"repro/lddp/api"
 	"repro/lddp/client"
 )
@@ -304,12 +305,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 			e.violate("hang: ops did not unwind after cancellation")
 		}
 	}
-	// Teardown order matters: gates release first (cluster.shutdown),
-	// the coordinator's detached trace stitches finish while nodes
-	// still answer /v1/trace, then clients drop their keep-alive
-	// connections (a lingering client-held conn would stall the
-	// listener drain), and finally every live node drains with its
-	// readiness contract checked.
+	// Teardown order matters: clients drop their keep-alive connections
+	// first (a lingering client-held conn would stall the listener
+	// drain), then cluster.shutdown releases the gates and drains every
+	// live node with its readiness contract checked. The coordinator
+	// holds nothing past its solves, which wrote their traces before
+	// returning.
 	coord.Close()
 	teardownClients()
 	cl.shutdown(e.violate)
@@ -531,6 +532,11 @@ func (e *engine) runProm(ctx context.Context, res *opResult) {
 	e.finish(res, classOK, nil, nil, nil)
 }
 
+// runTrace checks the stitched trace of an earlier fleet op once that op
+// has finished: the file is on disk, parses as a fleet document, and
+// has a non-empty process for every node that completed a block, since
+// every sim node traces and returns its block traces in its band
+// responses. It contacts no node.
 func (e *engine) runTrace(ctx context.Context, res *opResult) {
 	op := res.op
 	select {
@@ -540,26 +546,38 @@ func (e *engine) runTrace(ctx context.Context, res *opResult) {
 		return
 	}
 	orig := e.results[op.ReplayOf]
-	if orig.class != classOK || orig.fres == nil || orig.fres.FleetID == "" {
+	if orig.class != classOK || orig.fres == nil {
 		e.finish(res, classSkipped, nil, nil, nil)
 		return
 	}
-	nt, err := e.clients[e.cluster.nodes[op.Node].base()][0].Trace(ctx, orig.fres.FleetID)
-	if err != nil {
-		// 404 is legal: relocation or banding may have kept this fleet
-		// solve's blocks off the probed node entirely.
-		if errors.Is(err, client.ErrInvalid) {
-			e.finish(res, classOK, nil, nil, nil)
-			return
-		}
-		class := e.classify(res, err)
-		e.finish(res, class, nil, nil, err)
-		return
-	}
-	if nt == nil {
-		e.violate("op %d: trace fetch returned no document", op.ID)
+	if err := checkFleetTrace(orig.fres); err != nil {
+		e.violate("op %d: stitched trace of fleet op %d: %v", op.ID, op.ReplayOf, err)
 	}
 	e.finish(res, classOK, nil, nil, nil)
+}
+
+// checkFleetTrace reads a fleet solve's stitched trace and requires a
+// process with events for every node that completed one of its blocks.
+func checkFleetTrace(fres *fleet.Result) error {
+	f, err := os.Open(fres.TracePath)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	doc, err := trace.ReadFleetChrome(f)
+	if err != nil {
+		return err
+	}
+	events := map[int]int{}
+	for _, p := range doc.Procs {
+		events[p.PID] = len(p.Events)
+	}
+	for n, blocks := range fres.Stats.NodeBlocks {
+		if blocks > 0 && events[n+1] == 0 {
+			return fmt.Errorf("node %d completed %d blocks but its process has no events", n, blocks)
+		}
+	}
+	return nil
 }
 
 // classify maps an op's error to its outcome class and flags classes

@@ -52,7 +52,10 @@ const (
 	OpMetrics OpKind = "metrics"
 	// OpProm scrapes the Prometheus text exposition and lints it.
 	OpProm OpKind = "prom"
-	// OpTrace fetches an earlier fleet op's node trace dump.
+	// OpTrace checks an earlier fleet op's stitched trace file. Its Node
+	// is unused but still drawn like a scrape's, which keeps the
+	// generator's random stream, and so every seeded schedule and
+	// recorded op log, unchanged.
 	OpTrace OpKind = "trace"
 	// OpKill closes a node's HTTP server mid-run (connections die).
 	OpKill OpKind = "kill"
@@ -93,8 +96,9 @@ type Fault struct {
 type Op struct {
 	ID   int    `json:"id"`
 	Kind OpKind `json:"kind"`
-	// Node is the target node index (solve/replay/metrics/prom/trace/
-	// kill/drain/arm). Fleet ops address the whole fleet.
+	// Node is the target node index (solve/replay/metrics/prom/kill/
+	// drain/arm; a trace op's is unused). Fleet ops address the whole
+	// fleet.
 	Node int `json:"node,omitempty"`
 	// DelayUS schedules the op's dispatch relative to run start.
 	DelayUS int `json:"delay_us,omitempty"`
@@ -115,7 +119,7 @@ type Op struct {
 	Burst bool `json:"burst,omitempty"`
 
 	// ReplayOf names the earlier op a replay duplicates or the fleet op
-	// a trace fetch inspects.
+	// a trace check inspects.
 	ReplayOf int `json:"replay_of,omitempty"`
 
 	// Arm gate shape.
@@ -219,7 +223,7 @@ type generator struct {
 
 	// replayable collects earlier solve ops safe to replay (clean path,
 	// no deadline/cancel, target still healthy when the replay fires);
-	// fleetOps collects fleet op IDs for trace fetches.
+	// fleetOps collects fleet op IDs for trace checks.
 	replayable []Op
 	fleetOps   []int
 }
@@ -238,7 +242,7 @@ func (g *generator) healthyNode() int {
 }
 
 // liveNode picks a node whose listener is still up (drained is fine:
-// metrics, prom and trace endpoints keep answering through a drain).
+// the metrics and prom endpoints keep answering through a drain).
 func (g *generator) liveNode() int {
 	for {
 		n := g.rng.Intn(g.cfg.Nodes)

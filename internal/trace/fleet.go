@@ -9,17 +9,18 @@ import (
 
 // Fleet trace stitching: one fleet solve produces a coordinator trace
 // (one lane per band, spans for halo waits and per-block round trips)
-// plus one trace file per block on each executing node. This file merges
-// them into a single multi-process Chrome/Perfetto timeline — PID 0 is
-// the coordinator, PID n+1 is node n — with every timestamp rebased onto
-// the coordinator's wall clock via each recorder's EpochUnixNS, and
-// analyzes the result into a fleet critical path. Clock-alignment caveat:
-// the rebase trusts each host's wall clock, so cross-node offsets are
-// only as good as the fleet's clock sync (NTP-level skew shifts whole
-// node lanes, it does not reorder events within one).
+// plus one block trace per block, which the executing node returns in
+// its band response. This file merges them into a single multi-process
+// Chrome/Perfetto timeline — PID 0 is the coordinator, PID n+1 is node
+// n — with every timestamp rebased onto the coordinator's wall clock via
+// each recorder's EpochUnixNS, and analyzes the result into a fleet
+// critical path. Clock-alignment caveat: the rebase trusts each host's
+// wall clock, so cross-node offsets are only as good as the fleet's
+// clock sync (NTP-level skew shifts whole node lanes, it does not
+// reorder events within one).
 
-// BlockTrace is one block's recorded trace, read back from the node's
-// -tracedir file: the solve that executed block (Band, Phase) of a fleet
+// BlockTrace is one block's recorded trace as the node's band response
+// carries it: the solve that executed block (Band, Phase) of a fleet
 // solve.
 type BlockTrace struct {
 	// SolveID is the node-local scheduler solve ID of the block solve.
@@ -34,14 +35,33 @@ type BlockTrace struct {
 	Events []Event `json:"events"`
 }
 
-// NodeTrace is the body of GET /v1/trace/{fleetID}: every block trace
-// one node recorded for that fleet solve.
+// Fit drops b's oldest events until its JSON encoding takes at most
+// maxBytes, and counts them in Meta.Dropped beside the events the rings
+// lost, so a trace never outgrows the response that carries it. Events
+// are in timestamp order, so the newest stay, as in a full ring.
+func (b *BlockTrace) Fit(maxBytes int) {
+	for len(b.Events) > 0 {
+		doc, err := json.Marshal(b)
+		over := len(doc) - maxBytes
+		if err != nil || over <= 0 {
+			return
+		}
+		n := 0
+		for ; over > 0 && n < len(b.Events); n++ {
+			e, _ := json.Marshal(b.Events[n])
+			over -= len(e) + 1 // the event and its separating comma
+		}
+		b.Events = b.Events[n:]
+		b.Meta.Dropped += int64(n)
+	}
+}
+
+// NodeTrace is every block trace one node returned for a fleet solve.
 type NodeTrace struct {
-	FleetID string `json:"fleet_id"`
-	// Node names the answering node (its serving address), best-effort.
-	Node string `json:"node,omitempty"`
+	// Node names the node (its serving address).
+	Node string
 	// Blocks lists the node's block traces in completion order.
-	Blocks []BlockTrace `json:"blocks"`
+	Blocks []BlockTrace
 }
 
 // Coordinator-lane span labels. The coordinator records its fleet solve

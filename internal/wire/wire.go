@@ -56,6 +56,10 @@ const (
 	// ChunkCells is the cell count of one wire chunk (32 KiB of payload):
 	// the streaming granularity of large responses.
 	ChunkCells = 4096
+
+	// MaxHeaderBytes is a Decoder's default cap on the JSON header, so
+	// the largest header a receiver accepts unless it tightens the cap.
+	MaxHeaderBytes = 1 << 20
 )
 
 // Halo section tags of the band-solve protocol. Tag 0 is reserved as
@@ -356,13 +360,13 @@ type Decoder struct {
 }
 
 // NewDecoder returns a Decoder reading one frame from r, with default
-// caps (1 MiB header, 1<<22 cells) the caller can tighten.
+// caps (MaxHeaderBytes of header, 1<<22 cells) the caller can tighten.
 func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{
 		r:         r,
 		scratch:   scratchPool.Get().(*[]byte),
 		h:         fnvOffset64,
-		maxHeader: 1 << 20,
+		maxHeader: MaxHeaderBytes,
 		maxCells:  1 << 22,
 	}
 }

@@ -3,6 +3,7 @@ package api
 import (
 	"fmt"
 
+	"repro/internal/trace"
 	"repro/lddp"
 )
 
@@ -92,9 +93,9 @@ type BandRequest struct {
 }
 
 // TraceContext ties one band request to the fleet solve that issued it,
-// so the executing node can tag its trace events with the originating
-// solve and the coordinator can collect them back into one timeline
-// (GET /v1/trace/{fleet_id}).
+// so the executing node can tag its trace with the originating solve
+// and return it in the band response, which the coordinator stitches
+// into one timeline.
 type TraceContext struct {
 	// FleetID is the coordinator-assigned fleet solve identifier.
 	FleetID string `json:"fleet_id"`
@@ -128,6 +129,11 @@ type BandResponse struct {
 	Cells [][]int64 `json:"cells,omitempty"`
 	// ElapsedMS is the node-side wall time of the block solve.
 	ElapsedMS float64 `json:"elapsed_ms"`
+	// Trace is the block solve's trace, present when the node records
+	// traces (-tracedir) and the request carried a trace context. It
+	// holds the newest events that keep a frame header within
+	// wire.MaxHeaderBytes; Meta.Dropped counts the rest.
+	Trace *trace.BlockTrace `json:"trace,omitempty"`
 }
 
 // HaloLens is the halo coverage a band request must carry, as computed

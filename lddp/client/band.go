@@ -21,7 +21,8 @@ type BlockDest func() (cells []int64, stride int)
 // SolveBand submits one band solve (POST /v1/band/solve) and lands the
 // block's cells in the rectangle dst resolves: a frame's cells are
 // decoded straight into it, and a JSON body's rows are copied there.
-// The returned response carries no Cells. A frame's cells land before
+// The returned response carries no Cells; a tracing node's carries the
+// block's trace. A frame's cells land before
 // its trailer is verified, so after an error the rectangle holds
 // unverified cells: a caller reads it only after SolveBand returns nil.
 // Retry semantics match Solve: 429/503 and transport errors retry

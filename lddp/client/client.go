@@ -16,13 +16,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/lddp"
 	"repro/lddp/api"
@@ -358,47 +356,26 @@ func (c *Client) Ready(ctx context.Context) error {
 	return c.getOK(ctx, "/v1/readyz")
 }
 
-// Metrics fetches the server's metrics snapshot (GET /v1/metrics).
+// Metrics fetches the server's metrics snapshot (GET /v1/metrics), its
+// body read up to 16 MiB.
 func (c *Client) Metrics(ctx context.Context) (*lddp.MetricsSnapshot, error) {
-	var snap lddp.MetricsSnapshot
-	if err := c.getJSON(ctx, "/v1/metrics", 16<<20, &snap); err != nil {
-		return nil, err
-	}
-	return &snap, nil
-}
-
-// Trace fetches the node's block trace dumps for one fleet solve
-// (GET /v1/trace/{fleetID}). A node that recorded nothing for the solve
-// — tracing disabled, or the blocks all ran elsewhere — answers 404,
-// which surfaces as an *APIError; fleet-side callers treat that as "no
-// lanes from this node", not a failure.
-func (c *Client) Trace(ctx context.Context, fleetID string) (*trace.NodeTrace, error) {
-	var nt trace.NodeTrace
-	if err := c.getJSON(ctx, "/v1/trace/"+url.PathEscape(fleetID), 64<<20, &nt); err != nil {
-		return nil, err
-	}
-	return &nt, nil
-}
-
-// getJSON fetches path and decodes its 200 JSON body, read up to limit
-// bytes, into out.
-func (c *Client) getJSON(ctx context.Context, path string, limit int64, out any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/metrics", nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	hresp, err := c.hc.Do(hreq)
 	if err != nil {
-		return fmt.Errorf("lddp client: %w", err)
+		return nil, fmt.Errorf("lddp client: %w", err)
 	}
 	defer hresp.Body.Close()
 	if hresp.StatusCode != http.StatusOK {
-		return decodeError(hresp)
+		return nil, decodeError(hresp)
 	}
-	if err := json.NewDecoder(io.LimitReader(hresp.Body, limit)).Decode(out); err != nil {
-		return fmt.Errorf("lddp client: decoding %s: %w", path, err)
+	var snap lddp.MetricsSnapshot
+	if err := json.NewDecoder(io.LimitReader(hresp.Body, 16<<20)).Decode(&snap); err != nil {
+		return nil, fmt.Errorf("lddp client: decoding /v1/metrics: %w", err)
 	}
-	return nil
+	return &snap, nil
 }
 
 // Base returns the client's base URL — fleet-side observability labels

@@ -65,10 +65,8 @@ type ServerSnapshot struct {
 	// traced solve on this node — non-zero means timelines are missing
 	// their oldest events and -tracedir analysis is partial.
 	TraceDroppedEvents int64 `json:"trace_dropped_events"`
-	// TraceSolves counts trace files written; TraceFleets the fleet
-	// solves currently indexed for GET /v1/trace/{fleetID}.
+	// TraceSolves counts trace files written.
 	TraceSolves int64 `json:"trace_solves"`
-	TraceFleets int64 `json:"trace_fleets"`
 }
 
 // FleetSnapshot is the band-fleet coordinator section of a server

@@ -63,17 +63,6 @@ func WithSchedulerMaxActive(n int) SchedulerOption {
 	return func(c *sched.Config) { c.MaxActive = n }
 }
 
-// WithSmallSolveBoost tunes size-aware admission: submissions of at most
-// cells total cells may jump up to boost positions of the FIFO admission
-// queue. Zero or negative values select the defaults (65536 cells, 8
-// positions). The jump is bounded, so large solves cannot starve.
-func WithSmallSolveBoost(cells int64, boost int) SchedulerOption {
-	return func(c *sched.Config) {
-		c.SmallCells = cells
-		c.SmallBoost = boost
-	}
-}
-
 // NewScheduler starts a shared solve scheduler. The zero option set uses
 // all defaults; out-of-range values are reported as an error, never
 // clamped or panicked on.
