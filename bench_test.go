@@ -226,7 +226,7 @@ func BenchmarkNativePoolLevenshtein4k(b *testing.B) {
 func BenchmarkNativePoolMasks(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, m := range core.AllDepMasks() {
-			p := server.ServeProblem(m, n, n)
+			p := server.ServeProblem(m, n, n, 0, 0)
 			b.Run(fmt.Sprintf("%d/%s/tiles", n, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := core.SolveParallel(p, 0); err != nil {
@@ -249,7 +249,7 @@ func BenchmarkNativePoolMaskPairs(b *testing.B) {
 		if !m.Has(core.DepNE) || m&(core.DepW|core.DepNW) == 0 {
 			continue
 		}
-		pair := [2]*core.Problem[int64]{server.ServeProblem(m, 1024, 1024), server.ServeProblem(m&^core.DepNE, 1024, 1024)}
+		pair := [2]*core.Problem[int64]{server.ServeProblem(m, 1024, 1024, 0, 0), server.ServeProblem(m&^core.DepNE, 1024, 1024, 0, 0)}
 		b.Run(m.String(), func(b *testing.B) {
 			ratios := make([]float64, b.N)
 			for i := range ratios {

@@ -130,7 +130,7 @@ func buildBatch(opts options) ([]workItem, error) {
 // the identical kernel (cheap integer mixing of every contributing
 // neighbour; int64 overflow wraps, fine for a load test).
 func loadProblem(m lddp.DepMask, rows, cols int) *lddp.Problem[int64] {
-	return server.ServeProblem(m, rows, cols)
+	return server.ServeProblem(m, rows, cols, 0, 0)
 }
 
 // outcome tallies one batch run.

@@ -94,54 +94,57 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 	return mask, nil
 }
 
-// BlockProblem wraps a full-table problem into the block a band request
-// names: the recurrence is the base one shifted into block coordinates,
-// and the boundary resolves across-block neighbour reads from the
-// request's halos — north for row Row0-1 (including the NW/NE corner
-// columns HaloSpec widened it by), west for column Col0-1, east for
-// column Col1. Reads past the FULL table still go to the base
-// workload's own boundary, so a block touching the table edge computes
-// exactly what the unsharded solve would. A halo index outside its
-// span (impossible for a validated request) reads zero rather than
-// panicking a scheduler worker; the coordinator's digest differential
-// catches the corruption.
-func BlockProblem(base *lddp.Problem[int64], req *api.BandRequest, mask lddp.DepMask) *lddp.Problem[int64] {
+// BlockProblem builds the block a validated band request names, in
+// block coordinates: the workload's problem with its origin at (Row0,
+// Col0) (see MixProblem), trimmed to the block, so F is the workload's
+// own recurrence. Only the boundary is wrapped, and only edge cells call
+// it. It resolves across-block neighbour reads from the request's halos
+// — north for row Row0-1 (including the NW/NE corner columns HaloSpec
+// widened it by), west for column Col0-1, east for column Col1. Reads
+// past the FULL table still go to the workload's own boundary, so a
+// block touching the table edge computes exactly what the unsharded
+// solve would. A halo index outside its span (impossible for a
+// validated request) reads zero rather than panicking a scheduler
+// worker; the coordinator's digest differential catches the corruption.
+func BlockProblem(req *api.BandRequest) (*lddp.Problem[int64], error) {
+	table := tableRequest(req)
+	p, err := buildProblem(&table, req.Row0, req.Col0)
+	if err != nil {
+		return nil, err
+	}
 	r0, c0 := req.Row0, req.Col0
-	bRows, bCols := req.Row1-req.Row0, req.Col1-req.Col0
+	rows, cols := req.Rows, req.Cols
+	bCols := req.Col1 - req.Col0
 	north, west, east := req.HaloNorth, req.HaloWest, req.HaloEast
 	northLo := req.NorthLo
-	return &lddp.Problem[int64]{
-		Name: fmt.Sprintf("%s-band-r%d-c%d", base.Name, r0, c0),
-		Rows: bRows, Cols: bCols, Deps: mask,
-		F: func(i, j int, nb lddp.Neighbors[int64]) int64 {
-			return base.F(i+r0, j+c0, nb)
-		},
-		Boundary: func(i, j int) int64 {
-			gi, gj := i+r0, j+c0
-			if gi < 0 || gi >= base.Rows || gj < 0 || gj >= base.Cols {
-				if base.Boundary != nil {
-					return base.Boundary(gi, gj)
-				}
-				return 0
-			}
-			switch {
-			case i < 0:
-				if k := gj - northLo; k >= 0 && k < len(north) {
-					return north[k]
-				}
-			case j < 0:
-				if i < len(west) {
-					return west[i]
-				}
-			case j >= bCols:
-				if i < len(east) {
-					return east[i]
-				}
+	own := p.Boundary
+	p.Name = fmt.Sprintf("%s-band-r%d-c%d", p.Name, r0, c0)
+	p.Rows, p.Cols = req.Row1-r0, bCols
+	p.Boundary = func(i, j int) int64 {
+		gi, gj := i+r0, j+c0
+		if gi < 0 || gi >= rows || gj < 0 || gj >= cols {
+			if own != nil {
+				return own(i, j)
 			}
 			return 0
-		},
-		BytesPerCell: base.BytesPerCell,
+		}
+		switch {
+		case i < 0:
+			if k := gj - northLo; k >= 0 && k < len(north) {
+				return north[k]
+			}
+		case j < 0:
+			if i < len(west) {
+				return west[i]
+			}
+		case j >= bCols:
+			if i < len(east) {
+				return east[i]
+			}
+		}
+		return 0
 	}
+	return p, nil
 }
 
 // handleBandSolve runs one POST /v1/band/solve request, the fleet peer
@@ -170,10 +173,9 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 	if err = s.countRequest(neg.binaryRequest, err); err == nil {
 		mask, err = s.ValidateBandRequest(req)
 	}
-	var base *lddp.Problem[int64]
+	var block *lddp.Problem[int64]
 	if err == nil {
-		table := tableRequest(req)
-		base, err = BuildProblem(&table)
+		block, err = BlockProblem(req)
 	}
 	if err != nil {
 		s.WriteError(w, http.StatusBadRequest, "invalid", 0, err.Error())
@@ -183,7 +185,6 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		s.wireStats.haloValues.Add(int64(n))
 		s.wireStats.haloBytes.Add(int64(n) * 8)
 	}
-	block := BlockProblem(base, req, mask)
 	start := time.Now()
 	n := block.Rows * block.Cols
 	tracer := s.tracer(req.Trace)
@@ -199,7 +200,6 @@ func (s *Server) handleBandSolve(w http.ResponseWriter, r *http.Request) {
 		ID: id, Status: "done",
 		Row0: req.Row0, Row1: req.Row1, Col0: req.Col0, Col1: req.Col1,
 		Mask:      mask.String(),
-		Digest:    DigestCells(block.Rows, block.Cols, flat),
 		ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
 	}
 	if tracer != nil && req.Trace != nil {

@@ -70,12 +70,13 @@ func TestBandBufferStaleCells(t *testing.T) {
 		for _, m := range lddp.AllDepMasks() {
 			req := &api.SolveRequest{Rows: 40, Cols: 530, Mask: m.String(), Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 0x5a1e}}
 			band, want := oracleBand(t, req, m, 11, 29, 7, 520)
-			mask, err := srv.ValidateBandRequest(band)
+			if _, err := srv.ValidateBandRequest(band); err != nil {
+				t.Fatalf("mask %s: %v", m, err)
+			}
+			block, err := server.BlockProblem(band)
 			if err != nil {
 				t.Fatalf("mask %s: %v", m, err)
 			}
-			base := mustBuild(t, req)
-			block := server.BlockProblem(base, band, mask)
 			cells := make([]int64, block.Rows*block.Cols)
 			for i := range cells {
 				cells[i] = int64(rng.Uint64())
@@ -125,7 +126,7 @@ func TestBandBufferCancelRace(t *testing.T) {
 					breq.DeadlineMS = int64(1 + (g+round)%3)
 				}
 				cells := make([]int64, side*side)
-				resp, err := c.SolveBand(context.Background(), &breq, func() ([]int64, int) { return cells, side })
+				_, err := c.SolveBand(context.Background(), &breq, func() ([]int64, int) { return cells, side })
 				if g%2 == 1 {
 					// Canceled mid-run, or finished within its deadline.
 					if errors.Is(err, client.ErrTimeout) {
@@ -136,9 +137,6 @@ func TestBandBufferCancelRace(t *testing.T) {
 				if err != nil {
 					t.Errorf("band solve %d/%d: %v", g, round, err)
 					return
-				}
-				if resp.Digest != want {
-					t.Errorf("band solve %d/%d: node digest %s, oracle %s", g, round, resp.Digest, want)
 				}
 				if got := server.DigestCells(side, side, cells); got != want {
 					t.Errorf("band solve %d/%d: landed cells digest to %s, oracle %s", g, round, got, want)

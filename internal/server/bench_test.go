@@ -85,7 +85,7 @@ func BenchmarkServerSolveBatch8x512(b *testing.B) {
 				wg.Add(1)
 				go func(k int) {
 					defer wg.Done()
-					p := server.MixProblem(int64(k), lddp.DepW|lddp.DepN, size, size)
+					p := server.MixProblem(int64(k), lddp.DepW|lddp.DepN, size, size, 0, 0)
 					sub, err := lddp.Submit(context.Background(), s, p)
 					if err != nil {
 						errs[k] = err

@@ -9,10 +9,12 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/wire"
 	"repro/lddp/api"
@@ -385,8 +387,16 @@ func FuzzBandRequest(f *testing.F) {
 				}
 				flat = append(flat, row...)
 			}
-			if got := server.DigestCells(rows, cols, flat); got != out.Digest {
-				t.Fatalf("response digest %s, its cells digest to %s", out.Digest, got)
+			block, err := server.BlockProblem(req)
+			if err != nil {
+				t.Fatalf("200 for a band request BlockProblem refuses: %v", err)
+			}
+			want, err := core.Solve(block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(flat, want.RowMajorData()) {
+				t.Fatalf("response cells differ from core.Solve of the block and its halos")
 			}
 		case resp.StatusCode >= 400 && resp.StatusCode < 500:
 			var out api.ErrorBody

@@ -52,8 +52,7 @@ var goldenDocs = []struct {
 	}},
 	{"band_response", api.BandResponse{
 		ID: 11, Status: "done", Row0: 16, Row1: 32, Col0: 8, Col1: 24,
-		Mask: "{W,NW,N}", Digest: "00deadbeef00cafe",
-		Cells: [][]int64{{5, 6}}, ElapsedMS: 3.25,
+		Mask: "{W,NW,N}", Cells: [][]int64{{5, 6}}, ElapsedMS: 3.25,
 	}},
 }
 

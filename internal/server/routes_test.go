@@ -77,7 +77,7 @@ func TestBandSolveMatchesFullTable(t *testing.T) {
 	const rows, cols, seed = 20, 17, 77
 	for _, m := range lddp.AllDepMasks() {
 		t.Run(m.String(), func(t *testing.T) {
-			oracle, err := core.Solve(server.MixProblem(seed, m, rows, cols))
+			oracle, err := core.Solve(server.MixProblem(seed, m, rows, cols, 0, 0))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -119,10 +119,6 @@ type BandResponse struct {
 	Col1 int `json:"col1"`
 	// Mask echoes the resolved contributing set.
 	Mask string `json:"mask"`
-	// Digest is the FNV-1a-64 hex digest of the BLOCK's cells (digested
-	// as a (Row1-Row0) x (Col1-Col0) table) — a per-block transfer
-	// integrity witness, not the full-table result digest.
-	Digest string `json:"digest"`
 	// Cells is the solved block, row-major, (Row1-Row0) rows of
 	// (Col1-Col0) values. Always present: the coordinator needs every
 	// block to assemble the table.

@@ -225,7 +225,7 @@ func bandFrame(tb testing.TB, req *api.BandRequest) []byte {
 	var buf bytes.Buffer
 	enc := wire.NewEncoder(&buf)
 	if err := enc.Header(api.BandResponse{ID: 1, Status: "done", Row0: req.Row0, Row1: req.Row1,
-		Col0: req.Col0, Col1: req.Col1, Mask: "{W,N}", Digest: "0123456789abcdef"}); err != nil {
+		Col0: req.Col0, Col1: req.Col1, Mask: "{W,N}"}); err != nil {
 		tb.Fatal(err)
 	}
 	if err := enc.Cells(seq((req.Row1 - req.Row0) * (req.Col1 - req.Col0))); err != nil {
