@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet format check race bench bench-masks bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e clean
+.PHONY: all build test vet format check race bench bench-masks bench-server bench-wire bench-all experiments figures quick cover trace sched-smoke async-smoke serve-smoke fleet-smoke sim-smoke soak soak-server soak-sim conformance e2e fuzz-smoke clean
 
 all: build vet test
 
@@ -187,6 +187,15 @@ bench-wire:
 # band request fuzzers, under the race detector. CI runs this target.
 e2e:
 	$(GO) test -race -run 'E2EDifferential|DrainSoak|FuzzSolveRequest|FuzzBandRequest' -timeout 10m ./internal/server/
+
+# Fuzz smoke: 15 s each of the tile engine's dependency-counter fuzzer,
+# which checks the counters against a brute-force count of crossing cell
+# edges over random masks, shapes, tile extents (skewed and mirrored cuts
+# included) and worker counts, and of the band request fuzzer. The normal
+# test pass runs only their seed corpora. CI runs this target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzAsyncDeps$$' -fuzztime 15s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzBandRequest$$' -fuzztime 15s ./internal/server/
 
 # Extended randomized scheduler soak under the race detector (the short
 # soak runs in the normal test pass; this is the long opt-in variant).

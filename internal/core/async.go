@@ -40,30 +40,31 @@ import (
 //     pass the flat kernel's row loop, and the 3-D solvers one that fills
 //     each (i, j) cell's whole k-column (solve3.go).
 //
-// Tile columns index either j or, for the six masks that read NE together
-// with W or NW, the wavefront index u = i + j of the anti-diagonal
-// pattern (paper Table I). In (i, j) an NE read from a tile's second row
-// lands in the tile to the east, so those masks would need 1-row tiles
-// and synchronise across column bands on every row. In (i, u) the cell
-// offsets W, NW, N and NE become (0,-1), (-1,-2), (-1,-1) and (-1,0):
-// none points right, so with tw >= 2 a skewed tile waits only on its W,
-// NW and N tiles and may be many rows tall. Skewed tile (bi, bu) holds,
-// in each of its rows i, the cells with j in [bu*tw - i, bu*tw + tw - i)
-// ∩ [0, cols); the corner tiles of the (i, u) grid hold no cell and are
-// born finished. Any order that respects the dependency DAG reaches the
-// sequential fixed point, so the cut changes the schedule, never a value
-// (DESIGN.md §15).
+// In (i, j) an NE read from a tile's second row lands in the tile to the
+// east, which no left-to-right tile order satisfies, so a mask containing
+// NE that takes more than one tile is cut another way. {NE} and {N,NE}
+// are cut mirrored, as paper Table I reduces mInverted-L to Inverted-L:
+// tile column bj holds the columns [cols - (bj+1)*tw, cols - bj*tw)
+// ∩ [0, cols), and the tile graph is the mirrored mask's ({NW}, {N,NW});
+// neither reads W, so a row segment's cells still run left to right. The
+// six masks that read NE together with W or NW are cut skewed: tile
+// columns index the wavefront index u = i + j. In (i, u) the cell offsets
+// W, NW, N and NE become (0,-1), (-1,-2), (-1,-1) and (-1,0): none points
+// right, so with tw >= 2 a skewed tile waits only on its W, NW and N
+// tiles. Skewed tile (bi, bu) holds, in each of its rows i, the cells
+// with j in [bu*tw - i, bu*tw + tw - i) ∩ [0, cols); the corner tiles of
+// the (i, u) grid hold no cell and are born finished. Any order that
+// respects the dependency DAG reaches the sequential fixed point, so the
+// cut changes the schedule, never a value (DESIGN.md §15).
 //
 // No canonicalization is needed. Every neighbour tile lies in an earlier
 // tile row or to the left in the same tile row, so the tile graph is
-// acyclic for all 15 masks — provided NE never crosses into the tile to
-// the east, which is why an unskewed mask containing NE ({NE} or {N,NE})
-// gets 1-row tiles. Each tile is queued at most once, so a buffered
-// channel with one slot per tile never blocks a sender. Go atomics and
-// channel (or mutex) operations give the happens-before chain a tile
-// needs: each neighbour's grid writes precede its decrement, and the
-// zero-observing decrementer's queueing (or continuation) precedes the
-// tile's reads.
+// acyclic for all 15 masks, whatever the tile height. Each tile is queued
+// at most once, so a buffered channel with one slot per tile never blocks
+// a sender. Go atomics and channel (or mutex) operations give the
+// happens-before chain a tile needs: each neighbour's grid writes precede
+// its decrement, and the zero-observing decrementer's queueing (or
+// continuation) precedes the tile's reads.
 
 // tileShape is the tile extent SolveParallel and NewTileWorkload run a
 // rows x cols table with under mask m on the given worker count; depth is
@@ -109,7 +110,7 @@ func tileShape(m DepMask, rows, cols, depth, workers int) (th, tw int) {
 
 // skews reports whether m is one of the six masks the engine cuts in
 // (i, u = i + j): those that read NE together with W or NW. {NE} and
-// {N,NE} keep 1-row tiles, whose column bands already pipeline.
+// {N,NE} are cut mirrored instead.
 func skews(m DepMask) bool { return m.Has(DepNE) && m&(DepW|DepNW) != 0 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
@@ -138,13 +139,16 @@ func workerLabels(solver, executed string, w int) pprof.LabelSet {
 type tileEngine struct {
 	// row fills cells [jLo, jHi) of row i, reading only cells the mask
 	// makes it wait for.
-	row        func(i, jLo, jHi int)
-	mask       DepMask
+	row func(i, jLo, jHi int)
+	// tile, when set, fills a whole tile in place of row (see Blocks).
+	tile       func(Block) bool
+	mask       DepMask // the mask the tile graph is cut for, mirrored under mirror
 	rows, cols int
 	depth      int  // cells per grid cell, for the cell counts
 	th, tw     int  // tile extent: rows x columns, or x u-columns when skewed
 	tr, tc     int  // tile grid extent in tiles
 	skew       bool // tile columns index u = i + j instead of j
+	mirror     bool // tile columns index cols - 1 - j instead of j
 	live       int  // tiles holding at least one cell
 
 	// counters[t] counts the unfinished neighbour tiles tile t (row-major
@@ -203,16 +207,19 @@ func tileEngineFor(ctx context.Context, m DepMask, rows, cols, depth, tile int, 
 // newTileEngine cuts a rows x cols grid under mask m into th x tw tiles
 // and sets every tile's counter; it allocates no cell storage. When the
 // grid takes more than one tile, the tiles are skewed (tile columns index
-// u = i + j) for a mask skews names and tw >= 2, and 1-row under any
-// other mask containing NE (a taller tile's NE reads would land in the
-// tile to the east). The extent is clamped to the grid (to its
-// rows + cols - 1 wavefront indices when skewed). It returns the engine
-// and the worker count capped at the count of tiles that hold a cell.
+// u = i + j, at least 2 wide) for a mask skews names, and mirrored (tile
+// columns run right to left) for {NE} and {N,NE}. The extent is clamped
+// to the grid (to its rows + cols - 1 wavefront indices when skewed). It
+// returns the engine and the worker count capped at the count of tiles
+// that hold a cell.
 func newTileEngine(ctx context.Context, m DepMask, rows, cols, depth, workers, th, tw int) (*tileEngine, int, error) {
 	single := th >= rows && tw >= cols
-	skew := !single && skews(m) && tw >= 2
-	if !single && !skew && m.Has(DepNE) {
-		th = 1
+	skew := !single && skews(m)
+	mirror := !single && !skew && m.Has(DepNE)
+	if skew {
+		tw = max(tw, 2) // NW moves two u-columns
+	} else if mirror {
+		m = m.MirrorColumns()
 	}
 	span := cols
 	if skew {
@@ -231,7 +238,7 @@ func newTileEngine(ctx context.Context, m DepMask, rows, cols, depth, workers, t
 		mask: m,
 		rows: rows, cols: cols, depth: depth,
 		th: th, tw: tw, tr: tr, tc: tc,
-		skew:     skew,
+		skew: skew, mirror: mirror,
 		counters: make([]atomic.Int32, tiles),
 		done:     ctxDone(ctx),
 	}
@@ -273,20 +280,12 @@ func (e *tileEngine) deps(bi, bj int) DepMask {
 	if e.skew {
 		return e.skewDeps(bi, bj)
 	}
-	if bi == 0 && bj == 0 {
-		// The first tile waits for nothing; it may also be the whole
-		// table, a tile taller than deriveBlockMask accepts under NE.
-		return 0
-	}
 	m := deriveBlockMask(e.mask, min(e.th, e.rows-bi*e.th), min(e.tw, e.cols-bj*e.tw))
 	if bi == 0 {
-		m &^= DepNW | DepN | DepNE
+		m &^= DepNW | DepN
 	}
 	if bj == 0 {
 		m &^= DepW | DepNW
-	}
-	if bj == e.tc-1 {
-		m &^= DepNE
 	}
 	return m
 }
@@ -346,7 +345,8 @@ func (e *tileEngine) reads(bi, bu, si, su, di, dj int) bool {
 }
 
 // publish decrements the tiles that wait for the finished tile (bi, bj),
-// stores those that became ready in ready and returns how many it stored.
+// stores those that became ready in ready (at most three) and returns how
+// many it stored.
 // The tile below is checked first, so a worker that continues with
 // ready[0] keeps to its column band.
 func (e *tileEngine) publish(bi, bj int, ready *[4]int32) int {
@@ -364,34 +364,40 @@ func (e *tileEngine) publish(bi, bj int, ready *[4]int32) int {
 	release(bi+1, bj, DepN)
 	release(bi, bj+1, DepW)
 	release(bi+1, bj+1, DepNW)
-	release(bi+1, bj-1, DepNE)
 	return n
 }
 
-// step fills the ready tile t, marks it finished and publishes it (see
-// publish). ok is false, and nothing is published, if the context ended
-// first.
-func (e *tileEngine) step(t int32, ready *[4]int32) (cells, n int, ok bool) {
+// step is worker w's fill of the ready tile t: it runs the tile, marks it
+// finished and publishes it (see publish). ok is false, and nothing is
+// published, if the context ended first or the tile hook failed.
+func (e *tileEngine) step(w int, t int32, ready *[4]int32) (cells, n int, ok bool) {
 	bi, bj := int(t)/e.tc, int(t)%e.tc
-	if cells, ok = e.runTile(bi, bj); !ok {
+	if cells, ok = e.runTile(w, bi, bj); !ok {
 		return 0, 0, false
 	}
 	e.counters[t].Store(-1)
 	return cells, e.publish(bi, bj, ready), true
 }
 
-// runTile fills tile (bi, bj) one row at a time and returns its cell
-// count, or false if the context ended first. The context is polled once
-// per tile row, so even a whole-table tile stays cancellable.
-func (e *tileEngine) runTile(bi, bj int) (int, bool) {
+// runTile fills tile (bi, bj) one row at a time, or hands it whole to the
+// tile hook, and returns its cell count, or false if the context ended
+// first. The context is polled once per tile row, so even a whole-table
+// tile stays cancellable.
+func (e *tileEngine) runTile(w, bi, bj int) (int, bool) {
 	iLo, cLo := bi*e.th, bj*e.tw
 	iHi, cHi := min(iLo+e.th, e.rows), cLo+e.tw
+	jLo, jHi := cLo, min(cHi, e.cols)
+	if e.mirror {
+		jLo, jHi = e.cols-jHi, e.cols-jLo
+	}
+	if e.tile != nil {
+		return (iHi - iLo) * (jHi - jLo) * e.depth, e.tile(Block{w, bi, bj, iLo, iHi, jLo, jHi})
+	}
 	cells := 0
 	for i := iLo; i < iHi; i++ {
 		if isDone(e.done) {
 			return 0, false
 		}
-		jLo, jHi := cLo, min(cHi, e.cols)
 		if e.skew {
 			jLo, jHi = max(cLo-i, 0), min(cHi-i, e.cols)
 		}
@@ -444,7 +450,7 @@ func (e *tileEngine) work(w int) {
 		if ln != nil {
 			t0 = time.Now()
 		}
-		cells, n, ok := e.step(t, &ready)
+		cells, n, ok := e.step(w, t, &ready)
 		if !ok {
 			return
 		}
@@ -466,16 +472,20 @@ func (e *tileEngine) work(w int) {
 }
 
 // executed names the tile shape in trace.Meta and the workers' pprof
-// labels, for example "tiles 1x256", or "tiles 64x256 skewed" for tiles
-// in (i, u). Every solve builds it, so it is appended into one string
-// rather than formatted: fmt would box each extent of 256 or more into
-// an interface, one allocation apiece.
+// labels, for example "tiles 1x256", "tiles 64x256 skewed" for tiles in
+// (i, u), or "tiles 8x8 mirrored" for tile columns that run right to
+// left. Every solve builds it, so it is appended into one string rather
+// than formatted: fmt would box each extent of 256 or more into an
+// interface, one allocation apiece.
 func (e *tileEngine) executed() string {
 	b := make([]byte, 0, 32)
 	b = strconv.AppendInt(append(b, "tiles "...), int64(e.th), 10)
 	b = strconv.AppendInt(append(b, 'x'), int64(e.tw), 10)
-	if e.skew {
+	switch {
+	case e.skew:
 		b = append(b, " skewed"...)
+	case e.mirror:
+		b = append(b, " mirrored"...)
 	}
 	return string(b)
 }

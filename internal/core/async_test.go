@@ -412,7 +412,8 @@ func TestTiledTraceSolves(t *testing.T) {
 // ({N}, where bands run fully independently) — and the vertical ones on
 // the tile engine. It cuts {N}, {NW,N} and {N,NE} into one-row column
 // bands that wait only on their neighbours' previous row (1100 columns
-// give 2, 4 and 5 bands at 2, 4 and 9 workers); the masks that read NW
+// give 2, 4 and 5 bands at 2, 4 and 9 workers; {N,NE}'s run right to
+// left); the masks that read NW
 // with NE get skewed tiles in (i, u = i + j) instead, one 40-row tile row
 // of 5 tiles at 256 u-columns each.
 func TestSolveParallelHorizontalBands(t *testing.T) {

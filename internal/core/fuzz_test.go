@@ -57,8 +57,8 @@ func FuzzHeteroEquivalence(f *testing.F) {
 }
 
 // FuzzAsyncDeps fuzzes the tile engine's dependency counters over
-// arbitrary (mask, rows, cols, tile extent, workers), skewed tiles
-// included: construction must never panic, the counters must sum to a
+// arbitrary (mask, rows, cols, tile extent, workers), skewed and mirrored
+// tiles included: construction must never panic, the counters must sum to a
 // brute-force count of the distinct (tile, neighbour tile) pairs some cell
 // edge of the mask crosses, the queued tiles must be exactly the tiles
 // that hold a cell and that no such edge enters, a tile holding no cell
@@ -77,15 +77,15 @@ func FuzzAsyncDeps(f *testing.F) {
 	f.Add(uint8(12), uint8(8), uint8(39), uint8(4), uint8(2), uint8(1))  // {W,N,NE}, wide and short
 	f.Add(uint8(13), uint8(25), uint8(25), uint8(5), uint8(8), uint8(5)) // {NW,N,NE}, 26 rows in 6-row tiles
 	f.Add(uint8(14), uint8(63), uint8(63), uint8(8), uint8(8), uint8(8)) // {W,NW,N,NE}, 64x64 in 9x9
+	// Mirrored tiles for {NE} and {N,NE}.
+	f.Add(uint8(7), uint8(20), uint8(31), uint8(3), uint8(4), uint8(3)) // {NE}, ragged leftmost column
+	f.Add(uint8(11), uint8(17), uint8(9), uint8(5), uint8(0), uint8(2)) // {N,NE}, one-column tiles
 	f.Fuzz(func(t *testing.T, mi, r, c, h, w, workers uint8) {
 		masks := AllDepMasks()
 		m := masks[int(mi)%len(masks)]
 		rows := int(r%64) + 1
 		cols := int(c%64) + 1
 		th, tw := int(h%9)+1, int(w%9)+1
-		if m.Has(DepNE) && !skews(m) {
-			th = 1
-		}
 		p := testProblem(m, rows, cols)
 		e, nw, err := newTileEngine(context.Background(), m, rows, cols, 1, int(workers%9)+1, th, tw)
 		if err != nil {
@@ -98,8 +98,11 @@ func FuzzAsyncDeps(f *testing.F) {
 		// edge whose ends lie in different tiles names one (neighbour
 		// tile, tile) pair.
 		tileOf := func(i, j int) int {
-			if e.skew {
+			switch {
+			case e.skew:
 				return i/e.th*e.tc + (i+j)/e.tw
+			case e.mirror:
+				return i/e.th*e.tc + (cols-1-j)/e.tw
 			}
 			return i/e.th*e.tc + j/e.tw
 		}

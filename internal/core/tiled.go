@@ -13,11 +13,11 @@ import (
 // filled row-major for locality, and tiles run on the dependency-driven
 // tile engine (async.go) the moment the neighbour tiles they read are
 // done. A non-top-row cell's NE neighbour can live in the tile to the
-// east, which no forward tile order satisfies, so the six masks that read
-// NE with W or NW get tile x tile squares in (i, u = i + j) coordinates
-// when tile >= 2 (async.go), where NE points straight up, and the other
-// masks containing NE, {NE} and {N,NE}, get 1 x tile strips. A tile that
-// covers the whole table runs as one tile under every mask.
+// east, which no left-to-right tile order satisfies, so the six masks
+// that read NE with W or NW get squares in (i, u = i + j) coordinates
+// (at least 2 u-columns wide), where NE points straight up, and {NE} and
+// {N,NE} get squares whose columns run right to left. A tile that covers
+// the whole table runs as one tile under every mask.
 //
 // The context is polled once per tile row. Options carries the worker
 // count (Options.NativeWorkers; zero selects min(GOMAXPROCS, NumCPU)),
@@ -33,15 +33,12 @@ func SolveTiledContext[T any](ctx context.Context, p *Problem[T], tile int, opts
 // deriveBlockMask lifts a cell-level contributing set to tiles of
 // tileRows x tileCols cells: for each cell dependency offset, the union of
 // tile offsets it lands in from some cell of the tile, excluding the tile
-// itself. Masks containing NE need tileRows == 1: a taller tile's
-// non-top-row NE reads land in the tile to the east. Since the six masks
-// that read NE with W or NW are cut in (i, u = i + j) instead (skewDeps),
-// the one-row rule covers only {NE} and {N,NE}.
+// itself. NE is ignored: the engine cuts a mask containing NE skewed
+// (skewDeps) or mirrored (where NE reads as NW), or runs it as one tile.
 //
 //	cell W  (0,-1)  -> tile W
 //	cell NW (-1,-1) -> tiles NW, W (tileRows > 1), N (tileCols > 1)
 //	cell N  (-1,0)  -> tile N
-//	cell NE (-1,1)  -> tiles NE, N (tileCols > 1)
 func deriveBlockMask(m DepMask, tileRows, tileCols int) DepMask {
 	var out DepMask
 	if m.Has(DepW) {
@@ -58,15 +55,6 @@ func deriveBlockMask(m DepMask, tileRows, tileCols int) DepMask {
 	}
 	if m.Has(DepN) {
 		out |= DepN
-	}
-	if m.Has(DepNE) {
-		if tileRows > 1 {
-			panic("core: NE-containing masks require 1-row tiles")
-		}
-		out |= DepNE
-		if tileCols > 1 {
-			out |= DepN
-		}
 	}
 	return out
 }

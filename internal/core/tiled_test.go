@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/table"
+	"repro/internal/trace"
 )
 
 func TestSolveTiledMatchesSequentialAllMasks(t *testing.T) {
@@ -124,14 +125,9 @@ func TestDeriveBlockMask(t *testing.T) {
 		{DepNW, 8, 8, DepW | DepNW | DepN},
 		{DepNW | DepN, 8, 8, DepW | DepNW | DepN},
 		{DepNW, 1, 8, DepNW | DepN},
-		{DepN | DepNE, 1, 8, DepN | DepNE},
-		{DepW | DepNE, 1, 8, DepW | DepN | DepNE},
-		{DepW | DepNW | DepN | DepNE, 1, 8, DepW | DepNW | DepN | DepNE},
-		// One-column tiles: every NW and NE read leaves through a corner.
+		// One-column tiles: every NW read leaves through a corner.
 		{DepNW, 8, 1, DepW | DepNW},
 		{DepNW, 1, 1, DepNW},
-		{DepNE, 1, 1, DepNE},
-		{DepW | DepNE, 1, 1, DepW | DepNE},
 	}
 	for _, c := range cases {
 		if got := deriveBlockMask(c.in, c.tileRows, c.tileCols); got != c.want {
@@ -140,13 +136,66 @@ func TestDeriveBlockMask(t *testing.T) {
 	}
 }
 
-func TestDeriveBlockMaskPanicsOnTallNETiles(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+// TestExecutedShapes pins the default cut of every mask at 256² and
+// 1024² on 1, 2 and 4 workers: a change here changes every in-process
+// and scheduler solve's schedule. Of the masks containing NE, the six
+// that read it with W or NW are skewed and {NE} and {N,NE} mirrored
+// whenever the table takes more than one tile.
+func TestExecutedShapes(t *testing.T) {
+	// One name per mask, in AllDepMasks order; "=" repeats the previous.
+	for _, tc := range []struct {
+		n, workers int
+		names      []string
+	}{
+		{256, 1, []string{"tiles 256x256", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "="}},
+		{256, 2, []string{"tiles 1x256", "tiles 256x256", "=", "=", "=", "=", "=", "=",
+			"tiles 64x256 skewed", "=", "=", "tiles 256x256", "tiles 64x256 skewed", "=", "="}},
+		{256, 4, []string{"tiles 1x256", "tiles 256x256", "=", "=", "=", "=", "=", "=",
+			"tiles 64x256 skewed", "=", "=", "tiles 256x256", "tiles 64x256 skewed", "=", "="}},
+		{1024, 1, []string{"tiles 1024x1024", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "=", "="}},
+		{1024, 2, []string{"tiles 1x256", "tiles 1x512", "tiles 1x256", "tiles 1x512", "tiles 1x256", "tiles 1x512", "tiles 1x256",
+			"tiles 1x512 mirrored", "tiles 64x256 skewed", "=", "=", "tiles 1x512 mirrored", "tiles 64x256 skewed", "=", "="}},
+		{1024, 4, []string{"tiles 1x256", "=", "=", "=", "=", "=", "=",
+			"tiles 1x256 mirrored", "tiles 64x256 skewed", "=", "=", "tiles 1x256 mirrored", "tiles 64x256 skewed", "=", "="}},
+	} {
+		want := ""
+		for k, m := range AllDepMasks() {
+			if tc.names[k] != "=" {
+				want = tc.names[k]
+			}
+			e, _, err := tileEngineFor(context.Background(), m, tc.n, tc.n, 1, 0, Options{NativeWorkers: tc.workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := e.executed(); got != want {
+				t.Errorf("mask %s %dx%d on %d workers: %q, want %q", m, tc.n, tc.n, tc.workers, got, want)
+			}
 		}
-	}()
-	deriveBlockMask(DepNE, 4, 4)
+	}
+}
+
+// TestSolveTiledMirroredSquares: {NE} and {N,NE} run square tiles whose
+// columns run right to left, not one-row strips, and still match the
+// sequential oracle.
+func TestSolveTiledMirroredSquares(t *testing.T) {
+	for _, m := range []DepMask{DepNE, DepN | DepNE} {
+		p := testProblem(m, 64, 64)
+		want, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := trace.NewRecorder(1 << 10)
+		got, err := SolveTiledContext(context.Background(), p, 8, Options{NativeWorkers: 4, Tracer: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if meta := rec.Meta(); meta.Executed != "tiles 8x8 mirrored" {
+			t.Errorf("mask %s: ran %q, want %q", m, meta.Executed, "tiles 8x8 mirrored")
+		}
+		if !table.EqualComparable(want, got) {
+			t.Errorf("mask %s: mirrored tiled solve differs from sequential", m)
+		}
+	}
 }
 
 // SolveTiled is SolveTiledContext without a deadline, on workers workers.

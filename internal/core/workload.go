@@ -66,8 +66,8 @@ func NewTileWorkload[T any](ctx context.Context, p *Problem[T], workers int, cel
 		TotalCells: int64(p.Rows) * int64(p.Cols),
 		Tiles:      e.live,
 		Sources:    e.sources(),
-		Run:        e.step,
 		Front:      e.firstUnfinishedRow,
+		Run:        func(t int32, ready *[4]int32) (int, int, bool) { return e.step(0, t, ready) },
 	}
 	return wl, func() *table.Grid[T] { return g }, nil
 }

@@ -1,15 +1,15 @@
 // Package fleet coordinates one DP solve across several lddpd nodes.
-// The table is cut into horizontal row bands, one per node; each band
-// is cut into column phases; and each (band, phase) block is shipped to
-// the band's node as a POST /v1/band/solve request carrying the halo
-// rows/columns its recurrence reads across block edges. Blocks of the
-// same band run in phase order on one node while neighbouring bands
-// pipeline one phase behind, the classic wavefront-of-blocks schedule.
-// When a node dies mid-solve the failed block is relocated to the next
-// node and the band stays there — the halos it needs are sliced from
-// the coordinator's assembled table, not from node-local state, so any
-// node can take over any block at any time. DESIGN.md §12 documents the
-// protocol.
+// The table is cut into horizontal row bands, by default one per node,
+// and each band into column phases; each (band, phase) block is shipped
+// to the band's node as a POST /v1/band/solve request carrying the halo
+// rows/columns its recurrence reads across block edges. The blocks run
+// as a DAG on the tile engine (core.Blocks), one engine worker per band:
+// a block starts as soon as the blocks it reads are in the assembled
+// table, the classic wavefront-of-blocks schedule. When a node dies
+// mid-solve the failed block is relocated to the next node and the band
+// stays there — the halos it needs are sliced from the coordinator's
+// assembled table, not from node-local state, so any node can take over
+// any block at any time. DESIGN.md §12 documents the protocol.
 package fleet
 
 import (
@@ -22,56 +22,13 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/wire"
 	"repro/lddp"
 	"repro/lddp/api"
 	"repro/lddp/client"
 )
-
-// Direction is a mask's block-phase processing order.
-type Direction int
-
-const (
-	// LeftToRight: column phases run west to east. Valid whenever the
-	// mask has no NE dependency — every cross-phase read then points
-	// west or up, at blocks already done.
-	LeftToRight Direction = iota
-	// RightToLeft: column phases run east to west. Valid when the mask
-	// reads NE but neither W nor NW — the mirror image.
-	RightToLeft
-	// SinglePhase: the mask reads both eastward (NE) and westward
-	// (W/NW), so no column cut has all its cross-edge inputs on one
-	// side; each band is one full-width block and the pipeline runs on
-	// bands alone.
-	SinglePhase
-)
-
-func (d Direction) String() string {
-	switch d {
-	case LeftToRight:
-		return "ltr"
-	case RightToLeft:
-		return "rtl"
-	default:
-		return "single-phase"
-	}
-}
-
-// DirectionFor returns the phase order a contributing set admits. The
-// choice is forced, not heuristic: under a left-to-right cut a NE
-// dependency at a phase's right edge reads a column the same band has
-// not reached yet, and symmetrically for W/NW under right-to-left.
-func DirectionFor(m lddp.DepMask) Direction {
-	switch {
-	case m.Has(lddp.DepNE) && m&(lddp.DepW|lddp.DepNW) != 0:
-		return SinglePhase
-	case m.Has(lddp.DepNE):
-		return RightToLeft
-	default:
-		return LeftToRight
-	}
-}
 
 // DefaultPhaseCols is the column width of one block phase when the
 // config does not set one: wide enough that halo traffic (one row +
@@ -85,11 +42,14 @@ type Config struct {
 	Nodes []*client.Client
 
 	// Bands is the number of row bands (default len(Nodes), clamped to
-	// the table's rows).
+	// the table's rows): bands of ⌈rows / Bands⌉ rows, or of ⌊rows /
+	// Bands⌋ where the ceiling leaves fewer bands (9 rows in 4 bands get
+	// 5 bands of 2 rows, not 3 of 3), so every home node keeps a band.
 	Bands int
 
 	// PhaseCols is the column width of one block phase (default
-	// DefaultPhaseCols). Single-phase masks ignore it.
+	// DefaultPhaseCols). The six masks that read NE with W or NW run
+	// each band as one full-width block and ignore it.
 	PhaseCols int
 
 	// MaxBlockAttempts bounds how many nodes one block is tried on
@@ -103,13 +63,13 @@ type Config struct {
 	OnBlockDone func(band, phase, node int)
 
 	// TraceDir, when non-empty, records a coordinator-side trace of
-	// every fleet solve (one lane per band: halo-wait, round-trip and
-	// halo-transfer spans), stitches it with the block traces the band
-	// responses carry, and writes the multi-process timeline as
-	// <TraceDir>/fleet-<fleetID>.json before Solve returns — the
-	// cmd/lddptrace fleet input. Node lanes appear only for nodes that
-	// themselves run with -tracedir; the coordinator lanes never depend
-	// on node support.
+	// every fleet solve (one lane per engine worker: halo-wait,
+	// round-trip and halo-transfer spans), stitches it with the block
+	// traces the band responses carry, and writes the multi-process
+	// timeline as <TraceDir>/fleet-<fleetID>.json before Solve returns —
+	// the cmd/lddptrace fleet input. Node lanes appear only for nodes
+	// that themselves run with -tracedir; the coordinator lanes never
+	// depend on node support.
 	TraceDir string
 }
 
@@ -118,8 +78,6 @@ type Stats struct {
 	// Bands, Phases and Blocks describe the executed plan
 	// (Blocks = Bands * Phases).
 	Bands, Phases, Blocks int
-	// Direction is the phase order the mask forced.
-	Direction Direction
 	// Relocations counts blocks moved to another node after a failure.
 	Relocations int
 	// NodeBlocks[n] counts blocks completed by Nodes[n].
@@ -227,56 +185,37 @@ func planErrorf(format string, args ...any) error {
 	return &PlanError{msg: fmt.Sprintf(format, args...)}
 }
 
-// span is a half-open interval of rows or columns.
-type span struct{ lo, hi int }
-
-// plan is one solve's static decomposition.
-type plan struct {
-	mask   lddp.DepMask
-	dir    Direction
-	bands  []span // row extents, index = band
-	phases []span // column extents, index = processing order
-}
-
-func (c *Coordinator) planFor(req *api.SolveRequest) (*plan, error) {
+// planFor resolves a solve's mask and cuts its table into the block DAG
+// the engine runs.
+func (c *Coordinator) planFor(req *api.SolveRequest) (lddp.DepMask, *core.Blocks, error) {
 	kind := req.Workload.Kind
 	if kind == "" {
 		kind = api.KindMix
 	}
 	mask, err := api.ResolveMask(kind, req.Mask)
 	if err != nil {
-		return nil, planErrorf("fleet: %v", err)
+		return 0, nil, planErrorf("fleet: %v", err)
 	}
 	if req.Rows <= 0 || req.Cols <= 0 {
-		return nil, planErrorf("fleet: table size %dx%d invalid", req.Rows, req.Cols)
+		return 0, nil, planErrorf("fleet: table size %dx%d invalid", req.Rows, req.Cols)
 	}
 	if req.Workload.Cells != nil {
-		return nil, planErrorf("fleet: inline workload cells cannot be sharded; use a seed-generated workload")
+		return 0, nil, planErrorf("fleet: inline workload cells cannot be sharded; use a seed-generated workload")
 	}
-	p := &plan{mask: mask, dir: DirectionFor(mask)}
 	nb := c.cfg.Bands
 	if nb == 0 {
 		nb = len(c.cfg.Nodes)
 	}
-	if nb > req.Rows {
-		nb = req.Rows
+	nb = min(nb, req.Rows)
+	th := (req.Rows + nb - 1) / nb
+	if (req.Rows+th-1)/th < nb {
+		th = req.Rows / nb
 	}
-	for k := 0; k < nb; k++ {
-		p.bands = append(p.bands, span{k * req.Rows / nb, (k + 1) * req.Rows / nb})
+	blocks, err := core.NewBlocks(mask, req.Rows, req.Cols, th, c.cfg.PhaseCols)
+	if err != nil {
+		return 0, nil, planErrorf("fleet: %v", err)
 	}
-	switch p.dir {
-	case SinglePhase:
-		p.phases = []span{{0, req.Cols}}
-	case LeftToRight:
-		for lo := 0; lo < req.Cols; lo += c.cfg.PhaseCols {
-			p.phases = append(p.phases, span{lo, min(lo+c.cfg.PhaseCols, req.Cols)})
-		}
-	case RightToLeft:
-		for hi := req.Cols; hi > 0; hi -= c.cfg.PhaseCols {
-			p.phases = append(p.phases, span{max(hi-c.cfg.PhaseCols, 0), hi})
-		}
-	}
-	return p, nil
+	return mask, blocks, nil
 }
 
 // Solve runs one band-sharded solve to completion. req has full-table
@@ -286,7 +225,7 @@ func (c *Coordinator) planFor(req *api.SolveRequest) (*plan, error) {
 // node is handled by relocation, not by waiting out a timer.
 func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result, error) {
 	start := time.Now()
-	p, err := c.planFor(req)
+	mask, blocks, err := c.planFor(req)
 	if err != nil {
 		return nil, err
 	}
@@ -295,166 +234,153 @@ func (c *Coordinator) Solve(ctx context.Context, req *api.SolveRequest) (*Result
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.DeadlineMS)*time.Millisecond)
 		defer cancel()
 	}
-	ctx, fail := context.WithCancelCause(ctx)
-	defer fail(nil)
-
-	// done[k][p] closes when block (band k, processing phase p) is in
-	// the table; a close happens-before the dependent bands' reads of
-	// the block's cells, so halo slicing below needs no extra locking.
-	done := make([][]chan struct{}, len(p.bands))
-	for k := range done {
-		done[k] = make([]chan struct{}, len(p.phases))
-		for i := range done[k] {
-			done[k][i] = make(chan struct{})
-		}
-	}
-
-	t := &tally{stats: Stats{
-		Bands: len(p.bands), Phases: len(p.phases),
-		Blocks: len(p.bands) * len(p.phases), Direction: p.dir,
-		NodeBlocks: make([]int, len(c.cfg.Nodes)),
-	}}
-
+	bands, phases := blocks.Bands, blocks.Phases
 	// Every fleet solve gets an ID and propagates it in each block's
 	// trace context — nodes running with -tracedir tag their trace files
 	// with it and return the block's trace, whether or not the
 	// coordinator itself records.
 	fleetID, id := newFleetID()
+	s := &solve{
+		c: c, req: req, mask: mask, phases: phases, fleetID: fleetID,
+		ready:  make(chan struct{}),
+		home:   make([]atomic.Int32, bands),
+		landed: make([]chan [2]int, bands),
+		stats: Stats{
+			Bands: bands, Phases: phases, Blocks: bands * phases,
+			NodeBlocks: make([]int, len(c.cfg.Nodes)),
+		},
+	}
+	for k := range bands {
+		s.home[k].Store(int32(k % len(c.cfg.Nodes)))
+		s.landed[k] = make(chan [2]int, phases)
+	}
 	var rec *trace.Recorder
 	if c.cfg.TraceDir != "" {
-		t.nodes = make([]trace.NodeTrace, len(c.cfg.Nodes))
+		s.nodes = make([]trace.NodeTrace, len(c.cfg.Nodes))
 		for n, node := range c.cfg.Nodes {
-			t.nodes[n].Node = node.Base()
+			s.nodes[n].Node = node.Base()
 		}
 		// Coordinator lanes carry ~3 spans per block, so a small ring
-		// suffices; lane k is written only by band k's goroutine,
-		// preserving the recorder's single-owner contract.
+		// suffices; lane w is written only by engine worker w, preserving
+		// the recorder's single-owner contract.
 		rec = trace.NewRecorder(4096)
-		lanes := make([]string, len(p.bands))
-		for k := range lanes {
-			lanes[k] = fmt.Sprintf("band %d", k)
-		}
 		rec.SetFleetTag(fleetID, 0, 0)
 		rec.BeginSolve(trace.Meta{
-			Solver: "fleet", Rows: req.Rows, Cols: req.Cols,
-			Fronts: len(p.phases), Workers: len(p.bands),
-			Node: "coordinator", Lanes: lanes,
+			Solver: "fleet", Executed: blocks.Executed, Node: "coordinator",
+			Rows: req.Rows, Cols: req.Cols, Fronts: phases, Workers: bands,
 		})
+		s.lanes = make([]*trace.Lane, bands)
+		s.waitFrom = make([]int64, bands)
+		for w := range s.lanes {
+			s.lanes[w] = rec.Lane(w)
+		}
 	}
 
-	tab := &assembly{ready: make(chan struct{})}
-	var wg sync.WaitGroup
-	for k := range p.bands {
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			var lane *trace.Lane
-			if rec != nil {
-				lane = rec.Lane(k)
-			}
-			node := k % len(c.cfg.Nodes) // home node; sticky after relocation
-			for ph := range p.phases {
-				if k > 0 {
-					var t0 int64
-					if lane != nil {
-						t0 = lane.Clock()
-					}
-					select {
-					case <-done[k-1][ph]:
-					case <-ctx.Done():
-						return
-					}
-					if lane != nil {
-						lane.SpanLabel(trace.KindHandoff, trace.LabelHaloWait, ph, int64(k-1), 0, t0)
-					}
-				}
-				var err error
-				node, err = c.solveBlock(ctx, req, p, tab, k, ph, node, fleetID, lane, t)
-				if err != nil {
-					fail(fmt.Errorf("fleet: band %d phase %d: %w", k, ph, err))
+	// The table is allocated beside the first round trip — no block of
+	// the first band's first phase reads a halo, so its request is
+	// already out while make clears the table — and the digest folds
+	// band by band, in row-major order, as each band's last block lands
+	// (the fold CellsDigest makes over the whole table), so only the last
+	// band's fold follows the last block. Both run on a goroutine that
+	// Solve joins, so nothing outlives a Solve that returns; a failed
+	// solve stops it at the next band it would wait for.
+	h := wire.DigestWord(wire.DigestInit(), uint64(req.Rows)<<32|uint64(req.Cols))
+	failed, folded := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(folded)
+		s.cells = make([]int64, req.Rows*req.Cols)
+		close(s.ready)
+		for _, band := range s.landed {
+			var rows [2]int
+			for range phases {
+				select {
+				case rows = <-band:
+				case <-failed:
 					return
 				}
-				close(done[k][ph])
-				if c.cfg.OnBlockDone != nil {
-					c.cfg.OnBlockDone(k, ph, node)
-				}
 			}
-		}(k)
-	}
-	// The table is allocated beside the first round trip: no block of
-	// band 0's first phase reads a halo, so its request is already out
-	// while make clears the table.
-	tab.cells = make([]int64, req.Rows*req.Cols)
-	close(tab.ready)
-	// The digest folds band by band, in row-major order, as each band's
-	// last block lands — the fold CellsDigest makes over the whole
-	// table — so only the last band's fold follows the last block.
-	h := wire.DigestWord(wire.DigestInit(), uint64(req.Rows)<<32|uint64(req.Cols))
-	last := len(p.phases) - 1
-	for k, b := range p.bands {
-		if !landed(ctx, done[k][last]) {
-			break // a failed solve: Cause(ctx) reports it below
+			h = wire.FoldCells(h, s.cells[rows[0]*req.Cols:rows[1]*req.Cols])
 		}
-		h = wire.FoldCells(h, tab.cells[b.lo*req.Cols:b.hi*req.Cols])
+	}()
+	if err = blocks.Run(ctx, bands, s.block); err != nil {
+		close(failed)
 	}
-	wg.Wait()
-	if err := context.Cause(ctx); err != nil {
+	<-folded
+	if err != nil {
 		return nil, err
 	}
 	c.counters.solves.Add(1)
 	res := &Result{
 		FleetID: fleetID, ID: id,
-		Rows: req.Rows, Cols: req.Cols, Cells: tab.cells,
+		Rows: req.Rows, Cols: req.Cols, Cells: s.cells,
 		Digest:    fmt.Sprintf("%016x", h),
-		Mask:      p.mask.String(),
-		Pattern:   lddp.Classify(p.mask).String(),
+		Mask:      mask.String(),
+		Pattern:   lddp.Classify(mask).String(),
 		ElapsedMS: float64(time.Since(start).Nanoseconds()) / 1e6,
-		Stats:     t.stats,
+		Stats:     s.stats,
 	}
 	if rec != nil {
 		rec.EndSolve()
-		res.TracePath = c.writeTrace(fleetID, rec, t.nodes)
+		res.TracePath = c.writeTrace(fleetID, rec, s.nodes)
 	}
 	return res, nil
 }
 
-// tally is what one solve's band goroutines record, under mu: the
-// solve's stats and, on a traced coordinator, the block traces each
-// node returned (nodes[n] is node n's; nil when untraced).
-type tally struct {
+// solve is one fleet solve in flight: what the engine workers running
+// its blocks share.
+type solve struct {
+	c       *Coordinator
+	req     *api.SolveRequest
+	mask    lddp.DepMask
+	phases  int
+	fleetID string
+
+	// cells is the assembled table, set beside the first block's round
+	// trip; ready closes after it. A block waits on ready only to slice a
+	// halo or to land its cells, and then sends its rows on landed[band]
+	// to the digest fold.
+	cells  []int64
+	ready  chan struct{}
+	landed []chan [2]int
+	// home[k] is band k's node: k mod nodes, until a relocation moves it.
+	home []atomic.Int32
+
+	// On a traced coordinator, lanes[w] is engine worker w's lane and
+	// waitFrom[w] the end of its last round trip (0, the trace's start,
+	// before its first).
+	lanes    []*trace.Lane
+	waitFrom []int64
+
+	// mu guards the stats and the block traces each node returned
+	// (nodes[n] is node n's; nil when untraced).
 	mu    sync.Mutex
 	stats Stats
 	nodes []trace.NodeTrace
 }
 
-// assembly is one solve's table. cells is set once, beside the first
-// block's round trip; ready closes after it, and a block waits on ready
-// only to slice a halo or to land its cells.
-type assembly struct {
-	cells []int64
-	ready chan struct{}
-}
-
-// table waits for the table and returns it.
-func (a *assembly) table() []int64 {
-	<-a.ready
-	return a.cells
-}
-
-// landed waits until block is done or ctx ends, and reports whether the
-// block is done: a closed done channel wins over an ended context.
-func landed(ctx context.Context, block <-chan struct{}) bool {
-	select {
-	case <-block:
-		return true
-	case <-ctx.Done():
-		select {
-		case <-block:
-			return true
-		default:
-			return false
-		}
+// block is the engine's hook: engine worker b.Worker runs block
+// (b.Band, b.Phase) on its band's node once every block it reads is in
+// the table, and the engine releases its dependents when it returns.
+func (s *solve) block(ctx context.Context, b core.Block) error {
+	var lane *trace.Lane
+	if s.lanes != nil {
+		// The worker's wait for a ready block: halo wait and coordination.
+		lane = s.lanes[b.Worker]
+		lane.SpanAt(trace.KindHandoff, trace.LabelHaloWait, b.Band*s.phases+b.Phase, 0, 0, s.waitFrom[b.Worker], lane.Clock()-s.waitFrom[b.Worker])
 	}
+	node, err := s.solveBlock(ctx, b, int(s.home[b.Band].Load()), lane)
+	s.home[b.Band].Store(int32(node))
+	if lane != nil {
+		s.waitFrom[b.Worker] = lane.Clock()
+	}
+	if err != nil {
+		return fmt.Errorf("fleet: band %d phase %d: %w", b.Band, b.Phase, err)
+	}
+	s.landed[b.Band] <- [2]int{b.Row0, b.Row1}
+	if s.c.cfg.OnBlockDone != nil {
+		s.c.cfg.OnBlockDone(b.Band, b.Phase, node)
+	}
+	return nil
 }
 
 // writeTrace stitches a completed fleet solve's coordinator trace with
@@ -470,7 +396,9 @@ func (c *Coordinator) writeTrace(fleetID string, rec *trace.Recorder, nodes []tr
 	if err != nil {
 		return ""
 	}
-	err = trace.WriteFleetChrome(f, rec.Meta(), rec.Events(), nodes)
+	meta := rec.Meta()
+	meta.Dropped = rec.Dropped()
+	err = trace.WriteFleetChrome(f, meta, rec.Events(), nodes)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -481,46 +409,45 @@ func (c *Coordinator) writeTrace(fleetID string, rec *trace.Recorder, nodes []tr
 	return path
 }
 
-// solveBlock ships one block to its band's node, relocating on failure,
-// and lands the returned cells in the assembled table. It returns the
-// node that completed the block (the band's node from here on). A
-// failed attempt may leave unverified cells in the block's rectangle;
-// nothing reads them before the block's done channel closes, and the
-// next attempt overwrites them. When the coordinator records a trace,
-// lane is band k's lane and gets one round-trip span per completed
-// block plus a derived halo-transfer span (round trip minus
-// node-reported compute), and the block trace the node returned joins
-// t.nodes. A failed attempt returns no response, so its partial node
-// trace is not stitched.
-func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *plan, tab *assembly, k, ph, node int, fleetID string, lane *trace.Lane, t *tally) (int, error) {
-	rows, cols := req.Rows, req.Cols
-	b, col := p.bands[k], p.phases[ph]
+// solveBlock ships block b to node, relocating on failure, lands the
+// returned cells in the assembled table and returns the node that
+// completed the block. A failed attempt may leave unverified cells in
+// the block's rectangle, which the next attempt overwrites; nothing reads
+// them before the engine releases the block's dependents. A traced
+// block's lane gets a round-trip span and a derived halo-transfer span
+// (round trip minus node-reported compute), each naming the block as
+// band * phases + phase; a failed attempt's partial node trace is not
+// stitched, as it returns no response.
+func (s *solve) solveBlock(ctx context.Context, b core.Block, node int, lane *trace.Lane) (int, error) {
+	c := s.c
+	rows, cols := s.req.Rows, s.req.Cols
 	breq := &api.BandRequest{
 		Rows: rows, Cols: cols,
-		Row0: b.lo, Row1: b.hi, Col0: col.lo, Col1: col.hi,
-		Mask: req.Mask, Strategy: req.Strategy,
-		Workload: req.Workload,
-		Trace:    &api.TraceContext{FleetID: fleetID, Band: k, Phase: ph},
+		Row0: b.Row0, Row1: b.Row1, Col0: b.Col0, Col1: b.Col1,
+		Mask: s.req.Mask, Strategy: s.req.Strategy,
+		Workload: s.req.Workload,
+		Trace:    &api.TraceContext{FleetID: s.fleetID, Band: b.Band, Phase: b.Phase},
 	}
-	h := api.HaloSpec(p.mask, rows, cols, b.lo, b.hi, col.lo, col.hi)
+	h := api.HaloSpec(s.mask, rows, cols, b.Row0, b.Row1, b.Col0, b.Col1)
 	var table []int64
 	if h.NorthLen+h.WestLen+h.EastLen > 0 {
-		table = tab.table()
+		<-s.ready
+		table = s.cells
 	}
 	if h.NorthLen > 0 {
 		breq.NorthLo = h.NorthLo
-		breq.HaloNorth = table[(b.lo-1)*cols+h.NorthLo : (b.lo-1)*cols+h.NorthLo+h.NorthLen]
+		breq.HaloNorth = table[(b.Row0-1)*cols+h.NorthLo : (b.Row0-1)*cols+h.NorthLo+h.NorthLen]
 	}
 	if h.WestLen > 0 {
 		breq.HaloWest = make([]int64, h.WestLen)
 		for i := range breq.HaloWest {
-			breq.HaloWest[i] = table[(b.lo+i)*cols+col.lo-1]
+			breq.HaloWest[i] = table[(b.Row0+i)*cols+b.Col0-1]
 		}
 	}
 	if h.EastLen > 0 {
 		breq.HaloEast = make([]int64, h.EastLen)
 		for i := range breq.HaloEast {
-			breq.HaloEast[i] = table[(b.lo+i)*cols+col.hi]
+			breq.HaloEast[i] = table[(b.Row0+i)*cols+b.Col1]
 		}
 	}
 	haloValues := int64(h.NorthLen + h.WestLen + h.EastLen)
@@ -528,15 +455,16 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		c.counters.haloValues.Add(haloValues)
 		c.counters.haloBytes.Add(haloValues * 8)
 	}
-	dst := func() ([]int64, int) { return tab.table()[b.lo*cols+col.lo:], cols }
+	dst := func() ([]int64, int) { <-s.ready; return s.cells[b.Row0*cols+b.Col0:], cols }
+	id := b.Band*s.phases + b.Phase
 	var last error
 	for attempt := 0; attempt < c.cfg.MaxBlockAttempts; attempt++ {
 		if attempt > 0 {
 			node = (node + 1) % len(c.cfg.Nodes)
 			c.counters.relocations.Add(1)
-			t.mu.Lock()
-			t.stats.Relocations++
-			t.mu.Unlock()
+			s.mu.Lock()
+			s.stats.Relocations++
+			s.mu.Unlock()
 		}
 		var t0 int64
 		if lane != nil {
@@ -552,22 +480,22 @@ func (c *Coordinator) solveBlock(ctx context.Context, req *api.SolveRequest, p *
 		}
 		if lane != nil {
 			rtt := lane.Clock() - t0
-			blockCells := int64(b.hi-b.lo) * int64(col.hi-col.lo)
-			lane.SpanAt(trace.KindPhase, trace.LabelRTT, ph, int64(node), blockCells, t0, rtt)
+			blockCells := int64(b.Row1-b.Row0) * int64(b.Col1-b.Col0)
+			lane.SpanAt(trace.KindPhase, trace.LabelRTT, id, int64(node), blockCells, t0, rtt)
 			// The halo-transfer span is the round trip minus the node's
 			// own compute time: wire transfer plus coordination overhead,
 			// attributed to the halo payload that crossed it.
 			if over := rtt - int64(resp.ElapsedMS*1e6); over > 0 {
-				lane.SpanAt(trace.KindXferH2D, trace.LabelHaloXfer, ph, haloValues, haloValues*8, t0, over)
+				lane.SpanAt(trace.KindXferH2D, trace.LabelHaloXfer, id, haloValues, haloValues*8, t0, over)
 			}
 		}
 		c.counters.blocks.Add(1)
-		t.mu.Lock()
-		t.stats.NodeBlocks[node]++
-		if t.nodes != nil && resp.Trace != nil {
-			t.nodes[node].Blocks = append(t.nodes[node].Blocks, *resp.Trace)
+		s.mu.Lock()
+		s.stats.NodeBlocks[node]++
+		if s.nodes != nil && resp.Trace != nil {
+			s.nodes[node].Blocks = append(s.nodes[node].Blocks, *resp.Trace)
 		}
-		t.mu.Unlock()
+		s.mu.Unlock()
 		return node, nil
 	}
 	return node, fmt.Errorf("block failed on %d nodes: %w", c.cfg.MaxBlockAttempts, last)

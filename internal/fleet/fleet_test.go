@@ -136,7 +136,7 @@ func resultAt(r *fleet.Result, i, j int) int64 { return r.Cells[i*r.Cols+j] }
 // shapes, with a deliberately tiny phase width so even small tables run
 // many phases (halo hand-off on every boundary). Binary blocks decode
 // straight into the assembled table, JSON ones are copied there. Every
-// mask exercises the direction policy its contributing set forces.
+// mask exercises the cut its contributing set forces (TestPlanCuts).
 func TestFleetDifferentialAllMasks(t *testing.T) {
 	for _, fc := range []struct {
 		nodes int
@@ -150,9 +150,6 @@ func TestFleetDifferentialAllMasks(t *testing.T) {
 					Workload: api.WorkloadSpec{Kind: api.KindMix, Seed: 0x5eed_f1ee7},
 				}
 				res := checkFleetDifferential(t, f.coord, req, m)
-				if res.Stats.Direction != fleet.DirectionFor(m) {
-					t.Errorf("mask=%s: ran %s, want %s", m, res.Stats.Direction, fleet.DirectionFor(m))
-				}
 				if res.Stats.Blocks != res.Stats.Bands*res.Stats.Phases {
 					t.Errorf("mask=%s: stats blocks %d != %d bands * %d phases",
 						m, res.Stats.Blocks, res.Stats.Bands, res.Stats.Phases)
@@ -163,8 +160,9 @@ func TestFleetDifferentialAllMasks(t *testing.T) {
 }
 
 // TestFleetWorkloadKinds runs the other seed-generated workload kinds
-// (serve, cost, align) through a 3-node fleet. Cost regenerates the
-// full seeded grid on every node; align fixes its own mask.
+// (serve, cost, align) through a 3-node fleet. Cost generates each
+// block's own rows of the seeded grid on its node; align fixes its own
+// mask.
 func TestFleetWorkloadKinds(t *testing.T) {
 	f := newTestFleet(t, 3, fleet.Config{PhaseCols: 11})
 	for _, kind := range []string{api.KindServe, api.KindCost, api.KindAlign} {
@@ -251,7 +249,7 @@ func TestFleetKillNodeMidSolve(t *testing.T) {
 
 // TestFleetFatalErrorAborts pins the non-relocatable path: an invalid
 // request must fail the solve without burning relocation attempts.
-// Leak-checked: no band goroutine, nor Solve's table allocation and
+// Leak-checked: no engine worker, nor Solve's table allocation and
 // digest fold, outlives a failed Solve.
 func TestFleetFatalErrorAborts(t *testing.T) {
 	checkLeaks(t)
@@ -276,23 +274,6 @@ func TestFleetFatalErrorAborts(t *testing.T) {
 	}
 	if !errors.Is(err, client.ErrInvalid) {
 		t.Fatalf("got %v, want ErrInvalid", err)
-	}
-}
-
-// TestDirectionForAllMasks pins the phase-direction policy mask by
-// mask: any change here is a protocol change, not a refactor.
-func TestDirectionForAllMasks(t *testing.T) {
-	for _, m := range lddp.AllDepMasks() {
-		want := fleet.LeftToRight
-		switch {
-		case m.Has(lddp.DepNE) && (m.Has(lddp.DepW) || m.Has(lddp.DepNW)):
-			want = fleet.SinglePhase
-		case m.Has(lddp.DepNE):
-			want = fleet.RightToLeft
-		}
-		if got := fleet.DirectionFor(m); got != want {
-			t.Errorf("mask %s: direction %s, want %s", m, got, want)
-		}
 	}
 }
 

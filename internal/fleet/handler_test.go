@@ -105,7 +105,7 @@ func (f *routeFleet) nodeRequests() int64 {
 
 // TestFleetRouteMatchesNode: POST /v1/fleet/solve answers the digest
 // and pattern a single node's /v1/solve computes, for one mask of each
-// plan direction (left to right, right to left, single phase) on a
+// block cut (left to right, mirrored, one full-width phase) on a
 // square and a ragged table, under a fleet solve id above 0 that the
 // X-Lddp-Solve-Id header echoes.
 func TestFleetRouteMatchesNode(t *testing.T) {

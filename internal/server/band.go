@@ -108,7 +108,7 @@ func (s *Server) ValidateBandRequest(req *api.BandRequest) (lddp.DepMask, error)
 // worker; the coordinator's digest differential catches the corruption.
 func BlockProblem(req *api.BandRequest) (*lddp.Problem[int64], error) {
 	table := tableRequest(req)
-	p, err := buildProblem(&table, req.Row0, req.Col0)
+	p, err := buildProblem(&table, req.Row0, req.Row1, req.Col0)
 	if err != nil {
 		return nil, err
 	}

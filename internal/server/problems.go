@@ -104,21 +104,13 @@ func ServeProblem(m lddp.DepMask, rows, cols, r0, c0 int) *lddp.Problem[int64] {
 
 // CostProblem builds a min-plus shortest-path recurrence over a cost
 // grid: cell = cost[i][j] + min over contributing neighbours (boundary
-// reads cost zero). cells must be rows x cols, row-major; the origin
-// offsets the rows the recurrence reads. This is the inline-payload
-// kind: the request carries the costs, so the server computes over
-// caller data rather than a seeded generator.
-func CostProblem(m lddp.DepMask, rows, cols, r0, c0 int, cells [][]int64) (*lddp.Problem[int64], error) {
-	if len(cells) != rows {
-		return nil, fmt.Errorf("cost cells have %d rows, want %d", len(cells), rows)
-	}
-	for i, row := range cells {
-		if len(row) != cols {
-			return nil, fmt.Errorf("cost cells row %d has %d values, want %d", i, len(row), cols)
-		}
-	}
+// reads cost zero). The problem has its origin at cell (r0, c0) of a
+// rows x cols table, and costs holds the table's cost rows from row r0
+// on, all cols wide: as many as the caller's cells read. The costs come
+// inline with the request (checkCostCells), so the server computes over
+// caller data, or from the seeded generator (generatedCostRows).
+func CostProblem(m lddp.DepMask, rows, cols, r0, c0 int, costs [][]int64) *lddp.Problem[int64] {
 	hasW, hasNW, hasN, hasNE := m.Has(lddp.DepW), m.Has(lddp.DepNW), m.Has(lddp.DepN), m.Has(lddp.DepNE)
-	costs := cells[r0:]
 	return &lddp.Problem[int64]{
 		Name: fmt.Sprintf("cost-%s-%dx%d", m, rows, cols),
 		Rows: rows - r0, Cols: cols - c0, Deps: m,
@@ -145,15 +137,34 @@ func CostProblem(m lddp.DepMask, rows, cols, r0, c0 int, cells [][]int64) (*lddp
 			return costs[i][c0+j] + best
 		},
 		BytesPerCell: 8,
-	}, nil
+	}
+}
+
+// checkCostCells checks that inline cost cells are rows x cols.
+func checkCostCells(cells [][]int64, rows, cols int) error {
+	if len(cells) != rows {
+		return fmt.Errorf("cost cells have %d rows, want %d", len(cells), rows)
+	}
+	for i, row := range cells {
+		if len(row) != cols {
+			return fmt.Errorf("cost cells row %d has %d values, want %d", i, len(row), cols)
+		}
+	}
+	return nil
 }
 
 // GeneratedCostCells builds the seeded cost grid used by the "cost" kind
 // when the request carries no inline payload, reusing the shortest-path
 // generator of internal/workload (costs in [1, 64]).
 func GeneratedCostCells(seed int64, rows, cols int) [][]int64 {
-	g := workload.CostGrid(uint64(seed), rows, cols, 64)
-	cells := make([][]int64, rows)
+	return generatedCostRows(seed, cols, 0, rows)
+}
+
+// generatedCostRows returns rows [r0, r1) of GeneratedCostCells' grid,
+// generating no other row.
+func generatedCostRows(seed int64, cols, r0, r1 int) [][]int64 {
+	g := workload.CostRows(uint64(seed), cols, 64, r0, r1)
+	cells := make([][]int64, len(g))
 	for i := range cells {
 		cells[i] = make([]int64, cols)
 		for j := range cells[i] {
@@ -214,12 +225,13 @@ func AlignProblem(seed int64, rows, cols, r0, c0 int) *lddp.Problem[int64] {
 // differential suite can rebuild the exact server-side instance for its
 // sequential oracle.
 func BuildProblem(req *api.SolveRequest) (*lddp.Problem[int64], error) {
-	return buildProblem(req, 0, 0)
+	return buildProblem(req, 0, req.Rows, 0)
 }
 
 // buildProblem is BuildProblem with the problem's origin at cell (r0, c0)
-// of the request's table.
-func buildProblem(req *api.SolveRequest, r0, c0 int) (*lddp.Problem[int64], error) {
+// of the request's table, for a caller that evaluates only the table's
+// rows above r1.
+func buildProblem(req *api.SolveRequest, r0, r1, c0 int) (*lddp.Problem[int64], error) {
 	kind := req.Workload.Kind
 	if kind == "" {
 		kind = api.KindMix
@@ -236,9 +248,12 @@ func buildProblem(req *api.SolveRequest, r0, c0 int) (*lddp.Problem[int64], erro
 	case api.KindCost:
 		cells := req.Workload.Cells
 		if cells == nil {
-			cells = GeneratedCostCells(req.Workload.Seed, req.Rows, req.Cols)
+			return CostProblem(mask, req.Rows, req.Cols, r0, c0, generatedCostRows(req.Workload.Seed, req.Cols, r0, r1)), nil
 		}
-		return CostProblem(mask, req.Rows, req.Cols, r0, c0, cells)
+		if err := checkCostCells(cells, req.Rows, req.Cols); err != nil {
+			return nil, err
+		}
+		return CostProblem(mask, req.Rows, req.Cols, r0, c0, cells[r0:]), nil
 	case api.KindAlign:
 		return AlignProblem(req.Workload.Seed, req.Rows, req.Cols, r0, c0), nil
 	default:

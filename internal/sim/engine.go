@@ -557,7 +557,9 @@ func (e *engine) runTrace(ctx context.Context, res *opResult) {
 }
 
 // checkFleetTrace reads a fleet solve's stitched trace and requires a
-// process with events for every node that completed one of its blocks.
+// process with events for every node that completed one of its blocks
+// and, where the coordinator's lanes dropped no event, exactly one
+// round-trip span per block (band, phase) of the plan.
 func checkFleetTrace(fres *fleet.Result) error {
 	f, err := os.Open(fres.TracePath)
 	if err != nil {
@@ -576,6 +578,26 @@ func checkFleetTrace(fres *fleet.Result) error {
 		if blocks > 0 && events[n+1] == 0 {
 			return fmt.Errorf("node %d completed %d blocks but its process has no events", n, blocks)
 		}
+	}
+	if doc.Meta.Dropped > 0 || len(doc.Procs) == 0 || doc.Procs[0].PID != 0 {
+		return nil
+	}
+	st := fres.Stats
+	seen := make([]bool, st.Blocks)
+	rtts := 0
+	for _, e := range doc.Procs[0].Events {
+		if e.Label != trace.LabelRTT {
+			continue
+		}
+		rtts++
+		band, phase := trace.BlockOf(doc.Meta, e)
+		if band < 0 || band >= st.Bands || phase >= st.Phases || seen[band*st.Phases+phase] {
+			return fmt.Errorf("a round trip names block (%d,%d) of the %d x %d plan twice or outside it", band, phase, st.Bands, st.Phases)
+		}
+		seen[band*st.Phases+phase] = true
+	}
+	if rtts != st.Blocks {
+		return fmt.Errorf("%d round-trip spans for the %d blocks of the plan", rtts, st.Blocks)
 	}
 	return nil
 }

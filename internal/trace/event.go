@@ -12,9 +12,9 @@ type Kind uint8
 const (
 	// KindSolve spans a whole solve, emitted on lane 0 at EndSolve.
 	KindSolve Kind = iota
-	// KindHandoff spans a wait for a neighbour's data: a fleet band
-	// waiting for its north neighbour's phase (label halo-wait, A the
-	// neighbour band).
+	// KindHandoff spans a wait for a neighbour's data: a fleet
+	// coordinator worker waiting for its next ready block (label
+	// halo-wait, Front the block as for its round trip).
 	KindHandoff
 	// KindPhase spans a named execution phase; Label carries the name.
 	// Simulated compute ops import as KindPhase with their device:phase

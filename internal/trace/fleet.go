@@ -8,7 +8,7 @@ import (
 )
 
 // Fleet trace stitching: one fleet solve produces a coordinator trace
-// (one lane per band, spans for halo waits and per-block round trips)
+// (a lane per engine worker, spans for halo waits and block round trips)
 // plus one block trace per block, which the executing node returns in
 // its band response. This file merges them into a single multi-process
 // Chrome/Perfetto timeline — PID 0 is the coordinator, PID n+1 is node
@@ -65,9 +65,10 @@ type NodeTrace struct {
 }
 
 // Coordinator-lane span labels. The coordinator records its fleet solve
-// on one lane per band: a "halo-wait" KindHandoff span while the band
-// waits for its north neighbour's phase, an "rtt" KindPhase span for the
-// whole SolveBand round trip (A = node index, B = block cells), and a
+// on one lane per engine worker, each span naming its block as Front =
+// band * Meta.Fronts + phase (BlockOf): a "halo-wait" KindHandoff span
+// while the worker waits for a ready block, an "rtt" KindPhase span for
+// the whole SolveBand round trip (A = node index, B = block cells), and a
 // "halo" KindXferH2D span for the halo payload the block shipped
 // (A = halo cells, B = halo bytes; its duration is the round trip minus
 // the node-reported solve time — the wire + coordination overhead).
@@ -101,11 +102,11 @@ type FleetDoc struct {
 }
 
 // WriteFleetChrome writes one stitched multi-process Chrome trace: the
-// coordinator's events under PID 0 (one thread per band) and each node's
-// block events under PID n+1 (one thread per scheduler worker), all
-// timestamps shifted onto the coordinator's clock using the recorders'
-// EpochUnixNS. nodes must be in fleet node-index order so PIDs match
-// node indices; a node that returned no trace still claims its PID.
+// coordinator's events under PID 0 (one thread per engine worker) and
+// each node's block events under PID n+1 (one thread per scheduler
+// worker), all timestamps shifted onto the coordinator's clock using the
+// recorders' EpochUnixNS. nodes must be in fleet node-index order so PIDs
+// match node indices; a node that returned no trace still claims its PID.
 func WriteFleetChrome(w io.Writer, meta Meta, coordEvents []Event, nodes []NodeTrace) error {
 	doc := chromeTrace{DisplayTimeUnit: "ms", OtherData: &meta}
 	emitProcess := func(pid int, name string, lanes map[int]string) error {
@@ -322,8 +323,8 @@ type FleetCritical struct {
 type FleetReport struct {
 	Meta   Meta  `json:"meta"`
 	SpanNS int64 `json:"span_ns"`
-	// Blocks, Bands and Phases describe the executed plan as observed on
-	// the coordinator lanes.
+	// Blocks, Bands and Phases describe the executed plan as observed in
+	// the coordinator's round-trip spans.
 	Blocks int `json:"blocks"`
 	Bands  int `json:"bands"`
 	Phases int `json:"phases"`
@@ -380,12 +381,9 @@ func AnalyzeFleet(doc *FleetDoc) *FleetReport {
 				case LabelRTT:
 					rtts = append(rtts, e)
 					rep.RTTNS += e.Dur
-					if int(e.Worker)+1 > rep.Bands {
-						rep.Bands = int(e.Worker) + 1
-					}
-					if int(e.Front)+1 > rep.Phases {
-						rep.Phases = int(e.Front) + 1
-					}
+					band, phase := BlockOf(doc.Meta, e)
+					rep.Bands = max(rep.Bands, band+1)
+					rep.Phases = max(rep.Phases, phase+1)
 				}
 			}
 		}
@@ -412,26 +410,33 @@ func AnalyzeFleet(doc *FleetDoc) *FleetReport {
 			}
 		}
 	}
-	rep.Critical = fleetCritical(rtts)
+	rep.Critical = fleetCritical(doc.Meta, rtts)
 	return rep
+}
+
+// BlockOf returns the block (band, phase) a coordinator span names.
+func BlockOf(meta Meta, e Event) (band, phase int) {
+	phases := max(meta.Fronts, 1)
+	return int(e.Front) / phases, int(e.Front) % phases
 }
 
 // fleetCritical walks the block DAG backwards from the last-finishing
 // round trip: each block's predecessors are (band-1, phase) — the north
 // neighbour whose halo it waited for — and (band, phase-1) — the same
-// band's previous phase, serialized on the band lane. The predecessor
-// finishing last is the binding dependency; the gap between that finish
-// and this round trip's start is the path's wait component.
-func fleetCritical(rtts []Event) FleetCritical {
+// band's previous phase. The predecessor finishing last is the binding
+// dependency; the gap between that finish and this round trip's start is
+// the path's wait component.
+func fleetCritical(meta Meta, rtts []Event) FleetCritical {
 	crit := FleetCritical{DominantNode: -1, DominantPhase: -1}
 	if len(rtts) == 0 {
 		return crit
 	}
-	type key struct{ band, phase int32 }
+	type key struct{ band, phase int }
 	byBlock := make(map[key]Event, len(rtts))
 	last := rtts[0]
 	for _, e := range rtts {
-		byBlock[key{e.Worker, e.Front}] = e
+		band, phase := BlockOf(meta, e)
+		byBlock[key{band, phase}] = e
 		if e.End() > last.End() {
 			last = e
 		}
@@ -440,13 +445,14 @@ func fleetCritical(rtts []Event) FleetCritical {
 	phaseNS := map[int]int64{}
 	cur := last
 	for {
+		band, phase := BlockOf(meta, cur)
 		step := FleetCriticalStep{
-			Band: int(cur.Worker), Phase: int(cur.Front),
+			Band: band, Phase: phase,
 			Node: int(cur.A), RTTNS: cur.Dur,
 		}
 		var pred Event
 		found := false
-		for _, k := range []key{{cur.Worker - 1, cur.Front}, {cur.Worker, cur.Front - 1}} {
+		for _, k := range []key{{band - 1, phase}, {band, phase - 1}} {
 			if p, ok := byBlock[k]; ok && (!found || p.End() > pred.End()) {
 				pred, found = p, true
 			}

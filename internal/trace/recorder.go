@@ -250,16 +250,11 @@ func (l *Lane) SpanFrom(k Kind, front int, a, b int64, t0 time.Time) {
 	})
 }
 
-// SpanLabel records a span from a timestamp previously taken with Clock,
-// carrying a (static) label.
-func (l *Lane) SpanLabel(k Kind, label string, front int, a, b, startNS int64) {
-	l.put(Event{TS: startNS, Dur: l.now() - startNS, A: a, B: b, Front: int32(front), Kind: k, Label: label})
-}
-
 // SpanAt records a fully explicit span — caller-supplied start and
-// duration on the lane clock — for spans whose extent is derived rather
-// than measured, like the fleet coordinator's halo-transfer overhead
-// (block round trip minus node-reported compute).
+// duration on the lane clock, the start taken with Clock — carrying a
+// (static) label, for spans whose extent is measured in steps or derived,
+// like the fleet coordinator's halo-transfer overhead (block round trip
+// minus node-reported compute).
 func (l *Lane) SpanAt(k Kind, label string, front int, a, b, startNS, durNS int64) {
 	l.put(Event{TS: startNS, Dur: durNS, A: a, B: b, Front: int32(front), Kind: k, Label: label})
 }
@@ -269,7 +264,7 @@ func (l *Lane) Instant(k Kind, front int, a, b int64) {
 	l.put(Event{TS: l.now(), A: a, B: b, Front: int32(front), Kind: k})
 }
 
-// Clock returns the current lane timestamp for a later Span call.
+// Clock returns the current lane timestamp for a later SpanAt call.
 func (l *Lane) Clock() int64 { return l.now() }
 
 // ImportTimeline converts a resolved simulated schedule into trace

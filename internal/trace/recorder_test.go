@@ -25,7 +25,7 @@ func TestRecorderRingOverflow(t *testing.T) {
 	ln := r.Lane(0)
 	const emitted = 20
 	for i := 0; i < emitted; i++ {
-		ln.SpanLabel(KindTask, "", i, 0, 1, int64(i))
+		ln.SpanAt(KindTask, "", i, 0, 1, int64(i), 1)
 	}
 	if got, want := r.Dropped(), int64(emitted-cap); got != want {
 		t.Fatalf("Dropped() = %d, want %d", got, want)
@@ -58,10 +58,10 @@ func TestRecorderNoOverflowNoDrop(t *testing.T) {
 
 func TestRecorderEventsSortedAcrossLanes(t *testing.T) {
 	r := NewRecorder(16)
-	r.Lane(1).SpanLabel(KindTask, "", 0, 0, 1, 30)
-	r.Lane(0).SpanLabel(KindTask, "", 0, 0, 1, 10)
-	r.Lane(2).SpanLabel(KindTask, "", 0, 0, 1, 20)
-	r.Lane(0).SpanLabel(KindTask, "", 1, 0, 1, 40)
+	r.Lane(1).SpanAt(KindTask, "", 0, 0, 1, 30, 1)
+	r.Lane(0).SpanAt(KindTask, "", 0, 0, 1, 10, 1)
+	r.Lane(2).SpanAt(KindTask, "", 0, 0, 1, 20, 1)
+	r.Lane(0).SpanAt(KindTask, "", 1, 0, 1, 40, 1)
 	evs := r.Events()
 	for i := 1; i < len(evs); i++ {
 		if evs[i-1].TS > evs[i].TS {
@@ -148,9 +148,9 @@ func TestChromeRoundTrip(t *testing.T) {
 		Solver: "async", Problem: "lev", Pattern: "Anti-diagonal",
 		Executed: "tiles 1x4", Rows: 8, Cols: 8, Fronts: 8, Workers: 2,
 	})
-	r.Lane(0).SpanLabel(KindTask, "", 3, 0, 512, 1000)
-	r.Lane(1).SpanLabel(KindHandoff, "", 3, 0, 0, 1500)
-	r.Lane(0).SpanLabel(KindPhase, "", 3, 512, 0, 900)
+	r.Lane(0).SpanAt(KindTask, "", 3, 0, 512, 1000, 1)
+	r.Lane(1).SpanAt(KindHandoff, "", 3, 0, 0, 1500, 1)
+	r.Lane(0).SpanAt(KindPhase, "", 3, 512, 0, 900, 1)
 	r.Lane(1).Instant(KindReady, 4, 0, 1)
 	r.EndSolve()
 

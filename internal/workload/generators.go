@@ -65,11 +65,19 @@ func GrayImage(seed uint64, rows, cols int) [][]uint8 {
 // CostGrid returns a rows x cols grid of non-negative integer costs in
 // [1, maxCost] for shortest-path workloads like the checkerboard problem.
 func CostGrid(seed uint64, rows, cols, maxCost int) [][]int32 {
+	return CostRows(seed, cols, maxCost, 0, rows)
+}
+
+// CostRows returns rows [r0, r1) of CostGrid(seed, rows, cols, maxCost)
+// for any rows >= r1, without generating the rows above r0: each cost is
+// one draw, so row r starts r*cols draws after the seed.
+func CostRows(seed uint64, cols, maxCost, r0, r1 int) [][]int32 {
 	if maxCost < 1 {
 		panic("workload: maxCost must be >= 1")
 	}
 	r := NewRNG(seed)
-	g := make([][]int32, rows)
+	r.Skip(uint64(r0) * uint64(cols))
+	g := make([][]int32, r1-r0)
 	for i := range g {
 		g[i] = make([]int32, cols)
 		for j := range g[i] {

@@ -12,12 +12,19 @@ type RNG struct {
 	state uint64
 }
 
+// splitmixStep is the constant the state moves by on every draw.
+const splitmixStep = 0x9e3779b97f4a7c15
+
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
+// Skip advances the generator past n draws of Uint64 (or of Intn or
+// Float64, which draw one each) without computing them.
+func (r *RNG) Skip(n uint64) { r.state += n * splitmixStep }
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += splitmixStep
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

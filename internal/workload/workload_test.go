@@ -172,3 +172,29 @@ func TestGeneratorDeterminismProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: CostRows is the rows [r0, r1) of CostGrid for any seed and
+// shape, generated without the rows above r0.
+func TestCostRowsMatchCostGrid(t *testing.T) {
+	f := func(seed uint64, r, c, a, b uint8) bool {
+		rows, cols := int(r%20)+1, int(c%20)+1
+		r0 := int(a) % (rows + 1)
+		r1 := r0 + int(b)%(rows-r0+1)
+		grid := CostGrid(seed, rows, cols, 50)
+		part := CostRows(seed, cols, 50, r0, r1)
+		if len(part) != r1-r0 {
+			return false
+		}
+		for i, row := range part {
+			for j, v := range row {
+				if v != grid[r0+i][j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

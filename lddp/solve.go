@@ -26,7 +26,8 @@ const (
 	Parallel
 	// Tiled runs the same tile engine on square tiles (WithTile), the
 	// cache-efficient tiled multicore scheme; the masks that read NE
-	// with W or NW get their squares along i + j.
+	// with W or NW get their squares along i + j, and {NE} and {N,NE}
+	// squares whose columns run right to left.
 	Tiled
 	// Hetero runs the paper's heterogeneous CPU+GPU framework on the
 	// simulated platform: simulated timing, with the cell values computed
